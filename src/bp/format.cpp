@@ -1,6 +1,5 @@
 #include "bp/format.hpp"
 
-#include "util/binio.hpp"
 #include "util/crc32c.hpp"
 
 namespace bitio::bp {
@@ -33,9 +32,9 @@ std::pair<std::string, AttrValue> decode_attr(BinReader& reader) {
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_step(const StepRecord& record) {
+EncodedStep encode_step(const StepRecord& record) {
   BinWriter writer;
-  writer.u32(kMdMagicV6);
+  writer.u32(kMdMagic);
   writer.u64(record.step);
   writer.u32(std::uint32_t(record.variables.size()));
   for (const auto& var : record.variables) {
@@ -66,25 +65,26 @@ std::vector<std::uint8_t> encode_step(const StepRecord& record) {
   // The metadata block protects itself: trailing CRC32C over everything
   // above, verified before any field is trusted on decode.
   writer.u32(crc32c(writer.buffer()));
-  return writer.take();
+  EncodedStep out{writer.take(), 0};
+  out.crc = step_block_crc(out.bytes);
+  return out;
+}
+
+std::uint32_t step_block_crc(std::span<const std::uint8_t> block) {
+  // crc32c(body ++ tail) == crc32c(tail, crc32c(body)), and the tail of a
+  // verified block *is* crc32c(body).
+  if (block.size() < 4) throw FormatError("bp: truncated step metadata");
+  const std::span<const std::uint8_t> tail = block.last(4);
+  return crc32c(tail, BinReader(tail).u32());
 }
 
 StepRecord decode_step(std::span<const std::uint8_t> data) {
-  if (data.size() < 4) throw FormatError("bp: truncated step metadata");
-  const std::uint32_t magic = BinReader(data).u32();
-  if (magic != kMdMagic && magic != kMdMagicV5 && magic != kMdMagicV6)
+  if (data.size() < 8) throw FormatError("bp: truncated step metadata");
+  if (BinReader(data).u32() != kMdMagic)
     throw FormatError("bp: bad step metadata magic (unknown format version)");
-  const bool v6 = magic == kMdMagicV6;
-  const bool v5 = magic == kMdMagicV5 || v6;
-
-  std::span<const std::uint8_t> body = data;
-  if (v5) {
-    if (data.size() < 8) throw FormatError("bp: truncated step metadata");
-    const std::uint32_t stored = BinReader(data.last(4)).u32();
-    if (crc32c(data.first(data.size() - 4)) != stored)
-      throw FormatError("bp: step metadata CRC mismatch");
-    body = data.first(data.size() - 4);
-  }
+  const std::span<const std::uint8_t> body = data.first(data.size() - 4);
+  if (crc32c(body) != BinReader(data.last(4)).u32())
+    throw FormatError("bp: step metadata CRC mismatch");
 
   BinReader reader(body);
   reader.u32();  // magic, validated above
@@ -114,14 +114,10 @@ StepRecord decode_step(std::span<const std::uint8_t> data) {
       chunk.operator_name = reader.str();
       chunk.stat_min = reader.f64();
       chunk.stat_max = reader.f64();
-      if (v5) {
-        chunk.has_crc = reader.u8() != 0;
-        chunk.crc32c = reader.u32();
-      }
-      if (v6) {
-        chunk.has_content_hash = reader.u8() != 0;
-        chunk.content_hash = reader.u64();
-      }
+      chunk.has_crc = reader.u8() != 0;
+      chunk.crc32c = reader.u32();
+      chunk.has_content_hash = reader.u8() != 0;
+      chunk.content_hash = reader.u64();
       var.chunks.push_back(std::move(chunk));
     }
     record.variables.push_back(std::move(var));
@@ -133,74 +129,70 @@ StepRecord decode_step(std::span<const std::uint8_t> data) {
   return record;
 }
 
+void put_index_header(BinWriter& writer, std::uint32_t count) {
+  writer.u32(kIdxMagic);
+  writer.u32(count);
+}
+
+void put_index_entry(BinWriter& writer, const IndexEntry& entry) {
+  writer.u64(entry.step);
+  writer.u64(entry.md_offset);
+  writer.u64(entry.md_length);
+  writer.u32(entry.md_crc);
+  writer.u32(0);  // reserved, keeps entries 8-byte aligned
+}
+
 std::vector<std::uint8_t> encode_index(const std::vector<IndexEntry>& index) {
   BinWriter writer;
-  writer.u32(kIdxMagicV5);
-  writer.u32(std::uint32_t(index.size()));
-  for (const auto& e : index) {
-    writer.u64(e.step);
-    writer.u64(e.md_offset);
-    writer.u64(e.md_length);
-    writer.u32(e.md_crc);
-    writer.u32(0);  // reserved, keeps entries 8-byte aligned
-  }
+  put_index_header(writer, std::uint32_t(index.size()));
+  for (const auto& entry : index) put_index_entry(writer, entry);
   return writer.take();
 }
 
 std::vector<IndexEntry> decode_index(std::span<const std::uint8_t> data) {
   BinReader reader(data);
-  const std::uint32_t magic = reader.u32();
-  if (magic != kIdxMagic && magic != kIdxMagicV5)
+  if (reader.u32() != kIdxMagic)
     throw FormatError("bp: bad md.idx magic (unknown format version)");
-  const bool v5 = magic == kIdxMagicV5;
   const std::uint32_t n = reader.u32();
-  const std::size_t entry_bytes = v5 ? kIdxEntryBytesV5 : kIdxEntryBytes;
-  if (reader.remaining() != std::size_t(n) * entry_bytes)
+  if (reader.remaining() != std::size_t(n) * kIdxEntryBytes)
     throw FormatError("bp: md.idx size mismatch");
-  std::vector<IndexEntry> index;
-  index.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    IndexEntry e;
+  std::vector<IndexEntry> index(n);
+  for (IndexEntry& e : index) {
     e.step = reader.u64();
     e.md_offset = reader.u64();
     e.md_length = reader.u64();
-    if (v5) {
-      e.md_crc = reader.u32();
-      reader.u32();  // reserved
-      e.has_crc = true;
-    }
-    index.push_back(e);
+    e.md_crc = reader.u32();
+    reader.u32();  // reserved
   }
   return index;
 }
 
-std::vector<std::uint8_t> encode_footer(const std::vector<StepRecord>& steps) {
+std::vector<std::uint8_t> encode_footer(const std::vector<IndexEntry>& index,
+                                        std::uint64_t footer_offset) {
   BinWriter writer;
+  writer.bytes(encode_index(index));
+  const std::uint64_t length = writer.buffer().size();
+  const std::uint32_t crc = crc32c(writer.buffer());
+  writer.u64(footer_offset);
+  writer.u64(length);
+  writer.u32(crc);
   writer.u32(kFtrMagic);
-  writer.u32(std::uint32_t(steps.size()));
-  for (const auto& record : steps) {
-    const std::vector<std::uint8_t> md = encode_step(record);
-    writer.u64(md.size());
-    writer.bytes(md);
-  }
   return writer.take();
 }
 
-std::vector<StepRecord> decode_footer(std::span<const std::uint8_t> data) {
-  BinReader reader(data);
-  if (reader.u32() != kFtrMagic)
-    throw FormatError("bp: bad footer magic");
-  const std::uint32_t n = reader.u32();
-  std::vector<StepRecord> steps;
-  steps.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint64_t length = reader.u64();
-    if (length > reader.remaining())
-      throw FormatError("bp: truncated footer step record");
-    steps.push_back(decode_step(reader.bytes(std::size_t(length))));
-  }
-  if (!reader.done()) throw FormatError("bp: trailing bytes in footer");
-  return steps;
+std::optional<std::vector<IndexEntry>> decode_footer(
+    std::span<const std::uint8_t> md0) {
+  if (md0.size() < kFtrTrailerBytes) return std::nullopt;
+  const std::uint64_t end = md0.size() - kFtrTrailerBytes;
+  BinReader trailer(md0.subspan(end));
+  const std::uint64_t offset = trailer.u64();
+  const std::uint64_t length = trailer.u64();
+  const std::uint32_t crc = trailer.u32();
+  if (trailer.u32() != kFtrMagic || offset > end || length != end - offset)
+    return std::nullopt;
+  const std::span<const std::uint8_t> body = md0.subspan(offset, length);
+  if (crc32c(body) != crc) return std::nullopt;
+  return decode_index(body);
 }
 
 }  // namespace bitio::bp

@@ -1,63 +1,76 @@
 #pragma once
-// Binary (de)serialization of miniBP metadata: StepRecords for md.0 and
-// IndexEntries for md.idx.  The format is versioned and bounds-checked so a
-// truncated or corrupt container fails loudly on read (the original BIT1
-// failure mode the paper reports — corrupted output files beyond 20k ranks —
-// must be *detectable* here).
+// Binary (de)serialization of miniBP metadata: StepRecords for md.0,
+// IndexEntries for md.idx, and the footer that closes md.0.  The format is
+// bounds-checked and checksummed so a truncated or corrupt container fails
+// loudly on read (the original BIT1 failure mode the paper reports —
+// corrupted output files beyond 20k ranks — must be *detectable* here).
 //
-// Three on-disk versions coexist:
-//   v4 ("MD04"/"IDX4")  the original layout, no checksums; still readable.
-//   v5 ("MD05"/"IDX5")  every chunk record carries the CRC32C of its stored
-//       bytes, every step-metadata block ends in its own CRC32C, and every
-//       index entry repeats the CRC of the metadata block it points at.  A
-//       torn or bit-flipped write anywhere in the container is therefore
-//       detectable on read.
-//   v6 ("MD06")  adds a per-chunk FNV-1a content hash of the raw bytes (the
-//       dedup key of incremental checkpoints) and a *footer index* appended
-//       to the end of md.0 at close: the complete step records followed by a
-//       fixed-size trailer ("FTR6") pointing back at them.  A reader that
-//       finds a valid trailer opens the container from the footer alone —
-//       O(1) seeks, no md.idx/md.0 scan; a missing, torn, or corrupt footer
-//       falls back to the v5 scan path (md.idx entries never point into the
-//       footer region, so the scan ignores it).
+// One version per surface:
+//   md.0 step block ("MD06")  every chunk record carries the CRC32C of its
+//       stored bytes and the FNV-1a content hash of its raw bytes (the
+//       dedup key of incremental checkpoints); the block ends in a CRC32C
+//       over itself.
+//   md.idx ("IDX5")  fixed-size entries (step, md_offset, md_length, md_crc)
+//       where md_crc is the CRC32C of the whole md.0 block, so the index
+//       and the metadata cross-check each other.
+//   footer ("FTR7")  appended to md.0 at close: the md.idx encoding of every
+//       step's entry — a pointer table into md.0, not a copy of it —
+//       followed by a fixed-size trailer pointing back at it.  A reader that
+//       finds an intact footer takes its index from there; a missing, torn,
+//       or corrupt footer falls back to md.idx (whose entries never point
+//       into the footer region).
 // Any other magic is a wrong-version/corrupt input and raises FormatError.
 
+#include <optional>
 #include <span>
 
 #include "bp/types.hpp"
+#include "util/binio.hpp"
 
 namespace bitio::bp {
 
-inline constexpr std::uint32_t kMdMagic = 0x4D443034;     // "MD04" (legacy)
-inline constexpr std::uint32_t kIdxMagic = 0x49445834;    // "IDX4" (legacy)
-inline constexpr std::uint32_t kIdxEntryBytes = 24;       // v4 record size
-inline constexpr std::uint32_t kMdMagicV5 = 0x4D443035;   // "MD05"
-inline constexpr std::uint32_t kIdxMagicV5 = 0x49445835;  // "IDX5"
-inline constexpr std::uint32_t kIdxEntryBytesV5 = 32;     // v5 record size
-inline constexpr std::uint32_t kMdMagicV6 = 0x4D443036;   // "MD06"
-inline constexpr std::uint32_t kFtrMagic = 0x46545236;    // "FTR6"
+inline constexpr std::uint32_t kMdMagic = 0x4D443036;   // "MD06"
+inline constexpr std::uint32_t kIdxMagic = 0x49445835;  // "IDX5"
+inline constexpr std::uint32_t kIdxHeaderBytes = 8;     // magic + count
+inline constexpr std::uint32_t kIdxEntryBytes = 32;
+inline constexpr std::uint32_t kFtrMagic = 0x46545237;  // "FTR7"
 /// Fixed-size footer trailer at the very end of md.0:
 ///   u64 footer_offset | u64 footer_length | u32 crc32c(footer) | u32 magic
 inline constexpr std::uint32_t kFtrTrailerBytes = 24;
 
-/// Serialize one step's metadata (appended to md.0).  Writes v6: chunk CRCs
-/// and content hashes plus a trailing CRC32C over the whole block.
-std::vector<std::uint8_t> encode_step(const StepRecord& record);
-/// Parse one step's metadata (v4, v5 or v6; v5+ blocks are CRC-verified).
-/// Throws FormatError on corruption or an unknown version magic.
-StepRecord decode_step(std::span<const std::uint8_t> data);
+/// One encoded md.0 step block and the CRC32C of all of its bytes (the
+/// md.idx entry's md_crc), derived from the block's own trailing CRC so the
+/// block is checksummed once.
+struct EncodedStep {
+  std::vector<std::uint8_t> bytes;
+  std::uint32_t crc = 0;
+};
 
-/// Serialize/parse the whole md.idx file (header + fixed-size entries).
-/// encode writes v5; decode accepts v4 and v5.
+/// Serialize one step's metadata (appended to md.0).
+EncodedStep encode_step(const StepRecord& record);
+/// Parse one step's metadata, verifying its trailing CRC first.  Throws
+/// FormatError on corruption or an unknown version magic.
+StepRecord decode_step(std::span<const std::uint8_t> data);
+/// CRC32C of a whole step block that decode_step() already accepted, in
+/// O(1): extends the verified trailing CRC over its own four bytes.
+std::uint32_t step_block_crc(std::span<const std::uint8_t> block);
+
+/// md.idx: header (magic + count) followed by fixed-size entries.  The
+/// writer appends one entry per step and patches the header count.
+void put_index_header(BinWriter& writer, std::uint32_t count);
+void put_index_entry(BinWriter& writer, const IndexEntry& entry);
 std::vector<std::uint8_t> encode_index(const std::vector<IndexEntry>& index);
 std::vector<IndexEntry> decode_index(std::span<const std::uint8_t> data);
 
-/// Serialize/parse the footer index: every drained step record, in drain
-/// order (repeated step ids keep their write order so "latest record wins"
-/// matches the scan path).  The footer body is
-///   u32 magic | u32 nsteps | { u64 length, encode_step() bytes } * nsteps
-/// and is itself protected by the CRC32C in the trailer.
-std::vector<std::uint8_t> encode_footer(const std::vector<StepRecord>& steps);
-std::vector<StepRecord> decode_footer(std::span<const std::uint8_t> data);
+/// The footer close() appends to md.0 at `footer_offset` (the end of the
+/// last step block): encode_index(index) plus the trailer.
+std::vector<std::uint8_t> encode_footer(const std::vector<IndexEntry>& index,
+                                        std::uint64_t footer_offset);
+/// The index entries of the footer at the end of a whole md.0 file, or
+/// nullopt when md.0 ends in no intact footer (a container still being
+/// written, or a torn or corrupt tail).  Throws FormatError when a footer
+/// whose CRC checks out does not decode as an index.
+std::optional<std::vector<IndexEntry>> decode_footer(
+    std::span<const std::uint8_t> md0);
 
 }  // namespace bitio::bp

@@ -4,7 +4,6 @@
 
 #include "compress/codec.hpp"
 #include "compress/parallel.hpp"
-#include "util/binio.hpp"
 #include "util/crc32c.hpp"
 #include "util/error.hpp"
 
@@ -14,68 +13,29 @@ Reader::Reader(ForEngineFactory, fsim::SharedFs& fs, fsim::ClientId client,
                std::string path)
     : fs_(fs), client_(client), path_(std::move(path)) {
   fsim::FsClient io(fs_, client_);
-  if (try_open_footer(io)) {
-    footer_used_ = true;
-    return;
-  }
-  const auto idx_bytes = io.read_all(path_ + "/md.idx");
-  const auto index = decode_index(idx_bytes);
   const auto md_bytes = io.read_all(path_ + "/md.0");
-  for (const auto& entry : index) {
-    if (entry.md_offset + entry.md_length > md_bytes.size())
-      throw FormatError("bp::Reader: md.idx points past md.0");
-    const std::span<const std::uint8_t> slice(md_bytes.data() + entry.md_offset,
-                                              entry.md_length);
-    // v5 index entries repeat the metadata block's CRC: cross-check the
-    // md.0 slice against md.idx before parsing a byte of it.
-    if (entry.has_crc && crc32c(slice) != entry.md_crc)
+  // A closed container carries its index in the md.0 footer; without an
+  // intact one (still being written, torn or corrupt tail) md.idx serves.
+  // Either way the same entries drive the one decode loop below.
+  std::optional<std::vector<IndexEntry>> index = decode_footer(md_bytes);
+  footer_used_ = index.has_value();
+  if (!footer_used_) index = decode_index(io.read_all(path_ + "/md.idx"));
+  for (const auto& entry : *index) {
+    if (entry.md_offset > md_bytes.size() ||
+        entry.md_length > md_bytes.size() - entry.md_offset)
+      throw FormatError("bp::Reader: index points past md.0");
+    const std::span<const std::uint8_t> block(
+        md_bytes.data() + entry.md_offset, entry.md_length);
+    StepRecord record = decode_step(block);
+    // The index repeats each block's CRC: cross-check that the index and
+    // md.0 agree on which bytes hold the step.
+    if (step_block_crc(block) != entry.md_crc)
       throw FormatError(
-          "bp::Reader: step metadata CRC mismatch between md.idx/md.0");
-    StepRecord record = decode_step(slice);
+          "bp::Reader: step metadata CRC mismatch between the index and md.0");
     if (record.step != entry.step)
-      throw FormatError("bp::Reader: step id mismatch between md.idx/md.0");
+      throw FormatError(
+          "bp::Reader: step id mismatch between the index and md.0");
     steps_[record.step] = std::move(record);  // later entries win
-  }
-}
-
-bool Reader::try_open_footer(fsim::FsClient& io) {
-  // Every failure mode here — no footer yet (pre-v6 container or mid-run
-  // attach), torn tail, bit-flipped footer — degrades to the scan path
-  // instead of failing the open; the scan then delivers its own verdicts.
-  try {
-    const std::string md_path = path_ + "/md.0";
-    if (!io.exists(md_path)) return false;
-    const std::uint64_t size = io.stat_size(md_path);
-    if (size < kFtrTrailerBytes) return false;
-    const int fd = io.open(md_path, fsim::OpenMode::read);
-    std::vector<std::uint8_t> tail(kFtrTrailerBytes);
-    const std::uint64_t got_tail =
-        io.pread(fd, size - kFtrTrailerBytes, tail);
-    bool ok = got_tail == kFtrTrailerBytes;
-    std::uint64_t footer_offset = 0, footer_length = 0;
-    std::uint32_t footer_crc = 0;
-    if (ok) {
-      BinReader trailer{std::span<const std::uint8_t>(tail)};
-      footer_offset = trailer.u64();
-      footer_length = trailer.u64();
-      footer_crc = trailer.u32();
-      ok = trailer.u32() == kFtrMagic &&
-           footer_offset + footer_length + kFtrTrailerBytes == size;
-    }
-    std::vector<std::uint8_t> footer(ok ? footer_length : 0);
-    if (ok) {
-      const std::uint64_t got = io.pread(fd, footer_offset, footer);
-      ok = got == footer_length && crc32c(footer) == footer_crc;
-    }
-    io.close(fd);
-    if (!ok) return false;
-    for (StepRecord& record : decode_footer(footer)) {
-      const std::uint64_t step = record.step;
-      steps_[step] = std::move(record);  // later records win, as in the scan
-    }
-    return true;
-  } catch (const Error&) {
-    return false;
   }
 }
 

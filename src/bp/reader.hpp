@@ -12,13 +12,12 @@
 // exposes the *latest* record for each id, like BP4 readers see the final
 // state.
 //
-// Open path: a closed v6 container ends md.0 with a footer index (every
-// step record + a fixed trailer), so open() costs O(1) seeks — stat, read
-// the trailer, read the footer — regardless of how many steps the file
-// holds.  Containers without a footer (pre-v6, or still being written and
-// attached mid-run via publish_index) and containers whose footer is torn
-// or corrupt fall back transparently to the md.idx + md.0 scan path;
-// used_footer_index() reports which path satisfied the open.
+// Open path: one read of md.0.  A closed container ends md.0 with a footer
+// — the index entry of every step plus a fixed trailer — so open() needs
+// no second file.  A container still being written (attached mid-run via
+// publish_index) or one whose footer is torn or corrupt takes its entries
+// from md.idx instead.  Either way the same CRC-checked decode of the md.0
+// step blocks follows; used_footer_index() reports which index served.
 
 #include <cstring>
 #include <map>
@@ -66,12 +65,12 @@ public:
   const ChunkRecord* find_chunk(std::uint64_t step, const std::string& name,
                                 std::uint32_t writer_rank) const;
 
-  /// True when open() was satisfied by the v6 footer index (O(1) seeks)
-  /// rather than the md.idx + md.0 scan path.
+  /// True when open() took its index from the md.0 footer rather than
+  /// from md.idx.
   bool used_footer_index() const { return footer_used_; }
 
-  /// Read and reassemble the full global array of a variable.  Chunks whose
-  /// metadata carries a CRC (format v5) are verified; a mismatch raises
+  /// Read and reassemble the full global array of a variable.  Every chunk
+  /// with stored bytes carries a CRC, verified here; a mismatch raises
   /// FormatError.  Use verify() for a non-throwing per-chunk report.
   std::vector<std::uint8_t> read(std::uint64_t step, const std::string& name);
 
@@ -97,7 +96,7 @@ public:
   struct ChunkVerdict {
     enum class Status {
       ok,            // CRC present and matching
-      no_crc,        // legacy v4 or synthetic chunk: nothing to check
+      no_crc,        // synthetic chunk: no stored bytes to check
       short_read,    // stored extent missing bytes (torn write)
       crc_mismatch,  // bytes present but corrupt (bit flip)
     };
@@ -135,12 +134,6 @@ public:
                                      const std::string& name) const;
 
 private:
-  /// O(1) open: read the trailer at the end of md.0, CRC-verify the footer
-  /// it points at, and decode every step record from it.  Returns false —
-  /// leaving steps_ empty — when there is no valid footer (pre-v6
-  /// container, mid-run attach, torn/corrupt tail); the constructor then
-  /// falls back to the scan path.
-  bool try_open_footer(fsim::FsClient& io);
   /// Fetch one chunk's raw bytes: pread the stored extent, verify its CRC,
   /// undo the operator.  Throws FormatError on short read/CRC mismatch.
   std::vector<std::uint8_t> fetch_chunk(fsim::FsClient& io,

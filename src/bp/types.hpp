@@ -138,16 +138,15 @@ struct ChunkRecord {
   // non-numeric or synthetic chunks.
   double stat_min = 0.0;
   double stat_max = 0.0;
-  // End-to-end integrity (format v5): CRC32C of the *stored* bytes,
-  // computed at write time and re-checked on read.  has_crc is false for
-  // synthetic (size-only) chunks and for containers written in the v4
-  // format, which remain readable without verification.
+  // End-to-end integrity: CRC32C of the *stored* bytes, computed at write
+  // time and re-checked on read.  has_crc is false for synthetic
+  // (size-only) chunks, which have no bytes to check.
   std::uint32_t crc32c = 0;
   bool has_crc = false;
-  // Content identity (format v6): FNV-1a 64 of the *raw* (pre-operator)
-  // bytes.  The incremental-checkpoint layer compares these across epochs
-  // to detect unchanged blocks without reading any data back.  False for
-  // synthetic chunks and for pre-v6 containers.
+  // Content identity: FNV-1a 64 of the *raw* (pre-operator) bytes.  The
+  // incremental-checkpoint layer compares these across epochs to detect
+  // unchanged blocks without reading any data back.  False for synthetic
+  // chunks.
   std::uint64_t content_hash = 0;
   bool has_content_hash = false;
 };
@@ -170,14 +169,13 @@ struct StepRecord {
   std::vector<std::pair<std::string, AttrValue>> attributes;
 };
 
-/// md.idx entry: where a step's metadata lives inside md.0.  v5 entries
-/// additionally carry the CRC32C of the referenced metadata block.
+/// md.idx (and footer) entry: where a step's metadata lives inside md.0,
+/// and the CRC32C of that whole metadata block.
 struct IndexEntry {
   std::uint64_t step = 0;
   std::uint64_t md_offset = 0;
   std::uint64_t md_length = 0;
   std::uint32_t md_crc = 0;
-  bool has_crc = false;
 };
 
 }  // namespace bitio::bp

@@ -269,8 +269,7 @@ Writer::Writer(ForEngineFactory, fsim::SharedFs& fs, std::string path,
   idx_fd_ = root.open(path_ + "/md.idx", fsim::OpenMode::create);
   // Reserve the md.idx header (magic + count, patched at close).
   BinWriter header;
-  header.u32(kIdxMagicV5);
-  header.u32(0);
+  put_index_header(header, 0);
   root.pwrite(idx_fd_, 0, header.buffer());
 
   if (config_.async_write) {
@@ -614,7 +613,7 @@ void Writer::drain_step(const StepJob& job) {
       meta.crc32c = chunk_crc;
       meta.has_crc = chunk_has_crc;
       if (!chunk.synthetic) {
-        // Content identity over the raw bytes (format v6): the dedup key
+        // Content identity over the raw bytes: the dedup key
         // the incremental-checkpoint layer compares across epochs.
         meta.content_hash = util::hash64(chunk.payload());
         meta.has_content_hash = true;
@@ -756,15 +755,12 @@ void Writer::drain_step(const StepJob& job) {
   // metadata lane when async).
   touch_heartbeat();
   fsim::FsClient root(fs_, 0, async ? kMetaLane : 0);
-  const std::vector<std::uint8_t> md = encode_step(record);
-  IndexEntry entry{job.step, md_offset_, md.size(), crc32c(md), true};
+  const EncodedStep md = encode_step(record);
+  const IndexEntry entry{job.step, md_offset_, md.bytes.size(), md.crc};
   BinWriter idx_bytes;
-  idx_bytes.u64(entry.step);
-  idx_bytes.u64(entry.md_offset);
-  idx_bytes.u64(entry.md_length);
-  idx_bytes.u32(entry.md_crc);
-  idx_bytes.u32(0);  // reserved (v5 entry layout)
-  const std::uint64_t idx_offset = 8 + index_.size() * kIdxEntryBytesV5;
+  put_index_entry(idx_bytes, entry);
+  const std::uint64_t idx_offset =
+      kIdxHeaderBytes + index_.size() * kIdxEntryBytes;
   if (batched) {
     // Rank 0's two tiny per-step appends (md.0 record + md.idx entry) ride
     // one doorbell.  On the posix path each pays the synchronous
@@ -774,7 +770,7 @@ void Writer::drain_step(const StepJob& job) {
     fsim::Sqe md_sqe;
     md_sqe.fd = md_fd_;
     md_sqe.offset = md_offset_;
-    md_sqe.iov.push_back(std::span<const std::uint8_t>(md));
+    md_sqe.iov.push_back(std::span<const std::uint8_t>(md.bytes));
     mq.push(std::move(md_sqe));
     fsim::Sqe idx_sqe;
     idx_sqe.fd = idx_fd_;
@@ -784,14 +780,11 @@ void Writer::drain_step(const StepJob& job) {
     mq.push(std::move(idx_sqe));
     submit_and_reap(mq);
   } else {
-    root.pwrite(md_fd_, md_offset_, md);
+    root.pwrite(md_fd_, md_offset_, md.bytes);
     root.pwrite(idx_fd_, idx_offset, idx_bytes.buffer());
   }
-  md_offset_ += md.size();
+  md_offset_ += md.bytes.size();
   index_.push_back(entry);
-  // Retained for the footer index close() appends; the encoded bytes above
-  // are final, so the record can be moved out.
-  footer_steps_.push_back(std::move(record));
 }
 
 double Writer::compress_cpu_seconds(std::uint64_t raw_bytes) const {
@@ -816,7 +809,6 @@ Writer::DrainSnapshot Writer::snapshot_drain_state() const {
   snap.data_offsets = data_offsets_;
   snap.md_offset = md_offset_;
   snap.index_size = index_.size();
-  snap.footer_steps = footer_steps_.size();
   snap.memcopy_us = memcopy_us_total_;
   snap.compress_us = compress_us_total_;
   snap.drain_us = drain_us_total_;
@@ -831,7 +823,6 @@ void Writer::restore_drain_state(const DrainSnapshot& snap) {
   data_offsets_ = snap.data_offsets;
   md_offset_ = snap.md_offset;
   index_.resize(snap.index_size);
-  footer_steps_.resize(snap.footer_steps);
   memcopy_us_total_ = snap.memcopy_us;
   compress_us_total_ = snap.compress_us;
   drain_us_total_ = snap.drain_us;
@@ -987,8 +978,7 @@ void Writer::publish_index() {
   // The same header bytes close() writes — the final container is
   // unchanged, the count just becomes visible to mid-run readers early.
   BinWriter header;
-  header.u32(kIdxMagicV5);
-  header.u32(std::uint32_t(index_.size()));
+  put_index_header(header, std::uint32_t(index_.size()));
   fsim::FsClient root(fs_, 0);
   root.pwrite(idx_fd_, 0, header.buffer());
 }
@@ -1011,24 +1001,14 @@ void Writer::close() {
   fsim::FsClient root(fs_, 0);
   // Patch the md.idx header with the final step count.
   BinWriter header;
-  header.u32(kIdxMagicV5);
-  header.u32(std::uint32_t(index_.size()));
+  put_index_header(header, std::uint32_t(index_.size()));
   root.pwrite(idx_fd_, 0, header.buffer());
 
-  // Footer index (format v6): the complete step records appended after the
-  // last metadata block, then a fixed trailer pointing back at them.  A
-  // reader opens from the trailer in O(1) seeks; md.idx entries all point
-  // below md_offset_, so the v5 scan path is unaffected by the tail.
-  {
-    const std::vector<std::uint8_t> footer = encode_footer(footer_steps_);
-    BinWriter trailer;
-    trailer.u64(md_offset_);
-    trailer.u64(footer.size());
-    trailer.u32(crc32c(footer));
-    trailer.u32(kFtrMagic);
-    root.pwrite(md_fd_, md_offset_, footer);
-    root.pwrite(md_fd_, md_offset_ + footer.size(), trailer.buffer());
-  }
+  // Footer index: md.idx's entries again, appended after the last step
+  // block behind a CRC-protected trailer, so a reader opens a closed
+  // container from md.0 alone.  md.idx entries all point below md_offset_,
+  // so the md.idx path is unaffected by the tail.
+  root.pwrite(md_fd_, md_offset_, encode_footer(index_, md_offset_));
 
   if (config_.engine == EngineType::bp5) {
     // BP5's second metadata file: a duplicate of the index for fast open.
@@ -1055,7 +1035,7 @@ void Writer::close() {
     // Overlapped drain-lane time, kept apart from the critical-path
     // memcopy/compress numbers (zero without async_write).
     profile["transport_0"]["drain_us"] = drain_us_total_;
-    // Per-chunk CRC32C cost (format v5 end-to-end integrity).
+    // Per-chunk CRC32C cost (end-to-end integrity).
     profile["transport_0"]["crc_us"] = crc_us_total_;
     profile["transport_0"]["raw_bytes"] = raw_bytes_total_;
     profile["transport_0"]["stored_bytes"] = stored_bytes_total_;

@@ -4,7 +4,8 @@
 //
 // Layout of `<path>` (a directory, like ADIOS2's <name>.bp4):
 //   data.0 .. data.M-1   one subfile per aggregator
-//   md.0                 step metadata records (appended per step)
+//   md.0                 step metadata records (appended per step), then
+//                        the footer index (appended at close)
 //   md.idx               fixed-size step index (header count patched at close)
 //   profiling.json       optional per-rank timing profile (Fig 8)
 //   mmd.0                BP5 engines only (second metadata file)
@@ -327,7 +328,6 @@ private:
     std::vector<std::uint64_t> data_offsets;
     std::uint64_t md_offset = 0;
     std::size_t index_size = 0;
-    std::size_t footer_steps = 0;
     double memcopy_us = 0.0, compress_us = 0.0, drain_us = 0.0, crc_us = 0.0;
     std::uint64_t raw_bytes = 0, stored_bytes = 0;
     std::uint64_t zero_copy_chunks = 0;
@@ -407,9 +407,6 @@ private:
   std::uint64_t md_offset_ = 0;
   int idx_fd_ = -1;
   std::vector<IndexEntry> index_;
-  // Every drained step record, retained for the md.0 footer index close()
-  // appends (format v6 random-access open).  Drain-side state like index_.
-  std::vector<StepRecord> footer_steps_;
 
   // profiling.json accumulators (microseconds, like ADIOS2's profiler).
   // With async_write, marshalling/compression time lands in drain_us_total_

@@ -26,7 +26,7 @@
 // verification and restart falls back chain by chain.
 //
 // Commit protocol (per epoch): write the series, re-open it with bp::Reader
-// and CRC-verify every chunk (format v5 end-to-end integrity), then write
+// and CRC-verify every chunk (end-to-end integrity), then write
 // MANIFEST.tmp and rename() it to MANIFEST — the atomic commit point.  An
 // epoch without a MANIFEST does not exist.  Transient injected failures
 // (EIO/ENOSPC) are retried with bounded exponential backoff (charged to the

@@ -1,12 +1,14 @@
 #pragma once
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41, reflected 0x82F63B78) — the
 // checksum ADIOS2/HDF5-class containers use for end-to-end integrity.  The
-// miniBP v5 format stores one CRC per data chunk and per metadata block so
+// miniBP format stores one CRC per data chunk and per metadata block so
 // torn writes and silent bit flips are *detectable* on read (the corruption
 // failure mode the paper reports beyond 20k ranks).
 //
-// Software slice-by-one table implementation: deterministic everywhere, fast
-// enough for the simulated payload sizes, no ISA dependencies.
+// Two kernels, bit-identical: the SSE4.2 `crc32` instruction (selected at
+// runtime via cpuid, so the binary still runs on machines without it) and a
+// portable slice-by-one table loop, kept as the fallback and as the
+// hardware kernel's differential oracle.
 
 #include <cstdint>
 #include <span>
@@ -17,5 +19,9 @@ namespace bitio {
 /// to checksum a logical stream in pieces; start with 0).
 std::uint32_t crc32c(std::span<const std::uint8_t> data,
                      std::uint32_t seed = 0);
+
+/// The portable table kernel behind crc32c(), whatever the CPU supports.
+std::uint32_t crc32c_table(std::span<const std::uint8_t> data,
+                           std::uint32_t seed = 0);
 
 }  // namespace bitio

@@ -1,7 +1,7 @@
 #pragma once
 // FNV-1a 64-bit content hash.
 //
-// The dedup key of the incremental-checkpoint layer: miniBP format v6
+// The dedup key of the incremental-checkpoint layer: miniBP metadata
 // records this hash of each chunk's *raw* (pre-operator) bytes, and
 // resil::CheckpointManager compares the hashes of staged blocks against the
 // last committed epoch to decide what actually changed.  FNV-1a is not

@@ -8,6 +8,7 @@
 #include "bp/writer.hpp"
 #include "fsim/storage_model.hpp"
 #include "util/binio.hpp"
+#include "util/crc32c.hpp"
 #include "fsim/system_profiles.hpp"
 #include "smpi/comm.hpp"
 #include "util/error.hpp"
@@ -35,8 +36,10 @@ TEST(BpFormat, StepRecordRoundTrip) {
   record.attributes.emplace_back("comment", AttrValue(std::string("hi")));
   record.attributes.emplace_back("count", AttrValue(std::uint64_t(7)));
 
-  const auto bytes = encode_step(record);
-  const StepRecord back = decode_step(bytes);
+  const EncodedStep encoded = encode_step(record);
+  // The returned CRC covers the whole block, as the index entry records it.
+  EXPECT_EQ(encoded.crc, crc32c(encoded.bytes));
+  const StepRecord back = decode_step(encoded.bytes);
   EXPECT_EQ(back.step, 42u);
   ASSERT_EQ(back.variables.size(), 1u);
   EXPECT_EQ(back.variables[0].name, "e/position/x");
@@ -53,14 +56,14 @@ TEST(BpFormat, StepRecordRoundTrip) {
 TEST(BpFormat, DetectsCorruption) {
   StepRecord record;
   record.step = 1;
-  auto bytes = encode_step(record);
+  auto bytes = encode_step(record).bytes;
   bytes[0] ^= 0xFF;  // magic
   EXPECT_THROW(decode_step(bytes), FormatError);
 
-  auto good = encode_step(record);
+  auto good = encode_step(record).bytes;
   good.pop_back();
   EXPECT_THROW(decode_step(good), FormatError);
-  good = encode_step(record);
+  good = encode_step(record).bytes;
   good.push_back(0);
   EXPECT_THROW(decode_step(good), FormatError);
 }
@@ -435,13 +438,10 @@ TEST(BpReader, DetectsCorruptContainer) {
     writer.end_step();
     writer.close();
   }
-  // Corrupt md.0 in place.  Also zap the footer trailer magic: with an
-  // intact footer the open is satisfied by the (self-CRC'd) footer copy of
-  // the metadata and never touches the corrupt block; breaking the trailer
-  // forces the scan path, which must reject the container.
+  // Corrupt the step block in md.0: the footer only points at it, so the
+  // open decodes the corrupt block and must reject the container.
   auto& node = fs.store().file("bad.bp4/md.0");
   node.data[4] ^= 0xFF;
-  node.data[node.data.size() - 1] ^= 0xFF;
   EXPECT_THROW(Reader::open(fs, 0, "bad.bp4"), FormatError);
 }
 
@@ -503,14 +503,13 @@ TEST(BpFooter, ClosedContainerOpensThroughTheFooterIndex) {
 
 TEST(BpFooter, PreFooterContainerFallsBackToScan) {
   fsim::SharedFs fs(4);
-  const auto expect = write_footer_fixture(fs, "v5.bp4");
-  // A pre-v6 container is exactly a v6 one minus the appended footer:
-  // truncate md.0 back to the footer offset and the md.idx scan path must
-  // serve the open, bit-for-bit.
-  auto& md = fs.store().file("v5.bp4/md.0");
+  const auto expect = write_footer_fixture(fs, "nf.bp4");
+  // A container whose close() never appended the footer: truncate md.0
+  // back to the footer offset and md.idx must serve the open, bit-for-bit.
+  auto& md = fs.store().file("nf.bp4/md.0");
   md.data.resize(footer_offset_of(md));
   md.size = md.data.size();
-  Reader reader = Reader::open(fs, 0, "v5.bp4");
+  Reader reader = Reader::open(fs, 0, "nf.bp4");
   EXPECT_FALSE(reader.used_footer_index());
   EXPECT_EQ(reader.read_as<float>(1, "density"), expect);
 }
@@ -520,8 +519,8 @@ TEST(BpFooter, CorruptFooterBodyFallsBackToScan) {
   const auto expect = write_footer_fixture(fs, "cf.bp4");
   auto& md = fs.store().file("cf.bp4/md.0");
   // Flip a byte inside the footer body: the trailer CRC no longer matches,
-  // so open must reject the footer and scan — never crash, never serve the
-  // poisoned copy.
+  // so open must reject the footer and use md.idx — never crash, never
+  // follow the poisoned entries.
   md.data[footer_offset_of(md) + 6] ^= 0xFF;
   Reader reader = Reader::open(fs, 0, "cf.bp4");
   EXPECT_FALSE(reader.used_footer_index());
@@ -556,6 +555,25 @@ TEST(BpFooter, MidRunPublishOpensWithoutFooter) {
   writer.close();
   Reader closed = Reader::open(fs, 0, "mid.bp4");
   EXPECT_TRUE(closed.used_footer_index());
+}
+
+TEST(BpFooter, FooterIsAPointerTableIntoMd0) {
+  // The footer repeats md.idx's entries, not the step records: md.0 is the
+  // step blocks md.idx points at, then exactly md.idx's bytes, then the
+  // trailer.
+  fsim::SharedFs fs(4);
+  write_footer_fixture(fs, "pt.bp4");
+  fsim::FsClient io(fs, 0);
+  const auto md = io.read_all("pt.bp4/md.0");
+  const auto idx = io.read_all("pt.bp4/md.idx");
+  const auto entries = decode_index(idx);
+  ASSERT_EQ(entries.size(), 2u);
+  const std::uint64_t blocks_end =
+      entries.back().md_offset + entries.back().md_length;
+  EXPECT_EQ(footer_offset_of(fs.store().file("pt.bp4/md.0")), blocks_end);
+  ASSERT_EQ(md.size(), blocks_end + idx.size() + kFtrTrailerBytes);
+  EXPECT_TRUE(std::equal(idx.begin(), idx.end(),
+                         md.begin() + std::ptrdiff_t(blocks_end)));
 }
 
 TEST(BpFooter, RandomAccessChunkAndSliceReads) {
@@ -597,7 +615,7 @@ StepRecord sample_record() {
 TEST(BpHardening, TruncatedStepMetadataAlwaysFormatError) {
   // Every possible truncation of an encoded step record must surface as a
   // typed FormatError — never a crash, hang, or silent partial parse.
-  const auto bytes = encode_step(sample_record());
+  const auto bytes = encode_step(sample_record()).bytes;
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     SCOPED_TRACE("prefix length " + std::to_string(len));
     EXPECT_THROW(
@@ -608,7 +626,7 @@ TEST(BpHardening, TruncatedStepMetadataAlwaysFormatError) {
 
 TEST(BpHardening, TruncatedIndexAlwaysFormatError) {
   const auto bytes =
-      encode_index({{0, 0, 100, 0x1234, true}, {1, 100, 80, 0x5678, true}});
+      encode_index({{0, 0, 100, 0x1234}, {1, 100, 80, 0x5678}});
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     SCOPED_TRACE("prefix length " + std::to_string(len));
     EXPECT_THROW(
@@ -618,60 +636,29 @@ TEST(BpHardening, TruncatedIndexAlwaysFormatError) {
 }
 
 TEST(BpHardening, UnknownFormatVersionIsTypedFormatError) {
-  // A future (or garbage) magic must be rejected up front, not parsed as
-  // whichever version the bytes happen to resemble.
-  BinWriter md;
-  md.u32(0x4D443036);  // "MD06": plausible next version, unknown to us
-  md.u64(1);
-  md.u32(0);
-  md.u32(0);
-  EXPECT_THROW(decode_step(md.take()), FormatError);
+  // Any magic but the one live version — a retired one ("MD04"/"MD05") or
+  // a future one ("MD07") — is rejected up front, even when the block's
+  // own CRC checks out, rather than parsed as whichever version the bytes
+  // happen to resemble.
+  for (const std::uint32_t magic : {0x4D443034u, 0x4D443035u, 0x4D443037u}) {
+    auto bytes = encode_step(sample_record()).bytes;
+    const std::size_t body = bytes.size() - 4;
+    BinWriter head;
+    head.u32(magic);
+    std::copy(head.buffer().begin(), head.buffer().end(), bytes.begin());
+    BinWriter seal;
+    seal.u32(crc32c(std::span(bytes).first(body)));
+    std::copy(seal.buffer().begin(), seal.buffer().end(),
+              bytes.begin() + std::ptrdiff_t(body));
+    EXPECT_THROW(decode_step(bytes), FormatError) << std::hex << magic;
+  }
 
-  BinWriter idx;
-  idx.u32(0x49445836);  // "IDX6"
-  idx.u32(0);
-  EXPECT_THROW(decode_index(idx.take()), FormatError);
-}
-
-TEST(BpHardening, LegacyV4ContainersStillDecode) {
-  // Format v5 added CRCs; v4 bytes (no chunk CRC fields, no trailing
-  // metadata CRC, 24-byte index entries) must stay readable.
-  BinWriter md;
-  md.u32(kMdMagic);
-  md.u64(7);
-  md.u32(1);  // one variable
-  md.str("x");
-  md.u8(std::uint8_t(Datatype::float32));
-  md.dims({8});
-  md.u32(1);  // one chunk
-  md.dims({0});
-  md.dims({8});
-  md.u32(0);   // writer_rank
-  md.u32(0);   // subfile
-  md.u64(0);   // file_offset
-  md.u64(32);  // stored_bytes
-  md.u64(32);  // raw_bytes
-  md.str("");
-  md.f64(0.0);
-  md.f64(7.0);
-  md.u32(0);  // no attributes
-  const StepRecord record = decode_step(md.take());
-  EXPECT_EQ(record.step, 7u);
-  ASSERT_EQ(record.variables.size(), 1u);
-  ASSERT_EQ(record.variables[0].chunks.size(), 1u);
-  EXPECT_FALSE(record.variables[0].chunks[0].has_crc);
-
-  BinWriter idx;
-  idx.u32(kIdxMagic);
-  idx.u32(1);
-  idx.u64(3);   // step
-  idx.u64(0);   // md_offset
-  idx.u64(40);  // md_length
-  const auto entries = decode_index(idx.take());
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries[0].step, 3u);
-  EXPECT_EQ(entries[0].md_length, 40u);
-  EXPECT_FALSE(entries[0].has_crc);
+  for (const std::uint32_t magic : {0x49445834u, 0x49445836u}) {  // IDX4/6
+    BinWriter idx;
+    idx.u32(magic);
+    idx.u32(0);
+    EXPECT_THROW(decode_index(idx.take()), FormatError) << std::hex << magic;
+  }
 }
 
 // -------------------------------------------------------------- integrity ---
@@ -734,13 +721,14 @@ TEST(BpIntegrity, IndexCrossChecksStepMetadata) {
     writer.end_step();
     writer.close();
   }
-  // Flip one byte inside the md.0 step block: the md.idx entry's CRC of
-  // that block must reject the container at open.  The footer trailer is
-  // zapped first so the open takes the md.idx + md.0 scan path (the footer
-  // holds its own self-CRC'd copy of the step metadata).
-  auto& node = fs.store().file("x.bp4/md.0");
-  node.data[node.data.size() - 1] ^= 0xFF;
-  node.data[16] ^= 0x01;  // inside the first (only) step block
+  // Flip the md_crc field of md.idx's only entry: md.idx and the intact
+  // md.0 block no longer agree, and the open must reject the container.
+  // The footer trailer is zapped first so the open takes md.idx (an intact
+  // footer carries its own CRC-protected copy of the entries).
+  auto& md = fs.store().file("x.bp4/md.0");
+  md.data[md.data.size() - 1] ^= 0xFF;
+  auto& idx = fs.store().file("x.bp4/md.idx");
+  idx.data[kIdxHeaderBytes + 24] ^= 0x01;  // md_crc of entry 0
   EXPECT_THROW(Reader::open(fs, 0, "x.bp4"), FormatError);
 }
 

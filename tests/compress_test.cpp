@@ -111,6 +111,13 @@ struct LzCase {
   std::size_t size;
 };
 
+// gtest_discover_tests puts the printed parameter into each ctest name; the
+// default byte dump would embed the address of `kind`, so the names would
+// change from one build (and one ASLR load) to the next.
+void PrintTo(const LzCase& c, std::ostream* os) {
+  *os << "(\"" << c.kind << "\", " << c.size << ")";
+}
+
 class LzProperty : public ::testing::TestWithParam<LzCase> {};
 
 TEST_P(LzProperty, RoundTrip) {

@@ -157,8 +157,7 @@ TEST(Integration, DarshanSeesBothPathsOfALiveRun) {
   EXPECT_LE(log.total_bytes_written(), store_bytes + 64);
 
   // The original path's small-record writes dominate the call counts (the
-  // v6 footer costs two extra metadata writes per container close, so the
-  // openpmd side is slightly chattier than under v5).
+  // footer costs one extra metadata write per container close).
   std::uint64_t original_calls = 0, openpmd_calls = 0;
   for (const auto& record : log.records) {
     if (record.path.rfind("orig", 0) == 0) original_calls += record.writes;

@@ -216,9 +216,9 @@ bool detection_round(FaultKind kind, const std::string& target,
     writer->close();
   }
   if (fs.injected_fault_count() == 0) return false;  // fault never armed
-  // Zap the v6 footer trailer: an intact footer is a self-CRC'd redundant
-  // copy of the step metadata, so md.0/md.idx corruption would be *healed*
-  // rather than detected.  This matrix is about the scan path's CRCs.
+  // Zap the footer trailer: an intact footer carries its own CRC-protected
+  // copy of the index entries, so a torn md.idx entry would never be read.
+  // This matrix is about the md.idx path's cross-checks.
   auto& md = fs.store().file("out/c.bp4/md.0");
   if (!md.data.empty()) md.data.back() ^= 0xFF;
   try {

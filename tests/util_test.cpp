@@ -1,6 +1,8 @@
-// Unit tests for the util module: units, rng, stats, json, toml, table.
+// Unit tests for the util module: units, rng, crc32c, stats, json, toml,
+// table.
 #include <gtest/gtest.h>
 
+#include "util/crc32c.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
@@ -83,6 +85,36 @@ TEST(Rng, ExponentialMean) {
   RunningStats stats;
   for (int i = 0; i < 200000; ++i) stats.add(rng.exponential(4.0));
   EXPECT_NEAR(stats.mean(), 0.25, 0.01);
+}
+
+// --------------------------------------------------------------- crc32c ---
+
+TEST(Crc32c, MatchesTheCastagnoliCheckValue) {
+  const std::string check = "123456789";
+  const auto bytes = std::span(
+      reinterpret_cast<const std::uint8_t*>(check.data()), check.size());
+  EXPECT_EQ(crc32c(bytes), 0xE3069283u);
+  EXPECT_EQ(crc32c_table(bytes), 0xE3069283u);
+}
+
+TEST(Crc32c, DispatchedKernelMatchesTableOracle) {
+  // Every alignment, length class (empty, sub-word, word multiples, ragged
+  // tails) and seed, plus chaining: checksumming in two pieces equals one
+  // pass.
+  std::vector<std::uint8_t> buffer(4096 + 8);
+  Rng rng(0xC5C, 3);
+  for (auto& byte : buffer) byte = std::uint8_t(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (const std::size_t len :
+         {0u, 1u, 7u, 8u, 9u, 15u, 16u, 63u, 64u, 65u, 1000u, 4096u})
+      for (const std::uint32_t seed : {0u, 0xDEADBEEFu}) {
+        const auto data = std::span(buffer).subspan(offset, len);
+        ASSERT_EQ(crc32c(data, seed), crc32c_table(data, seed))
+            << "offset " << offset << " len " << len << " seed " << seed;
+        const std::size_t cut = len / 3;
+        EXPECT_EQ(crc32c(data.subspan(cut), crc32c(data.first(cut), seed)),
+                  crc32c(data, seed));
+      }
 }
 
 // ---------------------------------------------------------------- stats ---

@@ -142,11 +142,12 @@ struct FormatSurface {
   std::string anchor;         // serializer name, e.g. "encode_step" or
                               // "EpochManifest::to_json"
   std::string version_file;   // rel path declaring the version constant
-  std::string version_const;  // e.g. "kMdMagicV6"
+  std::string version_const;  // e.g. "kMdMagic"
 };
 
-/// The five production surfaces: miniBP step metadata + footer, CZP1
-/// frame header, Darshan DRSNLOG record table, checkpoint MANIFEST.
+/// The six production surfaces: miniBP step metadata, index entry and
+/// footer, CZP1 frame header, Darshan DRSNLOG record table, checkpoint
+/// MANIFEST.
 const std::vector<FormatSurface>& default_format_surfaces();
 
 /// Path of the committed golden, relative to the index root.

@@ -213,7 +213,9 @@ const char kFingerprintGoldenRel[] =
 const std::vector<FormatSurface>& default_format_surfaces() {
   static const std::vector<FormatSurface> surfaces = {
       {"minibp-step", "src/bp/format.cpp", "encode_step", "src/bp/format.hpp",
-       "kMdMagicV6"},
+       "kMdMagic"},
+      {"minibp-index", "src/bp/format.cpp", "put_index_entry",
+       "src/bp/format.hpp", "kIdxMagic"},
       {"minibp-footer", "src/bp/format.cpp", "encode_footer",
        "src/bp/format.hpp", "kFtrMagic"},
       {"czp1-frame", "src/compress/parallel.cpp",
