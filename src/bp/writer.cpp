@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <numeric>
 
 #include "compress/parallel.hpp"
@@ -11,6 +12,7 @@
 #include "util/crc32c.hpp"
 #include "util/error.hpp"
 #include "util/hash64.hpp"
+#include "util/table.hpp"
 
 namespace bitio::bp {
 
@@ -227,12 +229,11 @@ Writer::Writer(ForEngineFactory, fsim::SharedFs& fs, std::string path,
     throw UsageError("bp::Writer: compress_threads must be >= 1");
   if (config_.compress_block_kb < 1)
     throw UsageError("bp::Writer: compress_block_kb must be >= 1");
-  // Keep the accepted strings in lockstep with core::kBit1IoAggregationModes
-  // (the topology-registry lint rule checks both sites).
-  if (config_.aggregation != "flat" && config_.aggregation != "two_level")
+  if (std::find(std::begin(kAggregationModes), std::end(kAggregationModes),
+                config_.aggregation) == std::end(kAggregationModes))
     throw UsageError("bp::Writer: unknown aggregation '" +
-                     config_.aggregation +
-                     "' (expected \"flat\" or \"two_level\")");
+                     config_.aggregation + "' (expected one of " +
+                     quoted_list(kAggregationModes) + ")");
 
   const int nnodes =
       (nranks_ + config_.ranks_per_node - 1) / config_.ranks_per_node;

@@ -147,8 +147,7 @@ struct EngineConfig {
   /// gather op is ever recorded, and the trace — hence the container bytes
   /// and every replay number — is identical to the pre-topology writer.
   /// numa_per_node / nics_per_node override the preset hierarchy when > 0.
-  /// The topology-registry lint rule keeps the mode names in lockstep with
-  /// core::kBit1IoAggregationModes.
+  /// `aggregation` must be one of kAggregationModes (bp/types.hpp).
   std::string aggregation = "flat";
   std::string topology = "flat";
   int numa_per_node = 0;

@@ -1,6 +1,13 @@
 #include "core/io_config.hpp"
 
+#include <algorithm>
+#include <cctype>
+#include <iterator>
+
+#include "bp/engine.hpp"
+#include "bp/types.hpp"
 #include "compress/buffer_pool.hpp"
+#include "topo/topology.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 #include "util/toml.hpp"
@@ -8,17 +15,33 @@
 
 namespace bitio::core {
 
+namespace {
+
+template <typename Names>
+bool is_one_of(const Names& names, const std::string& value) {
+  return std::find(std::begin(names), std::end(names), value) !=
+         std::end(names);
+}
+
+void read_value(const Json& value, int& out) { out = int(value.as_int()); }
+void read_value(const Json& value, bool& out) { out = value.as_bool(); }
+void read_value(const Json& value, std::string& out) {
+  out = value.as_string();
+}
+
+std::string toml_value(int value) { return std::to_string(value); }
+std::string toml_value(bool value) { return value ? "true" : "false"; }
+std::string toml_value(const std::string& value) {
+  return "\"" + value + "\"";
+}
+
+}  // namespace
+
 void Bit1IoConfig::validate() const {
-  bool engine_known = false;
-  std::string engine_names;
-  for (const char* name : kBit1IoEngines) {
-    if (engine == name) engine_known = true;
-    if (!engine_names.empty()) engine_names += ", ";
-    engine_names += std::string("\"") + name + "\"";
-  }
-  if (!engine_known)
+  if (!bp::engine_registered(engine))
     throw UsageError("io config: unknown engine '" + engine +
-                     "' (expected one of " + engine_names + ")");
+                     "' (expected one of " +
+                     quoted_list(bp::registered_engines()) + ")");
   if (codec != "none" && codec != "blosc" && codec != "bzip2")
     throw UsageError("io config: unknown codec '" + codec + "'");
   if (compress_threads < 1)
@@ -101,26 +124,14 @@ void Bit1IoConfig::validate() const {
   if (recovery != "abort" && recovery != "shrink")
     throw UsageError("io config: recovery must be \"abort\" or \"shrink\", "
                      "got '" + recovery + "'");
-  bool aggregation_known = false;
-  std::string aggregation_names;
-  for (const char* name : kBit1IoAggregationModes) {
-    if (aggregation == name) aggregation_known = true;
-    if (!aggregation_names.empty()) aggregation_names += ", ";
-    aggregation_names += std::string("\"") + name + "\"";
-  }
-  if (!aggregation_known)
+  if (!is_one_of(bp::kAggregationModes, aggregation))
     throw UsageError("io config: unknown aggregation '" + aggregation +
-                     "' (expected one of " + aggregation_names + ")");
-  bool topology_known = false;
-  std::string topology_names;
-  for (const char* name : kBit1IoTopologies) {
-    if (topology == name) topology_known = true;
-    if (!topology_names.empty()) topology_names += ", ";
-    topology_names += std::string("\"") + name + "\"";
-  }
-  if (!topology_known)
+                     "' (expected one of " +
+                     quoted_list(bp::kAggregationModes) + ")");
+  if (!is_one_of(topo::preset_names(), topology))
     throw UsageError("io config: unknown topology '" + topology +
-                     "' (expected one of " + topology_names + ")");
+                     "' (expected one of " +
+                     quoted_list(topo::preset_names()) + ")");
   if (numa_per_node < 0)
     throw UsageError("io config: numa_per_node must be >= 0, got " +
                      std::to_string(numa_per_node));
@@ -132,7 +143,7 @@ void Bit1IoConfig::validate() const {
         "io config: aggregation \"two_level\" with engine \"stream\" needs "
         "a multi-node topology, and topology \"flat\" places every rank on "
         "one node — pick a hierarchical topology (e.g. \"dardel\") or one "
-        "of the aggregation modes " + aggregation_names);
+        "of the aggregation modes " + quoted_list(bp::kAggregationModes));
   fault_plan.validate();
   if (use_striping) {
     if (striping.stripe_count < 1)
@@ -149,106 +160,52 @@ Bit1IoConfig Bit1IoConfig::from_toml(const std::string& text) {
   Bit1IoConfig config;
   const Json doc = parse_toml(text);
   if (!doc.contains("io")) return config;
-  const Json& io = doc.at("io");
-
-  const std::string mode =
-      io.get_or("mode", Json("openpmd")).as_string();
-  if (mode == "original") config.mode = IoMode::original;
-  else if (mode == "openpmd") config.mode = IoMode::openpmd;
-  else throw UsageError("io config: unknown mode '" + mode + "'");
-
-  config.engine = io.get_or("engine", Json("bp4")).as_string();
-  config.num_aggregators = int(io.get_or("aggregators", Json(0)).as_int());
-  config.checkpoint_aggregators =
-      int(io.get_or("checkpoint_aggregators", Json(1)).as_int());
-  config.codec = io.get_or("codec", Json("none")).as_string();
-  config.compress_threads =
-      int(io.get_or("compress_threads", Json(1)).as_int());
-  config.compress_block_kb =
-      int(io.get_or("compress_block_kb", Json(1024)).as_int());
-  config.profiling = io.get_or("profiling", Json(false)).as_bool();
-  config.async_write = io.get_or("async_write", Json(false)).as_bool();
-  config.buffer_chunk_mb =
-      int(io.get_or("buffer_chunk_mb", Json(16)).as_int());
-  config.io_batch_depth =
-      int(io.get_or("io_batch_depth", Json(0)).as_int());
-  config.coalesce_writes =
-      io.get_or("coalesce_writes", Json(false)).as_bool();
-  config.ranks_per_node =
-      int(io.get_or("ranks_per_node", Json(128)).as_int());
-  config.checkpoint_interval =
-      int(io.get_or("checkpoint_interval", Json(0)).as_int());
-  config.checkpoint_retain =
-      int(io.get_or("checkpoint_retain", Json(2)).as_int());
-  config.checkpoint_full_interval =
-      int(io.get_or("checkpoint_full_interval", Json(1)).as_int());
-  config.drain_timeout_ms =
-      int(io.get_or("drain_timeout_ms", Json(0)).as_int());
-  config.max_drain_retries =
-      int(io.get_or("max_drain_retries", Json(2)).as_int());
-  config.degrade_threshold =
-      int(io.get_or("degrade_threshold", Json(3)).as_int());
-  config.degrade_cooldown =
-      int(io.get_or("degrade_cooldown", Json(8)).as_int());
-  config.recovery = io.get_or("recovery", Json("abort")).as_string();
-  config.stream_max_steps =
-      int(io.get_or("stream_max_steps", Json(4)).as_int());
-  config.stream_policy =
-      io.get_or("stream_policy", Json("block")).as_string();
-  config.aggregation = io.get_or("aggregation", Json("flat")).as_string();
-  config.topology = io.get_or("topology", Json("flat")).as_string();
-  config.numa_per_node = int(io.get_or("numa_per_node", Json(0)).as_int());
-  config.nics_per_node = int(io.get_or("nics_per_node", Json(0)).as_int());
-  if (io.contains("fault_plan"))
-    config.fault_plan = fsim::FaultPlan::from_json(io.at("fault_plan"));
-
-  if (io.contains("striping")) {
-    const Json& striping = io.at("striping");
-    config.use_striping = true;
-    config.striping.stripe_count =
-        int(striping.get_or("count", Json(1)).as_int());
-    const Json size = striping.get_or("size", Json("1M"));
-    config.striping.stripe_size = size.is_string()
-                                      ? parse_size(size.as_string())
-                                      : size.as_uint();
+  for (const auto& [key, value] : doc.at("io").as_object()) {
+    if (key == "mode") {
+      const std::string& mode = value.as_string();
+      if (mode == "original") config.mode = IoMode::original;
+      else if (mode == "openpmd") config.mode = IoMode::openpmd;
+      else throw UsageError("io config: unknown mode '" + mode + "'");
+    } else if (key == "striping") {
+      config.use_striping = true;
+      for (const auto& [skey, svalue] : value.as_object()) {
+        if (skey == "count")
+          config.striping.stripe_count = int(svalue.as_int());
+        else if (skey == "size")
+          config.striping.stripe_size = svalue.is_string()
+                                            ? parse_size(svalue.as_string())
+                                            : svalue.as_uint();
+        else
+          throw UsageError("io config: unknown key '" + skey +
+                           "' under [io.striping]");
+      }
+    } else if (key == "fault_plan") {
+      config.fault_plan = fsim::FaultPlan::from_json(value);
+    } else {
+      const auto row = std::find_if(
+          std::begin(kBit1IoConfigKeys), std::end(kBit1IoConfigKeys),
+          [&](const IoConfigKey& r) { return key == r.key; });
+      if (row == std::end(kBit1IoConfigKeys))
+        throw UsageError("io config: unknown key '" + key + "' under [io]");
+      std::visit([&](auto member) { read_value(value, config.*member); },
+                 row->member);
+    }
   }
   config.validate();
   return config;
 }
 
 std::string Bit1IoConfig::to_toml() const {
-  std::string out;
-  out += "[io]\n";
+  std::string out = "[io]\n";
   out += std::string("mode = \"") +
          (mode == IoMode::original ? "original" : "openpmd") + "\"\n";
-  out += "engine = \"" + engine + "\"\n";
-  out += strfmt("aggregators = %d\n", num_aggregators);
-  out += strfmt("checkpoint_aggregators = %d\n", checkpoint_aggregators);
-  out += "codec = \"" + codec + "\"\n";
-  out += strfmt("compress_threads = %d\n", compress_threads);
-  out += strfmt("compress_block_kb = %d\n", compress_block_kb);
-  out += std::string("profiling = ") + (profiling ? "true" : "false") + "\n";
-  out += std::string("async_write = ") + (async_write ? "true" : "false") +
-         "\n";
-  out += strfmt("buffer_chunk_mb = %d\n", buffer_chunk_mb);
-  out += strfmt("io_batch_depth = %d\n", io_batch_depth);
-  out += std::string("coalesce_writes = ") +
-         (coalesce_writes ? "true" : "false") + "\n";
-  out += strfmt("ranks_per_node = %d\n", ranks_per_node);
-  out += strfmt("checkpoint_interval = %d\n", checkpoint_interval);
-  out += strfmt("checkpoint_retain = %d\n", checkpoint_retain);
-  out += strfmt("checkpoint_full_interval = %d\n", checkpoint_full_interval);
-  out += strfmt("drain_timeout_ms = %d\n", drain_timeout_ms);
-  out += strfmt("max_drain_retries = %d\n", max_drain_retries);
-  out += strfmt("degrade_threshold = %d\n", degrade_threshold);
-  out += strfmt("degrade_cooldown = %d\n", degrade_cooldown);
-  out += "recovery = \"" + recovery + "\"\n";
-  out += strfmt("stream_max_steps = %d\n", stream_max_steps);
-  out += "stream_policy = \"" + stream_policy + "\"\n";
-  out += "aggregation = \"" + aggregation + "\"\n";
-  out += "topology = \"" + topology + "\"\n";
-  out += strfmt("numa_per_node = %d\n", numa_per_node);
-  out += strfmt("nics_per_node = %d\n", nics_per_node);
+  for (const IoConfigKey& row : kBit1IoConfigKeys)
+    std::visit(
+        [&](auto member) {
+          out += std::string(row.key) + " = " + toml_value(this->*member) +
+                 "\n";
+        },
+        row.member);
   if (use_striping) {
     out += "[io.striping]\n";
     out += strfmt("count = %d\n", striping.stripe_count);
@@ -321,10 +278,8 @@ std::string Bit1IoConfig::adios2_toml() const {
 std::string Bit1IoConfig::label() const {
   if (mode == IoMode::original) return "BIT1 Original I/O";
   std::string out = "BIT1 openPMD + ";
-  if (engine == "bp4") out += "BP4";
-  else if (engine == "bp5") out += "BP5";
-  else if (engine == "stream") out += "STREAM";
-  else out += engine;
+  for (const char c : engine)
+    out += char(std::toupper(static_cast<unsigned char>(c)));
   if (codec == "blosc") out += " + Blosc";
   if (codec == "bzip2") out += " + bzip2";
   if (num_aggregators == 1) out += " + 1 AGGR";

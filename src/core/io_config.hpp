@@ -6,8 +6,16 @@
 // (AsyncWrite / BufferChunkSize).  Loadable from TOML ("TOML-based dynamic
 // configuration"), renderable back to TOML losslessly, and renderable to the
 // adios2 config string the openPMD layer consumes.
+//
+// The scalar [io] keys live in one table, kBit1IoConfigKeys: from_toml and
+// to_toml loop over it, and a default-constructed Bit1IoConfig supplies
+// every default.  A new knob is one member plus one row.  The names an
+// engine, aggregation or topology knob accepts belong to their owners
+// (bp::registered_engines(), bp::kAggregationModes, topo::preset_names()),
+// which validate() asks directly.
 
 #include <string>
+#include <variant>
 
 #include "fsim/fault_plan.hpp"
 #include "fsim/types.hpp"
@@ -16,80 +24,11 @@ namespace bitio::core {
 
 enum class IoMode { original, openpmd };
 
-/// One row per TOML key of the [io] table (and its sub-tables): the single
-/// source of truth tying the key name to the Bit1IoConfig field it populates
-/// and to whether validate() constrains that field.  tools/lint_invariants
-/// enforces that every row is parsed by from_toml, rendered by to_toml, and
-/// (when `validated`) checked in validate(); the config_registry test drives
-/// an exhaustive round-trip off the same table.  Add the row *first* when
-/// adding a knob — the linter and test then point at everything left to do.
-struct IoConfigKey {
-  const char* key;      // TOML key as written under [io] / [io.striping]
-  const char* field;    // Bit1IoConfig member the key populates
-  bool validated;       // true when validate() constrains the field
-};
-
-/// Engine names accepted by Bit1IoConfig::engine — the single source of
-/// truth for the string-keyed factory (bp::make_engine).  The
-/// engine-registry lint rule (tools/lint_invariants) checks every name
-/// here is constructed in bp's builtin_engines(), rendered by
-/// to_toml/label, and tagged by darshan::engine_tag; keep the list and
-/// those sites in lockstep.
-inline constexpr const char* kBit1IoEngines[] = {"bp4", "bp5", "stream"};
-
-/// Aggregation modes accepted by Bit1IoConfig::aggregation — the single
-/// source of truth for the two-level gather path.  The topology-registry
-/// lint rule (tools/lint_invariants) checks every name here is validated
-/// in io_config.cpp, parsed by bp::EngineConfig::from_json, and tagged by
-/// darshan::aggregation_tag; keep the list and those sites in lockstep.
-inline constexpr const char* kBit1IoAggregationModes[] = {"flat",
-                                                         "two_level"};
-
-/// Topology preset names accepted by Bit1IoConfig::topology — the single
-/// source of truth for topo::Cluster::preset.  The topology-registry lint
-/// rule checks every name here is constructed in topo/topology.cpp and
-/// validated in io_config.cpp.
-inline constexpr const char* kBit1IoTopologies[] = {"flat", "dardel"};
-
-inline constexpr IoConfigKey kBit1IoConfigKeys[] = {
-    {"mode", "mode", false},
-    {"engine", "engine", true},
-    {"aggregators", "num_aggregators", true},
-    {"checkpoint_aggregators", "checkpoint_aggregators", true},
-    {"codec", "codec", true},
-    {"compress_threads", "compress_threads", true},
-    {"compress_block_kb", "compress_block_kb", true},
-    {"profiling", "profiling", false},
-    {"async_write", "async_write", false},
-    {"buffer_chunk_mb", "buffer_chunk_mb", true},
-    {"io_batch_depth", "io_batch_depth", true},
-    {"coalesce_writes", "coalesce_writes", false},
-    {"ranks_per_node", "ranks_per_node", true},
-    {"checkpoint_interval", "checkpoint_interval", true},
-    {"checkpoint_retain", "checkpoint_retain", true},
-    {"checkpoint_full_interval", "checkpoint_full_interval", true},
-    {"drain_timeout_ms", "drain_timeout_ms", true},
-    {"max_drain_retries", "max_drain_retries", true},
-    {"degrade_threshold", "degrade_threshold", true},
-    {"degrade_cooldown", "degrade_cooldown", true},
-    {"recovery", "recovery", true},
-    {"striping", "use_striping", true},
-    {"count", "striping.stripe_count", true},
-    {"size", "striping.stripe_size", true},
-    {"fault_plan", "fault_plan", true},
-    {"stream_max_steps", "stream_max_steps", true},
-    {"stream_policy", "stream_policy", true},
-    {"aggregation", "aggregation", true},
-    {"topology", "topology", true},
-    {"numa_per_node", "numa_per_node", true},
-    {"nics_per_node", "nics_per_node", true},
-};
-
 struct Bit1IoConfig {
   IoMode mode = IoMode::openpmd;
 
   // openPMD / ADIOS2 engine settings.
-  std::string engine = "bp4";         // one of kBit1IoEngines
+  std::string engine = "bp4";         // a bp::registered_engines() name
   int num_aggregators = 0;            // diagnostics series; 0 = per node
   int checkpoint_aggregators = 1;     // checkpoint series (shared-file)
   std::string codec = "none";         // "none" | "blosc" | "bzip2"
@@ -166,8 +105,8 @@ struct Bit1IoConfig {
   // to the pre-topology behavior regardless of `aggregation`.
   // numa_per_node / nics_per_node override the preset's hierarchy when
   // > 0; 0 keeps the preset values.
-  std::string aggregation = "flat";   // one of kBit1IoAggregationModes
-  std::string topology = "flat";      // one of kBit1IoTopologies
+  std::string aggregation = "flat";   // one of bp::kAggregationModes
+  std::string topology = "flat";      // one of topo::preset_names()
   int numa_per_node = 0;
   int nics_per_node = 0;
 
@@ -178,37 +117,7 @@ struct Bit1IoConfig {
   int stream_max_steps = 4;
   std::string stream_policy = "block";
 
-  friend bool operator==(const Bit1IoConfig& a, const Bit1IoConfig& b) {
-    return a.mode == b.mode && a.engine == b.engine &&
-           a.num_aggregators == b.num_aggregators &&
-           a.checkpoint_aggregators == b.checkpoint_aggregators &&
-           a.codec == b.codec &&
-           a.compress_threads == b.compress_threads &&
-           a.compress_block_kb == b.compress_block_kb &&
-           a.profiling == b.profiling &&
-           a.async_write == b.async_write &&
-           a.buffer_chunk_mb == b.buffer_chunk_mb &&
-           a.io_batch_depth == b.io_batch_depth &&
-           a.coalesce_writes == b.coalesce_writes &&
-           a.use_striping == b.use_striping &&
-           a.striping.stripe_count == b.striping.stripe_count &&
-           a.striping.stripe_size == b.striping.stripe_size &&
-           a.ranks_per_node == b.ranks_per_node &&
-           a.checkpoint_interval == b.checkpoint_interval &&
-           a.checkpoint_retain == b.checkpoint_retain &&
-           a.checkpoint_full_interval == b.checkpoint_full_interval &&
-           a.fault_plan == b.fault_plan &&
-           a.drain_timeout_ms == b.drain_timeout_ms &&
-           a.max_drain_retries == b.max_drain_retries &&
-           a.degrade_threshold == b.degrade_threshold &&
-           a.degrade_cooldown == b.degrade_cooldown &&
-           a.recovery == b.recovery &&
-           a.stream_max_steps == b.stream_max_steps &&
-           a.stream_policy == b.stream_policy &&
-           a.aggregation == b.aggregation && a.topology == b.topology &&
-           a.numa_per_node == b.numa_per_node &&
-           a.nics_per_node == b.nics_per_node;
-  }
+  friend bool operator==(const Bit1IoConfig&, const Bit1IoConfig&) = default;
 
   /// Reject inconsistent configurations: unknown engine or codec, negative
   /// aggregator counts, non-positive buffer chunk / ranks-per-node, or a
@@ -228,6 +137,9 @@ struct Bit1IoConfig {
   ///   [io.striping]
   ///   count = 8
   ///   size = "16M"
+  /// Absent keys keep their defaults; a key under [io] or [io.striping]
+  /// that the config does not know throws UsageError naming it.  Other
+  /// top-level tables are ignored.
   static Bit1IoConfig from_toml(const std::string& text);
 
   /// Render back to the [io] TOML accepted by from_toml.  Lossless:
@@ -239,6 +151,47 @@ struct Bit1IoConfig {
 
   /// Human-readable label for tables ("openPMD + BP4 + Blosc + 1 AGGR").
   std::string label() const;
+};
+
+/// One scalar TOML knob under [io]: its key and the Bit1IoConfig member it
+/// populates.  Hand-written instead: `mode` (an enum), [io.striping] and
+/// [io.fault_plan] (sub-tables).
+struct IoConfigKey {
+  const char* key;
+  std::variant<int Bit1IoConfig::*, bool Bit1IoConfig::*,
+               std::string Bit1IoConfig::*>
+      member;
+};
+
+/// Every scalar [io] knob, in to_toml order.  from_toml rejects any [io]
+/// key that is neither listed here nor hand-written.
+inline constexpr IoConfigKey kBit1IoConfigKeys[] = {
+    {"engine", &Bit1IoConfig::engine},
+    {"aggregators", &Bit1IoConfig::num_aggregators},
+    {"checkpoint_aggregators", &Bit1IoConfig::checkpoint_aggregators},
+    {"codec", &Bit1IoConfig::codec},
+    {"compress_threads", &Bit1IoConfig::compress_threads},
+    {"compress_block_kb", &Bit1IoConfig::compress_block_kb},
+    {"profiling", &Bit1IoConfig::profiling},
+    {"async_write", &Bit1IoConfig::async_write},
+    {"buffer_chunk_mb", &Bit1IoConfig::buffer_chunk_mb},
+    {"io_batch_depth", &Bit1IoConfig::io_batch_depth},
+    {"coalesce_writes", &Bit1IoConfig::coalesce_writes},
+    {"ranks_per_node", &Bit1IoConfig::ranks_per_node},
+    {"checkpoint_interval", &Bit1IoConfig::checkpoint_interval},
+    {"checkpoint_retain", &Bit1IoConfig::checkpoint_retain},
+    {"checkpoint_full_interval", &Bit1IoConfig::checkpoint_full_interval},
+    {"drain_timeout_ms", &Bit1IoConfig::drain_timeout_ms},
+    {"max_drain_retries", &Bit1IoConfig::max_drain_retries},
+    {"degrade_threshold", &Bit1IoConfig::degrade_threshold},
+    {"degrade_cooldown", &Bit1IoConfig::degrade_cooldown},
+    {"recovery", &Bit1IoConfig::recovery},
+    {"stream_max_steps", &Bit1IoConfig::stream_max_steps},
+    {"stream_policy", &Bit1IoConfig::stream_policy},
+    {"aggregation", &Bit1IoConfig::aggregation},
+    {"topology", &Bit1IoConfig::topology},
+    {"numa_per_node", &Bit1IoConfig::numa_per_node},
+    {"nics_per_node", &Bit1IoConfig::nics_per_node},
 };
 
 }  // namespace bitio::core

@@ -1,6 +1,7 @@
 #include "darshan/darshan.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstring>
 #include <map>
@@ -143,21 +144,83 @@ private:
   std::size_t pos_ = 0;
 };
 
-// Log format version 3 adds the per-record faults_injected counter;
-// version 4 adds the job-level recovery counters; version 5 adds the
-// per-record two-level-aggregation gather counters; version 6 adds the
-// job-level incremental-checkpoint counters; version 7 adds the batched
-// queue-pair counters (per-record batches_submitted / batched_sqes /
-// coalesced_bytes plus the job-level ops-per-batch histogram).  parse()
-// accepts all of them — older logs read back with the newer counters at
-// zero.
-constexpr std::uint64_t kLogMagicV3 = 0x4452534e4c4f4733ull;  // "DRSNLOG3"
-constexpr std::uint64_t kLogMagicV4 = 0x4452534e4c4f4734ull;  // "DRSNLOG4"
-constexpr std::uint64_t kLogMagicV5 = 0x4452534e4c4f4735ull;  // "DRSNLOG5"
-constexpr std::uint64_t kLogMagicV6 = 0x4452534e4c4f4736ull;  // "DRSNLOG6"
-constexpr std::uint64_t kLogMagic = 0x4452534e4c4f4737ull;    // "DRSNLOG7"
+// The one log format version.  It must move whenever the counter rows or
+// serialize() change; the wire-format golden enforces that.
+constexpr std::uint64_t kLogMagic = 0x4452534e4c4f4738ull;  // "DRSNLOG8"
+
+template <typename Record>
+void put_counters(std::vector<std::uint8_t>& out, const Record& record,
+                  std::span<const Counter<Record>> rows) {
+  for (const Counter<Record>& row : rows) {
+    if (row.u64)
+      put_u64(out, record.*row.u64);
+    else
+      put_f64(out, record.*row.f64);
+  }
+}
+
+template <typename Record>
+void get_counters(Cursor& cur, Record& record,
+                  std::span<const Counter<Record>> rows) {
+  for (const Counter<Record>& row : rows) {
+    if (row.u64)
+      record.*row.u64 = cur.u64();
+    else
+      record.*row.f64 = cur.f64();
+  }
+}
 
 }  // namespace
+
+std::span<const Counter<JobInfo>> job_counters() {
+  using J = JobInfo;
+  static constexpr auto rows = std::to_array<Counter<J>>({
+      {"recoveries", &J::recoveries},
+      {"degradations", &J::degradations},
+      {"t_recovery_s", &J::t_recovery_s},
+      {"delta_epochs", &J::delta_epochs},
+      {"dedup_bytes_saved", &J::dedup_bytes_saved},
+      {"blocks_restored", &J::blocks_restored},
+      {"t_restore_s", &J::t_restore_s},
+  });
+  // exe + mount, nprocs (padded) + runtime_s, the rows, the histogram.
+  static_assert(sizeof(J) == 2 * sizeof(std::string) + 2 * 8 +
+                                 rows.size() * 8 + sizeof(J::ops_per_batch),
+                "a JobInfo counter has no row in job_counters()");
+  return rows;
+}
+
+std::span<const Counter<FileRecord>> file_record_counters() {
+  using R = FileRecord;
+  static constexpr auto rows = std::to_array<Counter<R>>({
+      {"opens", &R::opens},
+      {"writes", &R::writes},
+      {"reads", &R::reads},
+      {"stats", &R::stats},
+      {"fsyncs", &R::fsyncs},
+      {"bytes_written", &R::bytes_written},
+      {"bytes_read", &R::bytes_read},
+      {"max_byte_written", &R::max_byte_written},
+      {"max_write_size", &R::max_write_size},
+      {"write_time_s", &R::write_time_s},
+      {"read_time_s", &R::read_time_s},
+      {"meta_time_s", &R::meta_time_s},
+      {"drain_time_s", &R::drain_time_s},
+      {"faults_injected", &R::faults_injected},
+      {"shm_gathers", &R::shm_gathers},
+      {"net_gathers", &R::net_gathers},
+      {"shm_gather_bytes", &R::shm_gather_bytes},
+      {"net_gather_bytes", &R::net_gather_bytes},
+      {"gather_time_s", &R::gather_time_s},
+      {"batches_submitted", &R::batches_submitted},
+      {"batched_sqes", &R::batched_sqes},
+      {"coalesced_bytes", &R::coalesced_bytes},
+  });
+  // path, rank (padded to 8), then one 8-byte member per row.
+  static_assert(sizeof(R) == sizeof(std::string) + 8 + rows.size() * 8,
+                "a FileRecord counter has no row in file_record_counters()");
+  return rows;
+}
 
 std::vector<std::uint8_t> DarshanLog::serialize() const {
   std::vector<std::uint8_t> out;
@@ -166,100 +229,33 @@ std::vector<std::uint8_t> DarshanLog::serialize() const {
   put_u64(out, job.nprocs);
   put_f64(out, job.runtime_s);
   put_str(out, job.mount);
-  put_u64(out, job.recoveries);
-  put_u64(out, job.degradations);
-  put_f64(out, job.t_recovery_s);
-  put_u64(out, job.delta_epochs);
-  put_u64(out, job.dedup_bytes_saved);
-  put_u64(out, job.blocks_restored);
-  put_f64(out, job.t_restore_s);
+  put_counters(out, job, job_counters());
   for (const std::uint64_t bucket : job.ops_per_batch) put_u64(out, bucket);
   put_u64(out, records.size());
   for (const auto& r : records) {
     put_str(out, r.path);
     put_u64(out, std::uint64_t(std::int64_t(r.rank)));
-    put_u64(out, r.opens);
-    put_u64(out, r.writes);
-    put_u64(out, r.reads);
-    put_u64(out, r.stats);
-    put_u64(out, r.fsyncs);
-    put_u64(out, r.bytes_written);
-    put_u64(out, r.bytes_read);
-    put_u64(out, r.max_byte_written);
-    put_u64(out, r.max_write_size);
-    put_f64(out, r.write_time_s);
-    put_f64(out, r.read_time_s);
-    put_f64(out, r.meta_time_s);
-    put_f64(out, r.drain_time_s);
-    put_u64(out, r.faults_injected);
-    put_u64(out, r.shm_gathers);
-    put_u64(out, r.net_gathers);
-    put_u64(out, r.shm_gather_bytes);
-    put_u64(out, r.net_gather_bytes);
-    put_f64(out, r.gather_time_s);
-    put_u64(out, r.batches_submitted);
-    put_u64(out, r.batched_sqes);
-    put_u64(out, r.coalesced_bytes);
+    put_counters(out, r, file_record_counters());
   }
   return out;
 }
 
 DarshanLog DarshanLog::parse(std::span<const std::uint8_t> data) {
   Cursor cur(data);
-  const std::uint64_t magic = cur.u64();
-  if (magic != kLogMagic && magic != kLogMagicV6 && magic != kLogMagicV5 &&
-      magic != kLogMagicV4 && magic != kLogMagicV3)
-    throw FormatError("darshan: bad log magic");
+  if (cur.u64() != kLogMagic) throw FormatError("darshan: bad log magic");
   DarshanLog log;
   log.job.exe = cur.str();
   log.job.nprocs = std::uint32_t(cur.u64());
   log.job.runtime_s = cur.f64();
   log.job.mount = cur.str();
-  if (magic != kLogMagicV3) {
-    log.job.recoveries = cur.u64();
-    log.job.degradations = cur.u64();
-    log.job.t_recovery_s = cur.f64();
-  }
-  if (magic == kLogMagic || magic == kLogMagicV6) {
-    log.job.delta_epochs = cur.u64();
-    log.job.dedup_bytes_saved = cur.u64();
-    log.job.blocks_restored = cur.u64();
-    log.job.t_restore_s = cur.f64();
-  }
-  if (magic == kLogMagic)
-    for (std::uint64_t& bucket : log.job.ops_per_batch) bucket = cur.u64();
+  get_counters(cur, log.job, job_counters());
+  for (std::uint64_t& bucket : log.job.ops_per_batch) bucket = cur.u64();
   const std::uint64_t n = cur.u64();
-  log.records.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {
     FileRecord r;
     r.path = cur.str();
     r.rank = std::int32_t(std::int64_t(cur.u64()));
-    r.opens = cur.u64();
-    r.writes = cur.u64();
-    r.reads = cur.u64();
-    r.stats = cur.u64();
-    r.fsyncs = cur.u64();
-    r.bytes_written = cur.u64();
-    r.bytes_read = cur.u64();
-    r.max_byte_written = cur.u64();
-    r.max_write_size = cur.u64();
-    r.write_time_s = cur.f64();
-    r.read_time_s = cur.f64();
-    r.meta_time_s = cur.f64();
-    r.drain_time_s = cur.f64();
-    r.faults_injected = cur.u64();
-    if (magic != kLogMagicV3 && magic != kLogMagicV4) {
-      r.shm_gathers = cur.u64();
-      r.net_gathers = cur.u64();
-      r.shm_gather_bytes = cur.u64();
-      r.net_gather_bytes = cur.u64();
-      r.gather_time_s = cur.f64();
-    }
-    if (magic == kLogMagic) {
-      r.batches_submitted = cur.u64();
-      r.batched_sqes = cur.u64();
-      r.coalesced_bytes = cur.u64();
-    }
+    get_counters(cur, r, file_record_counters());
     log.records.push_back(std::move(r));
   }
   if (!cur.done()) throw FormatError("darshan: trailing bytes in log");
@@ -478,21 +474,21 @@ DarshanLog capture(const fsim::SharedFs& fs, const fsim::ReplayReport& replay,
   return log;
 }
 
+namespace {
+
+std::string uppercase(std::string name) {
+  for (char& c : name) c = char(std::toupper(static_cast<unsigned char>(c)));
+  return name;
+}
+
+}  // namespace
+
 std::string engine_tag(const std::string& engine) {
-  if (engine == "bp4") return "BP4";
-  if (engine == "bp5") return "BP5";
-  if (engine == "stream") return "SST";
-  std::string tag = engine;
-  for (char& c : tag) c = char(std::toupper(static_cast<unsigned char>(c)));
-  return tag;
+  return engine == "stream" ? "SST" : uppercase(engine);
 }
 
 std::string aggregation_tag(const std::string& aggregation) {
-  if (aggregation == "flat") return "FLAT";
-  if (aggregation == "two_level") return "TWO_LEVEL";
-  std::string tag = aggregation;
-  for (char& c : tag) c = char(std::toupper(static_cast<unsigned char>(c)));
-  return tag;
+  return uppercase(aggregation);
 }
 
 }  // namespace bitio::darshan

@@ -10,11 +10,14 @@
 // trace plus its timing replay into per-(rank,file) counter records that
 // mirror Darshan's POSIX module counters, `DarshanLog` serializes to a
 // compact binary log with round-trip parsing, and `text_report()` renders a
-// darshan-parser-style listing.
+// darshan-parser-style listing.  The log has one format version (DRSNLOG8):
+// no log outlives the in-process simulator, so there are no older readers.
+// Its counters are the rows of job_counters() / file_record_counters().
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,7 +34,7 @@ struct JobInfo {
   double runtime_s = 0.0;           // simulated job I/O makespan
   std::string mount = "/lustre";    // mounted file system the job wrote to
 
-  // Online-recovery job counters (log format v4).  capture() derives them
+  // Online-recovery job counters.  capture() derives them
   // from the cpu ops the recovery machinery charges to the trace:
   // "recovery"-tagged ops (shrink-restarts and ladder step-ups) and
   // "degrade"-tagged ops (I/O ladder step-downs).
@@ -39,7 +42,7 @@ struct JobInfo {
   std::uint64_t degradations = 0;
   double t_recovery_s = 0.0;  // seconds charged under the "recovery" tag
 
-  // Incremental-checkpoint job counters (log format v6), derived the same
+  // Incremental-checkpoint job counters, derived the same
   // way from the checkpoint manager's tagged cpu ops: "delta_commit" marks
   // a delta epoch, "dedup" carries the payload bytes a commit skipped by
   // referencing a base epoch, and "restore_chain" carries the wall time
@@ -49,7 +52,7 @@ struct JobInfo {
   std::uint64_t blocks_restored = 0;
   double t_restore_s = 0.0;  // seconds charged under the "restore_chain" tag
 
-  // Batched queue-pair job counters (log format v7): histogram of sqes per
+  // Batched queue-pair job counters: histogram of sqes per
   // submit() doorbell across the whole job, derived from the doorbell-
   // tagged OpKind::batch_write records.  Bucket edges: 1, 2-4, 5-16,
   // 17-64, >= 65 sqes.
@@ -85,57 +88,45 @@ struct FileRecord {
   // Operations on this (rank, file) that carried an injected fault
   // (TraceOp::fault != none): torn writes, bit flips, transient failures.
   std::uint64_t faults_injected = 0;
-  // Per-level gather counters of the two-level aggregation path (log
-  // format v5): OpKind::xfer transfers feeding this file, split by gather
-  // level — in-node shared-memory hops (fsim::kShmGatherTag) vs inter-node
-  // NIC hops (kNetGatherTag).  Zero for flat aggregation and for every
-  // log captured before v5.
+  // Per-level gather counters of the two-level aggregation path:
+  // OpKind::xfer transfers feeding this file, split by gather level —
+  // in-node shared-memory hops (fsim::kShmGatherTag) vs inter-node NIC
+  // hops (kNetGatherTag).  Zero for flat aggregation.
   std::uint64_t shm_gathers = 0;
   std::uint64_t net_gathers = 0;
   std::uint64_t shm_gather_bytes = 0;
   std::uint64_t net_gather_bytes = 0;
   double gather_time_s = 0.0;
-  // Batched queue-pair counters (log format v7): OpKind::batch_write
-  // submissions into this file.  batches_submitted counts doorbells (one
-  // per SubmissionQueue::submit), batched_sqes counts the sqes they
-  // carried, and coalesced_bytes the bytes that travelled in vectored
-  // records merging >= 2 adjacent sqes.  Zero on the posix write path and
-  // for every log captured before v7.
+  // Batched queue-pair counters: OpKind::batch_write submissions into this
+  // file.  batches_submitted counts doorbells (one per
+  // SubmissionQueue::submit), batched_sqes counts the sqes they carried,
+  // and coalesced_bytes the bytes that travelled in vectored records
+  // merging >= 2 adjacent sqes.  Zero on the posix write path.
   std::uint64_t batches_submitted = 0;
   std::uint64_t batched_sqes = 0;
   std::uint64_t coalesced_bytes = 0;
 };
 
-/// Every FileRecord counter, in serialization order — the one table the
-/// rest of the module must stay consistent with.  tools/lint_invariants
-/// checks that each name here is a declared FileRecord member and is
-/// referenced by both DarshanLog::serialize() and DarshanLog::parse(), and
-/// that every numeric FileRecord member appears here; adding a counter to
-/// the struct without extending the table (or the wire format) fails lint.
-inline constexpr const char* kFileRecordCounters[] = {
-    "opens",
-    "writes",
-    "reads",
-    "stats",
-    "fsyncs",
-    "bytes_written",
-    "bytes_read",
-    "max_byte_written",
-    "max_write_size",
-    "write_time_s",
-    "read_time_s",
-    "meta_time_s",
-    "drain_time_s",
-    "faults_injected",
-    "shm_gathers",
-    "net_gathers",
-    "shm_gather_bytes",
-    "net_gather_bytes",
-    "gather_time_s",
-    "batches_submitted",
-    "batched_sqes",
-    "coalesced_bytes",
+/// One serialized counter of a Record (JobInfo or FileRecord): its name and
+/// the member holding it.  Exactly one of u64/f64 is set.
+template <typename Record>
+struct Counter {
+  const char* name;
+  std::uint64_t Record::*u64 = nullptr;
+  double Record::*f64 = nullptr;
+
+  constexpr Counter(const char* n, std::uint64_t Record::*m)
+      : name(n), u64(m) {}
+  constexpr Counter(const char* n, double Record::*m) : name(n), f64(m) {}
 };
+
+/// The counter rows of the log format, in wire order: DarshanLog::serialize()
+/// and parse() loop over them.  The job rows sit between the mount string
+/// and the ops-per-batch histogram; the record rows follow each record's
+/// path and rank.  A counter member without a row fails to compile (a
+/// sizeof check next to the rows in darshan.cpp).
+std::span<const Counter<JobInfo>> job_counters();
+std::span<const Counter<FileRecord>> file_record_counters();
 
 /// A captured log: job info + records + per-rank roll-ups.
 class DarshanLog {
@@ -189,18 +180,13 @@ DarshanLog capture(const fsim::SharedFs& fs,
                    const fsim::ReplayReport& replay, JobInfo job);
 
 /// Short tag identifying the I/O engine in Darshan-side reports and bench
-/// JSON ("BP4" | "BP5" | "SST").  The engine-registry lint rule
-/// (tools/lint_invariants) keeps this switch in lockstep with
-/// core::kBit1IoEngines — adding an engine without tagging it here fails
-/// lint.  Unknown names come back uppercased rather than throwing so
-/// third-party engines registered via bp::register_engine still report.
+/// JSON: the uppercased engine name ("BP4", "BP5"), except that the stream
+/// engine reports as "SST".  Any name registered via bp::register_engine
+/// gets a tag.
 std::string engine_tag(const std::string& engine);
 
 /// Short tag identifying the aggregation mode in Darshan-side reports and
-/// bench JSON ("FLAT" | "TWO_LEVEL").  The topology-registry lint rule
-/// (tools/lint_invariants) keeps this switch in lockstep with
-/// core::kBit1IoAggregationModes — adding a mode without tagging it here
-/// fails lint.  Unknown names come back uppercased.
+/// bench JSON: the uppercased mode name ("FLAT", "TWO_LEVEL").
 std::string aggregation_tag(const std::string& aggregation);
 
 }  // namespace bitio::darshan

@@ -16,6 +16,9 @@ inline constexpr FileId kNoFile = ~FileId(0);
 struct StripeSettings {
   int stripe_count = 1;                    // -c; number of OSTs per file
   std::uint64_t stripe_size = 1 << 20;     // -S; bytes per stripe
+
+  friend bool operator==(const StripeSettings&,
+                         const StripeSettings&) = default;
 };
 
 /// Resolved layout of one file, as `lfs getstripe` reports it.
@@ -48,8 +51,7 @@ enum class OpKind : std::uint8_t {
 /// two-level aggregation path.  The recording site (bp::Writer via
 /// FsClient::transfer) picks the tag from the topo::Mapper placement; the
 /// timing replay selects the modeled channel from it and Darshan capture
-/// buckets the per-level gather counters by it.  tools/lint_invariants
-/// (topology-registry rule) checks all three stay in lockstep.
+/// buckets the per-level gather counters by it.
 inline constexpr const char* kShmGatherTag = "shm_gather";
 inline constexpr const char* kNetGatherTag = "net_gather";
 
@@ -63,10 +65,10 @@ inline constexpr const char* kBatchDoorbellTag = "doorbell";
 
 /// How the timing replay and Darshan capture bucket an operation: against
 /// the metadata server, as a data transfer to/from the OSTs, or as
-/// client-local compute.  service_class() is the exhaustive mapping —
-/// tools/lint_invariants checks that every OpKind enumerator has a case
-/// here, in op_name(), and in the Darshan capture switch, so a new kind
-/// cannot silently fall into a catch-all bucket.
+/// client-local compute.  service_class() is the exhaustive mapping: it,
+/// op_name() and the Darshan capture switch have no `default:`, and the
+/// build compiles with -Werror=switch, so a new kind without a case fails
+/// to compile instead of silently falling into a catch-all bucket.
 enum class ServiceClass : std::uint8_t { meta, data, net, cpu };
 
 inline ServiceClass service_class(OpKind kind) {

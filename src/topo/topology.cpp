@@ -1,6 +1,7 @@
 #include "topo/topology.hpp"
 
 #include "util/error.hpp"
+#include "util/table.hpp"
 
 namespace bitio::topo {
 
@@ -22,19 +23,19 @@ Cluster Cluster::dardel_like() {
   return c;
 }
 
+namespace {
+
+/// The built-in presets, in preset_names() order.  Each factory spells its
+/// own name (Cluster::name), so the names exist exactly once.
+constexpr Cluster (*kPresets[])() = {Cluster::flat, Cluster::dardel_like};
+
+}  // namespace
+
 Cluster Cluster::preset(const std::string& name) {
-  // Keep the name comparisons literal: the topology-registry lint rule
-  // (tools/lint_invariants) checks every core::kBit1IoTopologies entry
-  // appears here.
-  if (name == "flat") return flat();
-  if (name == "dardel") return dardel_like();
-  std::string known;
-  for (const auto& preset : preset_names()) {
-    if (!known.empty()) known += ", ";
-    known += "\"" + preset + "\"";
-  }
+  for (const auto make : kPresets)
+    if (Cluster cluster = make(); cluster.name == name) return cluster;
   throw UsageError("topo::Cluster::preset: unknown topology \"" + name +
-                   "\" (presets: " + known + ")");
+                   "\" (presets: " + quoted_list(preset_names()) + ")");
 }
 
 void Cluster::validate() const {
@@ -53,7 +54,11 @@ void Cluster::validate() const {
         "topo::Cluster: numa_per_node must divide ranks_per_node evenly");
 }
 
-std::vector<std::string> preset_names() { return {"flat", "dardel"}; }
+std::vector<std::string> preset_names() {
+  std::vector<std::string> names;
+  for (const auto make : kPresets) names.push_back(make().name);
+  return names;
+}
 
 Mapper::Mapper(Cluster cluster, int nranks)
     : cluster_(std::move(cluster)), nranks_(nranks) {

@@ -38,9 +38,9 @@ struct Cluster {
   /// Dardel-like CPU partition: 128 ranks/node, 8 NUMA domains (Zen2
   /// chiplets), one Slingshot NIC.
   static Cluster dardel_like();
-  /// Preset by registry name (core::kBit1IoTopologies).  The topology-
-  /// registry lint rule keeps the names here and in the registry in
-  /// lockstep.  Throws UsageError for unknown names, listing the presets.
+  /// Preset by name (one of preset_names(), which is also the list
+  /// core::Bit1IoConfig::validate() accepts).  Throws UsageError for
+  /// unknown names, listing the presets.
   static Cluster preset(const std::string& name);
 
   /// Does this shape ever place ranks on more than one node?
@@ -95,7 +95,8 @@ class Mapper {
   int ranks_per_node_ = 0;  // resolved: nranks for a flat cluster
 };
 
-/// Registry names of the built-in presets, in Cluster::preset order.
+/// Names of the built-in presets, read from the preset table that
+/// Cluster::preset() searches.
 std::vector<std::string> preset_names();
 
 }  // namespace bitio::topo

@@ -30,4 +30,15 @@ private:
 /// printf-style helper returning std::string.
 std::string strfmt(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
+/// `"a", "b", "c"`: the accepted names of a knob, for error messages.
+template <typename Names>
+std::string quoted_list(const Names& names) {
+  std::string out;
+  for (const auto& name : names) {
+    if (!out.empty()) out += ", ";
+    out += "\"" + std::string(name) + "\"";
+  }
+  return out;
+}
+
 }  // namespace bitio

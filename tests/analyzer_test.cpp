@@ -345,7 +345,7 @@ TEST(AnalyzerLockOrder, CrossFunctionCycleThroughCall) {
 namespace {
 
 std::vector<bitio::lint::FormatSurface> toy_surface() {
-  return {{"toy", "src/toy/fmt.cpp", "encode", "src/toy/fmt.hpp",
+  return {{"toy", "src/toy/fmt.cpp", {"encode"}, "src/toy/fmt.hpp",
            "kToyVersion"}};
 }
 

@@ -1,15 +1,18 @@
 // Exhaustive Bit1IoConfig round-trip, driven off core::kBit1IoConfigKeys —
-// the same registry tools/lint_invariants enforces.  For every registered
-// key the suite mutates exactly the field that key populates and checks
-// from_toml(to_toml(config)) reproduces the config bit-for-bit, so a knob
-// cannot be added to the registry without also surviving the TOML surface.
-// An unrecognized registry key fails the suite: extending the registry
-// forces this file to learn the new knob's mutation.
+// the table from_toml and to_toml loop over — plus the keys from_toml
+// handles by hand.  For every key the suite mutates exactly the field that
+// key populates (its own, independent knowledge of the knobs), checks the
+// table row points at that field, and checks from_toml(to_toml(config))
+// reproduces the config bit-for-bit.  An unrecognized key fails the suite:
+// adding a row forces this file to learn the new knob's mutation.
 
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
+#include <utility>
+#include <variant>
+#include <vector>
 
 #include "core/io_config.hpp"
 #include "fsim/fault_plan.hpp"
@@ -98,14 +101,22 @@ bool mutate_for_key(const std::string& key, Bit1IoConfig& config) {
   return true;
 }
 
-/// Every registered field flipped at once — the maximal configuration.
+/// Keys from_toml parses by hand rather than through the table.
+const char* const kHandWrittenKeys[] = {"mode", "striping", "count", "size",
+                                        "fault_plan"};
+
+std::vector<std::string> all_keys() {
+  std::vector<std::string> keys(std::begin(kHandWrittenKeys),
+                                std::end(kHandWrittenKeys));
+  for (const auto& row : kBit1IoConfigKeys) keys.emplace_back(row.key);
+  return keys;
+}
+
+/// Every key's field flipped at once — the maximal configuration.
 Bit1IoConfig maximal_config() {
   Bit1IoConfig config;
-  for (const auto& row : kBit1IoConfigKeys) {
-    // mode=original and the openPMD knobs coexist in the TOML surface;
-    // skip nothing.
-    EXPECT_TRUE(mutate_for_key(row.key, config)) << row.key;
-  }
+  for (const auto& key : all_keys())
+    EXPECT_TRUE(mutate_for_key(key, config)) << key;
   // mode=original plus async knobs is legal for the config type itself.
   return config;
 }
@@ -113,25 +124,43 @@ Bit1IoConfig maximal_config() {
 }  // namespace
 
 TEST(ConfigRegistry, RegistryHasNoDuplicateKeysOrFields) {
-  std::set<std::string> keys, fields;
-  for (const auto& row : kBit1IoConfigKeys) {
-    EXPECT_TRUE(keys.insert(row.key).second) << "duplicate key " << row.key;
-    EXPECT_TRUE(fields.insert(row.field).second)
-        << "duplicate field " << row.field;
+  std::set<std::string> keys;
+  for (const auto& key : all_keys())
+    EXPECT_TRUE(keys.insert(key).second) << "duplicate key " << key;
+  for (const auto& a : kBit1IoConfigKeys) {
+    for (const auto& b : kBit1IoConfigKeys) {
+      if (&a != &b) {
+        EXPECT_NE(a.member, b.member)
+            << "keys '" << a.key << "' and '" << b.key << "' share a member";
+      }
+    }
   }
 }
 
 TEST(ConfigRegistry, EveryKeyRoundTripsIndividually) {
-  for (const auto& row : kBit1IoConfigKeys) {
+  for (const auto& key : all_keys()) {
     Bit1IoConfig mutated;
-    ASSERT_TRUE(mutate_for_key(row.key, mutated))
-        << "registry key '" << row.key
+    ASSERT_TRUE(mutate_for_key(key, mutated))
+        << "key '" << key
         << "' has no mutation in this suite — teach mutate_for_key about "
            "the new knob";
     mutated.validate();
     const Bit1IoConfig parsed = Bit1IoConfig::from_toml(mutated.to_toml());
-    EXPECT_EQ(parsed, mutated) << "key '" << row.key
+    EXPECT_EQ(parsed, mutated) << "key '" << key
                                << "' does not survive to_toml/from_toml";
+  }
+}
+
+TEST(ConfigRegistry, EveryRowPointsAtTheFieldItsKeyNames) {
+  const Bit1IoConfig defaults;
+  for (const auto& row : kBit1IoConfigKeys) {
+    Bit1IoConfig mutated;
+    ASSERT_TRUE(mutate_for_key(row.key, mutated)) << row.key;
+    const bool moved = std::visit(
+        [&](auto member) { return mutated.*member != defaults.*member; },
+        row.member);
+    EXPECT_TRUE(moved) << "row '" << row.key
+                       << "' points at a member its mutation leaves alone";
   }
 }
 
@@ -144,15 +173,35 @@ TEST(ConfigRegistry, MaximalConfigRoundTrips) {
 
 TEST(ConfigRegistry, ToTomlRendersEveryRegisteredKey) {
   const std::string toml = maximal_config().to_toml();
-  for (const auto& row : kBit1IoConfigKeys)
-    EXPECT_NE(toml.find(row.key), std::string::npos)
-        << "key '" << row.key << "' missing from to_toml output";
+  for (const auto& key : all_keys())
+    EXPECT_NE(toml.find(key), std::string::npos)
+        << "key '" << key << "' missing from to_toml output";
 }
 
 TEST(ConfigRegistry, DefaultConfigRoundTripsToo) {
   const Bit1IoConfig config;
   const Bit1IoConfig parsed = Bit1IoConfig::from_toml(config.to_toml());
   EXPECT_EQ(parsed, config);
+}
+
+TEST(ConfigRegistry, UnknownKeysAreRejectedByName) {
+  // A typo must not silently run with the default (0 aggregators here).
+  const std::pair<const char*, const char*> cases[] = {
+      {"[io]\nagregators = 400\n", "'agregators' under [io]"},
+      {"[io]\n[io.striping]\ncont = 8\n", "'cont' under [io.striping]"},
+  };
+  for (const auto& [toml, hint] : cases) {
+    try {
+      (void)Bit1IoConfig::from_toml(toml);
+      FAIL() << "unknown key accepted in:\n" << toml;
+    } catch (const bitio::UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find(hint), std::string::npos)
+          << e.what();
+    }
+  }
+  // Other top-level tables are not the [io] surface and stay allowed.
+  EXPECT_EQ(Bit1IoConfig::from_toml("[adios2]\nengine = 1\n"),
+            Bit1IoConfig{});
 }
 
 namespace {
@@ -174,7 +223,7 @@ void expect_rejected(const Bit1IoConfig& config, const std::string& hint) {
 TEST(ConfigValidation, UnknownEngineListsTheRegisteredNames) {
   Bit1IoConfig config;
   config.engine = "hdf5";
-  // The message enumerates kBit1IoEngines so the fix is in the error.
+  // The message lists bp::registered_engines() so the fix is in the error.
   expect_rejected(config, "\"stream\"");
 }
 
@@ -217,8 +266,8 @@ TEST(ConfigValidation, CompressThreadsBoundedByBufferPoolDepth) {
 TEST(ConfigValidation, UnknownAggregationListsTheModes) {
   Bit1IoConfig config;
   config.aggregation = "tree";
-  // The message enumerates kBit1IoAggregationModes so the fix is in the
-  // error, mirroring the unknown-engine diagnostics.
+  // The message lists bp::kAggregationModes so the fix is in the error,
+  // mirroring the unknown-engine diagnostics.
   expect_rejected(config, "\"two_level\"");
 }
 

@@ -2,6 +2,7 @@
 // round trip, per-process cost and file-size roll-ups.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "darshan/darshan.hpp"
@@ -118,118 +119,151 @@ TEST(Darshan, RecoveryCountersRoundTripInV4Logs) {
 
 namespace {
 
-// Byte length of one serialized FileRecord minus its path string: rank +
-// the 13 v3-era counters, then (v5+) the 5 gather counters and (v7) the
-// 3 batched queue-pair counters.
-constexpr std::size_t kRecordFixedV3Bytes = 8 + 13 * 8;
-constexpr std::size_t kRecordGatherBytes = 5 * 8;
-constexpr std::size_t kRecordBatchBytes = 3 * 8;  // v7 queue-pair counters
-constexpr std::size_t kJobRecoveryBytes = 3 * 8;  // v4+ recovery counters
-constexpr std::size_t kJobCkptBytes = 4 * 8;      // v6 checkpoint counters
-constexpr std::size_t kJobBatchHistBytes = 5 * 8;  // v7 ops-per-batch buckets
+/// One job that drives every counter row: posix meta/data ops, a drain
+/// lane, both gather levels, a coalesced queue-pair batch, an injected
+/// fault, and the recovery/checkpoint cpu tags.
+DarshanLog capture_every_counter() {
+  SharedFs fs(8);
+  populate_two_rank_job(fs);
+  FsClient rank0(fs, 0);
+  rank0.stat_size("out/rank0.dat");
 
-/// Rewrite a current (v7) serialized log as an older format: strip the
-/// job ops-per-batch histogram and per-record batch counters, the 4 job
-/// checkpoint counters, optionally the job recovery counters and the
-/// per-record gather counters, and patch the magic's version byte.
-std::vector<std::uint8_t> downgrade_log(std::vector<std::uint8_t> bytes,
-                                        char version) {
-  auto u64_at = [&](std::size_t off) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, bytes.data() + off, sizeof(v));
-    return v;
-  };
-  auto erase_at = [&](std::size_t off, std::size_t n) {
-    bytes.erase(bytes.begin() + std::ptrdiff_t(off),
-                bytes.begin() + std::ptrdiff_t(off + n));
-  };
-  std::size_t off = 8;                      // magic
-  off += 8 + u64_at(off);                   // exe
-  off += 8;                                 // nprocs
-  off += 8;                                 // runtime
-  off += 8 + u64_at(off);                   // mount
-  if (version == '3') {
-    erase_at(off, kJobRecoveryBytes + kJobCkptBytes + kJobBatchHistBytes);
-  } else {
-    off += kJobRecoveryBytes;               // v4+ keep the recovery counters
-    if (version == '6') {
-      off += kJobCkptBytes;                 // v6 keeps the ckpt counters
-      erase_at(off, kJobBatchHistBytes);
-    } else {
-      erase_at(off, kJobCkptBytes + kJobBatchHistBytes);
-    }
+  FsClient drain(fs, 0, /*lane=*/1);
+  std::vector<std::uint8_t> block(64 * KiB, 3);
+  int fd = drain.open("out/rank1.dat", OpenMode::append);
+  drain.write(fd, block);
+  drain.close(fd);
+
+  fd = rank0.open("out/gather.dat", OpenMode::create);
+  rank0.transfer(fd, 1, 32 * KiB, /*intra_node=*/true);
+  rank0.transfer(fd, 2, 32 * KiB, /*intra_node=*/false);
+  fsim::SubmissionQueue sq(rank0, 4, /*coalesce=*/true);
+  for (std::size_t i = 0; i < 2; ++i) {
+    fsim::Sqe sqe;
+    sqe.fd = fd;
+    sqe.offset = i * block.size();
+    sqe.iov.push_back(block);
+    sq.push(std::move(sqe));
   }
-  const std::uint64_t nrecords = u64_at(off);
-  off += 8;
-  for (std::uint64_t r = 0; r < nrecords; ++r) {
-    off += 8 + u64_at(off);                 // path
-    off += kRecordFixedV3Bytes;
-    if (version == '5' || version == '6')
-      off += kRecordGatherBytes;            // v5+ keep the gather counters
-    else
-      erase_at(off, kRecordGatherBytes);
-    erase_at(off, kRecordBatchBytes);       // v7 added the batch counters
+  sq.submit();
+  for (const fsim::Cqe& cqe : sq.reap_all()) EXPECT_TRUE(cqe.ok);
+  rank0.close(fd);
+
+  rank0.note_fault(fsim::FaultKind::rank_crash);
+  rank0.charge_cpu(1.5, "recovery");
+  rank0.charge_cpu(0.0, "degrade");
+  rank0.charge_cpu(0.0, "delta_commit");
+  rank0.charge_cpu(0.0, "dedup", 4096);
+  rank0.charge_cpu(0.125, "restore_chain", 0, 7);
+
+  const auto replay = replay_trace(tiny_profile(), fs.store(), fs.trace(), 3);
+  return capture(fs, replay, {"bit1", 3, 0.0, "/lustre"});
+}
+
+template <typename Record>
+double read_counter(const Record& record, const Counter<Record>& row) {
+  return row.u64 ? double(record.*row.u64) : record.*row.f64;
+}
+
+/// The DRSNLOG7 byte layout written out field by field — the reference the
+/// table-driven serializer must reproduce under its own magic.
+std::vector<std::uint8_t> drsnlog7_bytes(const DarshanLog& log) {
+  std::vector<std::uint8_t> out;
+  const auto u64 = [&](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) out.push_back(std::uint8_t(v >> (8 * i)));
+  };
+  const auto f64 = [&](double d) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    u64(bits);
+  };
+  const auto str = [&](const std::string& s) {
+    u64(s.size());
+    out.insert(out.end(), s.begin(), s.end());
+  };
+  const JobInfo& job = log.job;
+  u64(0x4452534e4c4f4737ull);  // "DRSNLOG7"
+  str(job.exe);
+  u64(job.nprocs);
+  f64(job.runtime_s);
+  str(job.mount);
+  u64(job.recoveries);
+  u64(job.degradations);
+  f64(job.t_recovery_s);
+  u64(job.delta_epochs);
+  u64(job.dedup_bytes_saved);
+  u64(job.blocks_restored);
+  f64(job.t_restore_s);
+  for (const std::uint64_t bucket : job.ops_per_batch) u64(bucket);
+  u64(log.records.size());
+  for (const FileRecord& r : log.records) {
+    str(r.path);
+    u64(std::uint64_t(std::int64_t(r.rank)));
+    u64(r.opens);
+    u64(r.writes);
+    u64(r.reads);
+    u64(r.stats);
+    u64(r.fsyncs);
+    u64(r.bytes_written);
+    u64(r.bytes_read);
+    u64(r.max_byte_written);
+    u64(r.max_write_size);
+    f64(r.write_time_s);
+    f64(r.read_time_s);
+    f64(r.meta_time_s);
+    f64(r.drain_time_s);
+    u64(r.faults_injected);
+    u64(r.shm_gathers);
+    u64(r.net_gathers);
+    u64(r.shm_gather_bytes);
+    u64(r.net_gather_bytes);
+    f64(r.gather_time_s);
+    u64(r.batches_submitted);
+    u64(r.batched_sqes);
+    u64(r.coalesced_bytes);
   }
-  for (std::size_t i = 0; i < 8; ++i)
-    if (bytes[i] == std::uint8_t('7')) bytes[i] = std::uint8_t(version);
-  return bytes;
+  return out;
 }
 
 }  // namespace
 
-TEST(Darshan, ParsesLegacyV3LogsWithZeroRecoveryCounters) {
-  SharedFs fs(8);
-  populate_two_rank_job(fs);
-  auto replay = replay_trace(tiny_profile(), fs.store(), fs.trace(), 2);
-  auto log = capture(fs, replay, {"bit1", 2, 0.0, "/lustre"});
-  const auto bytes = downgrade_log(log.serialize(), '3');
-
-  const DarshanLog back = DarshanLog::parse(bytes);
-  EXPECT_EQ(back.job.exe, log.job.exe);
-  EXPECT_EQ(back.records.size(), log.records.size());
-  EXPECT_EQ(back.total_bytes_written(), log.total_bytes_written());
-  EXPECT_EQ(back.job.recoveries, 0u);
-  EXPECT_EQ(back.job.degradations, 0u);
-  EXPECT_DOUBLE_EQ(back.job.t_recovery_s, 0.0);
-}
-
-TEST(Darshan, ParsesLegacyV4LogsWithZeroGatherCounters) {
-  SharedFs fs(8);
-  populate_two_rank_job(fs);
-  FsClient(fs, 0).charge_cpu(1.5, "recovery");
-  auto replay = replay_trace(tiny_profile(), fs.store(), fs.trace(), 2);
-  auto log = capture(fs, replay, {"bit1", 2, 0.0, "/lustre"});
-  const auto bytes = downgrade_log(log.serialize(), '4');
-
-  const DarshanLog back = DarshanLog::parse(bytes);
-  EXPECT_EQ(back.records.size(), log.records.size());
-  EXPECT_EQ(back.total_bytes_written(), log.total_bytes_written());
-  EXPECT_EQ(back.job.recoveries, 1u);  // v4 keeps the recovery counters
-  for (const auto& r : back.records) {
-    EXPECT_EQ(r.shm_gathers, 0u);
-    EXPECT_EQ(r.net_gathers, 0u);
-    EXPECT_EQ(r.shm_gather_bytes, 0u);
-    EXPECT_EQ(r.net_gather_bytes, 0u);
-    EXPECT_DOUBLE_EQ(r.gather_time_s, 0.0);
+TEST(Darshan, CaptureFillsEveryCounterRow) {
+  const DarshanLog log = capture_every_counter();
+  for (const auto& row : job_counters())
+    EXPECT_GT(read_counter(log.job, row), 0.0) << "job counter " << row.name;
+  for (const auto& row : file_record_counters()) {
+    double sum = 0.0;
+    for (const FileRecord& r : log.records) sum += read_counter(r, row);
+    EXPECT_GT(sum, 0.0) << "file counter " << row.name;
   }
+  std::uint64_t batches = 0;
+  for (const std::uint64_t bucket : log.job.ops_per_batch) batches += bucket;
+  EXPECT_EQ(batches, 1u);
+
+  // Every row survives the round trip, record by record.
+  const DarshanLog back = DarshanLog::parse(log.serialize());
+  ASSERT_EQ(back.records.size(), log.records.size());
+  for (const auto& row : job_counters())
+    EXPECT_EQ(read_counter(back.job, row), read_counter(log.job, row))
+        << row.name;
+  for (std::size_t i = 0; i < log.records.size(); ++i)
+    for (const auto& row : file_record_counters())
+      EXPECT_EQ(read_counter(back.records[i], row),
+                read_counter(log.records[i], row))
+          << row.name << " of record " << i;
 }
 
-TEST(Darshan, ParsesLegacyV5LogsWithZeroCheckpointCounters) {
-  SharedFs fs(8);
-  populate_two_rank_job(fs);
-  FsClient(fs, 0).charge_cpu(1.5, "recovery");
-  auto replay = replay_trace(tiny_profile(), fs.store(), fs.trace(), 2);
-  auto log = capture(fs, replay, {"bit1", 2, 0.0, "/lustre"});
-  const auto bytes = downgrade_log(log.serialize(), '5');
-
-  const DarshanLog back = DarshanLog::parse(bytes);
-  EXPECT_EQ(back.records.size(), log.records.size());
-  EXPECT_EQ(back.total_bytes_written(), log.total_bytes_written());
-  EXPECT_EQ(back.job.recoveries, 1u);  // v5 keeps the recovery counters
-  EXPECT_EQ(back.job.delta_epochs, 0u);
-  EXPECT_EQ(back.job.dedup_bytes_saved, 0u);
-  EXPECT_EQ(back.job.blocks_restored, 0u);
-  EXPECT_DOUBLE_EQ(back.job.t_restore_s, 0.0);
+TEST(Darshan, SerializesTheV7ByteLayoutUnderTheV8Magic) {
+  const DarshanLog log = capture_every_counter();
+  const std::vector<std::uint8_t> bytes = log.serialize();
+  const std::vector<std::uint8_t> v7 = drsnlog7_bytes(log);
+  ASSERT_EQ(bytes.size(), v7.size());
+  // The magic is little-endian, so its version digit is byte 0.
+  EXPECT_EQ(v7[0], std::uint8_t('7'));
+  EXPECT_EQ(bytes[0], std::uint8_t('8'));
+  EXPECT_TRUE(std::equal(bytes.begin() + 1, bytes.end(), v7.begin() + 1));
+  // The retired version is not read back.
+  EXPECT_THROW(DarshanLog::parse(v7), FormatError);
 }
 
 TEST(Darshan, FoldsCheckpointCpuTagsIntoJobCounters) {

@@ -91,13 +91,6 @@ TEST(LintHelpers, StripStringLiteralsBlanksContents) {
   EXPECT_NE(stripped.find("call("), std::string::npos);
 }
 
-TEST(LintHelpers, BodyAfterBraceMatches) {
-  const std::string text = "int f() { if (x) { y(); } return 0; }\nint g();";
-  const std::string body = bitio::lint::body_after(text, "int f()");
-  EXPECT_NE(body.find("return 0;"), std::string::npos);
-  EXPECT_EQ(body.find("int g"), std::string::npos);
-}
-
 TEST(LintRawIo, FlagsNakedFileIoOutsideFsim) {
   FixtureTree tree;
   const std::string bad =
@@ -118,313 +111,6 @@ TEST(LintRawIo, FlagsNakedFileIoOutsideFsim) {
   EXPECT_TRUE(has_diag(diags, "src/core/bad.cpp",
                        expect_line(bad, "std::ofstream"), "raw file I/O"))
       << dump(diags);
-}
-
-TEST(LintConfigRegistry, FlagsEveryDriftDirection) {
-  FixtureTree tree;
-  const std::string header =
-      "struct IoConfigKey { const char* k; const char* f; bool v; };\n"
-      "inline constexpr IoConfigKey kBit1IoConfigKeys[] = {\n"
-      "    {\"engine\", \"engine\", true},\n"
-      "    {\"codec\", \"codec\", true},\n"
-      "    {\"ghost\", \"ghost_field\", false},\n"
-      "};\n"
-      "struct Bit1IoConfig {\n"
-      "  std::string engine;\n"
-      "  std::string codec;\n"
-      "};\n";
-  const std::string impl =
-      "#include \"core/io_config.hpp\"\n"
-      "void Bit1IoConfig::validate() const {\n"
-      "  if (engine != \"bp4\") throw UsageError(\"bad engine\");\n"
-      "}\n"
-      "Bit1IoConfig Bit1IoConfig::from_toml(const std::string& text) {\n"
-      "  config.engine = io.get_or(\"engine\", Json(\"bp4\")).as_string();\n"
-      "  config.codec = io.get_or(\"codec\", Json(\"none\")).as_string();\n"
-      "  config.x = io.get_or(\"mystery\", Json(0)).as_int();\n"
-      "}\n"
-      "std::string Bit1IoConfig::to_toml() const {\n"
-      "  out += \"engine = bp4\";\n"
-      "  out += \"codec = none\";\n"
-      "}\n";
-  tree.write("src/core/io_config.hpp", header);
-  tree.write("src/core/io_config.cpp", impl);
-
-  const auto diags = bitio::lint::check_config_registry(tree.root());
-  // 'codec' is flagged validated but validate() never touches it.
-  EXPECT_TRUE(has_diag(diags, "src/core/io_config.cpp",
-                       expect_line(impl, "Bit1IoConfig::validate"),
-                       "'codec'"))
-      << dump(diags);
-  // 'ghost' is registered but neither a member nor parsed nor rendered.
-  EXPECT_TRUE(has_diag(diags, "src/core/io_config.hpp",
-                       expect_line(header, "{\"ghost\""),
-                       "not a Bit1IoConfig member"))
-      << dump(diags);
-  EXPECT_TRUE(has_diag(diags, "src/core/io_config.cpp",
-                       expect_line(impl, "Bit1IoConfig::from_toml"),
-                       "'ghost' from the registry is never parsed"))
-      << dump(diags);
-  EXPECT_TRUE(has_diag(diags, "src/core/io_config.cpp",
-                       expect_line(impl, "Bit1IoConfig::to_toml"),
-                       "'ghost' from the registry is never rendered"))
-      << dump(diags);
-  // from_toml reads 'mystery', which the registry does not declare.
-  EXPECT_TRUE(has_diag(diags, "src/core/io_config.cpp",
-                       expect_line(impl, "Bit1IoConfig::from_toml"),
-                       "'mystery'"))
-      << dump(diags);
-  EXPECT_EQ(diags.size(), 5u) << dump(diags);
-}
-
-TEST(LintDarshanCounters, FlagsTableAndWireFormatDrift) {
-  FixtureTree tree;
-  const std::string header =
-      "struct FileRecord {\n"
-      "  std::string path;\n"
-      "  std::uint64_t opens = 0;\n"
-      "  std::uint64_t writes = 0;\n"
-      "  std::uint64_t zots = 0;\n"
-      "};\n"
-      "inline constexpr const char* kFileRecordCounters[] = {\n"
-      "    \"opens\",\n"
-      "    \"writes\",\n"
-      "    \"phantom\",\n"
-      "};\n";
-  const std::string impl =
-      "#include \"darshan/darshan.hpp\"\n"
-      "std::vector<std::uint8_t> DarshanLog::serialize() const {\n"
-      "  put_u64(out, r.opens);\n"
-      "}\n"
-      "DarshanLog DarshanLog::parse(std::span<const std::uint8_t> data) {\n"
-      "  r.opens = cur.u64();\n"
-      "}\n"
-      "DarshanLog capture(const fsim::SharedFs& fs) {\n"
-      "  r.opens += op.op_count;\n"
-      "  r.writes += op.op_count;\n"
-      "}\n";
-  tree.write("src/darshan/darshan.hpp", header);
-  tree.write("src/darshan/darshan.cpp", impl);
-
-  const auto diags = bitio::lint::check_darshan_counters(tree.root());
-  // 'phantom' is declared in the table but not a struct member.
-  EXPECT_TRUE(has_diag(diags, "src/darshan/darshan.hpp",
-                       expect_line(header, "\"phantom\""), "'phantom'"))
-      << dump(diags);
-  // 'writes' is a registered member but serialize()/parse() both miss it.
-  EXPECT_TRUE(has_diag(diags, "src/darshan/darshan.cpp",
-                       expect_line(impl, "DarshanLog::serialize"),
-                       "'writes' is never referenced by serialize()"))
-      << dump(diags);
-  EXPECT_TRUE(has_diag(diags, "src/darshan/darshan.cpp",
-                       expect_line(impl, "DarshanLog::parse"),
-                       "'writes' is never referenced by parse()"))
-      << dump(diags);
-  // 'zots' is a numeric member missing from the table.
-  EXPECT_TRUE(has_diag(diags, "src/darshan/darshan.hpp",
-                       expect_line(header, "struct FileRecord"), "'zots'"))
-      << dump(diags);
-}
-
-TEST(LintDarshanCounters, FlagsCounterNeverAccumulatedByCapture) {
-  FixtureTree tree;
-  const std::string header =
-      "struct FileRecord {\n"
-      "  std::uint64_t opens = 0;\n"
-      "  std::uint64_t writes = 0;\n"
-      "};\n"
-      "inline constexpr const char* kFileRecordCounters[] = {\n"
-      "    \"opens\",\n"
-      "    \"writes\",\n"
-      "};\n";
-  // serialize()/parse() cover both counters, so the wire format is fine;
-  // capture() only ever touches 'opens' — 'writes' would read back zero
-  // from every live log.
-  const std::string impl =
-      "#include \"darshan/darshan.hpp\"\n"
-      "std::vector<std::uint8_t> DarshanLog::serialize() const {\n"
-      "  put_u64(out, r.opens);\n"
-      "  put_u64(out, r.writes);\n"
-      "}\n"
-      "DarshanLog DarshanLog::parse(std::span<const std::uint8_t> data) {\n"
-      "  r.opens = cur.u64();\n"
-      "  r.writes = cur.u64();\n"
-      "}\n"
-      "DarshanLog capture(const fsim::SharedFs& fs) {\n"
-      "  r.opens += op.op_count;\n"
-      "}\n";
-  tree.write("src/darshan/darshan.hpp", header);
-  tree.write("src/darshan/darshan.cpp", impl);
-
-  const auto diags = bitio::lint::check_darshan_counters(tree.root());
-  ASSERT_EQ(diags.size(), 1u) << dump(diags);
-  EXPECT_TRUE(has_diag(diags, "src/darshan/darshan.cpp",
-                       expect_line(impl, "DarshanLog capture"),
-                       "'writes' is never accumulated by capture()"))
-      << dump(diags);
-}
-
-TEST(LintTraceOpKinds, FlagsUnhandledEnumerator) {
-  FixtureTree tree;
-  const std::string types =
-      "enum class OpKind : std::uint8_t {\n"
-      "  alpha,\n"
-      "  beta,\n"
-      "  cpu,\n"
-      "};\n"
-      "inline const char* op_name(OpKind kind) {\n"
-      "  switch (kind) {\n"
-      "    case OpKind::alpha: return \"alpha\";\n"
-      "    case OpKind::cpu: return \"cpu\";\n"
-      "  }\n"
-      "  return \"?\";\n"
-      "}\n"
-      "inline ServiceClass service_class(OpKind kind) {\n"
-      "  switch (kind) {\n"
-      "    case OpKind::alpha: return ServiceClass::meta;\n"
-      "    case OpKind::beta: return ServiceClass::data;\n"
-      "    case OpKind::cpu: return ServiceClass::cpu;\n"
-      "  }\n"
-      "}\n";
-  const std::string capture =
-      "DarshanLog capture(const fsim::SharedFs& fs) {\n"
-      "  switch (op.kind) {\n"
-      "    case OpKind::alpha: break;\n"
-      "    case OpKind::beta: break;\n"
-      "    case OpKind::cpu: break;\n"
-      "  }\n"
-      "}\n";
-  tree.write("src/fsim/types.hpp", types);
-  tree.write("src/darshan/darshan.cpp", capture);
-
-  const auto diags = bitio::lint::check_traceop_kinds(tree.root());
-  ASSERT_EQ(diags.size(), 1u) << dump(diags);
-  EXPECT_TRUE(has_diag(diags, "src/fsim/types.hpp",
-                       expect_line(types, "beta,"),
-                       "OpKind::beta has no case in op_name()"))
-      << dump(diags);
-}
-
-TEST(LintEngineRegistry, FlagsEveryDriftDirection) {
-  FixtureTree tree;
-  // "stream" is declared but never registered / labelled / tagged;
-  // "ghostfs" is registered but missing from the declaration list.
-  const std::string header =
-      "inline constexpr const char* kBit1IoEngines[] = {\n"
-      "    \"bp4\",\n"
-      "    \"stream\",\n"
-      "};\n"
-      "struct Bit1IoConfig { std::string engine; };\n";
-  const std::string config =
-      "#include \"core/io_config.hpp\"\n"
-      "std::string Bit1IoConfig::label() const {\n"
-      "  if (engine == \"bp4\") return \"BP4\";\n"
-      "  return engine;\n"
-      "}\n";
-  const std::string engine =
-      "#include \"bp/engine.hpp\"\n"
-      "void builtin_engines() {\n"
-      "  register_engine(\"bp4\", make_file_engine);\n"
-      "  register_engine(\"ghostfs\", make_ghost_engine);\n"
-      "}\n";
-  const std::string darshan =
-      "#include \"darshan/darshan.hpp\"\n"
-      "std::string engine_tag(const std::string& engine) {\n"
-      "  if (engine == \"bp4\") return \"BP4\";\n"
-      "  return engine;\n"
-      "}\n";
-  tree.write("src/core/io_config.hpp", header);
-  tree.write("src/core/io_config.cpp", config);
-  tree.write("src/bp/engine.cpp", engine);
-  tree.write("src/darshan/darshan.cpp", darshan);
-
-  const auto diags = bitio::lint::check_engine_registry(tree.root());
-  // "stream" missing from all three handling sites.
-  EXPECT_TRUE(has_diag(diags, "src/bp/engine.cpp",
-                       expect_line(engine, "builtin_engines"),
-                       "\"stream\" from kBit1IoEngines has no "
-                       "register_engine call"))
-      << dump(diags);
-  EXPECT_TRUE(has_diag(diags, "src/core/io_config.cpp",
-                       expect_line(config, "Bit1IoConfig::label"),
-                       "\"stream\" from kBit1IoEngines is never spelled"))
-      << dump(diags);
-  EXPECT_TRUE(has_diag(diags, "src/darshan/darshan.cpp",
-                       expect_line(darshan, "engine_tag"),
-                       "\"stream\" from kBit1IoEngines has no tag"))
-      << dump(diags);
-  // "ghostfs" registered by the factory but undeclared in the config layer.
-  EXPECT_TRUE(has_diag(diags, "src/bp/engine.cpp",
-                       expect_line(engine, "builtin_engines"),
-                       "\"ghostfs\" which is missing from "
-                       "core::kBit1IoEngines"))
-      << dump(diags);
-  EXPECT_EQ(diags.size(), 4u) << dump(diags);
-}
-
-TEST(LintTopologyRegistry, FlagsEveryDriftDirection) {
-  FixtureTree tree;
-  // "two_level" is declared but neither dispatched by the writer nor
-  // tagged; "dardel" has no preset branch; "summit" has a branch but is
-  // undeclared; core/leak.cpp references bp::Writer outside src/bp.
-  const std::string header =
-      "inline constexpr const char* kBit1IoAggregationModes[] = {\n"
-      "    \"flat\", \"two_level\"};\n"
-      "inline constexpr const char* kBit1IoTopologies[] = {\n"
-      "    \"flat\", \"dardel\"};\n";
-  const std::string writer =
-      "#include \"bp/writer.hpp\"\n"
-      "void Writer::gather() {\n"
-      "  if (config_.aggregation == \"flat\") return;\n"
-      "}\n";
-  const std::string darshan =
-      "#include \"darshan/darshan.hpp\"\n"
-      "std::string aggregation_tag(const std::string& aggregation) {\n"
-      "  if (aggregation == \"flat\") return \"FLAT\";\n"
-      "  return aggregation;\n"
-      "}\n";
-  const std::string topo =
-      "#include \"topo/topology.hpp\"\n"
-      "Cluster Cluster::preset(const std::string& name) {\n"
-      "  if (name == \"flat\") return flat();\n"
-      "  if (name == \"summit\") return summit_like();\n"
-      "  throw UsageError(\"unknown\");\n"
-      "}\n";
-  const std::string leak =
-      "#include \"bp/writer.hpp\"\n"
-      "void build() {\n"
-      "  bp::Writer writer(fs, \"x.bp4\", config, 4);\n"
-      "}\n";
-  tree.write("src/core/io_config.hpp", header);
-  tree.write("src/bp/writer.cpp", writer);
-  tree.write("src/darshan/darshan.cpp", darshan);
-  tree.write("src/topo/topology.cpp", topo);
-  tree.write("src/core/leak.cpp", leak);
-
-  const auto diags = bitio::lint::check_topology_registry(tree.root());
-  EXPECT_TRUE(has_diag(diags, "src/bp/writer.cpp", 1,
-                       "\"two_level\" from kBit1IoAggregationModes is never "
-                       "dispatched"))
-      << dump(diags);
-  EXPECT_TRUE(has_diag(diags, "src/darshan/darshan.cpp",
-                       expect_line(darshan, "aggregation_tag"),
-                       "\"two_level\" from kBit1IoAggregationModes has no "
-                       "tag"))
-      << dump(diags);
-  EXPECT_TRUE(has_diag(diags, "src/topo/topology.cpp",
-                       expect_line(topo, "Cluster::preset"),
-                       "\"dardel\" from kBit1IoTopologies has no branch"))
-      << dump(diags);
-  EXPECT_TRUE(has_diag(diags, "src/topo/topology.cpp",
-                       expect_line(topo, "Cluster::preset"),
-                       "\"summit\" which is missing from "
-                       "core::kBit1IoTopologies"))
-      << dump(diags);
-  EXPECT_TRUE(has_diag(diags, "src/core/leak.cpp",
-                       expect_line(leak, "bp::Writer"),
-                       "direct bp::Writer reference outside src/bp"))
-      << dump(diags);
-  EXPECT_EQ(diags.size(), 5u) << dump(diags);
 }
 
 // The invariant the `lint` ctest label enforces, exercised from the unit

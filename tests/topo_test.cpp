@@ -54,13 +54,19 @@ TEST(TopoCluster, DardelPresetMatchesTheMachine) {
   dardel.validate();
 }
 
-TEST(TopoCluster, PresetNamesMatchTheConfigRegistry) {
-  // preset() and core::kBit1IoTopologies are kept in lockstep by the
-  // topology-registry lint rule; this is the runtime half of that check.
+TEST(TopoCluster, EveryPresetNameBuildsAValidCluster) {
+  // preset_names() is also the list Bit1IoConfig::validate() accepts, so
+  // every name must build a coherent cluster that carries that name.
   const auto names = topo::preset_names();
-  ASSERT_EQ(names.size(), std::size(core::kBit1IoTopologies));
-  for (const char* name : core::kBit1IoTopologies)
-    EXPECT_NO_THROW(Cluster::preset(name)) << name;
+  ASSERT_FALSE(names.empty());
+  for (const auto& name : names) {
+    const Cluster cluster = Cluster::preset(name);
+    EXPECT_EQ(cluster.name, name);
+    EXPECT_NO_THROW(cluster.validate()) << name;
+    core::Bit1IoConfig config;
+    config.topology = name;
+    EXPECT_NO_THROW(config.validate()) << name;
+  }
 }
 
 TEST(TopoCluster, UnknownPresetListsTheNames) {

@@ -1,7 +1,6 @@
 #include "lint.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <regex>
 #include <sstream>
@@ -10,41 +9,6 @@
 #include "index.hpp"
 
 namespace bitio::lint {
-
-namespace {
-
-struct SourceFile {
-  std::string rel;   // path relative to the index root
-  std::string text;  // comment-stripped contents (FileInfo::code)
-};
-
-/// Load one file from the index; missing files yield an empty text (the
-/// rules report that as a diagnostic so a renamed file cannot silently
-/// disable its checks).
-SourceFile load(const SemanticIndex& index, const std::string& rel) {
-  const FileInfo* f = index.file(rel);
-  return {rel, f && !f->raw.empty() ? f->code : std::string()};
-}
-
-void require_loaded(const SourceFile& file, const char* rule,
-                    std::vector<Diagnostic>& out) {
-  if (file.text.empty())
-    out.push_back({file.rel, 1, rule,
-                   "expected source file is missing or empty; the " +
-                       std::string(rule) + " invariant cannot be checked"});
-}
-
-/// Quoted strings captured by `pattern`'s first group inside `body`.
-std::vector<std::string> captures(const std::string& body,
-                                  const std::regex& pattern) {
-  std::vector<std::string> out;
-  for (auto it = std::sregex_iterator(body.begin(), body.end(), pattern);
-       it != std::sregex_iterator(); ++it)
-    out.push_back((*it)[1].str());
-  return out;
-}
-
-}  // namespace
 
 std::string format_diagnostic(const Diagnostic& diag) {
   return diag.file + ":" + std::to_string(diag.line) + ": [" + diag.rule +
@@ -153,22 +117,6 @@ std::size_t line_of(const std::string& text, std::size_t pos) {
                                     '\n'));
 }
 
-std::string body_after(const std::string& text, const std::string& anchor,
-                       std::size_t* line, std::size_t from) {
-  const std::size_t at = text.find(anchor, from);
-  if (at == std::string::npos) return {};
-  if (line) *line = line_of(text, at);
-  const std::size_t open = text.find('{', at + anchor.size());
-  if (open == std::string::npos) return {};
-  int depth = 0;
-  for (std::size_t i = open; i < text.size(); ++i) {
-    if (text[i] == '{') ++depth;
-    if (text[i] == '}' && --depth == 0)
-      return text.substr(open + 1, i - open - 1);
-  }
-  return {};
-}
-
 // --- raw-io ----------------------------------------------------------------
 
 std::vector<Diagnostic> check_raw_io(const SemanticIndex& index) {
@@ -214,533 +162,6 @@ std::vector<Diagnostic> check_raw_io(const std::string& root) {
   return check_raw_io(SemanticIndex::build(root));
 }
 
-// --- config-registry -------------------------------------------------------
-
-namespace {
-
-struct ConfigKey {
-  std::string key;
-  std::string field;
-  bool validated = false;
-  std::size_t line = 0;  // of the registry row in io_config.hpp
-};
-
-std::vector<ConfigKey> parse_config_registry(const std::string& header) {
-  std::vector<ConfigKey> rows;
-  std::size_t table_line = 0;
-  const std::string table =
-      body_after(header, "kBit1IoConfigKeys[]", &table_line);
-  static const std::regex row(
-      R"re(\{\s*"([^"]+)"\s*,\s*"([^"]+)"\s*,\s*(true|false)\s*\})re");
-  for (auto it = std::sregex_iterator(table.begin(), table.end(), row);
-       it != std::sregex_iterator(); ++it) {
-    ConfigKey k;
-    k.key = (*it)[1].str();
-    k.field = (*it)[2].str();
-    k.validated = (*it)[3].str() == "true";
-    // Line within the full header: table offset + offset inside the body.
-    const std::size_t at = header.find(table);
-    k.line = at == std::string::npos
-                 ? table_line
-                 : line_of(header, at + std::size_t(it->position()));
-    rows.push_back(std::move(k));
-  }
-  return rows;
-}
-
-/// Last component of a dotted field path ("striping.stripe_count" ->
-/// "stripe_count"): the token validate()/the struct body actually spells.
-std::string field_token(const std::string& field) {
-  const std::size_t dot = field.rfind('.');
-  return dot == std::string::npos ? field : field.substr(dot + 1);
-}
-
-bool contains_token(const std::string& body, const std::string& token) {
-  const auto is_ident = [](char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-  };
-  for (std::size_t at = body.find(token); at != std::string::npos;
-       at = body.find(token, at + 1)) {
-    const bool left_ok = at == 0 || !is_ident(body[at - 1]);
-    const std::size_t end = at + token.size();
-    const bool right_ok = end >= body.size() || !is_ident(body[end]);
-    if (left_ok && right_ok) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-std::vector<Diagnostic> check_config_registry(const SemanticIndex& index) {
-  std::vector<Diagnostic> out;
-  const SourceFile header = load(index, "src/core/io_config.hpp");
-  const SourceFile impl = load(index, "src/core/io_config.cpp");
-  require_loaded(header, "config-registry", out);
-  require_loaded(impl, "config-registry", out);
-  if (!out.empty()) return out;
-
-  const std::string& header_code = header.text;
-  const std::string& impl_code = impl.text;
-  const auto rows = parse_config_registry(header_code);
-  if (rows.empty()) {
-    out.push_back({header.rel, 1, "config-registry",
-                   "kBit1IoConfigKeys registry not found or empty"});
-    return out;
-  }
-
-  std::size_t struct_line = 0, from_line = 0, to_line = 0, validate_line = 0;
-  const std::string struct_body =
-      body_after(header_code, "struct Bit1IoConfig", &struct_line);
-  const std::string from_body =
-      body_after(impl_code, "Bit1IoConfig::from_toml", &from_line);
-  const std::string to_body =
-      body_after(impl_code, "Bit1IoConfig::to_toml", &to_line);
-  const std::string validate_body =
-      body_after(impl_code, "Bit1IoConfig::validate", &validate_line);
-  if (struct_body.empty())
-    out.push_back({header.rel, 1, "config-registry",
-                   "struct Bit1IoConfig definition not found"});
-  for (const auto& [anchor, body, line] :
-       {std::tuple{"from_toml", &from_body, from_line},
-        std::tuple{"to_toml", &to_body, to_line},
-        std::tuple{"validate", &validate_body, validate_line}}) {
-    if (body->empty())
-      out.push_back({impl.rel, std::max<std::size_t>(line, 1),
-                     "config-registry",
-                     std::string("Bit1IoConfig::") + anchor +
-                         " definition not found"});
-  }
-  if (!out.empty()) return out;
-
-  for (const auto& row : rows) {
-    const std::string token = field_token(row.field);
-    if (!contains_token(struct_body, token))
-      out.push_back({header.rel, row.line, "config-registry",
-                     "registry field '" + row.field +
-                         "' is not a Bit1IoConfig member"});
-    if (from_body.find('"' + row.key + '"') == std::string::npos)
-      out.push_back({impl.rel, from_line, "config-registry",
-                     "key '" + row.key +
-                         "' from the registry is never parsed in from_toml"});
-    if (to_body.find(row.key) == std::string::npos)
-      out.push_back({impl.rel, to_line, "config-registry",
-                     "key '" + row.key +
-                         "' from the registry is never rendered in to_toml"});
-    if (row.validated && !contains_token(validate_body, token))
-      out.push_back(
-          {impl.rel, validate_line, "config-registry",
-           "field '" + row.field +
-               "' is flagged validated but validate() never checks it"});
-  }
-
-  // Reverse direction: a key from_toml reads must be in the registry.
-  static const std::regex parsed_key(
-      R"(\b(?:io|striping)\s*\.\s*(?:get_or|contains|at)\s*\(\s*"([^"]+)\")");
-  for (const auto& key : captures(from_body, parsed_key)) {
-    const bool known =
-        std::any_of(rows.begin(), rows.end(),
-                    [&](const ConfigKey& row) { return row.key == key; });
-    if (!known)
-      out.push_back({impl.rel, from_line, "config-registry",
-                     "from_toml parses key '" + key +
-                         "' that is missing from kBit1IoConfigKeys"});
-  }
-  return out;
-}
-
-std::vector<Diagnostic> check_config_registry(const std::string& root) {
-  return check_config_registry(SemanticIndex::build(root));
-}
-
-// --- darshan-counters ------------------------------------------------------
-
-std::vector<Diagnostic> check_darshan_counters(const SemanticIndex& index) {
-  std::vector<Diagnostic> out;
-  const SourceFile header = load(index, "src/darshan/darshan.hpp");
-  const SourceFile impl = load(index, "src/darshan/darshan.cpp");
-  require_loaded(header, "darshan-counters", out);
-  require_loaded(impl, "darshan-counters", out);
-  if (!out.empty()) return out;
-
-  const std::string& header_code = header.text;
-  const std::string& impl_code = impl.text;
-
-  std::size_t table_line = 0;
-  const std::string table =
-      body_after(header_code, "kFileRecordCounters[]", &table_line);
-  static const std::regex quoted(R"re("([^"]+)")re");
-  const std::vector<std::string> counters = captures(table, quoted);
-  if (counters.empty()) {
-    out.push_back({header.rel, 1, "darshan-counters",
-                   "kFileRecordCounters table not found or empty"});
-    return out;
-  }
-
-  std::size_t struct_line = 0, ser_line = 0, parse_line = 0, cap_line = 0;
-  const std::string record_body =
-      body_after(header_code, "struct FileRecord", &struct_line);
-  const std::string ser_body =
-      body_after(impl_code, "DarshanLog::serialize", &ser_line);
-  const std::string parse_body =
-      body_after(impl_code, "DarshanLog::parse", &parse_line);
-  const std::string cap_body = body_after(impl_code, "capture(", &cap_line);
-  if (record_body.empty()) {
-    out.push_back({header.rel, 1, "darshan-counters",
-                   "struct FileRecord definition not found"});
-    return out;
-  }
-  if (ser_body.empty() || parse_body.empty()) {
-    out.push_back({impl.rel, 1, "darshan-counters",
-                   "DarshanLog::serialize/parse definitions not found"});
-    return out;
-  }
-  if (cap_body.empty()) {
-    out.push_back({impl.rel, 1, "darshan-counters",
-                   "darshan::capture definition not found"});
-    return out;
-  }
-
-  for (const auto& counter : counters) {
-    const std::size_t at = table.find('"' + counter + '"');
-    const std::size_t row_line =
-        at == std::string::npos
-            ? table_line
-            : line_of(header_code, header_code.find(table) + at);
-    if (!contains_token(record_body, counter))
-      out.push_back({header.rel, row_line, "darshan-counters",
-                     "counter '" + counter +
-                         "' is declared in kFileRecordCounters but is not "
-                         "a FileRecord member"});
-    for (const auto& [what, body, line] :
-         {std::tuple{"serialize()", &ser_body, ser_line},
-          std::tuple{"parse()", &parse_body, parse_line}}) {
-      if (!contains_token(*body, counter))
-        out.push_back({impl.rel, line, "darshan-counters",
-                       "counter '" + counter + "' is never referenced by " +
-                           std::string(what) +
-                           " — it would be dropped from the log format"});
-    }
-    // capture() is where trace ops become counters: a counter the capture
-    // body never touches stays zero in every live log even though it
-    // serializes and parses fine.
-    if (!contains_token(cap_body, counter))
-      out.push_back({impl.rel, cap_line, "darshan-counters",
-                     "counter '" + counter +
-                         "' is never accumulated by capture() — live logs "
-                         "would always report it as zero"});
-  }
-
-  // Reverse: every numeric FileRecord member must be declared a counter.
-  static const std::regex member(
-      R"((?:std::uint64_t|double)\s+([a-zA-Z_]\w*)\s*=)");
-  for (const auto& name : captures(record_body, member)) {
-    const bool known =
-        std::find(counters.begin(), counters.end(), name) != counters.end();
-    if (!known)
-      out.push_back({header.rel, struct_line, "darshan-counters",
-                     "FileRecord member '" + name +
-                         "' is missing from kFileRecordCounters"});
-  }
-  return out;
-}
-
-std::vector<Diagnostic> check_darshan_counters(const std::string& root) {
-  return check_darshan_counters(SemanticIndex::build(root));
-}
-
-// --- traceop-kinds ---------------------------------------------------------
-
-std::vector<Diagnostic> check_traceop_kinds(const SemanticIndex& index) {
-  std::vector<Diagnostic> out;
-  const SourceFile types = load(index, "src/fsim/types.hpp");
-  const SourceFile darshan = load(index, "src/darshan/darshan.cpp");
-  require_loaded(types, "traceop-kinds", out);
-  require_loaded(darshan, "traceop-kinds", out);
-  if (!out.empty()) return out;
-
-  const std::string& types_code = types.text;
-  const std::string& darshan_code = darshan.text;
-
-  std::size_t enum_line = 0;
-  const std::string enum_body =
-      body_after(types_code, "enum class OpKind", &enum_line);
-  static const std::regex enumerator(R"(\b([a-z_][a-z0-9_]*)\s*,)");
-  const std::vector<std::string> kinds = captures(enum_body, enumerator);
-  if (kinds.empty()) {
-    out.push_back({types.rel, 1, "traceop-kinds",
-                   "enum class OpKind not found or empty"});
-    return out;
-  }
-
-  const std::string op_name_body = body_after(types_code, "op_name(OpKind");
-  const std::string service_body =
-      body_after(types_code, "service_class(OpKind");
-  // The Darshan capture switch lives inside capture(); take its whole body.
-  const std::string capture_body = body_after(darshan_code, "capture(");
-  const struct {
-    const char* what;
-    const std::string* body;
-    const SourceFile* in;
-  } switches[] = {
-      {"op_name()", &op_name_body, &types},
-      {"service_class()", &service_body, &types},
-      {"the Darshan capture switch", &capture_body, &darshan},
-  };
-  for (const auto& sw : switches) {
-    if (sw.body->empty()) {
-      out.push_back({sw.in->rel, 1, "traceop-kinds",
-                     std::string(sw.what) + " definition not found"});
-      return out;
-    }
-  }
-
-  for (const auto& kind : kinds) {
-    const std::size_t at = enum_body.find(kind);
-    const std::size_t kind_line =
-        at == std::string::npos
-            ? enum_line
-            : line_of(types_code, types_code.find(enum_body) + at);
-    for (const auto& sw : switches) {
-      static const std::string prefix = "case OpKind::";
-      bool handled = false;
-      for (std::size_t p = sw.body->find(prefix); p != std::string::npos;
-           p = sw.body->find(prefix, p + 1)) {
-        std::size_t end = p + prefix.size();
-        std::size_t stop = end;
-        while (stop < sw.body->size() &&
-               (std::isalnum(static_cast<unsigned char>((*sw.body)[stop])) ||
-                (*sw.body)[stop] == '_'))
-          ++stop;
-        if (sw.body->compare(end, stop - end, kind) == 0) {
-          handled = true;
-          break;
-        }
-      }
-      if (!handled)
-        out.push_back({sw.in->rel, kind_line, "traceop-kinds",
-                       "OpKind::" + kind + " has no case in " + sw.what});
-    }
-  }
-  return out;
-}
-
-std::vector<Diagnostic> check_traceop_kinds(const std::string& root) {
-  return check_traceop_kinds(SemanticIndex::build(root));
-}
-
-// --- engine-registry -------------------------------------------------------
-
-std::vector<Diagnostic> check_engine_registry(const SemanticIndex& index) {
-  std::vector<Diagnostic> out;
-  const SourceFile header = load(index, "src/core/io_config.hpp");
-  const SourceFile config = load(index, "src/core/io_config.cpp");
-  const SourceFile engine = load(index, "src/bp/engine.cpp");
-  const SourceFile darshan = load(index, "src/darshan/darshan.cpp");
-  require_loaded(header, "engine-registry", out);
-  require_loaded(config, "engine-registry", out);
-  require_loaded(engine, "engine-registry", out);
-  require_loaded(darshan, "engine-registry", out);
-  if (!out.empty()) return out;
-
-  const std::string& header_code = header.text;
-  const std::string& config_code = config.text;
-  const std::string& engine_code = engine.text;
-  const std::string& darshan_code = darshan.text;
-
-  std::size_t list_line = 0;
-  const std::string list =
-      body_after(header_code, "kBit1IoEngines[]", &list_line);
-  static const std::regex quoted(R"re("([^"]+)")re");
-  const std::vector<std::string> names = captures(list, quoted);
-  if (names.empty()) {
-    out.push_back({header.rel, 1, "engine-registry",
-                   "kBit1IoEngines list not found or empty"});
-    return out;
-  }
-
-  std::size_t factory_line = 0, label_line = 0, tag_line = 0;
-  const std::string factory_body =
-      body_after(engine_code, "builtin_engines", &factory_line);
-  const std::string label_body =
-      body_after(config_code, "Bit1IoConfig::label", &label_line);
-  const std::string tag_body =
-      body_after(darshan_code, "engine_tag", &tag_line);
-  const struct {
-    const char* what;
-    const std::string* body;
-    const SourceFile* in;
-    std::size_t line;
-  } sites[] = {
-      {"builtin_engines()", &factory_body, &engine, factory_line},
-      {"Bit1IoConfig::label()", &label_body, &config, label_line},
-      {"darshan::engine_tag()", &tag_body, &darshan, tag_line},
-  };
-  for (const auto& site : sites) {
-    if (site.body->empty()) {
-      out.push_back({site.in->rel, 1, "engine-registry",
-                     std::string(site.what) + " definition not found"});
-      return out;
-    }
-  }
-
-  static const std::regex registered(R"re(register_engine\(\s*"([^"]+)")re");
-  const std::vector<std::string> factory_names =
-      captures(factory_body, registered);
-  for (const auto& name : names) {
-    const std::string literal = '"' + name + '"';
-    if (std::find(factory_names.begin(), factory_names.end(), name) ==
-        factory_names.end())
-      out.push_back({engine.rel, sites[0].line, "engine-registry",
-                     "engine \"" + name +
-                         "\" from kBit1IoEngines has no register_engine "
-                         "call in builtin_engines() — make_engine(\"" +
-                         name + "\", ...) would throw"});
-    if (label_body.find(literal) == std::string::npos)
-      out.push_back({config.rel, sites[1].line, "engine-registry",
-                     "engine \"" + name +
-                         "\" from kBit1IoEngines is never spelled by "
-                         "Bit1IoConfig::label() — sweep tables would show "
-                         "the wrong engine"});
-    if (tag_body.find(literal) == std::string::npos)
-      out.push_back({darshan.rel, sites[2].line, "engine-registry",
-                     "engine \"" + name +
-                         "\" from kBit1IoEngines has no tag in "
-                         "darshan::engine_tag() — bench JSON would fall "
-                         "back to the uppercased raw name"});
-  }
-
-  // Reverse direction: a name builtin_engines() registers must be declared
-  // in kBit1IoEngines, or the config layer would reject a working engine.
-  for (const auto& name : factory_names) {
-    const bool known =
-        std::find(names.begin(), names.end(), name) != names.end();
-    if (!known)
-      out.push_back({engine.rel, sites[0].line, "engine-registry",
-                     "builtin_engines() registers \"" + name +
-                         "\" which is missing from core::kBit1IoEngines — "
-                         "Bit1IoConfig::validate() would reject it"});
-  }
-  return out;
-}
-
-std::vector<Diagnostic> check_engine_registry(const std::string& root) {
-  return check_engine_registry(SemanticIndex::build(root));
-}
-
-// --- topology-registry -----------------------------------------------------
-
-std::vector<Diagnostic> check_topology_registry(const SemanticIndex& index) {
-  std::vector<Diagnostic> out;
-  const SourceFile header = load(index, "src/core/io_config.hpp");
-  const SourceFile writer = load(index, "src/bp/writer.cpp");
-  const SourceFile darshan = load(index, "src/darshan/darshan.cpp");
-  const SourceFile topo = load(index, "src/topo/topology.cpp");
-  require_loaded(header, "topology-registry", out);
-  require_loaded(writer, "topology-registry", out);
-  require_loaded(darshan, "topology-registry", out);
-  require_loaded(topo, "topology-registry", out);
-  if (!out.empty()) return out;
-
-  const std::string& header_code = header.text;
-  const std::string& writer_code = writer.text;
-  const std::string& darshan_code = darshan.text;
-  const std::string& topo_code = topo.text;
-
-  static const std::regex quoted(R"re("([^"\\]+)")re");
-  std::size_t modes_line = 0, topos_line = 0;
-  const std::vector<std::string> modes = captures(
-      body_after(header_code, "kBit1IoAggregationModes[]", &modes_line),
-      quoted);
-  const std::vector<std::string> topologies = captures(
-      body_after(header_code, "kBit1IoTopologies[]", &topos_line), quoted);
-  if (modes.empty())
-    out.push_back({header.rel, 1, "topology-registry",
-                   "kBit1IoAggregationModes list not found or empty"});
-  if (topologies.empty())
-    out.push_back({header.rel, 1, "topology-registry",
-                   "kBit1IoTopologies list not found or empty"});
-  if (!out.empty()) return out;
-
-  std::size_t tag_line = 0, preset_line = 0;
-  const std::string tag_body =
-      body_after(darshan_code, "aggregation_tag", &tag_line);
-  if (tag_body.empty()) {
-    out.push_back({darshan.rel, 1, "topology-registry",
-                   "darshan::aggregation_tag() definition not found"});
-    return out;
-  }
-  const std::string preset_body =
-      body_after(topo_code, "Cluster::preset", &preset_line);
-  if (preset_body.empty()) {
-    out.push_back({topo.rel, 1, "topology-registry",
-                   "topo::Cluster::preset() definition not found"});
-    return out;
-  }
-
-  // Every declared aggregation mode must be dispatched by the writer's
-  // gather path and tagged for Darshan-side reports.
-  for (const auto& mode : modes) {
-    const std::string literal = '"' + mode + '"';
-    if (writer_code.find(literal) == std::string::npos)
-      out.push_back({writer.rel, 1, "topology-registry",
-                     "aggregation mode \"" + mode +
-                         "\" from kBit1IoAggregationModes is never "
-                         "dispatched in src/bp/writer.cpp — the gather "
-                         "path would reject or ignore it"});
-    if (tag_body.find(literal) == std::string::npos)
-      out.push_back({darshan.rel, tag_line, "topology-registry",
-                     "aggregation mode \"" + mode +
-                         "\" from kBit1IoAggregationModes has no tag in "
-                         "darshan::aggregation_tag() — bench JSON would "
-                         "fall back to the uppercased raw name"});
-  }
-
-  // Every declared topology must have a literal preset branch, and every
-  // preset branch must be declared (or the config layer would reject a
-  // working preset).
-  static const std::regex branch(R"re(name\s*==\s*"([^"]+)")re");
-  const std::vector<std::string> branches = captures(preset_body, branch);
-  for (const auto& name : topologies)
-    if (std::find(branches.begin(), branches.end(), name) == branches.end())
-      out.push_back({topo.rel, preset_line, "topology-registry",
-                     "topology \"" + name +
-                         "\" from kBit1IoTopologies has no branch in "
-                         "topo::Cluster::preset() — selecting it would "
-                         "throw at engine construction"});
-  for (const auto& name : branches)
-    if (std::find(topologies.begin(), topologies.end(), name) ==
-        topologies.end())
-      out.push_back({topo.rel, preset_line, "topology-registry",
-                     "topo::Cluster::preset() handles \"" + name +
-                         "\" which is missing from core::kBit1IoTopologies "
-                         "— Bit1IoConfig::validate() would reject it"});
-
-  // Factory-seam audit: outside src/bp nothing references bp::Writer —
-  // engines are constructed through bp::make_engine so the registry and
-  // the deprecation shim stay the only doors.
-  static const std::regex direct(R"re(\bbp::Writer\b)re");
-  for (const auto& f : index.files()) {
-    if (f.rel.rfind("src/", 0) != 0 || f.rel.rfind("src/bp/", 0) == 0)
-      continue;
-    for (auto it = std::sregex_iterator(f.nostr.begin(), f.nostr.end(),
-                                        direct);
-         it != std::sregex_iterator(); ++it)
-      out.push_back({f.rel, line_of(f.nostr, std::size_t(it->position())),
-                     "topology-registry",
-                     "direct bp::Writer reference outside src/bp — construct "
-                     "engines through bp::make_engine so the factory "
-                     "registry covers every call site"});
-  }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.file != b.file ? a.file < b.file : a.line < b.line;
-  });
-  return out;
-}
-
-std::vector<Diagnostic> check_topology_registry(const std::string& root) {
-  return check_topology_registry(SemanticIndex::build(root));
-}
-
 // --- driver ----------------------------------------------------------------
 
 std::vector<Diagnostic> run_all(const SemanticIndex& index) {
@@ -748,11 +169,6 @@ std::vector<Diagnostic> run_all(const SemanticIndex& index) {
   using IndexRule = std::vector<Diagnostic> (*)(const SemanticIndex&);
   for (const IndexRule rule :
        {static_cast<IndexRule>(check_raw_io),
-        static_cast<IndexRule>(check_config_registry),
-        static_cast<IndexRule>(check_darshan_counters),
-        static_cast<IndexRule>(check_traceop_kinds),
-        static_cast<IndexRule>(check_engine_registry),
-        static_cast<IndexRule>(check_topology_registry),
         static_cast<IndexRule>(check_lock_order),
         static_cast<IndexRule>(check_wire_format),
         static_cast<IndexRule>(check_unchecked_status),

@@ -3,22 +3,25 @@
 // (tools/lint_invariants).
 //
 // The codebase keeps cross-file invariants that the compiler cannot check:
-// all file I/O goes through the fsim layer, the Bit1IoConfig TOML surface
-// is driven off one key registry, the Darshan counter set is declared in
-// one table, every TraceOp kind is explicitly classified and captured,
-// mutexes are acquired in one global order, serialized wire formats only
-// change together with their version constants, status-returning fsim/bp
-// APIs are never silently dropped, pooled buffers are always recycled,
-// and batched queue-pair submissions are always reaped.
+// all file I/O goes through the fsim layer, mutexes are acquired in one
+// global order, serialized wire formats only change together with their
+// version constants, status-returning fsim/bp APIs are never silently
+// dropped, pooled buffers are always recycled, batched queue-pair
+// submissions are always reaped, and nothing outside src/bp reaches into
+// the bp writer internals.  Invariants the compiler *can* check are left
+// to it: the name lists (config keys, Darshan counters, engines,
+// topologies, aggregation modes) each have one owner table that every
+// consumer loops over, and the OpKind switches are exhaustive under
+// -Werror=switch.
 //
-// Every rule runs over one shared SemanticIndex (see index.hpp): the
-// legacy PR-4 rules keep their regex logic on the index's pre-stripped
-// text, while the cross-file rules (lock-order, wire-format,
-// unchecked-status, pool-pairing, include-graph) use its token streams
-// and symbol tables.  Violations are file:line diagnostics; the
-// `lint`-labeled ctest runs the whole suite over the real tree, and
-// tests/lint_test.cpp + tests/analyzer_test.cpp run each rule against
-// fixture trees with seeded violations.
+// Every rule runs over one shared SemanticIndex (see index.hpp): raw-io
+// uses a regex over the index's pre-stripped text, while the cross-file
+// rules (lock-order, wire-format, unchecked-status, pool-pairing,
+// submit-reap, include-graph) use its token streams and symbol tables.
+// Violations are file:line diagnostics; the `lint`-labeled ctest runs the
+// whole suite over the real tree, and tests/lint_test.cpp +
+// tests/analyzer_test.cpp run each rule against fixture trees with
+// seeded violations.
 //
 // The analyses are deliberately heuristic, not AST-based: the tree has no
 // guaranteed clang on the build host, and every invariant here survives
@@ -36,7 +39,7 @@ class SemanticIndex;  // index.hpp
 struct Diagnostic {
   std::string file;     // path relative to the scanned root
   std::size_t line = 0; // 1-based
-  std::string rule;     // rule id: "raw-io", "config-registry", ...
+  std::string rule;     // rule id: "raw-io", "lock-order", ...
   std::string message;
 };
 
@@ -57,13 +60,6 @@ std::string strip_string_literals(const std::string& text);
 /// 1-based line number of byte offset `pos` in `text`.
 std::size_t line_of(const std::string& text, std::size_t pos);
 
-/// Extract the brace-delimited body following the first occurrence of
-/// `anchor` at or after `from`.  Returns the body (without the outer
-/// braces) and sets `*line` to the 1-based line of the anchor.  Returns an
-/// empty string when the anchor or a matched brace pair is not found.
-std::string body_after(const std::string& text, const std::string& anchor,
-                       std::size_t* line = nullptr, std::size_t from = 0);
-
 // --- rules -----------------------------------------------------------------
 //
 // Every rule has two overloads: the SemanticIndex one does the work; the
@@ -80,44 +76,6 @@ std::string body_after(const std::string& text, const std::string& anchor,
 std::vector<Diagnostic> check_raw_io(const std::string& root);
 std::vector<Diagnostic> check_raw_io(const SemanticIndex& index);
 
-/// config-registry: every row of core::kBit1IoConfigKeys is parsed by
-/// Bit1IoConfig::from_toml, rendered by to_toml, declared as a struct
-/// field, and (when flagged validated) constrained in validate(); and every
-/// key from_toml reads appears in the registry.
-std::vector<Diagnostic> check_config_registry(const std::string& root);
-std::vector<Diagnostic> check_config_registry(const SemanticIndex& index);
-
-/// darshan-counters: every name in darshan::kFileRecordCounters is a
-/// FileRecord member referenced by both serialize() and parse(), and every
-/// numeric FileRecord member is listed in the table.
-std::vector<Diagnostic> check_darshan_counters(const std::string& root);
-std::vector<Diagnostic> check_darshan_counters(const SemanticIndex& index);
-
-/// traceop-kinds: every OpKind enumerator has a `case OpKind::<kind>` in
-/// op_name(), in service_class() (the replay dispatch), and in the Darshan
-/// capture switch.
-std::vector<Diagnostic> check_traceop_kinds(const std::string& root);
-std::vector<Diagnostic> check_traceop_kinds(const SemanticIndex& index);
-
-/// engine-registry: every engine name in core::kBit1IoEngines is registered
-/// by bp's builtin_engines() factory block (src/bp/engine.cpp), spelled out
-/// by Bit1IoConfig::label(), and tagged by darshan::engine_tag(); and every
-/// name builtin_engines() registers is in kBit1IoEngines.  Adding an engine
-/// string to one site but not the others fails lint with a file:line
-/// diagnostic at the site that is missing it.
-std::vector<Diagnostic> check_engine_registry(const std::string& root);
-std::vector<Diagnostic> check_engine_registry(const SemanticIndex& index);
-
-/// topology-registry: every aggregation mode in core::kBit1IoAggregationModes
-/// is dispatched by the bp writer gather path (src/bp/writer.cpp) and tagged
-/// by darshan::aggregation_tag(); every topology name in kBit1IoTopologies
-/// has a literal preset branch in topo::Cluster::preset() — and, reverse,
-/// every name preset() compares is declared in the registry.  Also the
-/// factory-seam audit: no `bp::Writer` reference outside src/bp — call
-/// sites must construct engines through bp::make_engine.
-std::vector<Diagnostic> check_topology_registry(const std::string& root);
-std::vector<Diagnostic> check_topology_registry(const SemanticIndex& index);
-
 // --- cross-file analyses (the bitio-analyzer additions) --------------------
 
 /// lock-order: build the mutex acquisition-order graph from MutexLock /
@@ -133,21 +91,23 @@ std::vector<Diagnostic> check_lock_order(const SemanticIndex& index);
 /// dashed), for embedding in DESIGN.md.
 std::string lock_order_dot(const SemanticIndex& index);
 
-/// One serialized wire surface the fingerprint rule guards: the function
-/// that writes the format, and the version constant that must move with
-/// it.
+/// One serialized wire surface the fingerprint rule guards: the functions
+/// that define the format, and the version constant that must move with
+/// them.
 struct FormatSurface {
   std::string id;             // golden-file key, e.g. "minibp-step"
-  std::string file;           // rel path holding the serializer
-  std::string anchor;         // serializer name, e.g. "encode_step" or
-                              // "EpochManifest::to_json"
+  std::string file;           // rel path holding the anchors
+  // The serializer, e.g. "encode_step" or "EpochManifest::to_json", after
+  // any functions defining field tables it loops over: the fingerprint
+  // covers every anchor, so adding a table row moves it too.
+  std::vector<std::string> anchors;
   std::string version_file;   // rel path declaring the version constant
   std::string version_const;  // e.g. "kMdMagic"
 };
 
 /// The six production surfaces: miniBP step metadata, index entry and
-/// footer, CZP1 frame header, Darshan DRSNLOG record table, checkpoint
-/// MANIFEST.
+/// footer, CZP1 frame header, the Darshan DRSNLOG counter tables and
+/// serializer, checkpoint MANIFEST.
 const std::vector<FormatSurface>& default_format_surfaces();
 
 /// Path of the committed golden, relative to the index root.

@@ -37,11 +37,6 @@ struct Rule {
 
 constexpr Rule kRules[] = {
     {"raw-io", bitio::lint::check_raw_io},
-    {"config-registry", bitio::lint::check_config_registry},
-    {"darshan-counters", bitio::lint::check_darshan_counters},
-    {"traceop-kinds", bitio::lint::check_traceop_kinds},
-    {"engine-registry", bitio::lint::check_engine_registry},
-    {"topology-registry", bitio::lint::check_topology_registry},
     {"lock-order", bitio::lint::check_lock_order},
     {"wire-format", bitio::lint::check_wire_format},
     {"unchecked-status", bitio::lint::check_unchecked_status},

@@ -1,8 +1,9 @@
 // wire-format — fingerprints of every serialized surface.
 //
-// Each FormatSurface names the function that writes a wire format and the
-// version constant that must move with it.  The fingerprint is an FNV-1a
-// hash over the serializer's normalized output-writing statements (token
+// Each FormatSurface names the functions that define a wire format (the
+// serializer and any field tables it loops over) and the version constant
+// that must move with them.  The fingerprint is an FNV-1a hash over their
+// normalized output-writing statements (token
 // text joined by single spaces — whitespace and comments cannot shift
 // it), checked against the committed golden
 // tools/lint_invariants/format_fingerprints.txt.  The gate this buys:
@@ -126,13 +127,28 @@ bool compute_entry(const SemanticIndex& index, const FormatSurface& s,
                    "surface '" + s.id + "': file is missing from the tree"});
     return false;
   }
-  const FunctionSym* fn = find_anchor(*file, s.anchor);
-  if (!fn) {
-    out.push_back({s.file, 1, kRule,
-                   "surface '" + s.id + "': serializer '" + s.anchor +
-                       "' not found — update the surface table in "
-                       "tools/lint_invariants if it moved"});
-    return false;
+  std::string text;
+  for (const std::string& anchor : s.anchors) {
+    const FunctionSym* fn = find_anchor(*file, anchor);
+    if (!fn) {
+      out.push_back({s.file, 1, kRule,
+                     "surface '" + s.id + "': anchor '" + anchor +
+                         "' not found — update the surface table in "
+                         "tools/lint_invariants if it moved"});
+      return false;
+    }
+    const std::string fn_text = surface_text(*file, *fn);
+    if (fn_text.empty()) {
+      // An empty extraction would make the fingerprint vacuous — refuse so
+      // a refactor onto an unrecognized emit helper cannot hollow the gate.
+      out.push_back({s.file, fn->line, kRule,
+                     "surface '" + s.id + "': no output-writing statements "
+                         "recognized in '" + anchor +
+                         "' — teach writes_output() the new emit vocabulary"});
+      return false;
+    }
+    text += fn_text;
+    anchor_line = fn->line;
   }
   const FileInfo* vfile = index.file(s.version_file);
   if (!vfile) {
@@ -147,18 +163,7 @@ bool compute_entry(const SemanticIndex& index, const FormatSurface& s,
                        s.version_const + "' not found"});
     return false;
   }
-  const std::string text = surface_text(*file, *fn);
-  if (text.empty()) {
-    // An empty extraction would make the fingerprint vacuous — refuse so
-    // a refactor onto an unrecognized emit helper cannot hollow the gate.
-    out.push_back({s.file, fn->line, kRule,
-                   "surface '" + s.id + "': no output-writing statements "
-                       "recognized in '" + s.anchor +
-                       "' — teach writes_output() the new emit vocabulary"});
-    return false;
-  }
   entry.fp = hex16(fnv1a64(text));
-  anchor_line = fn->line;
   return true;
 }
 
@@ -212,19 +217,21 @@ const char kFingerprintGoldenRel[] =
 
 const std::vector<FormatSurface>& default_format_surfaces() {
   static const std::vector<FormatSurface> surfaces = {
-      {"minibp-step", "src/bp/format.cpp", "encode_step", "src/bp/format.hpp",
-       "kMdMagic"},
-      {"minibp-index", "src/bp/format.cpp", "put_index_entry",
+      {"minibp-step", "src/bp/format.cpp", {"encode_step"},
+       "src/bp/format.hpp", "kMdMagic"},
+      {"minibp-index", "src/bp/format.cpp", {"put_index_entry"},
        "src/bp/format.hpp", "kIdxMagic"},
-      {"minibp-footer", "src/bp/format.cpp", "encode_footer",
+      {"minibp-footer", "src/bp/format.cpp", {"encode_footer"},
        "src/bp/format.hpp", "kFtrMagic"},
       {"czp1-frame", "src/compress/parallel.cpp",
-       "ParallelCodec::compress_append", "src/compress/parallel.cpp",
+       {"ParallelCodec::compress_append"}, "src/compress/parallel.cpp",
        "kFrameVersion"},
-      {"drsnlog", "src/darshan/darshan.cpp", "DarshanLog::serialize",
+      {"drsnlog", "src/darshan/darshan.cpp",
+       {"job_counters", "file_record_counters", "DarshanLog::serialize"},
        "src/darshan/darshan.cpp", "kLogMagic"},
-      {"ckpt-manifest", "src/resil/chain_source.cpp", "EpochManifest::to_json",
-       "src/resil/chain_source.hpp", "kManifestVersion"},
+      {"ckpt-manifest", "src/resil/chain_source.cpp",
+       {"EpochManifest::to_json"}, "src/resil/chain_source.hpp",
+       "kManifestVersion"},
   };
   return surfaces;
 }
@@ -259,7 +266,7 @@ std::vector<Diagnostic> check_wire_format(
     if (!fp_same && ver_same) {
       out.push_back(
           {s.file, line, kRule,
-           "surface '" + s.id + "' (" + s.anchor +
+           "surface '" + s.id + "' (" + s.anchors.back() +
                ") changed its serialized fields but " + s.version_const +
                " still reads " + gold.version.substr(gold.version.find(':') + 1) +
                " — bump the version constant and regenerate the golden "
