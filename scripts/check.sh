@@ -35,7 +35,12 @@
 #                          the per-op path at 64+ ranks and the coalesced
 #                          path to reach >= 2x (the committed report is
 #                          scripts/bench_report.sh -> BENCH_iopath.json)
-#   9. full test suite     default preset, all labels (includes the `perf`
+#   9. perfbench build     perfbench/ configured as its own CMake project
+#                          (as perfbench/run.py builds it) in build-perfbench/;
+#                          builds perfbench and perfbench_tests and runs the
+#                          tests, so a change to the types the benchmark
+#                          compiles against cannot break it unnoticed
+#  10. full test suite     default preset, all labels (includes the `perf`
 #                          smoke test; the full codec sweep is
 #                          scripts/bench_report.sh -> BENCH_codecs.json)
 set -eu
@@ -87,6 +92,13 @@ step "batched I/O path sweep gate (iopath_sweep)"
 cmake --build --preset default -j "$(nproc 2>/dev/null || echo 4)" \
   --target iopath_sweep
 "$repo_root/build/bench/iopath_sweep" >/dev/null
+
+step "perfbench as its own CMake project (perfbench + perfbench_tests)"
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  >/dev/null
+cmake --build build-perfbench -j "$(nproc 2>/dev/null || echo 4)" \
+  --target perfbench perfbench_tests
+ctest --test-dir build-perfbench --output-on-failure
 
 step "full test suite"
 ctest --preset default

@@ -20,11 +20,15 @@
 // purely via Bit1IoConfig::engine, so swapping BP4 for the stream engine
 // touches a TOML line, not code.  Bit1IoConfig::validate() accepts exactly
 // the registered names (engine_registered / registered_engines below).
+//
+// kEngineParameters below owns the adios2 parameter names (NumAggregators,
+// Profile, ...); EngineConfig's adios2 parser and emitter loop over it.
 
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "bp/types.hpp"
@@ -123,6 +127,55 @@ class Engine {
   virtual std::unique_ptr<EngineReader> attach(fsim::ClientId client) = 0;
 };
 
+// --- adios2 parameters ------------------------------------------------------
+
+/// Where an adios2 parameter sits in the openPMD-style config.
+enum class AdiosSection {
+  engine,      // [adios2.engine]
+  parameters,  // [adios2.engine.parameters]
+  op,          // the one entry of [adios2.dataset] operators
+};
+
+/// One adios2 parameter and the EngineConfig member it sets.
+struct EngineParameter {
+  const char* name;
+  std::variant<EngineType EngineConfig::*, int EngineConfig::*,
+               std::size_t EngineConfig::*, bool EngineConfig::*,
+               std::string EngineConfig::*>
+      member;
+  AdiosSection section = AdiosSection::parameters;
+  /// A second spelling from_json accepts (and prefers) for this row.
+  const char* alias = nullptr;
+};
+
+/// Every adios2 parameter, in emission order: EngineConfig::from_json and
+/// EngineConfig::adios2_toml loop over this table.  Booleans are written
+/// "On"/"Off", ADIOS2's spelling.
+inline constexpr EngineParameter kEngineParameters[] = {
+    {"type", &EngineConfig::engine, AdiosSection::engine},
+    // The paper sets OPENPMD_ADIOS2_BP5_NumAgg.
+    {"NumAggregators", &EngineConfig::num_aggregators,
+     AdiosSection::parameters, "NumAgg"},
+    {"RanksPerNode", &EngineConfig::ranks_per_node},
+    {"Profile", &EngineConfig::profiling},
+    {"AsyncWrite", &EngineConfig::async_write},
+    {"BufferChunkSize", &EngineConfig::buffer_chunk_mb},
+    {"IoBatchDepth", &EngineConfig::io_batch_depth},
+    {"CoalesceWrites", &EngineConfig::coalesce_writes},
+    {"DrainTimeoutMs", &EngineConfig::drain_timeout_ms},
+    {"MaxDrainRetries", &EngineConfig::max_drain_retries},
+    {"StreamMaxSteps", &EngineConfig::stream_max_steps},
+    {"StreamPolicy", &EngineConfig::stream_policy},
+    {"Aggregation", &EngineConfig::aggregation},
+    {"Topology", &EngineConfig::topology},
+    {"NumaPerNode", &EngineConfig::numa_per_node},
+    {"NicsPerNode", &EngineConfig::nics_per_node},
+    {"type", &EngineConfig::codec, AdiosSection::op},
+    {"typesize", &EngineConfig::codec_typesize, AdiosSection::op},
+    {"threads", &EngineConfig::compress_threads, AdiosSection::op},
+    {"block_kb", &EngineConfig::compress_block_kb, AdiosSection::op},
+};
+
 // --- factory ---------------------------------------------------------------
 
 using EngineFactory = std::function<std::unique_ptr<Engine>(
@@ -136,6 +189,10 @@ bool engine_registered(const std::string& name);
 
 /// Registered engine names, sorted.
 std::vector<std::string> registered_engines();
+
+/// The EngineType of a built-in engine name; nullopt for engines
+/// registered by tests (their factories read config.engine as they like).
+std::optional<EngineType> engine_type_of(const std::string& name);
 
 /// Construct the engine registered under `name`.  `config.engine` is
 /// overridden to match `name` (the string is the source of truth — call

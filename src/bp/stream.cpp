@@ -296,20 +296,8 @@ StreamEngine::StreamEngine(fsim::SharedFs& fs, std::string path,
       policy_(stream_policy_of(config_.stream_policy)) {
   if (nranks_ <= 0)
     throw UsageError("bp::StreamEngine: nranks must be positive");
-  if (config_.stream_max_steps < 1)
-    throw UsageError("bp::StreamEngine: stream_max_steps must be >= 1");
-  if (config_.compress_threads < 1)
-    throw UsageError("bp::StreamEngine: compress_threads must be >= 1");
-  if (config_.compress_block_kb < 1)
-    throw UsageError("bp::StreamEngine: compress_block_kb must be >= 1");
-  if (config_.codec != "none" && !config_.codec.empty()) {
-    codec_ = cz::make_codec(config_.codec, config_.codec_typesize);
-    if (config_.compress_threads > 1) {
-      codec_ = std::make_unique<cz::ParallelCodec>(
-          std::move(codec_), config_.compress_threads,
-          config_.compress_block_kb * 1024, nullptr, &buffer_pool_);
-    }
-  }
+  config_.validate();
+  codec_ = make_operator(config_, buffer_pool_);
   channel_ = std::make_shared<StreamChannel>(config_.stream_max_steps,
                                              policy_);
 }

@@ -21,8 +21,8 @@ using Dims = std::vector<std::uint64_t>;
 /// Gather strategies of the writer's aggregation path
 /// (EngineConfig::aggregation): "flat" ships every rank's bytes straight to
 /// its aggregator, "two_level" folds them through the node leader over
-/// shared memory first.  The writer and core::Bit1IoConfig::validate()
-/// both accept exactly this list.
+/// shared memory first.  EngineConfig::validate() accepts exactly this
+/// list.
 inline constexpr const char* kAggregationModes[] = {"flat", "two_level"};
 
 enum class Datatype : std::uint8_t {

@@ -79,109 +79,21 @@ void minmax(std::span<const std::uint8_t> data, double& lo, double& hi) {
 }  // namespace
 
 StreamPolicy stream_policy_of(const std::string& name) {
-  if (name == "block") return StreamPolicy::block;
-  if (name == "drop_oldest" || name == "drop-oldest")
-    return StreamPolicy::drop_oldest;
-  if (name == "disconnect") return StreamPolicy::disconnect;
-  throw UsageError(
-      "bp: unknown stream_policy '" + name +
-      "' (expected \"block\", \"drop_oldest\", or \"disconnect\")");
+  for (std::size_t i = 0; i < std::size(kStreamPolicies); ++i)
+    if (name == kStreamPolicies[i]) return StreamPolicy(i);
+  throw UsageError("bp: unknown stream_policy '" + name +
+                   "' (expected one of " + quoted_list(kStreamPolicies) +
+                   ")");
 }
 
-const char* stream_policy_name(StreamPolicy policy) {
-  switch (policy) {
-    case StreamPolicy::block: return "block";
-    case StreamPolicy::drop_oldest: return "drop_oldest";
-    case StreamPolicy::disconnect: return "disconnect";
-  }
-  return "?";
-}
-
-EngineConfig EngineConfig::from_json(const Json& adios2) {
-  EngineConfig config;
-  if (adios2.contains("engine")) {
-    const Json& engine = adios2.at("engine");
-    const std::string type =
-        engine.get_or("type", Json("bp4")).as_string();
-    if (type == "bp4") config.engine = EngineType::bp4;
-    else if (type == "bp5") config.engine = EngineType::bp5;
-    else if (type == "stream") config.engine = EngineType::stream;
-    else throw UsageError("adios2 config: unknown engine '" + type + "'");
-    if (engine.contains("parameters")) {
-      const Json& params = engine.at("parameters");
-      // The paper uses OPENPMD_ADIOS2_BP5_NumAgg; accept both spellings.
-      for (const char* key : {"NumAggregators", "NumAgg"}) {
-        if (params.contains(key))
-          config.num_aggregators = int(params.at(key).as_int());
-      }
-      if (params.contains("Profile")) {
-        const Json& profile = params.at("Profile");
-        config.profiling = profile.is_string()
-                               ? profile.as_string() == "On"
-                               : profile.as_bool();
-      }
-      if (params.contains("AsyncWrite")) {
-        const Json& async = params.at("AsyncWrite");
-        config.async_write = async.is_string() ? async.as_string() == "On"
-                                               : async.as_bool();
-      }
-      if (params.contains("BufferChunkSize"))
-        config.buffer_chunk_mb =
-            std::size_t(params.at("BufferChunkSize").as_uint());
-      // Batched queue-pair submission knobs (core::Bit1IoConfig emits them
-      // only when set, so legacy configs parse unchanged).
-      if (params.contains("IoBatchDepth"))
-        config.io_batch_depth = int(params.at("IoBatchDepth").as_int());
-      if (params.contains("CoalesceWrites")) {
-        const Json& coalesce = params.at("CoalesceWrites");
-        config.coalesce_writes = coalesce.is_string()
-                                     ? coalesce.as_string() == "On"
-                                     : coalesce.as_bool();
-      }
-      if (params.contains("DrainTimeoutMs"))
-        config.drain_timeout_ms = int(params.at("DrainTimeoutMs").as_int());
-      if (params.contains("MaxDrainRetries"))
-        config.max_drain_retries =
-            int(params.at("MaxDrainRetries").as_int());
-      // Stream-engine window knobs (ignored by the file engines).
-      if (params.contains("StreamMaxSteps"))
-        config.stream_max_steps = int(params.at("StreamMaxSteps").as_int());
-      if (params.contains("StreamPolicy"))
-        config.stream_policy = params.at("StreamPolicy").as_string();
-      // Topology-modeled gather path (core::Bit1IoConfig::adios2_toml emits
-      // these only when something differs from flat-on-flat, so legacy
-      // configs parse unchanged).
-      if (params.contains("Aggregation"))
-        config.aggregation = params.at("Aggregation").as_string();
-      if (params.contains("Topology"))
-        config.topology = params.at("Topology").as_string();
-      if (params.contains("NumaPerNode"))
-        config.numa_per_node = int(params.at("NumaPerNode").as_int());
-      if (params.contains("NicsPerNode"))
-        config.nics_per_node = int(params.at("NicsPerNode").as_int());
-    }
-  }
-  if (adios2.contains("dataset")) {
-    const Json& dataset = adios2.at("dataset");
-    if (dataset.contains("operators")) {
-      const auto& ops = dataset.at("operators").as_array();
-      if (ops.size() > 1)
-        throw UsageError("adios2 config: at most one operator is supported");
-      if (!ops.empty()) {
-        config.codec = ops[0].at("type").as_string();
-        if (ops[0].contains("typesize"))
-          config.codec_typesize =
-              std::size_t(ops[0].at("typesize").as_uint());
-        // Block-parallel pipeline knobs ride on the operator entry.
-        if (ops[0].contains("threads"))
-          config.compress_threads = int(ops[0].at("threads").as_int());
-        if (ops[0].contains("block_kb"))
-          config.compress_block_kb =
-              std::size_t(ops[0].at("block_kb").as_uint());
-      }
-    }
-  }
-  return config;
+std::unique_ptr<cz::Codec> make_operator(const EngineConfig& config,
+                                         cz::BufferPool& pool) {
+  if (config.codec == "none") return nullptr;
+  auto codec = cz::make_codec(config.codec, config.codec_typesize);
+  if (config.compress_threads <= 1) return codec;
+  return std::make_unique<cz::ParallelCodec>(
+      std::move(codec), config.compress_threads,
+      config.compress_block_kb * 1024, nullptr, &pool);
 }
 
 topo::Mapper Writer::build_mapper(const EngineConfig& config, int nranks) {
@@ -215,25 +127,7 @@ Writer::Writer(ForEngineFactory, fsim::SharedFs& fs, std::string path,
     throw UsageError(
         "bp::Writer: the stream engine has no file container — construct it "
         "via bp::make_engine(\"stream\", ...)");
-  if (config_.ranks_per_node <= 0)
-    throw UsageError("bp::Writer: ranks_per_node must be positive");
-  if (config_.max_inflight_steps < 1)
-    throw UsageError("bp::Writer: max_inflight_steps must be >= 1");
-  if (config_.drain_timeout_ms < 0)
-    throw UsageError("bp::Writer: drain_timeout_ms must be >= 0");
-  if (config_.max_drain_retries < 0)
-    throw UsageError("bp::Writer: max_drain_retries must be >= 0");
-  if (config_.io_batch_depth < 0)
-    throw UsageError("bp::Writer: io_batch_depth must be >= 0");
-  if (config_.compress_threads < 1)
-    throw UsageError("bp::Writer: compress_threads must be >= 1");
-  if (config_.compress_block_kb < 1)
-    throw UsageError("bp::Writer: compress_block_kb must be >= 1");
-  if (std::find(std::begin(kAggregationModes), std::end(kAggregationModes),
-                config_.aggregation) == std::end(kAggregationModes))
-    throw UsageError("bp::Writer: unknown aggregation '" +
-                     config_.aggregation + "' (expected one of " +
-                     quoted_list(kAggregationModes) + ")");
+  config_.validate();
 
   const int nnodes =
       (nranks_ + config_.ranks_per_node - 1) / config_.ranks_per_node;
@@ -241,18 +135,7 @@ Writer::Writer(ForEngineFactory, fsim::SharedFs& fs, std::string path,
       config_.num_aggregators > 0 ? config_.num_aggregators : nnodes;
   num_aggregators_ = std::min(num_aggregators_, nranks_);
 
-  if (config_.codec != "none" && !config_.codec.empty()) {
-    codec_ = cz::make_codec(config_.codec, config_.codec_typesize);
-    if (config_.compress_threads > 1) {
-      // Block-parallel pipeline: chunks are split into compress_block_kb
-      // blocks compressed concurrently, with per-block scratch drawn from
-      // the writer's pool.  Output frames are CZP1 and byte-identical for
-      // any thread count.
-      codec_ = std::make_unique<cz::ParallelCodec>(
-          std::move(codec_), config_.compress_threads,
-          config_.compress_block_kb * 1024, nullptr, &buffer_pool_);
-    }
-  }
+  codec_ = make_operator(config_, buffer_pool_);
 
   pending_.resize(std::size_t(nranks_));
 

@@ -70,12 +70,15 @@ inline const char* engine_name(EngineType t) {
 }
 
 /// Slow-reader backpressure policy of the stream engine's bounded channel
-/// (see src/bp/stream.hpp).  Parsed from the `stream_policy` config string:
-/// "block" | "drop_oldest" | "disconnect" ("drop-oldest" is accepted too).
+/// (see src/bp/stream.hpp), parsed from the `stream_policy` config string.
 enum class StreamPolicy { block, drop_oldest, disconnect };
 
+/// The `stream_policy` names, indexed by StreamPolicy.  stream_policy_of
+/// and EngineConfig::validate() read this list.
+inline constexpr const char* kStreamPolicies[] = {"block", "drop_oldest",
+                                                  "disconnect"};
+
 StreamPolicy stream_policy_of(const std::string& name);
-const char* stream_policy_name(StreamPolicy policy);
 
 struct EngineConfig {
   EngineType engine = EngineType::bp4;
@@ -85,12 +88,8 @@ struct EngineConfig {
   int ranks_per_node = 128;
   std::string codec = "none";      // operator applied to every chunk
   std::size_t codec_typesize = 4;
-  /// Block-parallel compression (the operator's `threads`/`block_kb`
-  /// parameters): with threads > 1 the codec is wrapped in a
-  /// cz::ParallelCodec that splits each chunk into compress_block_kb-KiB
-  /// blocks compressed concurrently, and the CPU charge uses
-  /// fsim::parallel_cpu_seconds instead of the serial figure.  Frames stay
-  /// byte-identical for any thread count.
+  /// Block-parallel compression in compress_block_kb-KiB blocks (see
+  /// make_operator); the CPU charge uses fsim::parallel_cpu_seconds.
   int compress_threads = 1;
   std::size_t compress_block_kb = 1024;
   bool profiling = false;          // emit profiling.json
@@ -153,11 +152,31 @@ struct EngineConfig {
   int numa_per_node = 0;
   int nics_per_node = 0;
 
+  friend bool operator==(const EngineConfig&,
+                         const EngineConfig&) = default;
+
+  /// Reject out-of-range knobs and unknown names (codec, stream policy,
+  /// aggregation mode, topology) with a UsageError naming the member.
+  /// Every engine constructor and core::Bit1IoConfig::validate() call it.
+  void validate() const;
+
   /// Parse the "adios2" section of an openPMD-style JSON/TOML config, e.g.
   /// {engine:{type:"bp4", parameters:{NumAggregators:400, Profile:"On"}},
-  ///  dataset:{operators:[{type:"blosc"}]}}.
+  ///  dataset:{operators:[{type:"blosc"}]}}, through kEngineParameters
+  /// (bp/engine.hpp).  Absent parameters keep their defaults.
   static EngineConfig from_json(const Json& adios2);
+
+  /// Every kEngineParameters row as [adios2] TOML.  Members without a row
+  /// (mem_bandwidth_bps, synthetic_codec_ratio, max_inflight_steps) are
+  /// set in code.
+  std::string adios2_toml() const;
 };
+
+/// The operator `config` applies to every chunk (nullptr for "none"); with
+/// compress_threads > 1 it is a cz::ParallelCodec whose per-block scratch
+/// comes from `pool` (CZP1 frames, byte-identical for any thread count).
+std::unique_ptr<cz::Codec> make_operator(const EngineConfig& config,
+                                         cz::BufferPool& pool);
 
 /// Drain-watchdog counters (all zero when the watchdog is disabled).
 /// Namespace-scoped so the abstract Engine can report them for any engine;

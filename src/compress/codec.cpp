@@ -10,6 +10,7 @@
 #include "compress/lz.hpp"
 #include "compress/shuffle.hpp"
 #include "util/error.hpp"
+#include "util/table.hpp"
 
 namespace bitio::cz {
 
@@ -302,7 +303,8 @@ std::unique_ptr<Codec> make_codec(const std::string& name,
   if (name == "none" || name.empty()) return make_none_codec();
   if (name == "blosc") return make_blosc_codec(typesize);
   if (name == "bzip2") return make_bzip2_codec();
-  throw UsageError("unknown codec '" + name + "'");
+  throw UsageError("unknown codec '" + name + "' (expected one of " +
+                   quoted_list(kCodecNames) + ")");
 }
 
 }  // namespace bitio::cz

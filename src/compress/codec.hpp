@@ -63,8 +63,12 @@ std::unique_ptr<Codec> make_blosc_codec(std::size_t typesize = 4);
 /// bzip2-like: BWT + MTF + ZRLE + Huffman, 128 KiB blocks.
 std::unique_ptr<Codec> make_bzip2_codec();
 
-/// Look up by name: "none" | "blosc" | "bzip2".  Throws UsageError on an
-/// unknown name.
+/// The codec names make_codec accepts (an empty name also means "none").
+/// bp::EngineConfig::validate() checks the configured codec against it.
+inline constexpr const char* kCodecNames[] = {"none", "blosc", "bzip2"};
+
+/// Look up by name: one of kCodecNames.  Throws UsageError on an unknown
+/// name, listing the known ones.
 std::unique_ptr<Codec> make_codec(const std::string& name,
                                   std::size_t typesize = 4);
 

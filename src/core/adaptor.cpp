@@ -18,18 +18,6 @@ std::string series_file(const std::string& run_dir, const char* stem,
   return run_dir + "/" + stem + "." + engine;
 }
 
-/// Diagnostics engine config: NumAgg aggregators, codec, profiling.
-std::string diag_toml(const Bit1IoConfig& config) { return config.adios2_toml(); }
-
-/// Checkpoint engine config: shared-file (checkpoint_aggregators), same
-/// codec, no profiling (profiling.json is counted once, on the diag series).
-std::string ckpt_toml(const Bit1IoConfig& config) {
-  Bit1IoConfig c = config;
-  c.num_aggregators = config.checkpoint_aggregators;
-  c.profiling = false;
-  return c.adios2_toml();
-}
-
 }  // namespace
 
 Bit1OpenPmdAdaptor::Bit1OpenPmdAdaptor(fsim::SharedFs& fs,
@@ -56,10 +44,14 @@ Bit1OpenPmdAdaptor::Bit1OpenPmdAdaptor(fsim::SharedFs& fs,
 
   diag_series_ = std::make_unique<pmd::Series>(
       fs_, series_file(run_dir_, "dat_file", config_.engine), Access::create,
-      nranks_, diag_toml(config_));
+      nranks_, config_.adios2_toml());
+  // The checkpoint series is shared-file (checkpoint_aggregators) and
+  // unprofiled: profiling.json is counted once, on the diagnostics series.
   ckpt_series_ = std::make_unique<pmd::Series>(
       fs_, series_file(run_dir_, "dmp_file", config_.engine), Access::create,
-      nranks_, ckpt_toml(config_));
+      nranks_,
+      config_.engine_config(config_.checkpoint_aggregators, false)
+          .adios2_toml());
 
   staged_diag_.resize(std::size_t(nranks_));
   staged_ckpt_.resize(std::size_t(nranks_));

@@ -4,21 +4,27 @@
 // (OPENPMD_ADIOS2_BP5_NumAgg), compressor (Blosc / bzip2), Lustre striping
 // (stripe count / stripe size), and the BP5 asynchronous write pipeline
 // (AsyncWrite / BufferChunkSize).  Loadable from TOML ("TOML-based dynamic
-// configuration"), renderable back to TOML losslessly, and renderable to the
-// adios2 config string the openPMD layer consumes.
+// configuration"), renderable back to TOML losslessly, and mapped onto the
+// bp::EngineConfig the BP engines run with.
 //
 // The scalar [io] keys live in one table, kBit1IoConfigKeys: from_toml and
-// to_toml loop over it, and a default-constructed Bit1IoConfig supplies
-// every default.  A new knob is one member plus one row.  The names an
-// engine, aggregation or topology knob accepts belong to their owners
-// (bp::registered_engines(), bp::kAggregationModes, topo::preset_names()),
-// which validate() asks directly.
+// to_toml loop over it, a default-constructed Bit1IoConfig supplies every
+// default, and engine_config() — the only place [io] knobs become engine
+// settings — loops over the rows that name an EngineConfig member.  A new
+// knob is one member plus one row; a member with neither a row nor a
+// place in kHandWrittenMembers does not compile.  Accepted names belong
+// to their owners (bp::registered_engines(), cz::kCodecNames, ...), which
+// the validators ask directly.
 
+#include <cstddef>
 #include <string>
+#include <tuple>
 #include <variant>
 
+#include "bp/engine.hpp"
 #include "fsim/fault_plan.hpp"
 #include "fsim/types.hpp"
+#include "util/member_count.hpp"
 
 namespace bitio::core {
 
@@ -27,35 +33,18 @@ enum class IoMode { original, openpmd };
 struct Bit1IoConfig {
   IoMode mode = IoMode::openpmd;
 
-  // openPMD / ADIOS2 engine settings.
+  // openPMD / ADIOS2 engine settings.  A knob whose kBit1IoConfigKeys row
+  // feeds a bp::EngineConfig member is documented on that member.
   std::string engine = "bp4";         // a bp::registered_engines() name
   int num_aggregators = 0;            // diagnostics series; 0 = per node
   int checkpoint_aggregators = 1;     // checkpoint series (shared-file)
-  std::string codec = "none";         // "none" | "blosc" | "bzip2"
-  // Block-parallel compression pipeline: with compress_threads > 1 each
-  // chunk is split into compress_block_kb-KiB blocks compressed
-  // concurrently (cz::ParallelCodec); frames stay byte-identical for any
-  // thread count, and the storage model charges parallel wall time
-  // (fsim::parallel_cpu_seconds) instead of the serial figure.
-  int compress_threads = 1;
+  std::string codec = "none";         // one of cz::kCodecNames
+  int compress_threads = 1;           // block-parallel compression
   int compress_block_kb = 1024;
   bool profiling = false;             // emit profiling.json
-
-  // Asynchronous aggregation drain (BP5 AsyncWrite): end_step snapshots the
-  // staged chunks and a background lane drains them to the subfiles while
-  // the ranks compute the next step.  `buffer_chunk_mb` mirrors
-  // BufferChunkSize: the MiB granularity the drain appends in.
-  bool async_write = false;
-  int buffer_chunk_mb = 16;
-
-  // Batched queue-pair submission (fsim::SubmissionQueue): with
-  // io_batch_depth > 0 the BP drain path issues its subfile and metadata
-  // appends as sqe batches behind one doorbell per lane instead of per-op
-  // pwrites, and coalesce_writes additionally merges adjacent contiguous
-  // sqes into vectored records.  Container bytes are identical either way —
-  // only the trace shape (and hence the timing replay) changes.
-  // coalesce_writes is inert when io_batch_depth == 0.
-  int io_batch_depth = 0;
+  bool async_write = false;           // BP5 AsyncWrite
+  int buffer_chunk_mb = 16;           // BP5 BufferChunkSize
+  int io_batch_depth = 0;             // queue-pair submission; 0 = per-op
   bool coalesce_writes = false;
 
   // Lustre striping applied to the output directory (lfs setstripe).
@@ -77,11 +66,8 @@ struct Bit1IoConfig {
   fsim::FaultPlan fault_plan;    // empty = no injection
 
   // Online-recovery knobs (see README "Online recovery"):
-  //   drain_timeout_ms    bp drain-lane watchdog: a step job whose lane
-  //                       stops heartbeating for this long is cancelled and
-  //                       retried; 0 disables the watchdog
-  //   max_drain_retries   bounded retries before the watchdog abandons a
-  //                       wedged step with TimeoutError
+  //   drain_timeout_ms    bp drain-lane watchdog; 0 disables it
+  //   max_drain_retries   watchdog retries before abandoning a step
   //   degrade_threshold   consecutive flush failures before the degradation
   //                       ladder steps the sink down (async -> sync -> serial)
   //   degrade_cooldown    consecutive clean flushes before stepping back up
@@ -94,37 +80,34 @@ struct Bit1IoConfig {
   int degrade_cooldown = 8;
   std::string recovery = "abort";
 
-  // Topology-aware aggregation (src/topo): `topology` names a
-  // topo::Cluster preset ("flat" keeps the historical flat-pool model;
-  // "dardel" is node-hierarchical), `aggregation` selects the gather
-  // strategy the BP engine models on it ("flat" = every rank ships
-  // straight to its aggregator; "two_level" = rank -> node-leader over
-  // shared memory, node-leader -> aggregator over the NICs).  With
-  // topology = "flat" no gather is ever modeled, so the trace — and hence
-  // the container bytes and every calibrated replay number — is identical
-  // to the pre-topology behavior regardless of `aggregation`.
-  // numa_per_node / nics_per_node override the preset's hierarchy when
-  // > 0; 0 keeps the preset values.
+  // Topology-aware aggregation (src/topo): the gather strategy and the
+  // topo::Cluster preset it is modelled on; numa_per_node / nics_per_node
+  // override the preset's hierarchy when > 0.
   std::string aggregation = "flat";   // one of bp::kAggregationModes
   std::string topology = "flat";      // one of topo::preset_names()
   int numa_per_node = 0;
   int nics_per_node = 0;
 
-  // Stream engine (engine = "stream") only: bound on buffered published
-  // steps in the in-memory channel, and the slow-reader policy applied when
-  // a publish finds the window full ("block" | "drop_oldest" |
-  // "disconnect").  Ignored by the file engines.
+  // Stream engine (engine = "stream") only: the channel window and the
+  // slow-reader policy.
   int stream_max_steps = 4;
-  std::string stream_policy = "block";
+  std::string stream_policy = "block";  // one of bp::kStreamPolicies
 
   friend bool operator==(const Bit1IoConfig&, const Bit1IoConfig&) = default;
 
-  /// Reject inconsistent configurations: unknown engine or codec, negative
-  /// aggregator counts, non-positive buffer chunk / ranks-per-node, or a
-  /// stripe size that is zero or not a power of two.  Throws UsageError.
+  /// Reject an unregistered engine, anything engine_config().validate()
+  /// rejects, out-of-range checkpoint/degrade/recovery settings, file-only
+  /// knobs on the stream engine, or a stripe size that is zero or not a
+  /// power of two.  Throws UsageError.
   /// Called by from_toml after parsing; call it directly after building a
   /// config in code.
   void validate() const;
+
+  /// The engine settings of one series: the engine type, every knob whose
+  /// row feeds an EngineConfig member, and the series' aggregator count and
+  /// profiling switch (diagnostics: num_aggregators / profiling;
+  /// checkpoints: checkpoint_aggregators / false).
+  bp::EngineConfig engine_config(int aggregators, bool profiling) const;
 
   /// Parse from TOML (validated), e.g.
   ///   [io]
@@ -146,52 +129,85 @@ struct Bit1IoConfig {
   /// from_toml(to_toml()) reproduces the config exactly.
   std::string to_toml() const;
 
-  /// Render the [adios2] config TOML the miniPMD Series consumes.
+  /// The [adios2] config TOML of the diagnostics series:
+  /// engine_config(num_aggregators, profiling).adios2_toml().
   std::string adios2_toml() const;
 
   /// Human-readable label for tables ("openPMD + BP4 + Blosc + 1 AGGR").
   std::string label() const;
 };
 
-/// One scalar TOML knob under [io]: its key and the Bit1IoConfig member it
-/// populates.  Hand-written instead: `mode` (an enum), [io.striping] and
-/// [io.fault_plan] (sub-tables).
+/// One scalar TOML knob under [io]: its key, the Bit1IoConfig member it
+/// populates, and the bp::EngineConfig member that member feeds, if any
+/// (of the same type, or std::size_t for an int knob).  Hand-written
+/// instead: `mode` (an enum), [io.striping] and [io.fault_plan]
+/// (sub-tables).
 struct IoConfigKey {
   const char* key;
   std::variant<int Bit1IoConfig::*, bool Bit1IoConfig::*,
                std::string Bit1IoConfig::*>
       member;
+  std::variant<std::monostate, int bp::EngineConfig::*,
+               std::size_t bp::EngineConfig::*, bool bp::EngineConfig::*,
+               std::string bp::EngineConfig::*>
+      feeds = {};
 };
 
 /// Every scalar [io] knob, in to_toml order.  from_toml rejects any [io]
-/// key that is neither listed here nor hand-written.
+/// key that is neither listed here nor hand-written.  `engine`,
+/// `aggregators` and `profiling` reach the engine through engine_config().
 inline constexpr IoConfigKey kBit1IoConfigKeys[] = {
     {"engine", &Bit1IoConfig::engine},
     {"aggregators", &Bit1IoConfig::num_aggregators},
     {"checkpoint_aggregators", &Bit1IoConfig::checkpoint_aggregators},
-    {"codec", &Bit1IoConfig::codec},
-    {"compress_threads", &Bit1IoConfig::compress_threads},
-    {"compress_block_kb", &Bit1IoConfig::compress_block_kb},
+    {"codec", &Bit1IoConfig::codec, &bp::EngineConfig::codec},
+    {"compress_threads", &Bit1IoConfig::compress_threads,
+     &bp::EngineConfig::compress_threads},
+    {"compress_block_kb", &Bit1IoConfig::compress_block_kb,
+     &bp::EngineConfig::compress_block_kb},
     {"profiling", &Bit1IoConfig::profiling},
-    {"async_write", &Bit1IoConfig::async_write},
-    {"buffer_chunk_mb", &Bit1IoConfig::buffer_chunk_mb},
-    {"io_batch_depth", &Bit1IoConfig::io_batch_depth},
-    {"coalesce_writes", &Bit1IoConfig::coalesce_writes},
-    {"ranks_per_node", &Bit1IoConfig::ranks_per_node},
+    {"async_write", &Bit1IoConfig::async_write,
+     &bp::EngineConfig::async_write},
+    {"buffer_chunk_mb", &Bit1IoConfig::buffer_chunk_mb,
+     &bp::EngineConfig::buffer_chunk_mb},
+    {"io_batch_depth", &Bit1IoConfig::io_batch_depth,
+     &bp::EngineConfig::io_batch_depth},
+    {"coalesce_writes", &Bit1IoConfig::coalesce_writes,
+     &bp::EngineConfig::coalesce_writes},
+    {"ranks_per_node", &Bit1IoConfig::ranks_per_node,
+     &bp::EngineConfig::ranks_per_node},
     {"checkpoint_interval", &Bit1IoConfig::checkpoint_interval},
     {"checkpoint_retain", &Bit1IoConfig::checkpoint_retain},
     {"checkpoint_full_interval", &Bit1IoConfig::checkpoint_full_interval},
-    {"drain_timeout_ms", &Bit1IoConfig::drain_timeout_ms},
-    {"max_drain_retries", &Bit1IoConfig::max_drain_retries},
+    {"drain_timeout_ms", &Bit1IoConfig::drain_timeout_ms,
+     &bp::EngineConfig::drain_timeout_ms},
+    {"max_drain_retries", &Bit1IoConfig::max_drain_retries,
+     &bp::EngineConfig::max_drain_retries},
     {"degrade_threshold", &Bit1IoConfig::degrade_threshold},
     {"degrade_cooldown", &Bit1IoConfig::degrade_cooldown},
     {"recovery", &Bit1IoConfig::recovery},
-    {"stream_max_steps", &Bit1IoConfig::stream_max_steps},
-    {"stream_policy", &Bit1IoConfig::stream_policy},
-    {"aggregation", &Bit1IoConfig::aggregation},
-    {"topology", &Bit1IoConfig::topology},
-    {"numa_per_node", &Bit1IoConfig::numa_per_node},
-    {"nics_per_node", &Bit1IoConfig::nics_per_node},
+    {"stream_max_steps", &Bit1IoConfig::stream_max_steps,
+     &bp::EngineConfig::stream_max_steps},
+    {"stream_policy", &Bit1IoConfig::stream_policy,
+     &bp::EngineConfig::stream_policy},
+    {"aggregation", &Bit1IoConfig::aggregation,
+     &bp::EngineConfig::aggregation},
+    {"topology", &Bit1IoConfig::topology, &bp::EngineConfig::topology},
+    {"numa_per_node", &Bit1IoConfig::numa_per_node,
+     &bp::EngineConfig::numa_per_node},
+    {"nics_per_node", &Bit1IoConfig::nics_per_node,
+     &bp::EngineConfig::nics_per_node},
 };
+
+/// The members from_toml and to_toml handle by hand rather than through a
+/// kBit1IoConfigKeys row.
+inline constexpr std::tuple kHandWrittenMembers{
+    &Bit1IoConfig::mode, &Bit1IoConfig::use_striping, &Bit1IoConfig::striping,
+    &Bit1IoConfig::fault_plan};
+
+static_assert(member_count<Bit1IoConfig>() ==
+                  std::size(kBit1IoConfigKeys) +
+                      std::tuple_size_v<decltype(kHandWrittenMembers)>,
+              "a Bit1IoConfig member has no row and is not hand-written");
 
 }  // namespace bitio::core

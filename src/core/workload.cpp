@@ -192,28 +192,13 @@ EpochResult run_openpmd_epoch(const fsim::SystemProfile& profile,
   const double codec_ratio = config.codec == "blosc"   ? spec.blosc_ratio
                              : config.codec == "bzip2" ? spec.bzip2_ratio
                                                        : 1.0;
+  // Every [io] engine knob comes from the config; the node size, codec
+  // ratio and memcopy bandwidth come from the sweep spec and the machine.
   auto engine_config = [&](int aggregators, bool profiling) {
-    bp::EngineConfig engine;
-    engine.num_aggregators = aggregators;
+    bp::EngineConfig engine = config.engine_config(aggregators, profiling);
     engine.ranks_per_node = spec.ranks_per_node;
-    engine.codec = config.codec;
-    engine.compress_threads = config.compress_threads;
-    engine.compress_block_kb = std::size_t(config.compress_block_kb);
-    engine.profiling = profiling;
     engine.synthetic_codec_ratio = codec_ratio;
     engine.mem_bandwidth_bps = profile.client_mem_bandwidth_bps;
-    engine.async_write = config.async_write;
-    engine.buffer_chunk_mb = std::size_t(config.buffer_chunk_mb);
-    // Batched queue-pair submission: drain-lane appends become sqe batches
-    // behind one doorbell per lane (same container bytes, cheaper replay).
-    engine.io_batch_depth = config.io_batch_depth;
-    engine.coalesce_writes = config.coalesce_writes;
-    // Topology-modeled gather path (src/topo): the engine records the
-    // rank -> aggregator gathers on the configured cluster hierarchy.
-    engine.aggregation = config.aggregation;
-    engine.topology = config.topology;
-    engine.numa_per_node = config.numa_per_node;
-    engine.nics_per_node = config.nics_per_node;
     return engine;
   };
 

@@ -14,16 +14,6 @@ using core::RankCheckpoint;
 
 namespace {
 
-/// Checkpoint engine config: shared-file aggregation, no profiling (the
-/// epochs are many short-lived containers; profiling stays on the
-/// diagnostics series).
-std::string ckpt_toml(const core::Bit1IoConfig& config) {
-  core::Bit1IoConfig c = config;
-  c.num_aggregators = config.checkpoint_aggregators;
-  c.profiling = false;
-  return c.adios2_toml();
-}
-
 /// Parse the epoch number out of ".../epoch_<k>/MANIFEST"; nullopt for
 /// paths that are not committed-epoch manifests.
 std::optional<std::uint64_t> manifest_epoch(const std::string& path) {
@@ -221,8 +211,12 @@ bool CheckpointManager::try_commit_epoch(std::uint64_t epoch,
   std::set<std::pair<std::string, int>> skip;
   for (const BlockRef& ref : refs) skip.insert({ref.var, ref.rank});
   {
-    pmd::Series series(fs_, series_path(epoch), pmd::Access::create, nranks_,
-                       ckpt_toml(config_));
+    // Shared-file aggregation, no profiling: the epochs are many
+    // short-lived containers, so profiling stays on the diagnostics series.
+    pmd::Series series(
+        fs_, series_path(epoch), pmd::Access::create, nranks_,
+        config_.engine_config(config_.checkpoint_aggregators, false)
+            .adios2_toml());
     core::write_checkpoint_iteration(
         series, staged_, species_names_, nranks_,
         [&skip](const std::string& var, int rank) {

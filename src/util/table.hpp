@@ -3,8 +3,11 @@
 // paper's table/figure data as an aligned text table so the reproduced
 // series can be eyeballed against the published one.
 
+#include <cstdint>
 #include <string>
 #include <vector>
+
+#include "util/error.hpp"
 
 namespace bitio {
 
@@ -36,9 +39,31 @@ std::string quoted_list(const Names& names) {
   std::string out;
   for (const auto& name : names) {
     if (!out.empty()) out += ", ";
-    out += "\"" + std::string(name) + "\"";
+    out += '"';
+    out += name;
+    out += '"';
   }
   return out;
+}
+
+/// Range check for config validators: throws UsageError
+/// "<owner>: <name> must be >= <min>, got <value>".
+inline void require_at_least(const char* owner, const char* name,
+                             std::int64_t value, std::int64_t min) {
+  if (value < min)
+    throw UsageError(std::string(owner) + ": " + name + " must be >= " +
+                     std::to_string(min) + ", got " + std::to_string(value));
+}
+
+/// Name check for config validators: throws UsageError "<owner>: unknown
+/// <name> '<value>' (expected one of <names>)" unless `value` is listed.
+template <typename Names>
+void require_one_of(const char* owner, const char* name,
+                    const std::string& value, const Names& names) {
+  for (const auto& known : names)
+    if (value == known) return;
+  throw UsageError(std::string(owner) + ": unknown " + name + " '" + value +
+                   "' (expected one of " + quoted_list(names) + ")");
 }
 
 }  // namespace bitio

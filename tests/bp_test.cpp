@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "bp/engine.hpp"
 #include "bp/reader.hpp"
 #include "bp/writer.hpp"
 #include "fsim/storage_model.hpp"
@@ -98,6 +99,57 @@ operators = [ { type = "blosc", typesize = 4 } ]
   EXPECT_TRUE(engine.profiling);
   EXPECT_EQ(engine.codec, "blosc");
   EXPECT_EQ(engine.codec_typesize, 4u);
+}
+
+TEST(BpConfig, EveryParameterRoundTripsThroughAdios2Toml) {
+  // Every kEngineParameters row off its default at once.
+  EngineConfig config;
+  config.engine = EngineType::bp5;
+  config.num_aggregators = 7;
+  config.ranks_per_node = 64;
+  config.profiling = true;
+  config.async_write = true;
+  config.buffer_chunk_mb = 4;
+  config.io_batch_depth = 32;
+  config.coalesce_writes = true;
+  config.drain_timeout_ms = 150;
+  config.max_drain_retries = 5;
+  config.stream_max_steps = 9;
+  config.stream_policy = "disconnect";
+  config.aggregation = "two_level";
+  config.topology = "dardel";
+  config.numa_per_node = 4;
+  config.nics_per_node = 2;
+  config.codec = "bzip2";
+  config.codec_typesize = 8;
+  config.compress_threads = 4;
+  config.compress_block_kb = 256;
+  config.validate();
+
+  const EngineConfig defaults;
+  for (const EngineParameter& row : kEngineParameters) {
+    const bool moved = std::visit(
+        [&](auto member) { return config.*member != defaults.*member; },
+        row.member);
+    EXPECT_TRUE(moved) << "parameter '" << row.name
+                       << "' is at its default in the maximal config";
+  }
+  const std::string toml = config.adios2_toml();
+  EXPECT_EQ(EngineConfig::from_json(parse_toml(toml).at("adios2")), config)
+      << toml;
+}
+
+TEST(BpConfig, AcceptsTheNumAggSpellingAndBooleanSwitches) {
+  const Json cfg = parse_toml(R"(
+[adios2.engine.parameters]
+NumAgg = 3
+Profile = true
+AsyncWrite = "Off"
+)");
+  const EngineConfig engine = EngineConfig::from_json(cfg.at("adios2"));
+  EXPECT_EQ(engine.num_aggregators, 3);
+  EXPECT_TRUE(engine.profiling);
+  EXPECT_FALSE(engine.async_write);
 }
 
 TEST(BpConfig, RejectsUnknownEngine) {

@@ -3,7 +3,8 @@
 // handles by hand.  For every key the suite mutates exactly the field that
 // key populates (its own, independent knowledge of the knobs), checks the
 // table row points at that field, and checks from_toml(to_toml(config))
-// reproduces the config bit-for-bit.  An unrecognized key fails the suite:
+// reproduces the config bit-for-bit, and that the engine settings it maps
+// to survive the adios2 rendering.  An unrecognized key fails the suite:
 // adding a row forces this file to learn the new knob's mutation.
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "core/io_config.hpp"
 #include "fsim/fault_plan.hpp"
 #include "util/error.hpp"
+#include "util/toml.hpp"
 
 using bitio::core::Bit1IoConfig;
 using bitio::core::IoMode;
@@ -161,6 +163,30 @@ TEST(ConfigRegistry, EveryRowPointsAtTheFieldItsKeyNames) {
         row.member);
     EXPECT_TRUE(moved) << "row '" << row.key
                        << "' points at a member its mutation leaves alone";
+  }
+}
+
+TEST(ConfigRegistry, EveryKeyReachesTheEngineThroughAdios2Toml) {
+  // What the openPMD path parses out of adios2_toml() is exactly what
+  // engine_config() maps the knobs to.
+  for (const auto& key : all_keys()) {
+    Bit1IoConfig c;
+    ASSERT_TRUE(mutate_for_key(key, c)) << key;
+    const auto parsed = bitio::bp::EngineConfig::from_json(
+        bitio::parse_toml(c.adios2_toml()).at("adios2"));
+    EXPECT_EQ(parsed, c.engine_config(c.num_aggregators, c.profiling))
+        << "key '" << key << "' is lost between adios2_toml and from_json";
+  }
+}
+
+TEST(ConfigRegistry, EveryEngineRowFeedsTheEngine) {
+  const auto defaults = Bit1IoConfig{}.engine_config(0, false);
+  for (const auto& row : kBit1IoConfigKeys) {
+    if (std::holds_alternative<std::monostate>(row.feeds)) continue;
+    Bit1IoConfig mutated;
+    ASSERT_TRUE(mutate_for_key(row.key, mutated)) << row.key;
+    EXPECT_NE(mutated.engine_config(0, false), defaults)
+        << "row '" << row.key << "' names a feed its knob never reaches";
   }
 }
 

@@ -237,7 +237,7 @@ recovery = "shrink"
   bad.recovery = "retry";  // only "abort" and "shrink" are policies
   EXPECT_THROW(bad.validate(), UsageError);
 
-  // The watchdog keys reach the engine parameters only for async configs.
+  // The watchdog keys reach the engine parameters.
   Bit1IoConfig async;
   async.async_write = true;
   async.drain_timeout_ms = 100;
@@ -250,11 +250,15 @@ recovery = "shrink"
   EXPECT_EQ(engine.drain_timeout_ms, 100);
   EXPECT_EQ(engine.max_drain_retries, 3);
 
+  // A sync config carries the timeout too, but the engine it parses into
+  // stays synchronous, and the writer starts a watchdog only with
+  // async_write.
   Bit1IoConfig sync;
   sync.drain_timeout_ms = 100;
-  EXPECT_FALSE(parse_toml(sync.adios2_toml())
-                   .at("adios2").at("engine").at("parameters")
-                   .contains("DrainTimeoutMs"));
+  const auto sync_engine = bp::EngineConfig::from_json(
+      parse_toml(sync.adios2_toml()).at("adios2"));
+  EXPECT_FALSE(sync_engine.async_write);
+  EXPECT_EQ(sync_engine, sync.engine_config(0, false));
 }
 
 TEST(IoConfig, AsyncKeysReachTheEngineConfig) {
@@ -271,11 +275,12 @@ TEST(IoConfig, AsyncKeysReachTheEngineConfig) {
   EXPECT_TRUE(engine.async_write);
   EXPECT_EQ(engine.buffer_chunk_mb, 4u);
 
-  // Sync configs render no async keys, keeping the engine path identical.
-  Bit1IoConfig sync;
-  const Json sync_parsed = parse_toml(sync.adios2_toml());
-  EXPECT_FALSE(sync_parsed.at("adios2").at("engine").at("parameters")
-                   .contains("AsyncWrite"));
+  // A default config parses into the default engine: synchronous, with
+  // the same settings as an EngineConfig built in code.
+  const Bit1IoConfig sync;
+  EXPECT_EQ(bp::EngineConfig::from_json(
+                parse_toml(sync.adios2_toml()).at("adios2")),
+            bp::EngineConfig{});
 }
 
 // --------------------------------------------------------------- adaptor ---
@@ -308,6 +313,37 @@ TEST(Adaptor, Table2FilePopulation) {
     adaptor.close();
   }
   EXPECT_EQ(fs.store().list_recursive("run").size(), 6u);
+}
+
+TEST(Adaptor, RanksPerNodeSetsTheNodeLevelAggregatorCount) {
+  // aggregators = 0 is "one per node": 4 ranks at 2 per node are two nodes,
+  // so the diagnostics series gets two subfiles; the checkpoint series
+  // keeps its one shared file (checkpoint_aggregators = 1).
+  fsim::SharedFs fs(8);
+  Bit1IoConfig io;
+  io.num_aggregators = 0;
+  io.checkpoint_aggregators = 1;
+  io.ranks_per_node = 2;
+  {
+    Bit1OpenPmdAdaptor adaptor(fs, "run", io, 4);
+    auto config = small_case();
+    for (int rank = 0; rank < 4; ++rank) {
+      picmc::Simulation sim(config, rank, 4);
+      sim.initialize();
+      adaptor.stage_diagnostics(rank, sim,
+                                picmc::Diagnostics::sample_now(sim));
+      adaptor.stage_checkpoint(rank, sim);
+    }
+    adaptor.flush_diagnostics(0, 0.0);
+    adaptor.flush_checkpoint();
+    adaptor.close();
+  }
+  const auto& store = fs.store();
+  EXPECT_TRUE(store.file_exists("run/dat_file.bp4/data.0"));
+  EXPECT_TRUE(store.file_exists("run/dat_file.bp4/data.1"));
+  EXPECT_FALSE(store.file_exists("run/dat_file.bp4/data.2"));
+  EXPECT_TRUE(store.file_exists("run/dmp_file.bp4/data.0"));
+  EXPECT_FALSE(store.file_exists("run/dmp_file.bp4/data.1"));
 }
 
 TEST(Adaptor, DiagnosticsRoundTripThroughOpenPmd) {

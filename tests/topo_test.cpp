@@ -150,18 +150,17 @@ TEST(TopoConfig, Adios2TomlCarriesTopologyToTheEngine) {
   EXPECT_EQ(engine.nics_per_node, 2);
 }
 
-TEST(TopoConfig, FlatConfigEmitsNoTopologyParameters) {
-  // Legacy byte-identity: a flat-on-flat config renders the exact adios2
-  // TOML it rendered before the topology keys existed.
+TEST(TopoConfig, FlatConfigReachesTheEngineAsFlat) {
+  // A flat-on-flat config parses into the engine a pre-topology config
+  // built: flat gather on the flat topology, no NUMA/NIC overrides.
   const core::Bit1IoConfig config;
-  const std::string toml = config.adios2_toml();
-  EXPECT_EQ(toml.find("Aggregation"), std::string::npos) << toml;
-  EXPECT_EQ(toml.find("Topology"), std::string::npos) << toml;
-
-  const Json cfg = parse_toml(toml);
+  const Json cfg = parse_toml(config.adios2_toml());
   const bp::EngineConfig engine = bp::EngineConfig::from_json(cfg.at("adios2"));
   EXPECT_EQ(engine.aggregation, "flat");
   EXPECT_EQ(engine.topology, "flat");
+  EXPECT_EQ(engine.numa_per_node, 0);
+  EXPECT_EQ(engine.nics_per_node, 0);
+  EXPECT_EQ(engine, bp::EngineConfig{});
 }
 
 TEST(TopoConfig, WriterRejectsUnknownAggregation) {
