@@ -18,14 +18,16 @@
 #                          BENCH_stream.json)
 #   6. topo suite          topology/aggregation + event-driven scheduler
 #                          tests (ctest -L topo), then the same label under
-#                          ThreadSanitizer (ctest --preset tsan-topo); the
-#                          rank sweep is scripts/bench_report.sh ->
-#                          BENCH_topo.json
+#                          ThreadSanitizer (ctest --preset tsan-topo), and
+#                          the stream suite too (ctest --preset
+#                          tsan-stream); the rank sweep is
+#                          scripts/bench_report.sh -> BENCH_topo.json
 #   7. ckpt suite          incremental-checkpoint tests (delta cadence,
 #                          dedup, chain restore, retention pinning, prune
 #                          crash-window scrub; ctest -L ckpt), then the
 #                          same label under ASan+UBSan (ctest --preset
-#                          san-ckpt); the full/delta sweep is
+#                          san-ckpt), and the stream suite too (ctest
+#                          --preset san-stream); the full/delta sweep is
 #                          scripts/bench_report.sh -> BENCH_ckpt.json
 #   8. iopath suite        batched queue-pair differential tests (byte
 #                          identity vs the per-op writer, CZP1 + two-level
@@ -77,6 +79,9 @@ cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$(nproc 2>/dev/null || echo 4)"
 ctest --preset tsan-topo
 
+step "stream engine suite under ThreadSanitizer (ctest --preset tsan-stream)"
+ctest --preset tsan-stream
+
 step "incremental-checkpoint suite (ctest -L ckpt)"
 ctest --preset ckpt
 
@@ -84,6 +89,9 @@ step "checkpoint suite under ASan+UBSan (ctest --preset san-ckpt)"
 cmake --preset san >/dev/null
 cmake --build --preset san -j "$(nproc 2>/dev/null || echo 4)"
 ctest --preset san-ckpt
+
+step "stream engine suite under ASan+UBSan (ctest --preset san-stream)"
+ctest --preset san-stream
 
 step "batched I/O path suite (ctest -L iopath)"
 ctest --preset iopath

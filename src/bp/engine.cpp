@@ -1,11 +1,14 @@
 #include "bp/engine.hpp"
 
+#include <iterator>
 #include <map>
 #include <tuple>
 #include <utility>
 
 #include "bp/reader.hpp"
 #include "bp/stream.hpp"
+#include "bp/writer.hpp"
+#include "compress/parallel.hpp"
 #include "util/error.hpp"
 #include "util/mutex.hpp"
 #include "util/table.hpp"
@@ -15,7 +18,7 @@ namespace bitio::bp {
 
 namespace {
 
-// --- file-engine adaptor ---------------------------------------------------
+// --- file-engine reader ----------------------------------------------------
 
 /// Cursor over the steps of an opened BP4/BP5 container.  The step list is
 /// snapshotted at construction (attach time): steps landed later need a
@@ -73,69 +76,6 @@ class FileEngineReader final : public EngineReader {
   bool started_ = false;
 };
 
-/// bp::Writer behind the Engine interface — the BP4 and BP5 registry
-/// entries.  Pure delegation: the byte stream is identical to direct
-/// Writer use.
-class FileEngine final : public Engine {
- public:
-  FileEngine(fsim::SharedFs& fs, std::string path, EngineConfig config,
-             int nranks)
-      : fs_(fs),
-        name_(bp::engine_name(config.engine)),
-        writer_(ForEngineFactory{}, fs, std::move(path), std::move(config),
-                nranks) {}
-
-  std::string engine_name() const override { return name_; }
-  const std::string& path() const override { return writer_.path(); }
-
-  void begin_step(std::uint64_t step) override { writer_.begin_step(step); }
-  void put(int rank, const std::string& name, const Dims& shape,
-           const ChunkView& chunk) override {
-    writer_.put(rank, name, shape, chunk);
-  }
-  void put_synthetic(int rank, const std::string& name, Datatype dtype,
-                     const Dims& shape, const Dims& offset,
-                     const Dims& count) override {
-    writer_.put_synthetic(rank, name, dtype, shape, offset, count);
-  }
-  void add_attribute(const std::string& name, AttrValue value) override {
-    writer_.add_attribute(name, std::move(value));
-  }
-  void end_step() override { writer_.end_step(); }
-  void flush() override { writer_.wait_drains(); }
-  void close() override { writer_.close(); }
-
-  std::uint64_t steps_written() const override {
-    return writer_.steps_written();
-  }
-  int peak_inflight() const override { return writer_.peak_inflight(); }
-  cz::BufferPool::Stats pool_stats() const override {
-    return writer_.pool_stats();
-  }
-  void reset_pool_stats() override { writer_.reset_pool_stats(); }
-  WatchdogStats watchdog_stats() const override {
-    return writer_.watchdog_stats();
-  }
-
-  std::unique_ptr<EngineReader> attach(fsim::ClientId client) override {
-    // Outstanding drains must land before the metadata is parsed —
-    // attaching mid-run sees every step whose end_step returned.  The
-    // md.idx header count is only finalized at close(), so publish it now
-    // (same bytes close() writes) for the reader to open against.
-    writer_.wait_drains();
-    writer_.publish_index();
-    return std::make_unique<FileEngineReader>(fs_, client, writer_.path());
-  }
-
-  /// The underlying writer, for call sites migrating incrementally.
-  Writer& writer() { return writer_; }
-
- private:
-  fsim::SharedFs& fs_;
-  std::string name_;
-  Writer writer_;
-};
-
 // --- registry --------------------------------------------------------------
 
 struct Registry {
@@ -162,8 +102,8 @@ struct BuiltinEngine {
                                   int);
 };
 constexpr BuiltinEngine kBuiltinEngines[] = {
-    {EngineType::bp4, construct<FileEngine>},
-    {EngineType::bp5, construct<FileEngine>},
+    {EngineType::bp4, construct<Writer>},
+    {EngineType::bp5, construct<Writer>},
     {EngineType::stream, construct<StreamEngine>},
 };
 
@@ -209,6 +149,24 @@ const Json* child(const Json* parent, const char* key) {
 }  // namespace
 
 // --- EngineConfig ------------------------------------------------------------
+
+StreamPolicy stream_policy_of(const std::string& name) {
+  for (std::size_t i = 0; i < std::size(kStreamPolicies); ++i)
+    if (name == kStreamPolicies[i]) return StreamPolicy(i);
+  throw UsageError("bp: unknown stream_policy '" + name +
+                   "' (expected one of " + quoted_list(kStreamPolicies) +
+                   ")");
+}
+
+std::unique_ptr<cz::Codec> make_operator(const EngineConfig& config,
+                                         cz::BufferPool& pool) {
+  if (config.codec == "none") return nullptr;
+  auto codec = cz::make_codec(config.codec, config.codec_typesize);
+  if (config.compress_threads <= 1) return codec;
+  return std::make_unique<cz::ParallelCodec>(
+      std::move(codec), config.compress_threads,
+      config.compress_block_kb * 1024, nullptr, &pool);
+}
 
 void EngineConfig::validate() const {
   const char* const owner = "bp::EngineConfig";

@@ -20,11 +20,20 @@
 //       or corrupt footer falls back to md.idx (whose entries never point
 //       into the footer region).
 // Any other magic is a wrong-version/corrupt input and raises FormatError.
+//
+// The per-chunk path lives here too, once for every engine: the put-side
+// checks (check_put), the marshal that turns a chunk into its stored bytes
+// and ChunkRecord (marshal_chunk / synthetic_chunk), the CPU model the
+// engines charge for it, and the read-side check and scatter
+// (decode_chunk / scatter_chunk).  The file engine (bp::Writer), the
+// stream engine and bp::Reader all call these, so a chunk's record and
+// decoded bytes cannot depend on which engine moved it.
 
 #include <optional>
 #include <span>
 
 #include "bp/types.hpp"
+#include "compress/codec.hpp"
 #include "util/binio.hpp"
 
 namespace bitio::bp {
@@ -49,7 +58,8 @@ struct EncodedStep {
 /// Serialize one step's metadata (appended to md.0).
 EncodedStep encode_step(const StepRecord& record);
 /// Parse one step's metadata, verifying its trailing CRC first.  Throws
-/// FormatError on corruption or an unknown version magic.
+/// FormatError on corruption, an unknown version magic, or a chunk that
+/// fails chunk_in_shape against its variable's shape.
 StepRecord decode_step(std::span<const std::uint8_t> data);
 /// CRC32C of a whole step block that decode_step() already accepted, in
 /// O(1): extends the verified trailing CRC over its own four bytes.
@@ -72,5 +82,57 @@ std::vector<std::uint8_t> encode_footer(const std::vector<IndexEntry>& index,
 /// whose CRC checks out does not decode as an index.
 std::optional<std::vector<IndexEntry>> decode_footer(
     std::span<const std::uint8_t> md0);
+
+// --- chunk path --------------------------------------------------------------
+
+/// Modelled CRC32C throughput for the per-chunk checksum charge (software
+/// slice-by-one on one core; same order as the memcopy bandwidth).
+inline constexpr double kCrcBandwidthBps = 12e9;
+
+/// CPU seconds an engine charges for compressing `raw_bytes` with `codec`:
+/// serial time, or fsim::parallel_cpu_seconds over compress_block_kb-KiB
+/// blocks when compress_threads > 1.
+double compress_cpu_seconds(const cz::Codec& codec, std::uint64_t raw_bytes,
+                            int compress_threads,
+                            std::size_t compress_block_kb);
+
+/// The put-side checks every engine applies: an open step, `rank` inside
+/// [0, nranks), and a chunk that fits `shape` (chunk_in_shape).  Throws
+/// UsageError prefixed "bp::put".
+void check_put(bool step_open, int rank, int nranks, const std::string& name,
+               const Dims& shape, const Dims& offset, const Dims& count);
+
+/// Marshal one real chunk: apply `codec` (nullptr = no operator) to `raw`,
+/// append the stored bytes to `dst`, and return the chunk's complete
+/// record — operator name, stored and raw sizes, CRC32C of the stored
+/// bytes, min/max of the values, and the content hash of `raw`.  subfile
+/// and file_offset stay zero; the file engine fills them in.
+ChunkRecord marshal_chunk(const cz::Codec* codec, Datatype dtype,
+                          std::span<const std::uint8_t> raw, Dims offset,
+                          Dims count, std::uint32_t writer_rank,
+                          std::vector<std::uint8_t>& dst);
+
+/// The record of a size-only (synthetic) chunk: no bytes, so no CRC,
+/// statistics or content hash; under a codec the stored size is the raw
+/// size scaled by `codec_ratio`.
+ChunkRecord synthetic_chunk(const cz::Codec* codec, double codec_ratio,
+                            Datatype dtype, Dims offset, Dims count,
+                            std::uint32_t writer_rank);
+
+/// Check and decode one chunk's stored bytes: the CRC32C (when the record
+/// carries one), the operator undo (cz::decompress_frame dispatches on the
+/// frame magic), and the raw size against count * `elem`.  Returns the raw
+/// bytes.  Throws FormatError mentioning `where` on any disagreement.
+std::vector<std::uint8_t> decode_chunk(const ChunkRecord& chunk,
+                                       std::size_t elem,
+                                       std::vector<std::uint8_t> stored,
+                                       const std::string& where);
+
+/// Copy a chunk's decoded row-major bytes into place in `out`, the global
+/// array of `shape` with `elem`-byte elements.  The chunk must fit `shape`
+/// (chunk_in_shape; decode_step and check_put guarantee it).
+void scatter_chunk(std::span<std::uint8_t> out, const Dims& shape,
+                   const ChunkRecord& chunk, std::size_t elem,
+                   std::span<const std::uint8_t> raw);
 
 }  // namespace bitio::bp

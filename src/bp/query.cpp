@@ -77,10 +77,8 @@ std::optional<std::uint64_t> QueryService::latest_step() const {
 
 std::vector<std::string> QueryService::variables(std::uint64_t step) const {
   auto record = find_step(step);
-  std::vector<std::string> out;
-  if (!record) return out;
-  for (const auto& var : record->record.variables) out.push_back(var.name);
-  return out;
+  return record ? record->record.variable_names()
+                : std::vector<std::string>{};
 }
 
 std::uint64_t QueryService::wait_steps(std::uint64_t n) {
@@ -129,15 +127,7 @@ QueryService::Block QueryService::query(std::uint64_t step,
   // finds the key present and keeps the first block — wasted work, never
   // a wrong answer).
   auto record = find_step(step);
-  if (!record) {
-    util::MutexLock slock(stats_mutex_);
-    ++stats_.misses;
-    return nullptr;
-  }
-  bool present = false;
-  for (const auto& v : record->record.variables)
-    if (v.name == var) present = true;
-  if (!present) {
+  if (!record || !record->record.find_variable(var)) {
     util::MutexLock slock(stats_mutex_);
     ++stats_.misses;
     return nullptr;

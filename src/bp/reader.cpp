@@ -3,14 +3,12 @@
 #include <cstring>
 
 #include "compress/codec.hpp"
-#include "compress/parallel.hpp"
 #include "util/crc32c.hpp"
 #include "util/error.hpp"
 
 namespace bitio::bp {
 
-Reader::Reader(ForEngineFactory, fsim::SharedFs& fs, fsim::ClientId client,
-               std::string path)
+Reader::Reader(fsim::SharedFs& fs, fsim::ClientId client, std::string path)
     : fs_(fs), client_(client), path_(std::move(path)) {
   fsim::FsClient io(fs_, client_);
   const auto md_bytes = io.read_all(path_ + "/md.0");
@@ -61,18 +59,13 @@ const StepRecord& Reader::step(std::uint64_t step) const {
 }
 
 std::vector<std::string> Reader::variables(std::uint64_t step) const {
-  std::vector<std::string> out;
-  for (const auto& var : this->step(step).variables) out.push_back(var.name);
-  return out;
+  return this->step(step).variable_names();
 }
 
 const VarRecord* Reader::find_variable(std::uint64_t step,
                                        const std::string& name) const {
   auto it = steps_.find(step);
-  if (it == steps_.end()) return nullptr;
-  for (const auto& var : it->second.variables)
-    if (var.name == name) return &var;
-  return nullptr;
+  return it == steps_.end() ? nullptr : it->second.find_variable(name);
 }
 
 const ChunkRecord* Reader::find_chunk(std::uint64_t step,
@@ -95,12 +88,8 @@ std::vector<std::uint8_t> Reader::read_chunk(std::uint64_t step,
     throw UsageError("bp::Reader: no chunk of '" + name + "' by rank " +
                      std::to_string(writer_rank) + " in step " +
                      std::to_string(step));
-  const std::size_t elem = dtype_size(var->dtype);
   fsim::FsClient io(fs_, client_);
-  std::vector<std::uint8_t> raw = fetch_chunk(io, name, *chunk, elem);
-  if (raw.size() != element_count(chunk->count) * elem)
-    throw FormatError("bp::Reader: chunk payload size mismatch");
-  return raw;
+  return fetch_chunk(io, name, *chunk, dtype_size(var->dtype));
 }
 
 std::vector<std::uint8_t> Reader::read_slice(std::uint64_t step,
@@ -113,7 +102,7 @@ std::vector<std::uint8_t> Reader::read_slice(std::uint64_t step,
                      std::to_string(step));
   if (var->shape.size() != 1)
     throw UsageError("bp::Reader: read_slice requires a 1-D variable");
-  if (elem_offset + elem_count > var->shape[0])
+  if (!chunk_in_shape(var->shape, {elem_offset}, {elem_count}))
     throw UsageError("bp::Reader: slice of '" + name +
                      "' exceeds the global extent");
   const std::size_t elem = dtype_size(var->dtype);
@@ -126,9 +115,7 @@ std::vector<std::uint8_t> Reader::read_slice(std::uint64_t step,
     const std::uint64_t lo = std::max(c_begin, elem_offset);
     const std::uint64_t hi = std::min(c_end, elem_offset + elem_count);
     if (lo >= hi) continue;  // no overlap: this chunk is never read
-    std::vector<std::uint8_t> raw = fetch_chunk(io, name, chunk, elem);
-    if (raw.size() != element_count(chunk.count) * elem)
-      throw FormatError("bp::Reader: chunk payload size mismatch");
+    const std::vector<std::uint8_t> raw = fetch_chunk(io, name, chunk, elem);
     std::memcpy(out.data() + (lo - elem_offset) * elem,
                 raw.data() + (lo - c_begin) * elem, (hi - lo) * elem);
   }
@@ -148,21 +135,11 @@ std::vector<std::uint8_t> Reader::fetch_chunk(fsim::FsClient& io,
   io.close(fd);
   if (got != chunk.stored_bytes)
     throw FormatError("bp::Reader: short read of chunk in " + subfile);
-  // Verify the stored bytes before decompressing/scattering them.
-  if (chunk.has_crc && crc32c(stored) != chunk.crc32c)
-    throw FormatError("bp::Reader: chunk CRC mismatch for '" + name +
-                      "' in " + subfile);
-
-  std::vector<std::uint8_t> raw;
-  if (chunk.operator_name.empty()) {
-    raw = std::move(stored);
-  } else {
-    // Dispatch on the frame magic: handles both legacy single-block
-    // frames and the CZP1 block-parallel container a writer with
-    // compress_threads > 1 produces.  The named codec still supplies the
-    // modelled decompression speed.
+  std::vector<std::uint8_t> raw = decode_chunk(
+      chunk, elem, std::move(stored), "'" + name + "' in " + subfile);
+  if (!chunk.operator_name.empty()) {
+    // The named codec supplies the modelled decompression speed.
     auto codec = cz::make_codec(chunk.operator_name, elem);
-    raw = cz::decompress_frame(stored);
     io.charge_cpu(double(raw.size()) / codec->decompress_speed_bps(),
                   "decompress");
   }
@@ -179,41 +156,9 @@ std::vector<std::uint8_t> Reader::read(std::uint64_t step,
   std::vector<std::uint8_t> out(element_count(var->shape) * elem, 0);
 
   fsim::FsClient io(fs_, client_);
-  for (const auto& chunk : var->chunks) {
-    std::vector<std::uint8_t> raw = fetch_chunk(io, name, chunk, elem);
-    if (raw.size() != element_count(chunk.count) * elem)
-      throw FormatError("bp::Reader: chunk payload size mismatch");
-
-    // Scatter the chunk into the global array.  Iterate over the chunk's
-    // rows in the slowest dimensions; each row of `count.back()` elements
-    // is contiguous in both source and destination.
-    const std::size_t ndim = var->shape.size();
-    if (ndim == 0) {
-      std::memcpy(out.data(), raw.data(), raw.size());
-      continue;
-    }
-    // Strides of the global array (in elements).
-    std::vector<std::uint64_t> stride(ndim, 1);
-    for (std::size_t d = ndim - 1; d-- > 0;)
-      stride[d] = stride[d + 1] * var->shape[d + 1];
-    const std::uint64_t row_elems = chunk.count.back();
-    std::uint64_t rows = 1;
-    for (std::size_t d = 0; d + 1 < ndim; ++d) rows *= chunk.count[d];
-
-    std::vector<std::uint64_t> cursor(ndim, 0);  // index within the chunk
-    for (std::uint64_t r = 0; r < rows; ++r) {
-      std::uint64_t dst = 0;
-      for (std::size_t d = 0; d < ndim; ++d)
-        dst += (chunk.offset[d] + cursor[d]) * stride[d];
-      std::memcpy(out.data() + dst * elem,
-                  raw.data() + r * row_elems * elem, row_elems * elem);
-      // Advance the row cursor (last dimension is the contiguous row).
-      for (std::size_t d = ndim - 1; d-- > 0;) {
-        if (++cursor[d] < chunk.count[d]) break;
-        cursor[d] = 0;
-      }
-    }
-  }
+  for (const auto& chunk : var->chunks)
+    scatter_chunk(out, var->shape, chunk, elem,
+                  fetch_chunk(io, name, chunk, elem));
   return out;
 }
 
@@ -265,9 +210,7 @@ std::optional<AttrValue> Reader::attribute(std::uint64_t step,
                                            const std::string& name) const {
   auto it = steps_.find(step);
   if (it == steps_.end()) return std::nullopt;
-  for (const auto& [key, value] : it->second.attributes)
-    if (key == name) return value;
-  return std::nullopt;
+  return it->second.attribute(name);
 }
 
 }  // namespace bitio::bp

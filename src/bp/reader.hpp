@@ -31,18 +31,12 @@ namespace bitio::bp {
 
 class Reader {
 public:
-  /// Construction path used by the engine factory and Reader::open (see
-  /// ForEngineFactory in bp/types.hpp).  The once-deprecated raw
-  /// `Reader(fs, client, path)` constructor is gone: open containers via
-  /// Reader::open or bp::attach_reader (src/bp/engine.hpp).
-  Reader(ForEngineFactory, fsim::SharedFs& fs, fsim::ClientId client,
-         std::string path);
-
-  /// Preferred named constructor (Reader holds a SharedFs reference, so it
-  /// is not assignable; C++17 guaranteed elision makes this returnable).
+  /// Open a container (Reader holds a SharedFs reference, so it is not
+  /// assignable; C++17 guaranteed elision makes this returnable).  Engine
+  /// call sites use bp::attach_reader (src/bp/engine.hpp) instead.
   static Reader open(fsim::SharedFs& fs, fsim::ClientId client,
                      std::string path) {
-    return Reader(ForEngineFactory{}, fs, client, std::move(path));
+    return Reader(fs, client, std::move(path));
   }
 
   /// Distinct step ids, ascending.
@@ -134,8 +128,11 @@ public:
                                      const std::string& name) const;
 
 private:
-  /// Fetch one chunk's raw bytes: pread the stored extent, verify its CRC,
-  /// undo the operator.  Throws FormatError on short read/CRC mismatch.
+  Reader(fsim::SharedFs& fs, fsim::ClientId client, std::string path);
+
+  /// Fetch one chunk's raw bytes: pread the stored extent, then
+  /// decode_chunk (CRC, operator, size).  Throws FormatError on a short
+  /// read or any decode_chunk failure.
   std::vector<std::uint8_t> fetch_chunk(fsim::FsClient& io,
                                         const std::string& name,
                                         const ChunkRecord& chunk,

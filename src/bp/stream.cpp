@@ -1,124 +1,33 @@
 #include "bp/stream.hpp"
 
 #include <algorithm>
-#include <cstring>
 
-#include "compress/parallel.hpp"
-#include "fsim/storage_model.hpp"
+#include "bp/format.hpp"
 #include "util/crc32c.hpp"
 #include "util/error.hpp"
 
 namespace bitio::bp {
 
-namespace {
-
-// Same modelled CRC32C bandwidth as the file engines (writer.cpp).
-constexpr double kCrcBandwidthBps = 12e9;
-
-template <typename T>
-void minmax(std::span<const std::uint8_t> bytes, double& lo, double& hi) {
-  const std::size_t n = bytes.size() / sizeof(T);
-  if (n == 0) return;
-  const T* p = reinterpret_cast<const T*>(bytes.data());
-  T mn = p[0], mx = p[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    mn = std::min(mn, p[i]);
-    mx = std::max(mx, p[i]);
-  }
-  lo = double(mn);
-  hi = double(mx);
-}
-
-void compute_stats(Datatype dtype, std::span<const std::uint8_t> bytes,
-                   ChunkRecord& meta) {
-  switch (dtype) {
-    case Datatype::uint8:
-      minmax<std::uint8_t>(bytes, meta.stat_min, meta.stat_max);
-      break;
-    case Datatype::int32:
-      minmax<std::int32_t>(bytes, meta.stat_min, meta.stat_max);
-      break;
-    case Datatype::uint64:
-      minmax<std::uint64_t>(bytes, meta.stat_min, meta.stat_max);
-      break;
-    case Datatype::float32:
-      minmax<float>(bytes, meta.stat_min, meta.stat_max);
-      break;
-    case Datatype::float64:
-      minmax<double>(bytes, meta.stat_min, meta.stat_max);
-      break;
-  }
-}
-
-}  // namespace
-
 // --- decode ----------------------------------------------------------------
 
 std::vector<std::uint8_t> decode_stream_variable(const StreamStep& step,
                                                  const std::string& name) {
-  const VarRecord* var = nullptr;
-  std::size_t var_index = 0;
-  for (std::size_t v = 0; v < step.record.variables.size(); ++v) {
-    if (step.record.variables[v].name == name) {
-      var = &step.record.variables[v];
-      var_index = v;
-      break;
-    }
-  }
+  const VarRecord* var = step.record.find_variable(name);
   if (!var)
     throw UsageError("bp::stream: no variable '" + name + "' in step " +
                      std::to_string(step.record.step));
-
+  const auto& payloads =
+      step.payload.at(std::size_t(var - step.record.variables.data()));
   const std::size_t elem = dtype_size(var->dtype);
   std::vector<std::uint8_t> out(element_count(var->shape) * elem, 0);
-  const auto& payloads = step.payload.at(var_index);
-
+  const std::string where =
+      "'" + name + "' in step " + std::to_string(step.record.step);
   for (std::size_t c = 0; c < var->chunks.size(); ++c) {
     const ChunkRecord& chunk = var->chunks[c];
     const std::vector<std::uint8_t>& stored = payloads.at(c);
     if (stored.empty() && !chunk.has_crc) continue;  // synthetic: zeroes
-    if (chunk.has_crc && crc32c(stored) != chunk.crc32c)
-      throw FormatError("bp::stream: chunk CRC mismatch for '" + name +
-                        "' in step " + std::to_string(step.record.step));
-
-    std::vector<std::uint8_t> raw;
-    if (chunk.operator_name.empty()) {
-      raw = stored;
-    } else {
-      // Frames are self-framing (RAW1/BLL1/BZL1/CZP1): decompress_frame
-      // dispatches on the magic, same as bp::Reader.
-      raw = cz::decompress_frame(stored);
-    }
-    if (raw.size() != element_count(chunk.count) * elem)
-      throw FormatError("bp::stream: chunk payload size mismatch for '" +
-                        name + "'");
-
-    // Scatter into the global array — the same row-major walk as
-    // bp::Reader::read().
-    const std::size_t ndim = var->shape.size();
-    if (ndim == 0) {
-      std::memcpy(out.data(), raw.data(), raw.size());
-      continue;
-    }
-    std::vector<std::uint64_t> stride(ndim, 1);
-    for (std::size_t d = ndim - 1; d-- > 0;)
-      stride[d] = stride[d + 1] * var->shape[d + 1];
-    const std::uint64_t row_elems = chunk.count.back();
-    std::uint64_t rows = 1;
-    for (std::size_t d = 0; d + 1 < ndim; ++d) rows *= chunk.count[d];
-
-    std::vector<std::uint64_t> cursor(ndim, 0);
-    for (std::uint64_t r = 0; r < rows; ++r) {
-      std::uint64_t dst = 0;
-      for (std::size_t d = 0; d < ndim; ++d)
-        dst += (chunk.offset[d] + cursor[d]) * stride[d];
-      std::memcpy(out.data() + dst * elem, raw.data() + r * row_elems * elem,
-                  row_elems * elem);
-      for (std::size_t d = ndim - 1; d-- > 0;) {
-        if (++cursor[d] < chunk.count[d]) break;
-        cursor[d] = 0;
-      }
-    }
+    scatter_chunk(out, var->shape, chunk, elem,
+                  decode_chunk(chunk, elem, stored, where));
   }
   return out;
 }
@@ -321,134 +230,70 @@ void StreamEngine::begin_step(std::uint64_t step) {
   attributes_.clear();
 }
 
-void StreamEngine::validate_put(int rank, const std::string& name,
-                                Datatype dtype, const Dims& shape,
-                                const Dims& offset, const Dims& count) {
-  if (!step_open_)
-    throw UsageError("bp::StreamEngine: put outside a step");
-  if (rank < 0 || rank >= nranks_)
-    throw UsageError("bp::StreamEngine: rank out of range");
-  if (shape.size() != offset.size() || shape.size() != count.size())
-    throw UsageError("bp::StreamEngine: dimension rank mismatch for '" +
-                     name + "'");
-  for (std::size_t d = 0; d < shape.size(); ++d) {
-    if (offset[d] + count[d] > shape[d])
-      throw UsageError("bp::StreamEngine: chunk of '" + name +
-                       "' exceeds global shape");
-  }
-  for (const auto& var : pending_) {
+StreamEngine::PendingVar& StreamEngine::pending_var(const std::string& name,
+                                                   Datatype dtype,
+                                                   const Dims& shape) {
+  for (auto& var : pending_) {
     if (var.record.name != name) continue;
     if (var.record.dtype != dtype || var.record.shape != shape)
-      throw UsageError("bp::StreamEngine: inconsistent shape/dtype for '" +
-                       name + "'");
-    return;
+      throw UsageError("bp::put: inconsistent shape/dtype for '" + name +
+                       "'");
+    return var;
   }
+  PendingVar& var = pending_.emplace_back();
+  var.record.name = name;
+  var.record.dtype = dtype;
+  var.record.shape = shape;
+  return var;
 }
 
 void StreamEngine::put(int rank, const std::string& name, const Dims& shape,
                        const ChunkView& view) {
   util::MutexLock lock(mutex_);
-  validate_put(rank, name, view.dtype(), shape, view.offset(), view.count());
+  check_put(step_open_, rank, nranks_, name, shape, view.offset(),
+            view.count());
   if (step_kind_ == 2)
-    throw UsageError("bp::StreamEngine: cannot mix real and synthetic puts");
+    throw UsageError("bp::put: cannot mix real and synthetic puts");
+  PendingVar& var = pending_var(name, view.dtype(), shape);
   step_kind_ = 1;
 
-  // Marshal under the lock (the codec and pool are shared): compress into
-  // a recycled pool buffer and CRC32C-stamp the stored bytes, exactly the
-  // treatment the file engines give a chunk on its way to a subfile.
-  std::vector<std::uint8_t> stored;
-  std::string operator_name;
-  double compress_s = 0.0;
-  if (codec_) {
-    operator_name = codec_->name();
-    stored = buffer_pool_.acquire_reserve(view.bytes().size() + 64);
-    codec_->compress_append(view.bytes(), stored);
-    const double serial =
-        double(view.bytes().size()) / codec_->compress_speed_bps();
-    if (config_.compress_threads > 1) {
-      const std::uint64_t block =
-          std::uint64_t(config_.compress_block_kb) * 1024;
-      const std::uint64_t nblocks =
-          view.bytes().empty()
-              ? 0
-              : (view.bytes().size() + block - 1) / block;
-      compress_s = fsim::parallel_cpu_seconds(
-          serial, config_.compress_threads, nblocks);
-    } else {
-      compress_s = serial;
-    }
-  } else {
-    stored = buffer_pool_.acquire(view.bytes().size());
-    if (!view.bytes().empty())
-      std::memcpy(stored.data(), view.bytes().data(), view.bytes().size());
-  }
-
-  ChunkRecord meta;
-  meta.offset = view.offset();
-  meta.count = view.count();
-  meta.writer_rank = std::uint32_t(rank);
-  meta.stored_bytes = stored.size();
-  meta.raw_bytes = view.bytes().size();
-  meta.operator_name = operator_name;
-  meta.crc32c = crc32c(stored);
-  meta.has_crc = true;
-  compute_stats(view.dtype(), view.bytes(), meta);
+  // Marshal under the lock (the codec and pool are shared) into a recycled
+  // pool buffer: the same marshal_chunk the file engine runs on the way to
+  // a subfile, so the record matches it field for field.
+  std::vector<std::uint8_t> stored = buffer_pool_.acquire_reserve(
+      view.bytes().size() + (codec_ ? 64 : 0));
+  ChunkRecord meta =
+      marshal_chunk(codec_.get(), view.dtype(), view.bytes(), view.offset(),
+                    view.count(), std::uint32_t(rank), stored);
 
   // Charge the marshalling cost to the putting rank's critical path, same
-  // accounting as the synchronous file engines.
+  // accounting as the synchronous file engine.
   fsim::FsClient client(fs_, fsim::ClientId(rank));
-  if (compress_s > 0.0) client.charge_cpu(compress_s, "compress");
-  client.charge_cpu(double(stored.size()) / kCrcBandwidthBps, "crc32c");
-
-  for (auto& var : pending_) {
-    if (var.record.name != name) continue;
-    var.record.chunks.push_back(std::move(meta));
-    var.payload.push_back(std::move(stored));
-    return;
+  if (codec_) {
+    const double compress_s =
+        compress_cpu_seconds(*codec_, meta.raw_bytes, config_.compress_threads,
+                             config_.compress_block_kb);
+    if (compress_s > 0.0) client.charge_cpu(compress_s, "compress");
   }
-  PendingVar var;
-  var.record.name = name;
-  var.record.dtype = view.dtype();
-  var.record.shape = shape;
+  client.charge_cpu(double(meta.stored_bytes) / kCrcBandwidthBps, "crc32c");
   var.record.chunks.push_back(std::move(meta));
   var.payload.push_back(std::move(stored));
-  pending_.push_back(std::move(var));
 }
 
 void StreamEngine::put_synthetic(int rank, const std::string& name,
                                  Datatype dtype, const Dims& shape,
                                  const Dims& offset, const Dims& count) {
   util::MutexLock lock(mutex_);
-  validate_put(rank, name, dtype, shape, offset, count);
+  check_put(step_open_, rank, nranks_, name, shape, offset, count);
   if (step_kind_ == 1)
-    throw UsageError("bp::StreamEngine: cannot mix real and synthetic puts");
+    throw UsageError("bp::put: cannot mix real and synthetic puts");
+  PendingVar& var = pending_var(name, dtype, shape);
   step_kind_ = 2;
-
-  ChunkRecord meta;
-  meta.offset = offset;
-  meta.count = count;
-  meta.writer_rank = std::uint32_t(rank);
-  meta.raw_bytes = element_count(count) * dtype_size(dtype);
-  meta.stored_bytes =
-      codec_ ? std::uint64_t(double(meta.raw_bytes) *
-                             config_.synthetic_codec_ratio)
-             : meta.raw_bytes;
-  if (codec_) meta.operator_name = codec_->name();
-  meta.has_crc = false;  // no payload bytes to checksum
-
-  for (auto& var : pending_) {
-    if (var.record.name != name) continue;
-    var.record.chunks.push_back(std::move(meta));
-    var.payload.emplace_back();
-    return;
-  }
-  PendingVar var;
-  var.record.name = name;
-  var.record.dtype = dtype;
-  var.record.shape = shape;
-  var.record.chunks.push_back(std::move(meta));
-  var.payload.emplace_back();
-  pending_.push_back(std::move(var));
+  var.record.chunks.push_back(synthetic_chunk(codec_.get(),
+                                              config_.synthetic_codec_ratio,
+                                              dtype, offset, count,
+                                              std::uint32_t(rank)));
+  var.payload.emplace_back();  // no payload bytes
 }
 
 void StreamEngine::add_attribute(const std::string& name, AttrValue value) {
@@ -549,16 +394,11 @@ std::uint64_t StreamConsumer::current_step() const {
 std::vector<std::string> StreamConsumer::variables() const {
   if (!step_)
     throw UsageError("bp::StreamConsumer: no current step (call next_step)");
-  std::vector<std::string> out;
-  for (const auto& var : step_->record.variables) out.push_back(var.name);
-  return out;
+  return step_->record.variable_names();
 }
 
 const VarRecord* StreamConsumer::find_variable(const std::string& name) const {
-  if (!step_) return nullptr;
-  for (const auto& var : step_->record.variables)
-    if (var.name == name) return &var;
-  return nullptr;
+  return step_ ? step_->record.find_variable(name) : nullptr;
 }
 
 std::vector<std::uint8_t> StreamConsumer::get(const std::string& name) {
@@ -580,10 +420,7 @@ std::vector<std::uint8_t> StreamConsumer::get(const std::string& name) {
 
 std::optional<AttrValue> StreamConsumer::attribute(
     const std::string& name) const {
-  if (!step_) return std::nullopt;
-  for (const auto& [key, value] : step_->record.attributes)
-    if (key == name) return value;
-  return std::nullopt;
+  return step_ ? step_->record.attribute(name) : std::nullopt;
 }
 
 std::uint64_t StreamConsumer::steps_dropped() const {

@@ -5,9 +5,11 @@
 // readers without touching the file system; the queue between them is
 // bounded and a QueueFullPolicy decides what happens when readers fall
 // behind.  This is that shape over the simulated cluster: StreamEngine
-// implements the bp::Engine write surface, compresses and CRC-stamps each
-// chunk exactly like the file engines, and at end_step() publishes the
-// completed, CRC-verified step into a bounded StreamChannel.  Consumers
+// implements the bp::Engine write surface, marshals each chunk through the
+// file engine's own bp::marshal_chunk (src/bp/format.hpp) — same operator,
+// CRC32C, statistics and content hash, so its ChunkRecords equal bp4's but
+// for subfile/file_offset — and at end_step() publishes the completed,
+// CRC-verified step into a bounded StreamChannel.  Consumers
 // attach/detach mid-run; each one holds a cursor into the shared window and
 // receives every step published after its attach (never a partial step).
 //
@@ -37,7 +39,6 @@
 
 #include "bp/engine.hpp"
 #include "bp/types.hpp"
-#include "bp/writer.hpp"
 #include "compress/buffer_pool.hpp"
 #include "compress/codec.hpp"
 #include "fsim/posix_fs.hpp"
@@ -58,9 +59,9 @@ struct StreamStep {
 };
 
 /// Decode one variable of a published step into its full global array:
-/// per-chunk CRC verification, frame decompression, and the same n-d
-/// scatter bp::Reader performs.  Throws FormatError on CRC mismatch or a
-/// payload/extent disagreement; UsageError if the variable is absent.
+/// decode_chunk and scatter_chunk per chunk, exactly as bp::Reader::read.
+/// Throws FormatError on CRC mismatch or a payload/extent disagreement;
+/// UsageError if the variable is absent.
 std::vector<std::uint8_t> decode_stream_variable(const StreamStep& step,
                                                  const std::string& name);
 
@@ -137,8 +138,8 @@ class StreamChannel {
 
 class StreamConsumer;
 
-/// The `stream` engine.  Same step/put surface and validation as
-/// bp::Writer, but end_step() publishes into the channel instead of
+/// The `stream` engine.  Same step/put surface and put checks (check_put)
+/// as bp::Writer, but end_step() publishes into the channel instead of
 /// draining to subfiles.  `path` is kept as a label only — nothing is
 /// written to the file system.  put() may be called concurrently by rank
 /// threads; begin_step/end_step/close are single-threaded, like Writer.
@@ -189,9 +190,10 @@ class StreamEngine final : public Engine {
     std::vector<std::vector<std::uint8_t>> payload;
   };
 
-  void validate_put(int rank, const std::string& name, Datatype dtype,
-                    const Dims& shape, const Dims& offset, const Dims& count)
-      REQUIRES(mutex_);
+  /// The open step's entry for `name`, appended on its first put.  Throws
+  /// UsageError when an earlier put gave it another shape or dtype.
+  PendingVar& pending_var(const std::string& name, Datatype dtype,
+                          const Dims& shape) REQUIRES(mutex_);
 
   fsim::SharedFs& fs_;
   std::string path_;

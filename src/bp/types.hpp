@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -78,6 +79,19 @@ inline std::uint64_t element_count(const Dims& dims) {
                          std::multiplies<>());
 }
 
+/// The one placement check: true when a chunk of `count` elements at
+/// `offset` lies inside `shape` — same rank, and no dimension overruns the
+/// extent.  Written so that offset + count cannot wrap.  The engines'
+/// put() (check_put) and decode_step apply it.
+inline bool chunk_in_shape(const Dims& shape, const Dims& offset,
+                           const Dims& count) {
+  if (offset.size() != shape.size() || count.size() != shape.size())
+    return false;
+  for (std::size_t d = 0; d < shape.size(); ++d)
+    if (count[d] > shape[d] || offset[d] > shape[d] - count[d]) return false;
+  return true;
+}
+
 /// A validated view of one rank-local chunk: element type, raw bytes, and
 /// placement in the global array.  This is the argument object the write
 /// path passes around instead of loose (dtype, span, offset, count) packs;
@@ -121,14 +135,6 @@ private:
   Dims count_;
 };
 
-/// Internal-construction tag: bp::make_engine and the Writer::open /
-/// Reader::open named constructors build Writers/Readers through overloads
-/// carrying this tag, keeping the untagged constructor surface empty (the
-/// factory is the supported entry point — see src/bp/engine.hpp).
-struct ForEngineFactory {
-  explicit ForEngineFactory() = default;
-};
-
 /// One stored block of a variable: where it sits in the global array and
 /// where its (possibly compressed) bytes live inside a subfile.
 struct ChunkRecord {
@@ -169,11 +175,35 @@ struct VarRecord {
 /// Attribute value: ADIOS2 supports more, we need these three.
 using AttrValue = std::variant<std::string, double, std::uint64_t>;
 
-/// Everything recorded for one step in md.0.
+/// Everything recorded for one step in md.0.  The name lookups below are
+/// the only ones: the reader, both engines' read sides and the query
+/// service all go through them.
 struct StepRecord {
   std::uint64_t step = 0;
   std::vector<VarRecord> variables;
   std::vector<std::pair<std::string, AttrValue>> attributes;
+
+  /// The variable named `name`; nullptr if absent.
+  const VarRecord* find_variable(const std::string& name) const {
+    for (const auto& var : variables)
+      if (var.name == name) return &var;
+    return nullptr;
+  }
+
+  /// Variable names in record order.
+  std::vector<std::string> variable_names() const {
+    std::vector<std::string> out;
+    out.reserve(variables.size());
+    for (const auto& var : variables) out.push_back(var.name);
+    return out;
+  }
+
+  /// The attribute named `name`; nullopt if absent.
+  std::optional<AttrValue> attribute(const std::string& name) const {
+    for (const auto& [key, value] : attributes)
+      if (key == name) return value;
+    return std::nullopt;
+  }
 };
 
 /// md.idx (and footer) entry: where a step's metadata lives inside md.0,

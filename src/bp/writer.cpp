@@ -3,24 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <iterator>
 #include <numeric>
 
-#include "compress/parallel.hpp"
-#include "fsim/storage_model.hpp"
 #include "util/binio.hpp"
-#include "util/crc32c.hpp"
 #include "util/error.hpp"
-#include "util/hash64.hpp"
-#include "util/table.hpp"
 
 namespace bitio::bp {
 
 namespace {
-
-/// Modelled CRC32C throughput for the per-chunk checksum charge (software
-/// slice-by-one on one core; same order as the memcopy bandwidth).
-constexpr double kCrcBandwidthBps = 12e9;
 
 /// The no-operator marshalling copy lands in a recycled pool buffer that is
 /// already resident and write-warmed from earlier steps, so it runs at
@@ -61,40 +51,7 @@ void ring_push(fsim::SubmissionQueue& sq, fsim::Sqe sqe) {
   sq.push(std::move(sqe));
 }
 
-/// Min/max over a real chunk's elements for the metadata statistics.
-template <typename T>
-void minmax(std::span<const std::uint8_t> data, double& lo, double& hi) {
-  const std::size_t n = data.size() / sizeof(T);
-  if (n == 0) return;
-  const T* p = reinterpret_cast<const T*>(data.data());
-  T mn = p[0], mx = p[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    if (p[i] < mn) mn = p[i];
-    if (p[i] > mx) mx = p[i];
-  }
-  lo = double(mn);
-  hi = double(mx);
-}
-
 }  // namespace
-
-StreamPolicy stream_policy_of(const std::string& name) {
-  for (std::size_t i = 0; i < std::size(kStreamPolicies); ++i)
-    if (name == kStreamPolicies[i]) return StreamPolicy(i);
-  throw UsageError("bp: unknown stream_policy '" + name +
-                   "' (expected one of " + quoted_list(kStreamPolicies) +
-                   ")");
-}
-
-std::unique_ptr<cz::Codec> make_operator(const EngineConfig& config,
-                                         cz::BufferPool& pool) {
-  if (config.codec == "none") return nullptr;
-  auto codec = cz::make_codec(config.codec, config.codec_typesize);
-  if (config.compress_threads <= 1) return codec;
-  return std::make_unique<cz::ParallelCodec>(
-      std::move(codec), config.compress_threads,
-      config.compress_block_kb * 1024, nullptr, &pool);
-}
 
 topo::Mapper Writer::build_mapper(const EngineConfig& config, int nranks) {
   if (nranks <= 0 || config.ranks_per_node <= 0)
@@ -118,8 +75,8 @@ topo::Mapper Writer::build_mapper(const EngineConfig& config, int nranks) {
   return topo::Mapper(cluster, nranks);
 }
 
-Writer::Writer(ForEngineFactory, fsim::SharedFs& fs, std::string path,
-               EngineConfig config, int nranks)
+Writer::Writer(fsim::SharedFs& fs, std::string path, EngineConfig config,
+               int nranks)
     : fs_(fs), path_(std::move(path)), config_(config), nranks_(nranks),
       mapper_(build_mapper(config_, nranks_)) {
   if (nranks_ <= 0) throw UsageError("bp::Writer: nranks must be positive");
@@ -213,22 +170,11 @@ void Writer::begin_step(std::uint64_t step) {
 void Writer::validate_put(int rank, const std::string& name, Datatype dtype,
                           const Dims& shape, const Dims& offset,
                           const Dims& count) {
-  if (!step_open_) throw UsageError("bp::Writer: put outside a step");
-  if (rank < 0 || rank >= nranks_)
-    throw UsageError("bp::Writer: rank out of range");
-  if (shape.size() != offset.size() || shape.size() != count.size())
-    throw UsageError("bp::Writer: dimension rank mismatch for '" + name +
-                     "'");
-  for (std::size_t d = 0; d < shape.size(); ++d) {
-    if (offset[d] + count[d] > shape[d])
-      throw UsageError("bp::Writer: chunk of '" + name +
-                       "' exceeds global shape");
-  }
+  check_put(step_open_, rank, nranks_, name, shape, offset, count);
   // Shape/dtype agreement with earlier puts of the same variable this step.
   auto [it, fresh] = step_vars_.try_emplace(name, dtype, shape);
   if (!fresh && (it->second.first != dtype || it->second.second != shape))
-    throw UsageError("bp::Writer: inconsistent shape/dtype for '" + name +
-                     "'");
+    throw UsageError("bp::put: inconsistent shape/dtype for '" + name + "'");
 }
 
 void Writer::put(int rank, const std::string& name, const Dims& shape,
@@ -236,7 +182,7 @@ void Writer::put(int rank, const std::string& name, const Dims& shape,
   util::MutexLock lock(mutex_);
   validate_put(rank, name, view.dtype(), shape, view.offset(), view.count());
   if (step_kind_ == 2)
-    throw UsageError("bp::Writer: cannot mix real and synthetic puts");
+    throw UsageError("bp::put: cannot mix real and synthetic puts");
   step_kind_ = 1;
   PendingChunk chunk;
   chunk.var = name;
@@ -258,7 +204,7 @@ void Writer::put_borrowed(int rank, const std::string& name,
   util::MutexLock lock(mutex_);
   validate_put(rank, name, view.dtype(), shape, view.offset(), view.count());
   if (step_kind_ == 2)
-    throw UsageError("bp::Writer: cannot mix real and synthetic puts");
+    throw UsageError("bp::put: cannot mix real and synthetic puts");
   step_kind_ = 1;
   PendingChunk chunk;
   chunk.var = name;
@@ -278,7 +224,7 @@ void Writer::put_synthetic(int rank, const std::string& name, Datatype dtype,
   util::MutexLock lock(mutex_);
   validate_put(rank, name, dtype, shape, offset, count);
   if (step_kind_ == 1)
-    throw UsageError("bp::Writer: cannot mix real and synthetic puts");
+    throw UsageError("bp::put: cannot mix real and synthetic puts");
   step_kind_ = 2;
   PendingChunk chunk;
   chunk.var = name;
@@ -295,27 +241,6 @@ void Writer::add_attribute(const std::string& name, AttrValue value) {
   if (!step_open_)
     throw UsageError("bp::Writer: attribute outside a step");
   attributes_.emplace_back(name, std::move(value));
-}
-
-void Writer::compute_stats(const PendingChunk& chunk, ChunkRecord& meta) {
-  const std::span<const std::uint8_t> payload = chunk.payload();
-  switch (chunk.dtype) {
-    case Datatype::uint8:
-      minmax<std::uint8_t>(payload, meta.stat_min, meta.stat_max);
-      break;
-    case Datatype::int32:
-      minmax<std::int32_t>(payload, meta.stat_min, meta.stat_max);
-      break;
-    case Datatype::uint64:
-      minmax<std::uint64_t>(payload, meta.stat_min, meta.stat_max);
-      break;
-    case Datatype::float32:
-      minmax<float>(payload, meta.stat_min, meta.stat_max);
-      break;
-    case Datatype::float64:
-      minmax<double>(payload, meta.stat_min, meta.stat_max);
-      break;
-  }
 }
 
 void Writer::end_step() {
@@ -417,90 +342,46 @@ void Writer::drain_step(const StepJob& job) {
       }
       VarRecord& var = record.variables[it->second];
 
-      const std::uint64_t raw_bytes =
-          chunk.synthetic
-              ? element_count(chunk.count) * dtype_size(chunk.dtype)
-              : chunk.payload().size();
       if (chunk.is_borrowed()) ++zero_copy_chunks_total_;
-      std::uint64_t stored_size = 0;
-      std::string operator_name;
-      std::uint32_t chunk_crc = 0;
-      bool chunk_has_crc = false;
-      if (codec_) {
-        // Operator path: compress_append() straight into the aggregation
-        // buffer — no intermediate frame vector, no copy; charge the
-        // compression cost, no separate memcopy (Fig 8).  The charge is
-        // parallel wall time when compress_threads > 1.
-        operator_name = codec_->name();
-        const double seconds = compress_cpu_seconds(raw_bytes);
-        rank_compress_s += seconds;
-        if (async)
-          drain_us_total_ += seconds * 1e6;
-        else
-          compress_us_total_ += seconds * 1e6;
-        if (chunk.synthetic) {
-          stored_size = std::uint64_t(double(raw_bytes) *
-                                      config_.synthetic_codec_ratio);
-        } else {
-          std::vector<std::uint8_t>& dst = agg[std::size_t(a)];
-          const std::size_t start = dst.size();
-          codec_->compress_append(chunk.payload(), dst);
-          stored_size = dst.size() - start;
-          chunk_crc = crc32c(std::span<const std::uint8_t>(
-              dst.data() + start, std::size_t(stored_size)));
-          chunk_has_crc = true;
-        }
-      } else {
-        // No operator: the marshalling copy into the aggregation buffer.
-        // For staged puts both ends are warm recycled pool memory, hence
-        // the kWarmCopyFactor discount over the seed model's cold-buffer
-        // charge; a borrowed chunk skipped staging entirely, so its single
-        // source-to-aggregation pass runs at kZeroCopyFactor.
-        const double factor =
-            chunk.is_borrowed() ? kZeroCopyFactor : kWarmCopyFactor;
-        const double seconds =
-            double(raw_bytes) / (config_.mem_bandwidth_bps * factor);
-        rank_memcopy_s += seconds;
-        if (async)
-          drain_us_total_ += seconds * 1e6;
-        else
-          memcopy_us_total_ += seconds * 1e6;
-        stored_size = raw_bytes;
-        if (!chunk.synthetic) {
-          const auto payload = chunk.payload();
-          chunk_crc = crc32c(payload);
-          chunk_has_crc = true;
-          agg[std::size_t(a)].insert(agg[std::size_t(a)].end(),
-                                     payload.begin(), payload.end());
-        }
-      }
-      if (chunk_has_crc) {
+      ChunkRecord meta =
+          chunk.synthetic
+              ? synthetic_chunk(codec_.get(), config_.synthetic_codec_ratio,
+                                chunk.dtype, chunk.offset, chunk.count,
+                                std::uint32_t(rank))
+              : marshal_chunk(codec_.get(), chunk.dtype, chunk.payload(),
+                              chunk.offset, chunk.count, std::uint32_t(rank),
+                              agg[std::size_t(a)]);
+      meta.subfile = std::uint32_t(a);
+      meta.file_offset =
+          data_offsets_[std::size_t(a)] + agg_bytes[std::size_t(a)];
+      const std::uint64_t raw_bytes = meta.raw_bytes;
+      const std::uint64_t stored_size = meta.stored_bytes;
+      // The marshal's CPU charge: compression under an operator (no
+      // separate memcopy, Fig 8; parallel wall time when
+      // compress_threads > 1), else the copy into the aggregation buffer.
+      // For staged puts both ends of that copy are warm recycled pool
+      // memory, hence the kWarmCopyFactor discount over the seed model's
+      // cold-buffer charge; a borrowed chunk skipped staging entirely, so
+      // its single source-to-aggregation pass runs at kZeroCopyFactor.
+      const double marshal_s =
+          codec_ ? compress_cpu_seconds(*codec_, raw_bytes,
+                                        config_.compress_threads,
+                                        config_.compress_block_kb)
+                 : double(raw_bytes) /
+                       (config_.mem_bandwidth_bps *
+                        (chunk.is_borrowed() ? kZeroCopyFactor
+                                             : kWarmCopyFactor));
+      (codec_ ? rank_compress_s : rank_memcopy_s) += marshal_s;
+      (async    ? drain_us_total_
+       : codec_ ? compress_us_total_
+                : memcopy_us_total_) += marshal_s * 1e6;
+      if (meta.has_crc) {
         // End-to-end integrity: checksum the stored bytes at marshalling
         // time, identically on the sync and async paths (so async vs sync
         // containers stay byte-identical).
         const double seconds = double(stored_size) / kCrcBandwidthBps;
         rank_crc_s += seconds;
         crc_us_total_ += seconds * 1e6;
-      }
-
-      ChunkRecord meta;
-      meta.offset = chunk.offset;
-      meta.count = chunk.count;
-      if (!chunk.synthetic) compute_stats(chunk, meta);
-      meta.writer_rank = std::uint32_t(rank);
-      meta.subfile = std::uint32_t(a);
-      meta.file_offset =
-          data_offsets_[std::size_t(a)] + agg_bytes[std::size_t(a)];
-      meta.stored_bytes = stored_size;
-      meta.raw_bytes = raw_bytes;
-      meta.operator_name = operator_name;
-      meta.crc32c = chunk_crc;
-      meta.has_crc = chunk_has_crc;
-      if (!chunk.synthetic) {
-        // Content identity over the raw bytes: the dedup key
-        // the incremental-checkpoint layer compares across epochs.
-        meta.content_hash = util::hash64(chunk.payload());
-        meta.has_content_hash = true;
       }
       var.chunks.push_back(std::move(meta));
 
@@ -671,17 +552,6 @@ void Writer::drain_step(const StepJob& job) {
   index_.push_back(entry);
 }
 
-double Writer::compress_cpu_seconds(std::uint64_t raw_bytes) const {
-  const double serial = double(raw_bytes) / codec_->compress_speed_bps();
-  if (config_.compress_threads <= 1) return serial;
-  const std::uint64_t block =
-      std::uint64_t(config_.compress_block_kb) * 1024;
-  const std::uint64_t nblocks =
-      raw_bytes == 0 ? 0 : (raw_bytes + block - 1) / block;
-  return fsim::parallel_cpu_seconds(serial, config_.compress_threads,
-                                    nblocks);
-}
-
 void Writer::recycle_job(StepJob& job) {
   for (auto& rank_chunks : job.chunks)
     for (auto& chunk : rank_chunks)
@@ -820,7 +690,7 @@ void Writer::stop_watchdog_thread() {
   watchdog_thread_.join();
 }
 
-Writer::WatchdogStats Writer::watchdog_stats() const {
+WatchdogStats Writer::watchdog_stats() const {
   WatchdogStats stats;
   stats.timeouts = watchdog_timeouts_.load(std::memory_order_relaxed);
   stats.retries = drain_retries_.load(std::memory_order_relaxed);
@@ -848,6 +718,15 @@ void Writer::stop_drain_thread() {
   }
   drain_cv_.notify_all();
   drain_thread_.join();
+}
+
+std::unique_ptr<EngineReader> Writer::attach(fsim::ClientId client) {
+  // Outstanding drains must land before the metadata is parsed, and the
+  // md.idx header count is only finalized at close(), so publish it now
+  // (same bytes close() writes) for the reader to open against.
+  wait_drains();
+  publish_index();
+  return attach_reader(fs_, client, path_);
 }
 
 void Writer::publish_index() {
@@ -902,7 +781,7 @@ void Writer::close() {
 
   if (config_.profiling) {
     Json profile{JsonObject{}};
-    profile["engine"] = engine_name(config_.engine);
+    profile["engine"] = engine_name();
     profile["aggregators"] = num_aggregators_;
     profile["ranks"] = nranks_;
     profile["steps"] = steps_written_;

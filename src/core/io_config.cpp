@@ -37,6 +37,14 @@ constexpr bool kFeeds =
 
 }  // namespace
 
+RecoveryPolicy recovery_policy_of(const std::string& name) {
+  for (std::size_t i = 0; i < std::size(kRecoveryPolicies); ++i)
+    if (name == kRecoveryPolicies[i]) return RecoveryPolicy(i);
+  throw UsageError("io config: unknown recovery '" + name +
+                   "' (expected one of " + quoted_list(kRecoveryPolicies) +
+                   ")");
+}
+
 void Bit1IoConfig::validate() const {
   require_one_of("io config", "engine", engine, bp::registered_engines());
   engine_config(num_aggregators, profiling).validate();
@@ -75,9 +83,7 @@ void Bit1IoConfig::validate() const {
         {"degrade_threshold", degrade_threshold, 1},
         {"degrade_cooldown", degrade_cooldown, 1}})
     require_at_least("io config", name, value, min);
-  if (recovery != "abort" && recovery != "shrink")
-    throw UsageError("io config: recovery must be \"abort\" or \"shrink\", "
-                     "got '" + recovery + "'");
+  require_one_of("io config", "recovery", recovery, kRecoveryPolicies);
   fault_plan.validate();
   if (use_striping) {
     if (striping.stripe_count < 1)

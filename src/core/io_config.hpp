@@ -30,6 +30,18 @@ namespace bitio::core {
 
 enum class IoMode { original, openpmd };
 
+/// Rank-failure policy of a resilient run (Bit1IoConfig::recovery, read by
+/// resil::run_resilient): `abort` rethrows the failure, `shrink` agrees,
+/// shrinks the communicator, restores from the newest verifying epoch and
+/// resumes.
+enum class RecoveryPolicy { abort, shrink };
+
+/// The `recovery` names, indexed by RecoveryPolicy.  recovery_policy_of
+/// and Bit1IoConfig::validate() read this list.
+inline constexpr const char* kRecoveryPolicies[] = {"abort", "shrink"};
+
+RecoveryPolicy recovery_policy_of(const std::string& name);
+
 struct Bit1IoConfig {
   IoMode mode = IoMode::openpmd;
 
@@ -71,9 +83,7 @@ struct Bit1IoConfig {
   //   degrade_threshold   consecutive flush failures before the degradation
   //                       ladder steps the sink down (async -> sync -> serial)
   //   degrade_cooldown    consecutive clean flushes before stepping back up
-  //   recovery            rank-failure policy: "abort" (rethrow, the old
-  //                       behaviour) or "shrink" (agree -> shrink -> restore
-  //                       from the newest verifying epoch -> resume)
+  //   recovery            rank-failure policy, one of kRecoveryPolicies
   int drain_timeout_ms = 0;
   int max_drain_retries = 2;
   int degrade_threshold = 3;

@@ -48,7 +48,10 @@ ResilientRunReport run_resilient_spmd(fsim::SharedFs& fs,
   // "abort" keeps the old behaviour: zero re-entries, the survivors'
   // RankFailedError becomes the run error.
   const int max_recoveries =
-      cfg.io.recovery == "shrink" ? cfg.max_recoveries : 0;
+      core::recovery_policy_of(cfg.io.recovery) ==
+              core::RecoveryPolicy::shrink
+          ? cfg.max_recoveries
+          : 0;
 
   const auto body = [&](smpi::Comm& comm, smpi::RecoveryContext& ctx) {
     const auto entered = std::chrono::steady_clock::now();

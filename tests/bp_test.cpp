@@ -713,6 +713,34 @@ TEST(BpHardening, UnknownFormatVersionIsTypedFormatError) {
   }
 }
 
+TEST(BpHardening, ChunkOutsideItsShapeFailsOpen) {
+  // A CRC-valid md.0 whose chunk lies outside its variable (offset + count
+  // wraps past UINT64_MAX, or a rank that disagrees with the shape), or
+  // whose shape's byte size wraps, must be rejected at open with
+  // FormatError: every reader scatters by these fields.
+  const auto open_container = [](const StepRecord& record) {
+    fsim::SharedFs fs(4);
+    fsim::FsClient io(fs, 0);
+    const EncodedStep md = encode_step(record);
+    io.write_file("c.bp4/md.0", md.bytes);
+    io.write_file("c.bp4/md.idx",
+                  encode_index({{record.step, 0, md.bytes.size(), md.crc}}));
+    io.write_file("c.bp4/data.0", std::vector<std::uint8_t>(32, 0));
+    Reader::open(fs, 0, "c.bp4");
+  };
+  EXPECT_NO_THROW(open_container(sample_record()));
+
+  StepRecord wraps = sample_record();
+  wraps.variables[0].chunks[0].offset = {UINT64_MAX};
+  wraps.variables[0].chunks[0].count = {2};
+  StepRecord wrong_rank = sample_record();
+  wrong_rank.variables[0].chunks[0].offset = {0, 0};
+  StepRecord huge_shape = sample_record();
+  huge_shape.variables[0].shape = {std::uint64_t(1) << 62};
+  for (const StepRecord* record : {&wraps, &wrong_rank, &huge_shape})
+    EXPECT_THROW(open_container(*record), FormatError);
+}
+
 // -------------------------------------------------------------- integrity ---
 
 TEST(BpIntegrity, ChunkCrcCatchesEveryBitFlipInData) {

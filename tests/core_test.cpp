@@ -261,6 +261,17 @@ recovery = "shrink"
   EXPECT_EQ(sync_engine, sync.engine_config(0, false));
 }
 
+TEST(IoConfig, RecoveryPolicyNamesHaveOneOwner) {
+  // validate() and recovery_policy_of read the same list, in enum order.
+  for (std::size_t i = 0; i < std::size(kRecoveryPolicies); ++i) {
+    EXPECT_EQ(recovery_policy_of(kRecoveryPolicies[i]), RecoveryPolicy(i));
+    Bit1IoConfig config;
+    config.recovery = kRecoveryPolicies[i];
+    EXPECT_NO_THROW(config.validate()) << kRecoveryPolicies[i];
+  }
+  EXPECT_THROW(recovery_policy_of("retry"), UsageError);
+}
+
 TEST(IoConfig, AsyncKeysReachTheEngineConfig) {
   Bit1IoConfig config;
   config.async_write = true;

@@ -1,6 +1,7 @@
 // Tests for the pluggable engine registry (bp::make_engine) and the miniSST
 // stream engine: factory registration, byte-identical compatibility of the
-// named Writer/Reader constructors, reader lifecycle edges (attach before
+// named Writer/Reader constructors, the shared put check and chunk records
+// of the file and stream engines, reader lifecycle edges (attach before
 // the first step, detach mid-stream), the three slow-reader policies, the
 // in-situ QueryService, and multi-consumer hammers for the TSan suite.
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <atomic>
 #include <numeric>
 #include <thread>
+#include <tuple>
 
 #include "bp/engine.hpp"
 #include "bp/query.hpp"
@@ -166,6 +168,94 @@ TEST(EngineCompat, FileEngineAttachWalksLandedSteps) {
   EXPECT_EQ(reader->steps_dropped(), 0u);
   EXPECT_FALSE(reader->disconnected());
   engine->close();
+}
+
+// A chunk whose offset + count wraps past UINT64_MAX would land outside the
+// global array; both kinds of engine refuse it at put().
+TEST(EngineCompat, OverflowingPlacementIsUsageError) {
+  for (const char* name : {"bp4", "stream"}) {
+    fsim::SharedFs fs(4);
+    auto engine = make_engine(name, fs, std::string("wrap.") + name,
+                              stream_config(4, "block"), 2);
+    engine->begin_step(0);
+    const auto local = iota_floats(2);
+    EXPECT_THROW(engine->put<float>(0, "x", {4}, {UINT64_MAX}, {2}, local),
+                 UsageError)
+        << name;
+    EXPECT_THROW(engine->put_synthetic(0, "y", Datatype::float32, {4},
+                                       {UINT64_MAX}, {2}),
+                 UsageError)
+        << name;
+    engine->end_step();
+    engine->close();
+  }
+}
+
+/// Every ChunkRecord field but the file placement (subfile, file_offset).
+auto engine_neutral_fields(const ChunkRecord& c) {
+  return std::tie(c.offset, c.count, c.writer_rank, c.stored_bytes,
+                  c.raw_bytes, c.operator_name, c.stat_min, c.stat_max,
+                  c.crc32c, c.has_crc, c.content_hash, c.has_content_hash);
+}
+
+// The same puts through bp4 and the stream engine yield the same chunk
+// records (but for where bp4 put the bytes) and the same decoded array: a
+// 3-D variable split 2 x 2 over 4 ranks, without and with an operator.
+TEST(EngineCompat, StreamAndFileChunkRecordsAgree) {
+  const Dims shape{4, 6, 8};
+  const auto put_variable = [&](Engine& engine) {
+    engine.begin_step(0);
+    for (int r = 0; r < 4; ++r) {
+      const Dims offset{std::uint64_t(2 * (r / 2)), std::uint64_t(3 * (r % 2)),
+                        0};
+      const Dims count{2, 3, 8};
+      std::vector<float> local;
+      for (std::uint64_t i = 0; i < count[0]; ++i)
+        for (std::uint64_t j = 0; j < count[1]; ++j)
+          for (std::uint64_t k = 0; k < count[2]; ++k)
+            local.push_back(
+                float(((offset[0] + i) * shape[1] + offset[1] + j) *
+                          shape[2] +
+                      k));
+      engine.put<float>(r, "E", shape, offset, count, local);
+    }
+    engine.end_step();
+  };
+
+  for (const char* codec : {"none", "blosc"}) {
+    SCOPED_TRACE(codec);
+    fsim::SharedFs fs(8);
+    EngineConfig config = stream_config(4, "block", codec);
+    config.num_aggregators = 2;
+
+    auto file = make_engine("bp4", fs, "diff.bp4", config, 4);
+    put_variable(*file);
+    file->close();
+    Reader reader = Reader::open(fs, 0, "diff.bp4");
+
+    auto stream = make_engine("stream", fs, "diff.stream", config, 4);
+    auto consumer = stream->attach(0);
+    put_variable(*stream);
+    stream->close();
+    ASSERT_EQ(consumer->next_step(), std::optional<std::uint64_t>(0));
+
+    const VarRecord* file_var = reader.find_variable(0, "E");
+    const VarRecord* stream_var = consumer->find_variable("E");
+    ASSERT_NE(file_var, nullptr);
+    ASSERT_NE(stream_var, nullptr);
+    ASSERT_EQ(file_var->chunks.size(), 4u);
+    ASSERT_EQ(stream_var->chunks.size(), 4u);
+    for (std::size_t c = 0; c < 4; ++c) {
+      SCOPED_TRACE("chunk " + std::to_string(c));
+      EXPECT_TRUE(stream_var->chunks[c].has_content_hash);
+      EXPECT_EQ(engine_neutral_fields(file_var->chunks[c]),
+                engine_neutral_fields(stream_var->chunks[c]));
+    }
+
+    const auto from_file = reader.read(0, "E");
+    EXPECT_EQ(from_file, consumer->get("E"));
+    EXPECT_EQ(as_floats(from_file), iota_floats(element_count(shape)));
+  }
 }
 
 // ---------------------------------------------------------- stream engine ---
