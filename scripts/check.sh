@@ -2,34 +2,38 @@
 # One-shot static-analysis + test gate: everything a reviewer should run
 # before merging.  Fails fast on the first broken stage.
 #
-#   1. strict build        -Wall -Wextra -Werror over the whole tree
+#   1. strict build        -Wall -Wextra -Werror over the whole tree (every
+#                          build already poisons raw file I/O, errors on a
+#                          dropped [[nodiscard]] status, keeps the bp seam
+#                          and compiles every src/ header on its own; see
+#                          README "Static analysis")
 #   2. thread-safety       clang -Wthread-safety (plain build + notice
 #                          when the toolchain is GCC-only)
-#   3. bitio-analyzer      the semantic-index static analysis suite over
-#                          src/, bench/, and examples/ (ctest -L lint, which
-#                          also runs the analyzer's own fixture tests)
-#   4. clang-tidy          bugprone/performance/concurrency profile, with
+#   3. clang-tidy          bugprone/performance/concurrency profile, with
 #                          --warnings-as-errors so findings fail the gate
 #                          (no-op without clang-tidy installed)
-#   5. stream suite        engine factory + miniSST lifecycle/policy tests
+#   4. stream suite        engine factory + miniSST lifecycle/policy tests
 #                          (ctest -L stream; the same tests also carry the
 #                          `concurrency` label for the TSan preset, and the
 #                          fan-out sweep is scripts/bench_report.sh ->
 #                          BENCH_stream.json)
-#   6. topo suite          topology/aggregation + event-driven scheduler
+#   5. topo suite          topology/aggregation + event-driven scheduler
 #                          tests (ctest -L topo), then the same label under
-#                          ThreadSanitizer (ctest --preset tsan-topo), and
-#                          the stream suite too (ctest --preset
-#                          tsan-stream); the rank sweep is
+#                          ThreadSanitizer (ctest --preset tsan-topo), the
+#                          stream suite too (ctest --preset tsan-stream),
+#                          and every resilience and concurrency test (ctest
+#                          --preset tsan-recovery): TSan's deadlock detector
+#                          is the lock-order check, and that preset also
+#                          runs its seeded-inversion test; the rank sweep is
 #                          scripts/bench_report.sh -> BENCH_topo.json
-#   7. ckpt suite          incremental-checkpoint tests (delta cadence,
+#   6. ckpt suite          incremental-checkpoint tests (delta cadence,
 #                          dedup, chain restore, retention pinning, prune
 #                          crash-window scrub; ctest -L ckpt), then the
 #                          same label under ASan+UBSan (ctest --preset
 #                          san-ckpt), and the stream suite too (ctest
 #                          --preset san-stream); the full/delta sweep is
 #                          scripts/bench_report.sh -> BENCH_ckpt.json
-#   8. iopath suite        batched queue-pair differential tests (byte
+#   7. iopath suite        batched queue-pair differential tests (byte
 #                          identity vs the per-op writer, CZP1 + two-level
 #                          composition, Darshan batch counters; ctest -L
 #                          iopath), then the iopath_sweep benchmark whose
@@ -37,14 +41,15 @@
 #                          the per-op path at 64+ ranks and the coalesced
 #                          path to reach >= 2x (the committed report is
 #                          scripts/bench_report.sh -> BENCH_iopath.json)
-#   9. perfbench build     perfbench/ configured as its own CMake project
+#   8. perfbench build     perfbench/ configured as its own CMake project
 #                          (as perfbench/run.py builds it) in build-perfbench/;
 #                          builds perfbench and perfbench_tests and runs the
 #                          tests, so a change to the types the benchmark
 #                          compiles against cannot break it unnoticed
-#  10. full test suite     default preset, all labels (includes the `perf`
-#                          smoke test; the full codec sweep is
-#                          scripts/bench_report.sh -> BENCH_codecs.json)
+#   9. full test suite     default preset, all labels (includes the `perf`
+#                          smoke test and the `compile-fail` fixtures; the
+#                          full codec sweep is scripts/bench_report.sh ->
+#                          BENCH_codecs.json)
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -60,12 +65,9 @@ step "thread-safety analysis (clang only)"
 cmake --preset analyze >/dev/null
 cmake --build --preset analyze -j "$(nproc 2>/dev/null || echo 4)"
 
-step "bitio-analyzer + fixtures (ctest -L lint)"
+step "clang-tidy (skips without LLVM)"
 cmake --preset default >/dev/null
 cmake --build --preset default -j "$(nproc 2>/dev/null || echo 4)"
-ctest --preset lint
-
-step "clang-tidy (skips without LLVM)"
 "$repo_root/scripts/run_clang_tidy.sh" "$repo_root/build"
 
 step "stream engine suite (ctest -L stream)"
@@ -81,6 +83,9 @@ ctest --preset tsan-topo
 
 step "stream engine suite under ThreadSanitizer (ctest --preset tsan-stream)"
 ctest --preset tsan-stream
+
+step "resilience + concurrency under ThreadSanitizer (ctest --preset tsan-recovery)"
+ctest --preset tsan-recovery
 
 step "incremental-checkpoint suite (ctest -L ckpt)"
 ctest --preset ckpt

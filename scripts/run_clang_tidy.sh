@@ -23,7 +23,7 @@ if [ ! -f "$build_dir/compile_commands.json" ]; then
 fi
 
 # Project sources only — third-party and generated code are out of scope.
-files=$(find "$repo_root/src" "$repo_root/tools" -name '*.cpp' | sort)
+files=$(find "$repo_root/src" -name '*.cpp' | sort)
 
 # --warnings-as-errors promotes every enabled check to an error: clang-tidy
 # otherwise exits 0 on findings, which would let violations through the gate.

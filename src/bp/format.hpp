@@ -29,6 +29,11 @@
 // stream engine and bp::Reader all call these, so a chunk's record and
 // decoded bytes cannot depend on which engine moved it.
 
+#ifdef BITIO_BP_SEAM_ONLY
+// Outside src/bp, BITIO_BP_SEAM_ONLY is set (src/CMakeLists.txt).
+#error "bp-internal header: outside src/bp include bp/engine.hpp instead"
+#endif
+
 #include <optional>
 #include <span>
 

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "bp/format.hpp"
 #include "compress/codec.hpp"
 #include "util/crc32c.hpp"
 #include "util/error.hpp"

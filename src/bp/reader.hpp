@@ -23,7 +23,6 @@
 #include <map>
 #include <optional>
 
-#include "bp/format.hpp"
 #include "bp/types.hpp"
 #include "fsim/posix_fs.hpp"
 
@@ -34,57 +33,58 @@ public:
   /// Open a container (Reader holds a SharedFs reference, so it is not
   /// assignable; C++17 guaranteed elision makes this returnable).  Engine
   /// call sites use bp::attach_reader (src/bp/engine.hpp) instead.
-  static Reader open(fsim::SharedFs& fs, fsim::ClientId client,
-                     std::string path) {
+  [[nodiscard]] static Reader open(fsim::SharedFs& fs, fsim::ClientId client,
+                                   std::string path) {
     return Reader(fs, client, std::move(path));
   }
 
   /// Distinct step ids, ascending.
-  std::vector<std::uint64_t> steps() const;
-  bool has_step(std::uint64_t step) const;
+  [[nodiscard]] std::vector<std::uint64_t> steps() const;
+  [[nodiscard]] bool has_step(std::uint64_t step) const;
 
   /// Latest metadata record for a step.  Throws UsageError if absent.
-  const StepRecord& step(std::uint64_t step) const;
+  [[nodiscard]] const StepRecord& step(std::uint64_t step) const;
 
   /// Variable names in a step.
-  std::vector<std::string> variables(std::uint64_t step) const;
+  [[nodiscard]] std::vector<std::string> variables(std::uint64_t step) const;
 
   /// Find a variable's record in a step; nullptr if absent.
-  const VarRecord* find_variable(std::uint64_t step,
-                                 const std::string& name) const;
+  [[nodiscard]] const VarRecord* find_variable(std::uint64_t step,
+                                               const std::string& name) const;
 
   /// Find the chunk a specific writer rank stored for a variable in a step;
   /// nullptr if absent.  The (step, var, writer_rank) triple is the block
   /// address the incremental-checkpoint layer deduplicates on.
-  const ChunkRecord* find_chunk(std::uint64_t step, const std::string& name,
-                                std::uint32_t writer_rank) const;
+  [[nodiscard]] const ChunkRecord* find_chunk(std::uint64_t step,
+                                              const std::string& name,
+                                              std::uint32_t writer_rank) const;
 
   /// True when open() took its index from the md.0 footer rather than
   /// from md.idx.
-  bool used_footer_index() const { return footer_used_; }
+  [[nodiscard]] bool used_footer_index() const { return footer_used_; }
 
   /// Read and reassemble the full global array of a variable.  Every chunk
   /// with stored bytes carries a CRC, verified here; a mismatch raises
   /// FormatError.  Use verify() for a non-throwing per-chunk report.
-  std::vector<std::uint8_t> read(std::uint64_t step, const std::string& name);
+  [[nodiscard]] std::vector<std::uint8_t> read(std::uint64_t step,
+                                               const std::string& name);
 
   /// Read one writer rank's chunk of a variable: exactly one data-subfile
   /// pread of the stored bytes, CRC-verified and decompressed.  Throws
   /// UsageError when the chunk is absent, FormatError on corruption.  This
   /// is the random-access primitive of chain restore: only the referenced
   /// block's bytes are read, never the rest of the container.
-  std::vector<std::uint8_t> read_chunk(std::uint64_t step,
-                                       const std::string& name,
-                                       std::uint32_t writer_rank);
+  [[nodiscard]] std::vector<std::uint8_t> read_chunk(
+      std::uint64_t step, const std::string& name, std::uint32_t writer_rank);
 
   /// Read `elem_count` elements starting at `elem_offset` of a 1-D
   /// variable's global array, touching only the chunks that overlap the
   /// slice (each fetched once, CRC-verified, decompressed).  Throws
   /// UsageError for non-1-D variables or an out-of-extent slice.
-  std::vector<std::uint8_t> read_slice(std::uint64_t step,
-                                       const std::string& name,
-                                       std::uint64_t elem_offset,
-                                       std::uint64_t elem_count);
+  [[nodiscard]] std::vector<std::uint8_t> read_slice(std::uint64_t step,
+                                                     const std::string& name,
+                                                     std::uint64_t elem_offset,
+                                                     std::uint64_t elem_count);
 
   /// Per-chunk integrity verdict from a verify() scrub.
   struct ChunkVerdict {
@@ -106,13 +106,14 @@ public:
   /// per chunk instead of throwing on the first error (the scrub pass the
   /// resilience layer runs over checkpoint epochs).  Metadata was already
   /// CRC-verified at open.
-  std::vector<ChunkVerdict> verify();
+  [[nodiscard]] std::vector<ChunkVerdict> verify();
 
   /// True iff every verdict in `verify()` is ok or no_crc.
-  static bool all_ok(const std::vector<ChunkVerdict>& verdicts);
+  [[nodiscard]] static bool all_ok(const std::vector<ChunkVerdict>& verdicts);
 
   template <typename T>
-  std::vector<T> read_as(std::uint64_t step, const std::string& name) {
+  [[nodiscard]] std::vector<T> read_as(std::uint64_t step,
+                                       const std::string& name) {
     const VarRecord* var = find_variable(step, name);
     if (!var) throw UsageError("bp::Reader: no variable '" + name + "'");
     if (var->dtype != datatype_of<T>::value)
@@ -124,8 +125,8 @@ public:
   }
 
   /// Step attribute lookup; nullopt if absent.
-  std::optional<AttrValue> attribute(std::uint64_t step,
-                                     const std::string& name) const;
+  [[nodiscard]] std::optional<AttrValue> attribute(
+      std::uint64_t step, const std::string& name) const;
 
 private:
   Reader(fsim::SharedFs& fs, fsim::ClientId client, std::string path);
@@ -133,10 +134,9 @@ private:
   /// Fetch one chunk's raw bytes: pread the stored extent, then
   /// decode_chunk (CRC, operator, size).  Throws FormatError on a short
   /// read or any decode_chunk failure.
-  std::vector<std::uint8_t> fetch_chunk(fsim::FsClient& io,
-                                        const std::string& name,
-                                        const ChunkRecord& chunk,
-                                        std::size_t elem);
+  [[nodiscard]] std::vector<std::uint8_t> fetch_chunk(
+      fsim::FsClient& io, const std::string& name, const ChunkRecord& chunk,
+      std::size_t elem);
 
   fsim::SharedFs& fs_;
   fsim::ClientId client_;

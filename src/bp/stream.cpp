@@ -257,11 +257,13 @@ void StreamEngine::put(int rank, const std::string& name, const Dims& shape,
   PendingVar& var = pending_var(name, view.dtype(), shape);
   step_kind_ = 1;
 
-  // Marshal under the lock (the codec and pool are shared) into a recycled
-  // pool buffer: the same marshal_chunk the file engine runs on the way to
-  // a subfile, so the record matches it field for field.
-  std::vector<std::uint8_t> stored = buffer_pool_.acquire_reserve(
-      view.bytes().size() + (codec_ ? 64 : 0));
+  // Marshal under the lock (the codec is shared): the same marshal_chunk
+  // the file engine runs on the way to a subfile, so the record matches it
+  // field for field.  The stored bytes are published in a StreamStep that
+  // readers own through shared_ptr, so they never come back to the pool:
+  // an exact-size plain vector, not a pooled power-of-two class.
+  std::vector<std::uint8_t> stored;
+  stored.reserve(view.bytes().size() + (codec_ ? 64 : 0));
   ChunkRecord meta =
       marshal_chunk(codec_.get(), view.dtype(), view.bytes(), view.offset(),
                     view.count(), std::uint32_t(rank), stored);

@@ -29,6 +29,11 @@
 // the query service's cache, src/bp/query.hpp) can keep a step alive after
 // the window evicted it and after the engine itself is destroyed.
 
+#ifdef BITIO_BP_SEAM_ONLY
+// Outside src/bp, BITIO_BP_SEAM_ONLY is set (src/CMakeLists.txt).
+#error "bp-internal header: outside src/bp include bp/engine.hpp instead"
+#endif
+
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -200,6 +205,8 @@ class StreamEngine final : public Engine {
   EngineConfig config_;
   int nranks_;
   StreamPolicy policy_;
+  // Codec scratch only (declared before codec_, which keeps a pointer to
+  // it); published payloads are plain vectors that readers own.
   cz::BufferPool buffer_pool_;
   std::unique_ptr<cz::Codec> codec_;  // null when config_.codec == "none"
   std::shared_ptr<StreamChannel> channel_;

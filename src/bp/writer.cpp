@@ -37,17 +37,15 @@ constexpr std::size_t kAggInitialReserve = 64 * 1024;
 /// reported short in their cqe but not failed — matching posix pwrite's
 /// silent-torn semantics, which keeps batched and per-op containers in
 /// byte agreement under the same fault plan.
-void submit_and_reap(fsim::SubmissionQueue& sq) {
-  if (sq.pending() == 0) return;
-  sq.submit();
-  for (const fsim::Cqe& cqe : sq.reap_all())
+void submit_checked(fsim::SubmissionQueue& sq) {
+  for (const fsim::Cqe& cqe : sq.submit())
     if (!cqe.ok) throw IoError(cqe.error);
 }
 
 /// Push onto the ring, draining it first when full (extra doorbells beyond
 /// one per lane only appear when a step outgrows io_batch_depth).
 void ring_push(fsim::SubmissionQueue& sq, fsim::Sqe sqe) {
-  if (sq.pending() == sq.depth()) submit_and_reap(sq);
+  if (sq.pending() == sq.depth()) submit_checked(sq);
   sq.push(std::move(sqe));
 }
 
@@ -191,10 +189,10 @@ void Writer::put(int rank, const std::string& name, const Dims& shape,
   chunk.offset = view.offset();
   chunk.count = view.count();
   // Stage the payload in a recycled pool buffer: steady-state puts do no
-  // heap allocation (the buffer returns to the pool after the drain).
+  // heap allocation (the buffer returns to the pool with its step job).
   chunk.data = buffer_pool_.acquire(view.bytes().size());
   if (!view.bytes().empty())
-    std::memcpy(chunk.data.data(), view.bytes().data(), view.bytes().size());
+    std::memcpy(chunk.data->data(), view.bytes().data(), view.bytes().size());
   ++stage_copies_total_;
   pending_[std::size_t(rank)].push_back(std::move(chunk));
 }
@@ -254,12 +252,11 @@ void Writer::end_step() {
     job.attributes = std::move(attributes_);
     attributes_.clear();
     job.chunks = std::move(pending_);
-    pending_.assign(std::size_t(nranks_), {});
+    pending_ = decltype(pending_)(std::size_t(nranks_));
     ++steps_written_;
   }
   if (!config_.async_write) {
     drain_step(job);
-    recycle_job(job);
     return;
   }
   {
@@ -288,7 +285,7 @@ void Writer::drain_step(const StepJob& job) {
   // one per subfile.  Real steps draw the buffers from the pool — after
   // the first step each comes back with its grown capacity, so appends
   // below never allocate.
-  std::vector<std::vector<std::uint8_t>> agg(
+  std::vector<cz::PooledBuffer> agg(
       static_cast<std::size_t>(num_aggregators_));
   if (job.kind == 1)
     for (auto& buffer : agg)
@@ -350,7 +347,7 @@ void Writer::drain_step(const StepJob& job) {
                                 std::uint32_t(rank))
               : marshal_chunk(codec_.get(), chunk.dtype, chunk.payload(),
                               chunk.offset, chunk.count, std::uint32_t(rank),
-                              agg[std::size_t(a)]);
+                              *agg[std::size_t(a)]);
       meta.subfile = std::uint32_t(a);
       meta.file_offset =
           data_offsets_[std::size_t(a)] + agg_bytes[std::size_t(a)];
@@ -486,12 +483,12 @@ void Writer::drain_step(const StepJob& job) {
           sqe.simulated_bytes = n;
         else
           sqe.iov.push_back(
-              std::span<const std::uint8_t>(agg[std::size_t(a)])
+              std::span<const std::uint8_t>(*agg[std::size_t(a)])
                   .subspan(std::size_t(pos), std::size_t(n)));
         ring_push(sq, std::move(sqe));
         pos += n;
       }
-      submit_and_reap(sq);
+      submit_checked(sq);
     } else if (synthetic_step) {
       client.seek(data_fds_[std::size_t(a)], data_offsets_[std::size_t(a)]);
       const std::uint64_t nslices = async ? (bytes + slice - 1) / slice : 1;
@@ -503,18 +500,18 @@ void Writer::drain_step(const StepJob& job) {
         touch_heartbeat();
         client.pwrite(
             data_fds_[std::size_t(a)], data_offsets_[std::size_t(a)] + pos,
-            std::span<const std::uint8_t>(agg[std::size_t(a)]).subspan(
+            std::span<const std::uint8_t>(*agg[std::size_t(a)]).subspan(
                 std::size_t(pos), std::size_t(n)));
       }
     } else {
       client.pwrite(data_fds_[std::size_t(a)], data_offsets_[std::size_t(a)],
-                    agg[std::size_t(a)]);
+                    *agg[std::size_t(a)]);
     }
     data_offsets_[std::size_t(a)] += bytes;
   }
   // Aggregation buffers go back to the pool (with whatever capacity they
-  // grew to) for the next step's drain.
-  for (auto& buffer : agg) buffer_pool_.release(std::move(buffer));
+  // grew to) for the next step's drain; a throw above returns them too.
+  agg.clear();
 
   // Rank 0 appends step metadata and the index entry (its own overlapped
   // metadata lane when async).
@@ -543,19 +540,13 @@ void Writer::drain_step(const StepJob& job) {
     idx_sqe.iov.push_back(std::span<const std::uint8_t>(idx_bytes.buffer()));
     idx_sqe.user_data = 1;
     mq.push(std::move(idx_sqe));
-    submit_and_reap(mq);
+    submit_checked(mq);
   } else {
     root.pwrite(md_fd_, md_offset_, md.bytes);
     root.pwrite(idx_fd_, idx_offset, idx_bytes.buffer());
   }
   md_offset_ += md.bytes.size();
   index_.push_back(entry);
-}
-
-void Writer::recycle_job(StepJob& job) {
-  for (auto& rank_chunks : job.chunks)
-    for (auto& chunk : rank_chunks)
-      buffer_pool_.release(std::move(chunk.data));
 }
 
 Writer::DrainSnapshot Writer::snapshot_drain_state() const {
@@ -640,8 +631,8 @@ void Writer::drain_loop() {
     }
     if (!skip) drain_job_with_retries(job);
     // After the final attempt (or a skip) nothing reads the staged
-    // payloads again: hand them back to the pool.
-    recycle_job(job);
+    // payloads again: destroying the job hands them back to the pool.
+    job = StepJob{};
     {
       util::MutexLock lock(drain_mutex_);
       --inflight_;

@@ -39,6 +39,11 @@
 // exactly one thread at a time (the openPMD layer funnels them through
 // rank 0 between barriers).
 
+#ifdef BITIO_BP_SEAM_ONLY
+// Outside src/bp, BITIO_BP_SEAM_ONLY is set (src/CMakeLists.txt).
+#error "bp-internal header: outside src/bp include bp/engine.hpp instead"
+#endif
+
 #include <atomic>
 #include <deque>
 #include <exception>
@@ -180,7 +185,7 @@ private:
     std::string var;
     Datatype dtype;
     Dims shape, offset, count;
-    std::vector<std::uint8_t> data;  // empty for synthetic/borrowed chunks
+    cz::PooledBuffer data;  // empty for synthetic/borrowed chunks
     // Caller-owned bytes of a put_borrowed() chunk (valid until the step's
     // drain completes, per the deferred-Put contract).
     std::span<const std::uint8_t> borrowed;
@@ -190,7 +195,7 @@ private:
     /// The chunk's payload wherever it lives (staged or borrowed).
     std::span<const std::uint8_t> payload() const {
       return is_borrowed() ? borrowed
-                           : std::span<const std::uint8_t>(data);
+                           : std::span<const std::uint8_t>(*data);
     }
   };
 
@@ -235,9 +240,6 @@ private:
   int leader_of(int aggregator) const;
   void drain_step(const StepJob& job);
   void drain_job_with_retries(const StepJob& job) EXCLUDES(drain_mutex_);
-  /// Return a drained job's chunk buffers to the pool (after the last
-  /// retry — a retried attempt re-reads the same buffers).
-  void recycle_job(StepJob& job);
   DrainSnapshot snapshot_drain_state() const;
   void restore_drain_state(const DrainSnapshot& snap);
   void drain_loop() EXCLUDES(drain_mutex_);
@@ -258,9 +260,11 @@ private:
   // pre-topology writer.
   const topo::Mapper mapper_;
   int num_aggregators_;
-  // Recycles every hot-path buffer (declared before codec_: a ParallelCodec
-  // wrapper keeps a pointer to it).  Thread-safe; shared by rank threads in
-  // put() and whichever thread drains.
+  // Recycles every hot-path buffer.  Declared before codec_ (a
+  // ParallelCodec wrapper keeps a pointer to it) and before pending_ and
+  // drain_queue_, whose PooledBuffers return to it when destroyed.
+  // Thread-safe; shared by rank threads in put() and whichever thread
+  // drains.
   cz::BufferPool buffer_pool_;
   std::unique_ptr<cz::Codec> codec_;  // null when config_.codec == "none"
 

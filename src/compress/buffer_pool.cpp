@@ -2,6 +2,24 @@
 
 namespace bitio::cz {
 
+PooledBuffer::PooledBuffer(PooledBuffer&& other) noexcept
+    : pool_(std::exchange(other.pool_, nullptr)),
+      bytes_(std::move(other.bytes_)) {}
+
+PooledBuffer& PooledBuffer::operator=(PooledBuffer&& other) noexcept {
+  if (this != &other) {
+    reset();
+    pool_ = std::exchange(other.pool_, nullptr);
+    bytes_ = std::move(other.bytes_);
+  }
+  return *this;
+}
+
+void PooledBuffer::reset() noexcept {
+  if (pool_) std::exchange(pool_, nullptr)->release(std::move(bytes_));
+  bytes_ = {};
+}
+
 BufferPool::BufferPool(std::size_t max_per_class)
     : max_per_class_(max_per_class) {}
 
@@ -11,9 +29,8 @@ std::size_t BufferPool::class_for(std::size_t size) {
   return bits - kMinClassBits;  // == kClasses when size > 2^kMaxClassBits
 }
 
-std::vector<std::uint8_t> BufferPool::acquire_class(std::size_t cls,
-                                                    std::size_t size,
-                                                    bool reserve_only) {
+PooledBuffer BufferPool::acquire_class(std::size_t cls, std::size_t size,
+                                      bool reserve_only) {
   std::vector<std::uint8_t> buf;
   if (cls >= kClasses) {
     // Oversized request: serve unpooled, count as a miss so the hit rate
@@ -44,14 +61,14 @@ std::vector<std::uint8_t> BufferPool::acquire_class(std::size_t cls,
     // buffers keep their stale contents (documented — callers overwrite).
     buf.resize(size);
   }
-  return buf;
+  return PooledBuffer(this, std::move(buf));
 }
 
-std::vector<std::uint8_t> BufferPool::acquire(std::size_t size) {
+PooledBuffer BufferPool::acquire(std::size_t size) {
   return acquire_class(class_for(size), size, /*reserve_only=*/false);
 }
 
-std::vector<std::uint8_t> BufferPool::acquire_reserve(std::size_t capacity) {
+PooledBuffer BufferPool::acquire_reserve(std::size_t capacity) {
   return acquire_class(class_for(capacity), capacity, /*reserve_only=*/true);
 }
 

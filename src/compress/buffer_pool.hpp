@@ -8,13 +8,15 @@
 // are served by step N-1's releases (the BP5 "BufferV" idea of reusing
 // pinned marshalling slabs instead of malloc/free per Put).
 //
-// Buffers are plain std::vector<std::uint8_t> handed out by value: acquire()
-// moves a recycled vector out of a freelist (or allocates on a miss) and
-// release() moves it back, so the pool composes with every existing Bytes
-// API with zero copies.  Capacity classes are powers of two; a released
-// buffer joins the class its *capacity* fits, so buffers that grew while
-// in use come back to the larger class.  Per-class depth is bounded —
-// releases beyond the bound free the memory instead of hoarding it.
+// acquire() hands out a PooledBuffer: a move-only owner of a plain
+// std::vector<std::uint8_t> whose destructor moves the vector back into the
+// pool, so every path out of the owner's scope — early returns and
+// exceptions included — returns the buffer.  Capacity classes are powers
+// of two; a returned buffer joins the class its *capacity* fits, so buffers
+// that grew while in use come back to the larger class.  Per-class depth is
+// bounded — returns beyond the bound free the memory instead of hoarding
+// it.  A pool must outlive its PooledBuffers (an owning class declares its
+// pool before every member that holds one).
 //
 // hits()/misses() make the steady-state guarantee testable: after warmup
 // the writer asserts a >= 99% hit rate (tests/bp_test.cpp) and the TSan
@@ -23,12 +25,43 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace bitio::cz {
+
+class BufferPool;
+
+/// A buffer on loan from a BufferPool.  Move-only; the destructor (or
+/// reset()) returns the vector to the pool it came from.  A default-
+/// constructed PooledBuffer is empty and belongs to no pool.
+class PooledBuffer {
+ public:
+  PooledBuffer() = default;
+  PooledBuffer(PooledBuffer&& other) noexcept;
+  PooledBuffer& operator=(PooledBuffer&& other) noexcept;
+  PooledBuffer(const PooledBuffer&) = delete;
+  PooledBuffer& operator=(const PooledBuffer&) = delete;
+  ~PooledBuffer() { reset(); }
+
+  std::vector<std::uint8_t>& operator*() { return bytes_; }
+  const std::vector<std::uint8_t>& operator*() const { return bytes_; }
+  std::vector<std::uint8_t>* operator->() { return &bytes_; }
+
+  /// Return the buffer to its pool now; leaves this PooledBuffer empty.
+  void reset() noexcept;
+
+ private:
+  friend class BufferPool;
+  PooledBuffer(BufferPool* pool, std::vector<std::uint8_t> bytes)
+      : pool_(pool), bytes_(std::move(bytes)) {}
+
+  BufferPool* pool_ = nullptr;
+  std::vector<std::uint8_t> bytes_;
+};
 
 class BufferPool {
  public:
@@ -47,16 +80,16 @@ class BufferPool {
   /// A buffer with size() == `size` and capacity of at least the size
   /// class that fits it.  Contents are unspecified (recycled bytes are not
   /// cleared — every caller overwrites them).
-  std::vector<std::uint8_t> acquire(std::size_t size) EXCLUDES(mutex_);
+  PooledBuffer acquire(std::size_t size) EXCLUDES(mutex_);
 
   /// An empty buffer (size() == 0) with capacity() >= `capacity`, for
   /// append-style producers (aggregation buffers, codec frames).  Appends
   /// within the reserved capacity never reallocate.
-  std::vector<std::uint8_t> acquire_reserve(std::size_t capacity)
-      EXCLUDES(mutex_);
+  PooledBuffer acquire_reserve(std::size_t capacity) EXCLUDES(mutex_);
 
-  /// Return a buffer to its capacity class.  Zero-capacity buffers (moved-
-  /// from or synthetic-chunk placeholders) are ignored and not counted.
+  /// Adopt a vector into its capacity class.  PooledBuffer returns itself;
+  /// this is for buffers the pool never handed out (bp::QueryService's
+  /// decoded blocks).  Zero-capacity buffers are ignored and not counted.
   void release(std::vector<std::uint8_t>&& buffer) EXCLUDES(mutex_);
 
   struct Stats {
@@ -96,9 +129,8 @@ class BufferPool {
   /// `size`, or kClasses when the request is beyond the largest class.
   static std::size_t class_for(std::size_t size);
 
-  std::vector<std::uint8_t> acquire_class(std::size_t cls, std::size_t size,
-                                          bool reserve_only)
-      EXCLUDES(mutex_);
+  PooledBuffer acquire_class(std::size_t cls, std::size_t size,
+                             bool reserve_only) EXCLUDES(mutex_);
 
   mutable util::Mutex mutex_;
   std::array<std::vector<std::vector<std::uint8_t>>, kClasses> free_

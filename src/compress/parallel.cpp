@@ -11,7 +11,6 @@ namespace bitio::cz {
 
 namespace {
 
-constexpr std::uint8_t kFrameVersion = 1;
 constexpr std::size_t kMinBlockBytes = 4 * 1024;
 
 bool has_magic(ByteSpan frame, const char* magic) {
@@ -119,16 +118,16 @@ void ParallelCodec::compress_append(ByteSpan input, Bytes& out) const {
   // Parallel path: each lane compresses its blocks into pooled scratch;
   // the frames are stitched in block order afterwards, so the output is
   // byte-identical to the serial path (determinism guarantee).
-  std::vector<Bytes> parts(nblocks);
+  std::vector<PooledBuffer> parts(nblocks);
   pool_->parallel_for(nblocks, threads_, [&](std::size_t b) {
-    Bytes scratch = buffers_->acquire_reserve(block_bytes_ / 2 + 64);
-    inner_->compress_append(block_span(b), scratch);
+    PooledBuffer scratch = buffers_->acquire_reserve(block_bytes_ / 2 + 64);
+    inner_->compress_append(block_span(b), *scratch);
     parts[b] = std::move(scratch);
   });
   for (std::size_t b = 0; b < nblocks; ++b) {
-    patch_u32(out, table_pos + 4 * b, std::uint32_t(parts[b].size()));
-    out.insert(out.end(), parts[b].begin(), parts[b].end());
-    buffers_->release(std::move(parts[b]));
+    patch_u32(out, table_pos + 4 * b, std::uint32_t(parts[b]->size()));
+    out.insert(out.end(), parts[b]->begin(), parts[b]->end());
+    parts[b].reset();
   }
 }
 

@@ -6,8 +6,7 @@
 //
 // CZP1 frame layout (little-endian):
 //   'C' 'Z' 'P' '1'
-//   u8  version            (currently 1 — satellite fix: frames are now
-//                           versioned so the format can evolve)
+//   u8  version            (kFrameVersion)
 //   u64 orig_size
 //   u32 block_size         (bytes of input per block; last block may be short)
 //   u32 nblocks
@@ -34,6 +33,9 @@ class ThreadPool;
 }
 
 namespace bitio::cz {
+
+/// The CZP1 frame version byte; a frame with any other version is rejected.
+inline constexpr std::uint8_t kFrameVersion = 1;
 
 /// Decode any cz frame by magic: CZP1 (block-parallel, decoded with up to
 /// `threads` lanes) or a legacy single-block RAW1/BLL1/BZL1 frame (decoded

@@ -425,25 +425,6 @@ void FsClient::note_fault(FaultKind kind) {
 
 // ---------------------------------------------------------------- queue pair
 
-std::optional<Cqe> CompletionQueue::reap() {
-  if (head_ >= cqes_.size()) return std::nullopt;
-  Cqe out = std::move(cqes_[head_]);
-  if (++head_ == cqes_.size()) {
-    cqes_.clear();
-    head_ = 0;
-  }
-  return out;
-}
-
-std::vector<Cqe> CompletionQueue::reap_all() {
-  std::vector<Cqe> out;
-  out.reserve(cqes_.size() - head_);
-  for (; head_ < cqes_.size(); ++head_) out.push_back(std::move(cqes_[head_]));
-  cqes_.clear();
-  head_ = 0;
-  return out;
-}
-
 SubmissionQueue::SubmissionQueue(FsClient client, std::size_t depth,
                                  bool coalesce)
     : io_(client), depth_(depth), coalesce_(coalesce) {
@@ -464,8 +445,9 @@ bool SubmissionQueue::try_push(Sqe& sqe) {
   return true;
 }
 
-std::size_t SubmissionQueue::submit() {
-  if (sqes_.empty()) return 0;
+std::vector<Cqe> SubmissionQueue::submit() {
+  std::vector<Cqe> cqes;
+  if (sqes_.empty()) return cqes;
   SharedFs& fs = io_.shared();
   const ClientId client = io_.client();
   const std::uint32_t lane = io_.lane();
@@ -484,7 +466,7 @@ std::size_t SubmissionQueue::submit() {
 
   stats_.batches_submitted += 1;
   stats_.sqes_submitted += sqes_.size();
-  const std::size_t generated = sqes_.size();
+  cqes.reserve(sqes_.size());
 
   // The first trace record of the batch carries the doorbell tag: the
   // timing replay charges batch_setup_s only there, so setup is amortized
@@ -531,7 +513,7 @@ std::size_t SubmissionQueue::submit() {
       cqe.ok = false;
       cqe.error = "submit: injected " + std::string(fault_name(fault)) +
                   " on '" + node.path + "'";
-      cq_.cqes_.push_back(std::move(cqe));
+      cqes.push_back(std::move(cqe));
       continue;
     }
     if (fault == FaultKind::stall) {
@@ -541,11 +523,11 @@ std::size_t SubmissionQueue::submit() {
       try {
         fs.stall_write(lock, "submit", node.path);
       } catch (const TimeoutError& err) {
-        // The watchdog cancelled the wedged sqe; everything reaped so far
+        // The watchdog cancelled the wedged sqe; every completion so far
         // stays valid and the rest of the batch proceeds.
         cqe.ok = false;
         cqe.error = err.what();
-        cq_.cqes_.push_back(std::move(cqe));
+        cqes.push_back(std::move(cqe));
         continue;
       }
     }
@@ -594,11 +576,11 @@ std::size_t SubmissionQueue::submit() {
       run = {desc.file, sqe.offset, persist, 1};
       if (!coalesce_) flush_run();
     }
-    cq_.cqes_.push_back(std::move(cqe));
+    cqes.push_back(std::move(cqe));
   }
   flush_run();
   sqes_.clear();
-  return generated;
+  return cqes;
 }
 
 }  // namespace bitio::fsim

@@ -42,37 +42,41 @@ public:
   explicit SharedFs(int ost_count, bool store_data = true,
                     StripeSettings default_stripe = {});
 
-  ObjectStore& store() { return store_; }
-  const ObjectStore& store() const { return store_; }
+  [[nodiscard]] ObjectStore& store() { return store_; }
+  [[nodiscard]] const ObjectStore& store() const { return store_; }
 
-  const std::vector<TraceOp>& trace() const { return trace_; }
+  [[nodiscard]] const std::vector<TraceOp>& trace() const {
+    return trace_;
+  }
   void clear_trace() { trace_.clear(); }
 
   /// Disable trace recording (layout-census runs that skip timing replay).
   void set_tracing(bool enabled) { tracing_ = enabled; }
-  bool tracing() const { return tracing_; }
+  [[nodiscard]] bool tracing() const { return tracing_; }
 
   /// Total bytes recorded as written / read in the trace.
-  std::uint64_t traced_bytes_written() const;
-  std::uint64_t traced_bytes_read() const;
+  [[nodiscard]] std::uint64_t traced_bytes_written() const;
+  [[nodiscard]] std::uint64_t traced_bytes_read() const;
 
   /// Install (or clear) the fault-injection plan consulted on every data
   /// write.  The plan is stateful; installing it hands its counters over.
   void set_fault_plan(FaultPlan plan);
   void clear_fault_plan();
-  bool has_fault_plan() const { return fault_plan_.has_value(); }
+  [[nodiscard]] bool has_fault_plan() const {
+    return fault_plan_.has_value();
+  }
   /// Faults injected so far (0 without a plan).
-  std::uint64_t injected_fault_count() const;
+  [[nodiscard]] std::uint64_t injected_fault_count() const;
   /// rank_crash rules: should `rank` die at `step`?  False without a plan.
-  bool should_crash(int rank, std::uint64_t step) const;
+  [[nodiscard]] bool should_crash(int rank, std::uint64_t step) const;
 
   /// Abort every write currently wedged in an injected stall fault; each
   /// one wakes and throws TimeoutError.  This is the watchdog's cancel
   /// primitive (bp::Writer's drain watchdog calls it when a lane stops
   /// heartbeating).  Returns how many stalled ops were released.
-  int cancel_stalls();
+  [[nodiscard]] int cancel_stalls();
   /// Writes currently blocked in an injected stall.
-  int stalled_op_count() const;
+  [[nodiscard]] int stalled_op_count() const;
 
   /// Descriptor-table entry (public so the implementation's helpers can
   /// name the type; not part of the user-facing API).
@@ -89,8 +93,9 @@ private:
   friend class SubmissionQueue;
   void append_op(TraceOp op);
   /// Consult the fault plan for a data write (mutex must be held).
-  FaultKind next_write_fault(const FileNode& node, ClientId client,
-                             std::uint64_t bytes);
+  [[nodiscard]] FaultKind next_write_fault(const FileNode& node,
+                                           ClientId client,
+                                           std::uint64_t bytes);
   /// Block the calling write in an injected stall (releases `lock` while
   /// wedged so other clients keep running) until cancel_stalls(), then
   /// throw TimeoutError.  Never returns.
@@ -121,28 +126,29 @@ public:
   FsClient(SharedFs& fs, ClientId client, std::uint32_t lane = 0)
       : fs_(&fs), client_(client), lane_(lane) {}
 
-  ClientId client() const { return client_; }
-  std::uint32_t lane() const { return lane_; }
-  SharedFs& shared() const { return *fs_; }
+  [[nodiscard]] ClientId client() const { return client_; }
+  [[nodiscard]] std::uint32_t lane() const { return lane_; }
+  [[nodiscard]] SharedFs& shared() const { return *fs_; }
 
   // -- namespace ------------------------------------------------------------
   void mkdir(const std::string& path);
   /// `lfs setstripe -c count -S size <dir>`
   void setstripe(const std::string& dir, StripeSettings settings);
   /// `lfs getstripe <file>`: resolved layout of an existing file.
-  StripeLayout getstripe(const std::string& file) const;
+  [[nodiscard]] StripeLayout getstripe(const std::string& file) const;
   /// Human-readable getstripe output in the style of the paper's Listing 1.
-  std::string getstripe_text(const std::string& file) const;
+  [[nodiscard]] std::string getstripe_text(const std::string& file) const;
 
-  bool exists(const std::string& path) const;
-  std::uint64_t stat_size(const std::string& path);  // records a stat op
+  [[nodiscard]] bool exists(const std::string& path) const;
+  /// Records a stat op.
+  [[nodiscard]] std::uint64_t stat_size(const std::string& path);
   void unlink(const std::string& path);
   /// POSIX rename: atomic namespace swap, replacing `to` if it exists (the
   /// write-tmp-validate-rename commit primitive).
   void rename(const std::string& from, const std::string& to);
 
   // -- descriptor I/O ---------------------------------------------------------
-  int open(const std::string& path, OpenMode mode);
+  [[nodiscard]] int open(const std::string& path, OpenMode mode);
   void write(int fd, std::span<const std::uint8_t> data);
   void pwrite(int fd, std::uint64_t offset, std::span<const std::uint8_t> data);
 
@@ -157,14 +163,15 @@ public:
   /// without touching data.  Timing replay treats it exactly like read().
   void read_simulated(int fd, std::uint64_t bytes,
                       std::uint32_t op_count = 1);
-  std::uint64_t read(int fd, std::span<std::uint8_t> out);
-  std::uint64_t pread(int fd, std::uint64_t offset, std::span<std::uint8_t> out);
+  [[nodiscard]] std::uint64_t read(int fd, std::span<std::uint8_t> out);
+  [[nodiscard]] std::uint64_t pread(int fd, std::uint64_t offset,
+                                    std::span<std::uint8_t> out);
   void seek(int fd, std::uint64_t position);
   void fsync(int fd);
   void close(int fd);
 
   /// Convenience: whole-file read (records open/read/close).
-  std::vector<std::uint8_t> read_all(const std::string& path);
+  [[nodiscard]] std::vector<std::uint8_t> read_all(const std::string& path);
   /// Convenience: create + write + close.
   void write_file(const std::string& path, std::span<const std::uint8_t> data);
 
@@ -241,23 +248,6 @@ struct Cqe {
   bool short_write() const { return ok && bytes_persisted < bytes_requested; }
 };
 
-/// Reap side of the queue pair.  Completions arrive in submission order;
-/// reaping is independent of further submissions (the writer reaps a lane's
-/// completions after the lane's last doorbell of the step).
-class CompletionQueue {
-public:
-  std::size_t ready() const { return cqes_.size(); }
-  /// Pop the oldest completion, or nullopt when none are pending.
-  std::optional<Cqe> reap();
-  /// Drain every pending completion, oldest first.
-  std::vector<Cqe> reap_all();
-
-private:
-  friend class SubmissionQueue;
-  std::vector<Cqe> cqes_;
-  std::size_t head_ = 0;
-};
-
 /// Counters for one queue pair's lifetime, mirrored into the Darshan batch
 /// counters by trace capture.
 struct BatchStats {
@@ -269,8 +259,8 @@ struct BatchStats {
 };
 
 /// io_uring-style queue pair over the simulated filesystem: the client
-/// enqueues up to `depth` vectored sqes, rings the doorbell with submit(),
-/// and reaps Cqes from the paired CompletionQueue.  One submit() records
+/// enqueues up to `depth` vectored sqes and rings the doorbell with
+/// submit(), which returns the batch's Cqes.  One submit() records
 /// one doorbell-tagged OpKind::batch_write TraceOp plus one per sqe (or per
 /// coalesced run of adjacent sqes when `coalesce` is on), so the timing
 /// replay charges batch setup once per doorbell and a tiny per-sqe cost —
@@ -279,9 +269,9 @@ struct BatchStats {
 /// Faults inject per-sqe: eio/enospc fail only the affected sqe's Cqe,
 /// a stall wedges submit() until SharedFs::cancel_stalls() (the watchdog
 /// primitive) converts it into a failed Cqe, and earlier completions of the
-/// same batch stay valid throughout.  Every submit() must be paired with a
-/// reachable reap()/reap_all() — tools/lint_invariants (submit-reap rule)
-/// enforces this.
+/// same batch stay valid throughout.  submit() is [[nodiscard]]: the
+/// completions are its return value, so a caller cannot drop the per-sqe
+/// fault results without an explicit `(void)`.
 class SubmissionQueue {
 public:
   /// `depth` is the ring size (must be > 0); push() throws when the ring is
@@ -299,16 +289,11 @@ public:
   bool try_push(Sqe& sqe);
 
   /// Ring the doorbell: process every pending sqe in order, append the
-  /// batch trace records, and generate one Cqe per sqe.  Returns how many
-  /// completions were generated.  Never throws on injected faults — they
-  /// surface as failed/short Cqes (bad descriptors still throw, before any
-  /// sqe is processed).
-  std::size_t submit();
-
-  CompletionQueue& completions() { return cq_; }
-  /// Convenience forwarders to the paired CompletionQueue.
-  std::optional<Cqe> reap() { return cq_.reap(); }
-  std::vector<Cqe> reap_all() { return cq_.reap_all(); }
+  /// batch trace records, and return one Cqe per sqe, in submission order
+  /// (empty when nothing was pending).  Never throws on injected faults —
+  /// they surface as failed/short Cqes (bad descriptors still throw, before
+  /// any sqe is processed).
+  [[nodiscard]] std::vector<Cqe> submit();
 
   const BatchStats& stats() const { return stats_; }
 
@@ -317,7 +302,6 @@ private:
   std::size_t depth_;
   bool coalesce_;
   std::vector<Sqe> sqes_;
-  CompletionQueue cq_;
   BatchStats stats_;
 };
 

@@ -41,9 +41,9 @@ struct BlockRef {
 };
 
 /// MANIFEST schema version, written as "manifest_version".  Bump it
-/// whenever to_json gains, drops, or reshapes a field — the wire-format
-/// analyzer rule fingerprints to_json and fails when the serialized
-/// fields drift while this constant stands still.  Version history:
+/// whenever to_json gains, drops, or reshapes a field — the golden-bytes
+/// test (CkptManifest.GoldenDeltaManifestBytes) pins the serialized text
+/// next to this constant, so the two change together.  Version history:
 /// 1 = flat full-epoch manifest (no chain fields, implied by absence),
 /// 2 = delta chains (kind/base_epochs/refs) + explicit version field.
 inline constexpr int kManifestVersion = 2;

@@ -405,8 +405,11 @@ void CheckpointManager::restore_via_chain(std::uint64_t epoch,
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  stats_.blocks_restored += source.blocks_read();
-  stats_.t_restore_s += elapsed;
+  {
+    util::MutexLock lock(stage_mutex_);
+    stats_.blocks_restored += source.blocks_read();
+    stats_.t_restore_s += elapsed;
+  }
   // Wall time and block count of the chain walk, surfaced in the trace for
   // the Darshan log's restore counters.
   fsim::FsClient(fs_, 0).charge_cpu(elapsed, "restore_chain", 0,

@@ -201,7 +201,7 @@ private:
   /// Restore through the chain, timing the walk and counting the blocks
   /// it fetched into the stats and the trace ("restore_chain").
   void restore_via_chain(std::uint64_t epoch, picmc::Simulation& sim,
-                         bool repartition);
+                         bool repartition) EXCLUDES(stage_mutex_);
   void remove_epoch_files(std::uint64_t epoch, bool manifest_first);
   void apply_retention();
 
@@ -223,9 +223,11 @@ private:
   util::Mutex stage_mutex_;
   std::vector<std::string> species_names_ GUARDED_BY(stage_mutex_);
   std::vector<core::RankCheckpoint> staged_ GUARDED_BY(stage_mutex_);
-  // Commit/restore/scrub counters.  Written only from the single-threaded
+  // Commit/restore/scrub counters.  Written from the single-threaded
   // commit/restore protocol (never from per-rank stage() calls), so it
-  // rides outside the staging lock by design.
+  // rides outside the staging lock by design — except restore_epoch(),
+  // which every surviving rank runs at once: restore_via_chain() takes
+  // stage_mutex_ around its two counter updates (and nothing under it).
   ResilienceStats stats_;
 };
 

@@ -54,6 +54,68 @@ TEST(BpFormat, StepRecordRoundTrip) {
   EXPECT_EQ(std::get<std::uint64_t>(back.attributes[2].second), 7u);
 }
 
+// ---------------------------------------------------------- golden bytes ---
+// One fixed record per miniBP surface, encoded and compared byte for byte.
+// A serializer change shows up here as a changed golden, next to the
+// surface's version constant, which must change with it.
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 15];
+  }
+  return out;
+}
+
+StepRecord golden_step() {
+  StepRecord record;
+  record.step = 7;
+  ChunkRecord chunk;
+  chunk.offset = {2};
+  chunk.count = {3};
+  chunk.writer_rank = 1;
+  chunk.subfile = 0;
+  chunk.file_offset = 64;
+  chunk.stored_bytes = 12;
+  chunk.raw_bytes = 12;
+  chunk.stat_min = -1.0;
+  chunk.stat_max = 2.5;
+  chunk.crc32c = 0xA1B2C3D4;
+  chunk.has_crc = true;
+  chunk.content_hash = 0x0123456789ABCDEF;
+  chunk.has_content_hash = true;
+  record.variables.push_back({"E/x", Datatype::float32, {5}, {chunk}});
+  record.attributes.emplace_back("unitSI", AttrValue(1.0));
+  return record;
+}
+
+TEST(BpGolden, StepBlockBytes) {
+  EXPECT_EQ(kMdMagic, 0x4D443036u);  // "MD06"
+  EXPECT_EQ(hex(encode_step(golden_step()).bytes),
+            "3630444d07000000000000000100000003000000452f78030100000005000000"
+            "0000000001000000010000000200000000000000010000000300000000000000"
+            "010000000000000040000000000000000c000000000000000c00000000000000"
+            "00000000000000000000f0bf000000000000044001d4c3b2a101efcdab896745"
+            "23010100000006000000756e6974534901000000000000f03fbf65d846");
+}
+
+TEST(BpGolden, IndexBytes) {
+  EXPECT_EQ(kIdxMagic, 0x49445835u);  // "IDX5"
+  EXPECT_EQ(hex(encode_index({{7, 0, 113, 0xCAFEF00D}, {8, 113, 90, 0x5}})),
+            "3558444902000000070000000000000000000000000000007100000000000000"
+            "0df0feca00000000080000000000000071000000000000005a00000000000000"
+            "0500000000000000");
+}
+
+TEST(BpGolden, FooterBytes) {
+  EXPECT_EQ(kFtrMagic, 0x46545237u);  // "FTR7"
+  EXPECT_EQ(hex(encode_footer({{7, 0, 113, 0xCAFEF00D}}, 113)),
+            "3558444901000000070000000000000000000000000000007100000000000000"
+            "0df0feca00000000710000000000000028000000000000005a55b8cf37525446");
+}
+
 TEST(BpFormat, DetectsCorruption) {
   StepRecord record;
   record.step = 1;
@@ -507,7 +569,7 @@ TEST(BpReader, MissingVariableAndStep) {
   }
   Reader reader = Reader::open(fs, 0, "m.bp4");
   EXPECT_THROW(reader.read(0, "ghost"), UsageError);
-  EXPECT_THROW(reader.step(9), UsageError);
+  EXPECT_THROW((void)reader.step(9), UsageError);
   EXPECT_FALSE(reader.has_step(9));
   EXPECT_EQ(reader.find_variable(0, "ghost"), nullptr);
 }
@@ -726,7 +788,7 @@ TEST(BpHardening, ChunkOutsideItsShapeFailsOpen) {
     io.write_file("c.bp4/md.idx",
                   encode_index({{record.step, 0, md.bytes.size(), md.crc}}));
     io.write_file("c.bp4/data.0", std::vector<std::uint8_t>(32, 0));
-    Reader::open(fs, 0, "c.bp4");
+    (void)Reader::open(fs, 0, "c.bp4");
   };
   EXPECT_NO_THROW(open_container(sample_record()));
 

@@ -293,6 +293,44 @@ TEST(CkptDelta, RestoreReadsEachReferencedBlockExactlyOnce) {
 
 // ---------------------------------------------------- retention & scrub ---
 
+TEST(CkptManifest, GoldenDeltaManifestBytes) {
+  // A fixed delta manifest, serialized as the manager writes MANIFEST
+  // (to_json().dump(2)), compared byte for byte: a schema change shows up
+  // as a changed golden next to the version constant, which must change
+  // with it.
+  EXPECT_EQ(kManifestVersion, 2);
+  EpochManifest manifest;
+  manifest.epoch = 3;
+  manifest.step = 40;
+  manifest.nranks = 2;
+  manifest.engine = "bp4";
+  manifest.kind = "delta";
+  manifest.base_epochs = {1};
+  manifest.refs.push_back({"ions/x", 1, 64, 64, 512, 0x0123456789ABCDEF, 1});
+  EXPECT_EQ(manifest.to_json().dump(2), R"({
+  "base_epochs": [
+    1
+  ],
+  "engine": "bp4",
+  "epoch": 3,
+  "kind": "delta",
+  "manifest_version": 2,
+  "nranks": 2,
+  "refs": [
+    {
+      "bytes": 512,
+      "count": 64,
+      "epoch": 1,
+      "hash": "0x0123456789abcdef",
+      "offset": 64,
+      "rank": 1,
+      "var": "ions/x"
+    }
+  ],
+  "step": 40
+})");
+}
+
 TEST(CkptRobust, PruneKeepsBaseEpochsOfRetainedDeltas) {
   SharedFs fs(8);
   auto config = small_case();

@@ -428,6 +428,24 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
+TEST(ParallelCodec, GoldenFrameBytes) {
+  // A fixed input through the raw inner codec, compared byte for byte: a
+  // change to the CZP1 framing shows up as a changed golden next to the
+  // version constant, which must change with it.
+  EXPECT_EQ(kFrameVersion, 1);
+  const Bytes input{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  const ParallelCodec codec(make_none_codec(), 1, 4096);
+  const Bytes frame = codec.compress(input);
+  std::string hex;
+  for (const std::uint8_t b : frame) {
+    hex += "0123456789abcdef"[b >> 4];
+    hex += "0123456789abcdef"[b & 15];
+  }
+  EXPECT_EQ(hex,
+            "435a5031010a00000000000000001000000100000016000000524157310a0000"
+            "00000000000102030405060708090a");
+}
+
 TEST(ParallelCodec, FrameVersionIsChecked) {
   auto c = make_parallel_codec(make_blosc_codec(4), 2, 4096);
   Bytes data = make_data("floats", 20000, 47);

@@ -78,13 +78,13 @@ TEST(ThreadPool, ConcurrentCallersShareThePool) {
 TEST(BufferPool, RecyclesByCapacityClass) {
   cz::BufferPool pool;
   auto a = pool.acquire(1000);
-  EXPECT_EQ(a.size(), 1000u);
-  const auto* ptr = a.data();
-  pool.release(std::move(a));
+  EXPECT_EQ(a->size(), 1000u);
+  const auto* ptr = a->data();
+  a.reset();
   // Same class, warm buffer back.
   auto b = pool.acquire(800);
-  EXPECT_EQ(b.size(), 800u);
-  EXPECT_EQ(b.data(), ptr);
+  EXPECT_EQ(b->size(), 800u);
+  EXPECT_EQ(b->data(), ptr);
   const auto stats = pool.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
@@ -94,26 +94,51 @@ TEST(BufferPool, RecyclesByCapacityClass) {
 TEST(BufferPool, AcquireReserveGivesEmptyWarmBuffer) {
   cz::BufferPool pool;
   auto a = pool.acquire_reserve(4096);
-  EXPECT_EQ(a.size(), 0u);
-  EXPECT_GE(a.capacity(), 4096u);
-  a.insert(a.end(), 3000, std::uint8_t(7));
-  pool.release(std::move(a));
+  EXPECT_EQ(a->size(), 0u);
+  EXPECT_GE(a->capacity(), 4096u);
+  a->insert(a->end(), 3000, std::uint8_t(7));
+  a.reset();
   auto b = pool.acquire_reserve(4000);  // same 4 KiB class: warm hit
-  EXPECT_EQ(b.size(), 0u);
+  EXPECT_EQ(b->size(), 0u);
   EXPECT_EQ(pool.stats().hits, 1u);
 }
 
 TEST(BufferPool, GrownBuffersComeBackToTheLargerClass) {
   cz::BufferPool pool;
   auto a = pool.acquire(64);
-  a.resize(std::size_t(1) << 17);  // grew while in use
-  pool.release(std::move(a));
+  a->resize(std::size_t(1) << 17);  // grew while in use
+  a.reset();
   auto b = pool.acquire(100000);  // served by the grown buffer's class
   EXPECT_EQ(pool.stats().hits, 1u);
-  pool.release(std::move(b));
+  b.reset();
   pool.trim();
   auto c = pool.acquire(100000);  // trim dropped the freelists
   EXPECT_EQ(pool.stats().misses, 2u);
+}
+
+TEST(BufferPool, ThrowBeforeHandOffStillReturnsTheBuffer) {
+  // An acquire followed by a throw before the buffer is handed on: the
+  // PooledBuffer's destructor returns it while the exception unwinds.
+  cz::BufferPool pool;
+  EXPECT_THROW(
+      {
+        auto staged = pool.acquire(4096);
+        staged->front() = 1;
+        throw IoError("injected before the hand-off");
+      },
+      IoError);
+  EXPECT_EQ(pool.stats().released, 1u);
+  pool.acquire(4096);
+  EXPECT_EQ(pool.stats().hits, 1u);
+}
+
+TEST(BufferPool, MovedFromBufferReturnsNothing) {
+  cz::BufferPool pool;
+  auto a = pool.acquire(256);
+  auto b = std::move(a);  // ownership moves; nothing returns yet
+  EXPECT_EQ(pool.stats().released, 0u);
+  b = pool.acquire(512);  // assignment returns the buffer b held
+  EXPECT_EQ(pool.stats().released, 1u);
 }
 
 TEST(BufferPool, ZeroCapacityReleaseIgnored) {
@@ -124,7 +149,7 @@ TEST(BufferPool, ZeroCapacityReleaseIgnored) {
 
 TEST(BufferPool, ResetStatsKeepsWarmFreelists) {
   cz::BufferPool pool;
-  pool.release(pool.acquire(4096));
+  pool.acquire(4096);  // the temporary returns at once: a warm freelist
   pool.reset_stats();
   EXPECT_EQ(pool.stats().hits, 0u);
   pool.acquire(4096);
@@ -161,13 +186,12 @@ TEST(ParallelHammer, CodecAndPoolFromEightThreads) {
         float x = float(t);
         for (std::size_t i = 0; i + 4 <= n; i += 4) {
           x += 0.01f * float(rng.normal());
-          std::memcpy(&data[i], &x, 4);
+          std::memcpy(&(*data)[i], &x, 4);
         }
         cz::Bytes frame;
-        codec.compress_append(cz::ByteSpan(data.data(), data.size()), frame);
+        codec.compress_append(*data, frame);
         const cz::Bytes back = codec.decompress(frame);
-        if (back != data) failures.fetch_add(1, std::memory_order_relaxed);
-        buffers.release(std::move(data));
+        if (back != *data) failures.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }

@@ -225,7 +225,8 @@ bool detection_round(FaultKind kind, const std::string& target,
     bp::Reader reader = bp::Reader::open(fs, 0, "out/c.bp4");
     if (!bp::Reader::all_ok(reader.verify())) return true;
     for (const std::uint64_t step : reader.steps())
-      for (const auto& name : reader.variables(step)) reader.read(step, name);
+      for (const auto& name : reader.variables(step))
+        (void)reader.read(step, name);
   } catch (const FormatError&) {
     return true;
   }

@@ -387,6 +387,28 @@ TEST(StreamEngine, DisconnectPolicyCutsOffTheLaggard) {
   engine->close();
 }
 
+TEST(StreamEngine, PublishedPayloadsDoNotDrainThePool) {
+  // Published payloads belong to the readers (shared_ptr StreamSteps), so
+  // they are not drawn from the engine's pool: a pooled buffer would never
+  // come back, and every put after warm-up would miss.
+  for (const char* codec : {"none", "blosc"}) {
+    SCOPED_TRACE(codec);
+    fsim::SharedFs fs(4);
+    auto engine = make_engine("stream", fs, "pool.stream",
+                              stream_config(4, "block", codec), 2);
+    auto reader = engine->attach(0);
+    for (std::uint64_t step = 0; step < 40; ++step) {
+      if (step == 8) engine->reset_pool_stats();  // after 8 warm-up steps
+      put_step(*engine, step, float(step));
+      ASSERT_EQ(reader->next_step(), std::optional<std::uint64_t>(step));
+      EXPECT_EQ(as_floats(reader->get("density")),
+                iota_floats(16, float(step)));
+    }
+    EXPECT_EQ(engine->pool_stats().misses, 0u);
+    engine->close();
+  }
+}
+
 TEST(StreamEngine, LifecycleErrorsAreUsageErrors) {
   fsim::SharedFs fs(4);
   auto engine = make_engine("stream", fs, "err.stream",
