@@ -27,12 +27,15 @@
 #                          runs its seeded-inversion test; the rank sweep is
 #                          scripts/bench_report.sh -> BENCH_topo.json
 #   6. ckpt suite          incremental-checkpoint tests (delta cadence,
-#                          dedup, chain restore, retention pinning, prune
-#                          crash-window scrub; ctest -L ckpt), then the
-#                          same label under ASan+UBSan (ctest --preset
-#                          san-ckpt), and the stream suite too (ctest
-#                          --preset san-stream); the full/delta sweep is
-#                          scripts/bench_report.sh -> BENCH_ckpt.json
+#                          dedup, chain restore, block tiling, retention
+#                          pinning, prune crash-window scrub; ctest -L
+#                          ckpt), then every resilience and concurrency
+#                          test under ASan+UBSan (ctest --preset
+#                          san-recovery, a superset of the ckpt label: every
+#                          restore caller reads through the one
+#                          core::CheckpointSource), and the stream suite too
+#                          (ctest --preset san-stream); the full/delta sweep
+#                          is scripts/bench_report.sh -> BENCH_ckpt.json
 #   7. iopath suite        batched queue-pair differential tests (byte
 #                          identity vs the per-op writer, CZP1 + two-level
 #                          composition, Darshan batch counters; ctest -L
@@ -90,10 +93,10 @@ ctest --preset tsan-recovery
 step "incremental-checkpoint suite (ctest -L ckpt)"
 ctest --preset ckpt
 
-step "checkpoint suite under ASan+UBSan (ctest --preset san-ckpt)"
+step "resilience + concurrency under ASan+UBSan (ctest --preset san-recovery)"
 cmake --preset san >/dev/null
 cmake --build --preset san -j "$(nproc 2>/dev/null || echo 4)"
-ctest --preset san-ckpt
+ctest --preset san-recovery
 
 step "stream engine suite under ASan+UBSan (ctest --preset san-stream)"
 ctest --preset san-stream

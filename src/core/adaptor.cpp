@@ -184,9 +184,8 @@ void Bit1OpenPmdAdaptor::restore(fsim::SharedFs& fs,
                                  const std::string& run_dir,
                                  const Bit1IoConfig& config,
                                  picmc::Simulation& sim) {
-  pmd::Series series(fs, series_file(run_dir, "dmp_file", config.engine),
-                     Access::read_only);
-  restore_from_series(series, sim);
+  CheckpointSource source(fs, series_file(run_dir, "dmp_file", config.engine));
+  restore_from_source(source, sim);
 }
 
 void Bit1OpenPmdAdaptor::synchronize() {

@@ -77,8 +77,9 @@ public:
   void synchronize() override EXCLUDES(mutex_);
 
   /// Restore `sim` (rank sim.rank() of sim.nranks()) from the latest
-  /// checkpoint.  The adaptor must be closed first; restart opens the
-  /// checkpoint series read-only.
+  /// checkpoint.  The adaptor must be closed first; restart reads the
+  /// dmp_file container through a CheckpointSource, touching only this
+  /// rank's slice.
   static void restore(fsim::SharedFs& fs, const std::string& run_dir,
                       const Bit1IoConfig& config, picmc::Simulation& sim);
 

@@ -1,6 +1,9 @@
 #include "core/checkpoint_payload.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
+#include <iterator>
 
 #include "util/error.hpp"
 #include "util/hash64.hpp"
@@ -12,113 +15,236 @@ using pmd::Datatype;
 
 namespace {
 
-/// bp variable paths of the checkpoint schema — the block addresses the
-/// dedup layer and the chain source share with the containers themselves.
-std::string particle_var(const std::string& species, const std::string& record,
-                         const std::string& comp) {
-  return "particles/" + species + "/" + record + "/" + comp;
+using Words = std::vector<std::uint64_t>;
+
+/// Index of each row of kFields.  Every species stores the fields before
+/// kRngState; each rank then stores the rest once.
+enum Field : std::size_t {
+  kPositionX, kVelocityX, kVelocityY, kVelocityZ, kWeighting,
+  kRankCount, kAbsorbed, kAbsorbedWeight,
+  kRngState, kIonizationEvents, kIonizedWeight,
+  kFieldCount
+};
+constexpr std::size_t kSpeciesFields = kRngState;
+
+/// One bp variable of the checkpoint schema.  Every variable is 1-D and
+/// 64-bit.  Writer rank r stores `per_rank` elements at r * per_rank or,
+/// when per_rank is 0, its particles at the exscan of the particle counts.
+struct CheckpointField {
+  Field id;
+  const char* var;  // bp variable path; '%' stands for the species name
+  Datatype dtype;
+  std::uint64_t per_rank;
+};
+
+constexpr Datatype f64 = Datatype::float64;
+constexpr Datatype u64 = Datatype::uint64;
+
+/// The checkpoint schema, in store order.
+constexpr CheckpointField kFields[] = {
+    {kPositionX, "particles/%/position/x", f64, 0},
+    {kVelocityX, "particles/%/velocity/x", f64, 0},
+    {kVelocityY, "particles/%/velocity/y", f64, 0},
+    {kVelocityZ, "particles/%/velocity/z", f64, 0},
+    {kWeighting, "particles/%/weighting/SCALAR", f64, 0},
+    {kRankCount, "meshes/rank_count_%/SCALAR", u64, 1},
+    {kAbsorbed, "meshes/absorbed_%/SCALAR", u64, 2},
+    {kAbsorbedWeight, "meshes/absorbed_weight_%/SCALAR", f64, 1},
+    {kRngState, "meshes/rng_state/SCALAR", u64, 4},
+    {kIonizationEvents, "meshes/ionization_events/SCALAR", u64, 1},
+    {kIonizedWeight, "meshes/ionized_weight/SCALAR", f64, 1},
+};
+static_assert(std::size(kFields) == kFieldCount);
+constexpr bool rows_follow_field_order() {
+  for (std::size_t f = 0; f < kFieldCount; ++f)
+    if (kFields[f].id != f) return false;
+  return true;
+}
+static_assert(rows_follow_field_order());
+
+/// The bp variable path of `field` for `species`.
+std::string field_var(const CheckpointField& field,
+                      const std::string& species) {
+  std::string var = field.var;
+  if (const auto at = var.find('%'); at != std::string::npos)
+    var.replace(at, 1, species);
+  return var;
 }
 
-std::string mesh_var(const std::string& name) {
-  return "meshes/" + name + "/" + pmd::kScalar;
+/// Where field `f` of species `s` sits in RankCheckpoint::fields.
+std::size_t slot(std::size_t nspecies, std::size_t s, std::size_t f) {
+  return f < kSpeciesFields ? s * kSpeciesFields + f
+                            : nspecies * kSpeciesFields + f - kSpeciesFields;
 }
 
-std::uint64_t hash_f64(std::span<const double> data) {
-  return util::hash64_of<double>(data);
+std::size_t slot_count(std::size_t nspecies) {
+  return slot(nspecies, 0, kFieldCount);
 }
 
-std::uint64_t hash_u64(std::span<const std::uint64_t> data) {
-  return util::hash64_of<std::uint64_t>(data);
+// Bit-exact conversions: a word is the object representation of its double.
+Words words_of(const std::vector<double>& values) {
+  Words words(values.size());
+  if (!values.empty())
+    std::memcpy(words.data(), values.data(), values.size() * 8);
+  return words;
+}
+
+std::vector<double> doubles_of(const Words& words) {
+  std::vector<double> values(words.size());
+  if (!words.empty())
+    std::memcpy(values.data(), words.data(), words.size() * 8);
+  return values;
+}
+
+/// The iteration's record component behind bp variable path `var`:
+/// "particles/<species>/<record>/<component>" or "meshes/<mesh>/<component>".
+pmd::RecordComponent& component(pmd::Iteration& iteration,
+                                const std::string& var) {
+  std::vector<std::string> parts;
+  for (std::size_t begin = 0;;) {
+    const std::size_t slash = var.find('/', begin);
+    parts.push_back(var.substr(begin, slash - begin));
+    if (slash == std::string::npos) break;
+    begin = slash + 1;
+  }
+  if (parts[0] == "particles")
+    return iteration.particles(parts[1])[parts[2]][parts[3]];
+  return iteration.mesh(parts[1])[parts[2]];
+}
+
+/// Visit every block a checkpoint of `staged` stores, in store order: per
+/// species, per present rank, the species fields; then per present rank the
+/// rank fields.  visit(field, var, rank, offset, extent, words).
+template <typename Visit>
+void for_each_block(const std::vector<RankCheckpoint>& staged,
+                    const std::vector<std::string>& species, int nranks,
+                    Visit&& visit) {
+  const std::size_t nspecies = species.size();
+  auto visit_rank = [&](int r, std::size_t s, std::size_t first,
+                        std::size_t last, std::uint64_t particle_offset,
+                        std::uint64_t particle_total) {
+    const RankCheckpoint& state = staged[std::size_t(r)];
+    for (std::size_t f = first; f < last; ++f) {
+      const CheckpointField& field = kFields[f];
+      const bool particles = field.per_rank == 0;
+      visit(field, field_var(field, s < nspecies ? species[s] : ""), r,
+            particles ? particle_offset : std::uint64_t(r) * field.per_rank,
+            particles ? std::max<std::uint64_t>(particle_total, 1)
+                      : std::uint64_t(nranks) * field.per_rank,
+            state.fields[slot(nspecies, s, f)]);
+    }
+  };
+  for (std::size_t s = 0; s < nspecies; ++s) {
+    // Offsets: exclusive scan over per-rank particle counts (what the real
+    // adaptor obtains with MPI_Exscan).
+    std::vector<std::uint64_t> offsets(std::size_t(nranks), 0);
+    std::uint64_t total = 0;
+    for (int r = 0; r < nranks; ++r) {
+      offsets[std::size_t(r)] = total;
+      const RankCheckpoint& state = staged[std::size_t(r)];
+      if (state.present)
+        total += state.fields[slot(nspecies, s, kRankCount)][0];
+    }
+    for (int r = 0; r < nranks; ++r)
+      if (staged[std::size_t(r)].present)
+        visit_rank(r, s, 0, kSpeciesFields, offsets[std::size_t(r)], total);
+  }
+  for (int r = 0; r < nranks; ++r)
+    if (staged[std::size_t(r)].present)
+      visit_rank(r, nspecies, kSpeciesFields, kFieldCount, 0, 0);
+}
+
+/// Install a restored state into `sim`: the inverse of capture_rank_state.
+void apply_rank_state(const RankCheckpoint& state, Simulation& sim) {
+  const std::size_t nspecies = sim.species_count();
+  auto at = [&](std::size_t s, Field f) -> const Words& {
+    return state.fields[slot(nspecies, s, f)];
+  };
+  for (std::size_t s = 0; s < nspecies; ++s) {
+    picmc::Species& sp = sim.species(s);
+    sp.particles.x() = doubles_of(at(s, kPositionX));
+    sp.particles.vx() = doubles_of(at(s, kVelocityX));
+    sp.particles.vy() = doubles_of(at(s, kVelocityY));
+    sp.particles.vz() = doubles_of(at(s, kVelocityZ));
+    sp.particles.w() = doubles_of(at(s, kWeighting));
+    sp.absorbed_left = at(s, kAbsorbed)[0];
+    sp.absorbed_right = at(s, kAbsorbed)[1];
+    sp.absorbed_weight = std::bit_cast<double>(at(s, kAbsorbedWeight)[0]);
+  }
+  const Words& rng = at(0, kRngState);
+  sim.rng().set_state({rng[0], rng[1], rng[2], rng[3]});
+  sim.set_ionization_totals(at(0, kIonizationEvents)[0],
+                            std::bit_cast<double>(at(0, kIonizedWeight)[0]));
+  sim.set_current_step(state.step);
+}
+
+/// splitmix64 finalizer: the deterministic mixer behind the re-derived
+/// per-rank RNG streams of a reshaped restart.
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// The old per-rank RNG streams cannot be split across a different rank
+/// count; a reshaped restart derives fresh, deterministic ones instead.
+Words derived_rng(std::uint64_t step, std::uint64_t nranks,
+                  std::uint64_t rank) {
+  const std::uint64_t tag = mix64(step) ^ mix64(nranks * 0x51ed2701u) ^
+                            mix64(rank + 0xb5ull);
+  Words state(4);
+  for (std::size_t i = 0; i < 4; ++i) state[i] = mix64(tag + i);
+  state[0] |= 1;  // never the all-zero state
+  return state;
+}
+
+/// Communicator size that wrote the checkpoint: the extent of the
+/// ionization-events field, one element per writer rank.
+std::uint64_t writer_ranks(const CheckpointSource& source) {
+  const CheckpointField& events = kFields[kIonizationEvents];
+  return source.extent(field_var(events, "")) / events.per_rank;
 }
 
 }  // namespace
 
 RankCheckpoint capture_rank_state(const Simulation& sim) {
-  RankCheckpoint staged;
-  staged.present = true;
-  staged.step = sim.current_step();
-  staged.ionization_events = sim.ionization_events();
-  staged.ionized_weight = sim.ionized_weight();
-  staged.rng = const_cast<Simulation&>(sim).rng().state();
-  for (std::size_t s = 0; s < sim.species_count(); ++s) {
+  const std::size_t nspecies = sim.species_count();
+  RankCheckpoint staged{true, sim.current_step(),
+                        std::vector<Words>(slot_count(nspecies))};
+  auto at = [&](std::size_t s, Field f) -> Words& {
+    return staged.fields[slot(nspecies, s, f)];
+  };
+  for (std::size_t s = 0; s < nspecies; ++s) {
     const picmc::Species& sp = sim.species(s);
-    staged.x.push_back(sp.particles.x());
-    staged.vx.push_back(sp.particles.vx());
-    staged.vy.push_back(sp.particles.vy());
-    staged.vz.push_back(sp.particles.vz());
-    staged.w.push_back(sp.particles.w());
-    staged.absorbed_left.push_back(sp.absorbed_left);
-    staged.absorbed_right.push_back(sp.absorbed_right);
-    staged.absorbed_weight.push_back(sp.absorbed_weight);
+    at(s, kPositionX) = words_of(sp.particles.x());
+    at(s, kVelocityX) = words_of(sp.particles.vx());
+    at(s, kVelocityY) = words_of(sp.particles.vy());
+    at(s, kVelocityZ) = words_of(sp.particles.vz());
+    at(s, kWeighting) = words_of(sp.particles.w());
+    at(s, kRankCount) = {sp.particles.size()};
+    at(s, kAbsorbed) = {sp.absorbed_left, sp.absorbed_right};
+    at(s, kAbsorbedWeight) = {std::bit_cast<std::uint64_t>(sp.absorbed_weight)};
   }
+  const auto rng = const_cast<Simulation&>(sim).rng().state();
+  at(0, kRngState) = Words(rng.begin(), rng.end());
+  at(0, kIonizationEvents) = {sim.ionization_events()};
+  at(0, kIonizedWeight) = {std::bit_cast<std::uint64_t>(sim.ionized_weight())};
   return staged;
 }
 
 std::vector<CheckpointBlock> checkpoint_blocks(
-    const std::vector<RankCheckpoint>& staged_all,
+    const std::vector<RankCheckpoint>& staged,
     const std::vector<std::string>& species_names, int nranks) {
-  // Mirrors write_checkpoint_iteration exactly: same variables, same
-  // ranks, same exscan offsets, same order.  The differential tests pin
-  // the two together — a schema change that touches one but not the other
-  // breaks the delta round-trip immediately.
   std::vector<CheckpointBlock> blocks;
-  auto add = [&blocks](std::string var, int rank, std::uint64_t offset,
-                       std::uint64_t count, std::uint64_t hash) {
-    blocks.push_back(CheckpointBlock{std::move(var), rank, offset, count,
-                                     count * 8, hash});
-  };
-
-  for (std::size_t s = 0; s < species_names.size(); ++s) {
-    const std::string& name = species_names[s];
-    std::vector<std::uint64_t> counts(std::size_t(nranks), 0);
-    for (int r = 0; r < nranks; ++r)
-      if (staged_all[std::size_t(r)].present)
-        counts[std::size_t(r)] = staged_all[std::size_t(r)].x[s].size();
-    std::uint64_t total = 0;
-    std::vector<std::uint64_t> offsets(std::size_t(nranks), 0);
-    for (int r = 0; r < nranks; ++r) {
-      offsets[std::size_t(r)] = total;
-      total += counts[std::size_t(r)];
-    }
-
-    for (int r = 0; r < nranks; ++r) {
-      const RankCheckpoint& staged = staged_all[std::size_t(r)];
-      if (!staged.present) continue;
-      const std::uint64_t rr = std::uint64_t(r);
-      const std::uint64_t n = counts[rr];
-      add(particle_var(name, "position", "x"), r, offsets[rr], n,
-          hash_f64(staged.x[s]));
-      add(particle_var(name, "velocity", "x"), r, offsets[rr], n,
-          hash_f64(staged.vx[s]));
-      add(particle_var(name, "velocity", "y"), r, offsets[rr], n,
-          hash_f64(staged.vy[s]));
-      add(particle_var(name, "velocity", "z"), r, offsets[rr], n,
-          hash_f64(staged.vz[s]));
-      add(particle_var(name, "weighting", pmd::kScalar), r, offsets[rr], n,
-          hash_f64(staged.w[s]));
-      add(mesh_var("rank_count_" + name), r, rr, 1,
-          hash_u64(std::span<const std::uint64_t>(&counts[rr], 1)));
-      const std::uint64_t ab[2] = {staged.absorbed_left[s],
-                                   staged.absorbed_right[s]};
-      add(mesh_var("absorbed_" + name), r, rr * 2, 2,
-          hash_u64(std::span<const std::uint64_t>(ab, 2)));
-      add(mesh_var("absorbed_weight_" + name), r, rr, 1,
-          hash_f64(std::span<const double>(&staged.absorbed_weight[s], 1)));
-    }
-  }
-
-  for (int r = 0; r < nranks; ++r) {
-    const RankCheckpoint& staged = staged_all[std::size_t(r)];
-    if (!staged.present) continue;
-    const std::uint64_t rr = std::uint64_t(r);
-    add(mesh_var("rng_state"), r, rr * 4, 4,
-        hash_u64(std::span<const std::uint64_t>(staged.rng.data(), 4)));
-    add(mesh_var("ionization_events"), r, rr, 1,
-        hash_u64(std::span<const std::uint64_t>(&staged.ionization_events,
-                                                1)));
-    add(mesh_var("ionized_weight"), r, rr, 1,
-        hash_f64(std::span<const double>(&staged.ionized_weight, 1)));
-  }
+  for_each_block(staged, species_names, nranks,
+                 [&blocks](const CheckpointField&, const std::string& var,
+                           int rank, std::uint64_t offset, std::uint64_t,
+                           const Words& words) {
+                   blocks.push_back(CheckpointBlock{
+                       var, rank, offset, words.size(), words.size() * 8,
+                       util::hash64_of<std::uint64_t>(words)});
+                 });
   return blocks;
 }
 
@@ -131,423 +257,113 @@ void write_checkpoint_iteration(pmd::Series& series,
 }
 
 void write_checkpoint_iteration(pmd::Series& series,
-                                const std::vector<RankCheckpoint>& staged_all,
+                                const std::vector<RankCheckpoint>& staged,
                                 const std::vector<std::string>& species_names,
                                 int nranks, const BlockKeep& keep) {
-  if (staged_all.size() != std::size_t(nranks))
+  if (staged.size() != std::size_t(nranks))
     throw UsageError("write_checkpoint_iteration: staged size != nranks");
   bool any = false;
-  for (const auto& staged : staged_all) any |= staged.present;
+  std::uint64_t step = 0;
+  for (const auto& state : staged) {
+    any |= state.present;
+    if (state.present) step = std::max(step, state.step);
+  }
   if (!any)
     throw UsageError("write_checkpoint_iteration: no staged checkpoint");
 
-  // Iteration 0 is the (re-opened, overwritten) checkpoint slot.
+  // Iteration 0 is the (re-opened, overwritten) checkpoint slot.  Every
+  // dataset keeps its full extent, whichever blocks `keep` lets through.
   auto& iteration = series.write_iteration(0);
-
-  const std::uint64_t ranks = std::uint64_t(nranks);
-  std::uint64_t step_attr = 0;
-
-  for (std::size_t s = 0; s < species_names.size(); ++s) {
-    // Offsets: exclusive scan over per-rank particle counts (what the real
-    // adaptor obtains with MPI_Exscan).
-    std::vector<std::uint64_t> counts(std::size_t(nranks), 0);
-    for (int r = 0; r < nranks; ++r)
-      if (staged_all[std::size_t(r)].present)
-        counts[std::size_t(r)] = staged_all[std::size_t(r)].x[s].size();
-    std::uint64_t total = 0;
-    std::vector<std::uint64_t> offsets(std::size_t(nranks), 0);
-    for (int r = 0; r < nranks; ++r) {
-      offsets[std::size_t(r)] = total;
-      total += counts[std::size_t(r)];
-    }
-
-    auto& species = iteration.particles(species_names[s]);
-    auto& px = species["position"]["x"];
-    auto& vx = species["velocity"]["x"];
-    auto& vy = species["velocity"]["y"];
-    auto& vz = species["velocity"]["z"];
-    auto& weighting = species["weighting"][pmd::kScalar];
-    for (auto* comp : {&px, &vx, &vy, &vz, &weighting})
-      comp->reset_dataset(Datatype::float64, {std::max<std::uint64_t>(
-                                                 total, 1)});
-
-    auto& rank_count =
-        iteration.mesh("rank_count_" + species_names[s]).component();
-    rank_count.reset_dataset(Datatype::uint64, {ranks});
-    auto& absorbed =
-        iteration.mesh("absorbed_" + species_names[s]).component();
-    absorbed.reset_dataset(Datatype::uint64, {ranks * 2});
-    auto& absorbed_weight =
-        iteration.mesh("absorbed_weight_" + species_names[s]).component();
-    absorbed_weight.reset_dataset(Datatype::float64, {ranks});
-
-    const std::string& name = species_names[s];
-    for (int r = 0; r < nranks; ++r) {
-      const RankCheckpoint& staged = staged_all[std::size_t(r)];
-      if (!staged.present) continue;
-      const std::uint64_t rr = std::uint64_t(r);
-      const std::uint64_t n = counts[rr];
-      if (keep(particle_var(name, "position", "x"), r))
-        px.store_chunk<double>(r, staged.x[s], {offsets[rr]}, {n});
-      if (keep(particle_var(name, "velocity", "x"), r))
-        vx.store_chunk<double>(r, staged.vx[s], {offsets[rr]}, {n});
-      if (keep(particle_var(name, "velocity", "y"), r))
-        vy.store_chunk<double>(r, staged.vy[s], {offsets[rr]}, {n});
-      if (keep(particle_var(name, "velocity", "z"), r))
-        vz.store_chunk<double>(r, staged.vz[s], {offsets[rr]}, {n});
-      if (keep(particle_var(name, "weighting", pmd::kScalar), r))
-        weighting.store_chunk<double>(r, staged.w[s], {offsets[rr]}, {n});
-      if (keep(mesh_var("rank_count_" + name), r))
-        rank_count.store_chunk<std::uint64_t>(
-            r, std::span<const std::uint64_t>(&counts[rr], 1), {rr}, {1});
-      const std::uint64_t ab[2] = {staged.absorbed_left[s],
-                                   staged.absorbed_right[s]};
-      if (keep(mesh_var("absorbed_" + name), r))
-        absorbed.store_chunk<std::uint64_t>(
-            r, std::span<const std::uint64_t>(ab, 2), {rr * 2}, {2});
-      if (keep(mesh_var("absorbed_weight_" + name), r))
-        absorbed_weight.store_chunk<double>(
-            r, std::span<const double>(&staged.absorbed_weight[s], 1), {rr},
-            {1});
-    }
-  }
-
-  // Per-rank RNG state and MC totals for bit-exact restart.
-  auto& rng = iteration.mesh("rng_state").component();
-  rng.reset_dataset(Datatype::uint64, {ranks * 4});
-  auto& mc_events = iteration.mesh("ionization_events").component();
-  mc_events.reset_dataset(Datatype::uint64, {ranks});
-  auto& mc_weight = iteration.mesh("ionized_weight").component();
-  mc_weight.reset_dataset(Datatype::float64, {ranks});
-  for (int r = 0; r < nranks; ++r) {
-    const RankCheckpoint& staged = staged_all[std::size_t(r)];
-    if (!staged.present) continue;
-    const std::uint64_t rr = std::uint64_t(r);
-    if (keep(mesh_var("rng_state"), r))
-      rng.store_chunk<std::uint64_t>(
-          r, std::span<const std::uint64_t>(staged.rng.data(), 4), {rr * 4},
-          {4});
-    if (keep(mesh_var("ionization_events"), r))
-      mc_events.store_chunk<std::uint64_t>(
-          r, std::span<const std::uint64_t>(&staged.ionization_events, 1),
-          {rr}, {1});
-    if (keep(mesh_var("ionized_weight"), r))
-      mc_weight.store_chunk<double>(
-          r, std::span<const double>(&staged.ionized_weight, 1), {rr}, {1});
-    step_attr = std::max(step_attr, staged.step);
-  }
-
-  iteration.set_time(double(step_attr));
+  for_each_block(
+      staged, species_names, nranks,
+      [&](const CheckpointField& field, const std::string& var, int rank,
+          std::uint64_t offset, std::uint64_t extent, const Words& words) {
+        pmd::RecordComponent& comp = component(iteration, var);
+        comp.reset_dataset(field.dtype, {extent});
+        const auto* bytes = reinterpret_cast<const std::uint8_t*>(words.data());
+        if (keep(var, rank))
+          comp.store_chunk(rank, bp::ChunkView(field.dtype,
+                                               {bytes, words.size() * 8},
+                                               {offset}, {words.size()}));
+      });
+  iteration.set_time(double(step));
   iteration.close();
 }
 
-void restore_from_series(pmd::Series& series, picmc::Simulation& sim) {
-  auto& iteration = series.read_iteration(0);
-  const int rank = sim.rank();
-  const int nranks = sim.nranks();
-  const std::uint64_t rr = std::uint64_t(rank);
-
-  for (std::size_t s = 0; s < sim.species_count(); ++s) {
-    picmc::Species& sp = sim.species(s);
-    const std::string& name = sp.config.name;
-    const auto counts = iteration.mesh("rank_count_" + name)
-                            .component()
-                            .load<std::uint64_t>();
-    if (counts.size() != std::uint64_t(nranks))
-      throw UsageError("restore: checkpoint was written with " +
-                       std::to_string(counts.size()) + " ranks");
-    std::uint64_t offset = 0;
-    for (int r = 0; r < rank; ++r) offset += counts[std::size_t(r)];
-    const std::uint64_t n = counts[rr];
-
-    auto& species = iteration.particles(name);
-    const auto x = species["position"]["x"].load<double>();
-    const auto vx = species["velocity"]["x"].load<double>();
-    const auto vy = species["velocity"]["y"].load<double>();
-    const auto vz = species["velocity"]["z"].load<double>();
-    const auto w = species["weighting"][pmd::kScalar].load<double>();
-
-    sp.particles.clear();
-    sp.particles.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-      sp.particles.push_back(x[offset + i], vx[offset + i], vy[offset + i],
-                             vz[offset + i], w[offset + i]);
-
-    const auto absorbed =
-        iteration.mesh("absorbed_" + name).component().load<std::uint64_t>();
-    const auto absorbed_weight = iteration.mesh("absorbed_weight_" + name)
-                                     .component()
-                                     .load<double>();
-    sp.absorbed_left = absorbed[rr * 2];
-    sp.absorbed_right = absorbed[rr * 2 + 1];
-    sp.absorbed_weight = absorbed_weight[rr];
-  }
-
-  const auto rng =
-      iteration.mesh("rng_state").component().load<std::uint64_t>();
-  sim.rng().set_state({rng[rr * 4], rng[rr * 4 + 1], rng[rr * 4 + 2],
-                       rng[rr * 4 + 3]});
-  const auto events = iteration.mesh("ionization_events")
-                          .component()
-                          .load<std::uint64_t>();
-  const auto weight =
-      iteration.mesh("ionized_weight").component().load<double>();
-  sim.set_ionization_totals(events[rr], weight[rr]);
-  sim.set_current_step(std::uint64_t(iteration.time()));
-}
-
-namespace {
-
-/// splitmix64 finalizer: the deterministic mixer behind the re-derived
-/// per-rank RNG streams of a reshaped restart.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-void restore_repartitioned(pmd::Series& series, picmc::Simulation& sim) {
-  auto& iteration = series.read_iteration(0);
-  const int new_n = sim.nranks();
-  const int rank = sim.rank();
-
-  // How many ranks wrote the checkpoint?  Any species' rank_count mesh
-  // carries the answer; with a matching size the exact path applies.
-  if (sim.species_count() == 0)
-    throw UsageError("restore_repartitioned: simulation has no species");
-  const std::uint64_t old_n =
-      iteration.mesh("rank_count_" + sim.species(0).config.name)
-          .component()
-          .load<std::uint64_t>()
-          .size();
-  if (old_n == std::uint64_t(new_n)) {
-    restore_from_series(series, sim);
-    return;
-  }
-
-  for (std::size_t s = 0; s < sim.species_count(); ++s) {
-    picmc::Species& sp = sim.species(s);
-    const std::string& name = sp.config.name;
-    const auto counts = iteration.mesh("rank_count_" + name)
-                            .component()
-                            .load<std::uint64_t>();
-    std::uint64_t total = 0;
-    for (const std::uint64_t c : counts) total += c;
-
-    // Contiguous equal slices over the concatenated global arrays.
-    const std::uint64_t base = total / std::uint64_t(new_n);
-    const std::uint64_t extra = total % std::uint64_t(new_n);
-    const std::uint64_t rr = std::uint64_t(rank);
-    const std::uint64_t my_count = base + (rr < extra ? 1 : 0);
-    const std::uint64_t my_offset =
-        rr * base + std::min<std::uint64_t>(rr, extra);
-
-    auto& species = iteration.particles(name);
-    const auto x = species["position"]["x"].load<double>();
-    const auto vx = species["velocity"]["x"].load<double>();
-    const auto vy = species["velocity"]["y"].load<double>();
-    const auto vz = species["velocity"]["z"].load<double>();
-    const auto w = species["weighting"][pmd::kScalar].load<double>();
-
-    sp.particles.clear();
-    sp.particles.reserve(my_count);
-    for (std::uint64_t i = 0; i < my_count; ++i)
-      sp.particles.push_back(x[my_offset + i], vx[my_offset + i],
-                             vy[my_offset + i], vz[my_offset + i],
-                             w[my_offset + i]);
-
-    // Absorption counters are whole-run tallies; keep the global totals by
-    // parking the sums on the new rank 0.
-    const auto absorbed =
-        iteration.mesh("absorbed_" + name).component().load<std::uint64_t>();
-    const auto absorbed_weight = iteration.mesh("absorbed_weight_" + name)
-                                     .component()
-                                     .load<double>();
-    sp.absorbed_left = 0;
-    sp.absorbed_right = 0;
-    sp.absorbed_weight = 0.0;
-    if (rank == 0) {
-      for (std::uint64_t r = 0; r < old_n; ++r) {
-        sp.absorbed_left += absorbed[r * 2];
-        sp.absorbed_right += absorbed[r * 2 + 1];
-        sp.absorbed_weight += absorbed_weight[r];
-      }
-    }
-  }
-
-  const std::uint64_t step = std::uint64_t(iteration.time());
-
-  // The old per-rank RNG streams cannot be split across a different rank
-  // count; derive fresh, deterministic streams instead.
-  std::array<std::uint64_t, 4> state{};
-  const std::uint64_t tag =
-      mix64(step) ^ mix64(std::uint64_t(new_n) * 0x51ed2701u) ^
-      mix64(std::uint64_t(rank) + 0xb5ull);
-  for (std::size_t i = 0; i < 4; ++i) state[i] = mix64(tag + i);
-  state[0] |= 1;  // never the all-zero state
-  sim.rng().set_state(state);
-
-  std::uint64_t events = 0;
-  double weight = 0.0;
-  if (rank == 0) {
-    const auto all_events = iteration.mesh("ionization_events")
-                                .component()
-                                .load<std::uint64_t>();
-    const auto all_weight =
-        iteration.mesh("ionized_weight").component().load<double>();
-    for (std::uint64_t r = 0; r < old_n; ++r) {
-      events += all_events[r];
-      weight += all_weight[r];
-    }
-  }
-  sim.set_ionization_totals(events, weight);
-  sim.set_current_step(step);
-}
-
-void restore_from_source(CheckpointSource& source, picmc::Simulation& sim) {
-  const int rank = sim.rank();
-  const int nranks = sim.nranks();
-  if (source.writer_ranks() != std::uint64_t(nranks))
+void restore_from_source(CheckpointSource& source, Simulation& sim) {
+  const std::uint64_t writers = writer_ranks(source);
+  if (writers != std::uint64_t(sim.nranks()))
     throw UsageError("restore: checkpoint was written with " +
-                     std::to_string(source.writer_ranks()) + " ranks");
-  const std::uint64_t rr = std::uint64_t(rank);
-
-  for (std::size_t s = 0; s < sim.species_count(); ++s) {
-    picmc::Species& sp = sim.species(s);
-    const std::string& name = sp.config.name;
-    const auto counts = source.read_u64(mesh_var("rank_count_" + name), 0,
-                                        std::uint64_t(nranks));
-    std::uint64_t offset = 0;
-    for (int r = 0; r < rank; ++r) offset += counts[std::size_t(r)];
-    const std::uint64_t n = counts[rr];
-
-    // Ranged reads: this rank touches its own slice of each array, nothing
-    // else — against a chain source only the blocks under the slice are
-    // fetched from their storing epochs.
-    const auto x = source.read_f64(particle_var(name, "position", "x"),
-                                   offset, n);
-    const auto vx = source.read_f64(particle_var(name, "velocity", "x"),
-                                    offset, n);
-    const auto vy = source.read_f64(particle_var(name, "velocity", "y"),
-                                    offset, n);
-    const auto vz = source.read_f64(particle_var(name, "velocity", "z"),
-                                    offset, n);
-    const auto w = source.read_f64(
-        particle_var(name, "weighting", pmd::kScalar), offset, n);
-
-    sp.particles.clear();
-    sp.particles.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-      sp.particles.push_back(x[i], vx[i], vy[i], vz[i], w[i]);
-
-    const auto absorbed =
-        source.read_u64(mesh_var("absorbed_" + name), rr * 2, 2);
-    const auto absorbed_weight =
-        source.read_f64(mesh_var("absorbed_weight_" + name), rr, 1);
-    sp.absorbed_left = absorbed[0];
-    sp.absorbed_right = absorbed[1];
-    sp.absorbed_weight = absorbed_weight[0];
-  }
-
-  const auto rng = source.read_u64(mesh_var("rng_state"), rr * 4, 4);
-  sim.rng().set_state({rng[0], rng[1], rng[2], rng[3]});
-  const auto events = source.read_u64(mesh_var("ionization_events"), rr, 1);
-  const auto weight = source.read_f64(mesh_var("ionized_weight"), rr, 1);
-  sim.set_ionization_totals(events[0], weight[0]);
-  sim.set_current_step(source.step());
+                     std::to_string(writers) + " ranks");
+  restore_repartitioned(source, sim);
 }
 
-void restore_repartitioned(CheckpointSource& source, picmc::Simulation& sim) {
-  const int new_n = sim.nranks();
-  const int rank = sim.rank();
-  if (sim.species_count() == 0)
-    throw UsageError("restore_repartitioned: simulation has no species");
-  const std::uint64_t old_n = source.writer_ranks();
-  if (old_n == std::uint64_t(new_n)) {
-    restore_from_source(source, sim);
-    return;
-  }
+void restore_repartitioned(CheckpointSource& source, Simulation& sim) {
+  const std::uint64_t writers = writer_ranks(source);
+  const std::uint64_t nranks = std::uint64_t(sim.nranks());
+  const std::uint64_t rank = std::uint64_t(sim.rank());
+  const bool reshaped = writers != nranks;
+  const std::size_t nspecies = sim.species_count();
+  RankCheckpoint state{true, source.step(),
+                       std::vector<Words>(slot_count(nspecies))};
 
-  for (std::size_t s = 0; s < sim.species_count(); ++s) {
-    picmc::Species& sp = sim.species(s);
-    const std::string& name = sp.config.name;
-    const auto counts =
-        source.read_u64(mesh_var("rank_count_" + name), 0, old_n);
-    std::uint64_t total = 0;
-    for (const std::uint64_t c : counts) total += c;
+  // A per-rank field: this rank's own elements or, reshaped, every writer
+  // rank's elements summed onto the new rank 0 (the counters are whole-run
+  // tallies, not per-particle state).
+  auto own_or_summed = [&](const CheckpointField& field,
+                           const std::string& var) {
+    const std::uint64_t k = field.per_rank;
+    if (!reshaped) return source.read(var, rank * k, k);
+    Words sum(k, 0);  // all-zero words: 0 and +0.0
+    if (rank != 0) return sum;
+    const Words all = source.read(var, 0, writers * k);
+    for (std::uint64_t r = 0; r < writers; ++r)
+      for (std::uint64_t j = 0; j < k; ++j)
+        sum[j] = field.dtype == f64
+                     ? std::bit_cast<std::uint64_t>(
+                           std::bit_cast<double>(sum[j]) +
+                           std::bit_cast<double>(all[r * k + j]))
+                     : sum[j] + all[r * k + j];
+    return sum;
+  };
 
-    // Contiguous equal slices over the concatenated global arrays — the
-    // same partition the series overload computes.
-    const std::uint64_t base = total / std::uint64_t(new_n);
-    const std::uint64_t extra = total % std::uint64_t(new_n);
-    const std::uint64_t rr = std::uint64_t(rank);
-    const std::uint64_t my_count = base + (rr < extra ? 1 : 0);
-    const std::uint64_t my_offset =
-        rr * base + std::min<std::uint64_t>(rr, extra);
-
-    const auto x = source.read_f64(particle_var(name, "position", "x"),
-                                   my_offset, my_count);
-    const auto vx = source.read_f64(particle_var(name, "velocity", "x"),
-                                    my_offset, my_count);
-    const auto vy = source.read_f64(particle_var(name, "velocity", "y"),
-                                    my_offset, my_count);
-    const auto vz = source.read_f64(particle_var(name, "velocity", "z"),
-                                    my_offset, my_count);
-    const auto w = source.read_f64(
-        particle_var(name, "weighting", pmd::kScalar), my_offset, my_count);
-
-    sp.particles.clear();
-    sp.particles.reserve(my_count);
-    for (std::uint64_t i = 0; i < my_count; ++i)
-      sp.particles.push_back(x[i], vx[i], vy[i], vz[i], w[i]);
-
-    // Absorption counters are whole-run tallies; keep the global totals by
-    // parking the sums on the new rank 0.
-    sp.absorbed_left = 0;
-    sp.absorbed_right = 0;
-    sp.absorbed_weight = 0.0;
-    if (rank == 0) {
-      const auto absorbed =
-          source.read_u64(mesh_var("absorbed_" + name), 0, old_n * 2);
-      const auto absorbed_weight =
-          source.read_f64(mesh_var("absorbed_weight_" + name), 0, old_n);
-      for (std::uint64_t r = 0; r < old_n; ++r) {
-        sp.absorbed_left += absorbed[r * 2];
-        sp.absorbed_right += absorbed[r * 2 + 1];
-        sp.absorbed_weight += absorbed_weight[r];
-      }
+  for (std::size_t s = 0; s < nspecies; ++s) {
+    const std::string& name = sim.species(s).config.name;
+    const Words counts =
+        source.read(field_var(kFields[kRankCount], name), 0, writers);
+    std::uint64_t offset = 0, count = 0;
+    if (!reshaped) {
+      // The rank's own exscan slice.
+      for (std::uint64_t r = 0; r < rank; ++r) offset += counts[r];
+      count = counts[rank];
+    } else {
+      // Contiguous equal slices over the concatenated global arrays.
+      std::uint64_t total = 0;
+      for (const std::uint64_t c : counts) total += c;
+      const std::uint64_t base = total / nranks;
+      const std::uint64_t extra = total % nranks;
+      count = base + (rank < extra ? 1 : 0);
+      offset = rank * base + std::min(rank, extra);
+    }
+    for (std::size_t f = 0; f < kSpeciesFields; ++f) {
+      const CheckpointField& field = kFields[f];
+      Words& words = state.fields[slot(nspecies, s, f)];
+      if (f == kRankCount)
+        words = {count};
+      else if (field.per_rank == 0)
+        words = source.read(field_var(field, name), offset, count);
+      else
+        words = own_or_summed(field, field_var(field, name));
     }
   }
-
-  const std::uint64_t step = source.step();
-
-  // Same deterministic RNG re-derivation as the series overload: reshaped
-  // restarts through either path resume with identical streams.
-  std::array<std::uint64_t, 4> state{};
-  const std::uint64_t tag =
-      mix64(step) ^ mix64(std::uint64_t(new_n) * 0x51ed2701u) ^
-      mix64(std::uint64_t(rank) + 0xb5ull);
-  for (std::size_t i = 0; i < 4; ++i) state[i] = mix64(tag + i);
-  state[0] |= 1;  // never the all-zero state
-  sim.rng().set_state(state);
-
-  std::uint64_t events = 0;
-  double weight = 0.0;
-  if (rank == 0) {
-    const auto all_events =
-        source.read_u64(mesh_var("ionization_events"), 0, old_n);
-    const auto all_weight =
-        source.read_f64(mesh_var("ionized_weight"), 0, old_n);
-    for (std::uint64_t r = 0; r < old_n; ++r) {
-      events += all_events[r];
-      weight += all_weight[r];
-    }
+  for (std::size_t f = kSpeciesFields; f < kFieldCount; ++f) {
+    Words& words = state.fields[slot(nspecies, 0, f)];
+    if (f == kRngState && reshaped)
+      words = derived_rng(state.step, nranks, rank);
+    else
+      words = own_or_summed(kFields[f], field_var(kFields[f], ""));
   }
-  sim.set_ionization_totals(events, weight);
-  sim.set_current_step(step);
+  apply_rank_state(state, sim);
 }
 
 }  // namespace bitio::core

@@ -1,18 +1,19 @@
 #pragma once
-// The checkpoint payload: what one rank contributes to a restart dump and
-// how the staged per-rank states become an openPMD iteration (and back).
+// The checkpoint payload: what one rank contributes to a restart dump, how
+// the staged per-rank states become an openPMD iteration, and how a rank
+// comes back from one.
 //
-// Extracted from Bit1OpenPmdAdaptor so the resilience layer
-// (resil::CheckpointManager) can write versioned checkpoint *epochs* with
-// exactly the same on-disk schema the adaptor's dmp_file series uses:
-//   particles/<species>/{position/x, velocity/{x,y,z}, weighting}
-//   meshes/rank_count_<species>, absorbed_<species>, absorbed_weight_<species>
-//   meshes/rng_state, ionization_events, ionized_weight
-// with iteration time() carrying the simulation step.  Restores are
-// bit-exact: particle arrays, per-rank RNG state, Monte Carlo totals and
-// absorption counters all round-trip unchanged.
+// The schema is spelled once, as the field table in checkpoint_payload.cpp:
+// per species the particle arrays and the absorption counters, then per
+// rank the RNG state and the Monte Carlo totals, each row a bp variable
+// path with its dtype and elements per rank.  checkpoint_blocks,
+// write_checkpoint_iteration and the restore all loop over that table, so
+// the adaptor's dmp_file and every resil epoch share one schema, with
+// iteration time() carrying the simulation step.  Every restore reads
+// through a CheckpointSource (checkpoint_source.hpp) and is bit-exact:
+// particle arrays, per-rank RNG state, Monte Carlo totals and absorption
+// counters all round-trip unchanged.
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -27,34 +28,17 @@ namespace bitio::core {
 /// One rank's full restart state.
 struct RankCheckpoint {
   bool present = false;
-  // Per species particle arrays.
-  std::vector<std::vector<double>> x, vx, vy, vz, w;
-  std::vector<std::uint64_t> absorbed_left, absorbed_right;
-  std::vector<double> absorbed_weight;
-  std::array<std::uint64_t, 4> rng{};
   std::uint64_t step = 0;
-  std::uint64_t ionization_events = 0;
-  double ionized_weight = 0.0;
+  /// The rank's elements of every schema field as raw 64-bit words, in
+  /// store order: each species' fields in turn, then the rank's own.
+  std::vector<std::vector<std::uint64_t>> fields;
 };
 
 /// Snapshot `sim`'s restart state (rank-local; cheap copies of the particle
 /// arrays plus RNG/MC scalars).
 RankCheckpoint capture_rank_state(const picmc::Simulation& sim);
 
-/// One dedup unit of the checkpoint payload: the chunk a specific writer
-/// rank stores for one bp variable of the schema above.  `hash` is FNV-1a
-/// 64 over the raw payload bytes (util::hash64), the content identity the
-/// incremental-checkpoint layer compares across epochs.
-struct CheckpointBlock {
-  std::string var;           // bp variable path, e.g. "particles/e/position/x"
-  int rank = 0;              // writer rank (the chunk's address in the var)
-  std::uint64_t offset = 0;  // element offset in the global array
-  std::uint64_t count = 0;   // element count
-  std::uint64_t bytes = 0;   // raw payload bytes (count * 8: all vars are 64-bit)
-  std::uint64_t hash = 0;    // FNV-1a 64 of the raw payload bytes
-};
-
-/// Enumerate every block write_checkpoint_iteration would store for this
+/// Enumerate every block write_checkpoint_iteration stores for this
 /// staging table — same variables, same ranks, same exscan offsets, in the
 /// same order.  The delta-epoch layer diffs this list against the last
 /// committed epoch to decide which blocks actually need writing.
@@ -83,34 +67,23 @@ void write_checkpoint_iteration(pmd::Series& series,
                                 const std::vector<std::string>& species_names,
                                 int nranks, const BlockKeep& keep);
 
-/// Restore `sim` (rank sim.rank() of sim.nranks()) from iteration 0 of an
-/// open read-only `series`.  Throws UsageError if the checkpoint was
-/// written with a different communicator size.
-void restore_from_series(pmd::Series& series, picmc::Simulation& sim);
+/// Bit-exact restore of rank sim.rank() (RNG and MC totals included),
+/// reading only the ranges that rank needs — its own slice of each particle
+/// array, its own counters, and the per-rank counts that place the slice.
+/// Throws UsageError when the checkpoint was written with a different
+/// communicator size.
+void restore_from_source(CheckpointSource& source, picmc::Simulation& sim);
 
 /// Restore `sim` from a checkpoint written by *any* communicator size (the
 /// shrink-recovery path: a dump from N ranks restored onto the N-1
-/// survivors).  When the sizes match this delegates to restore_from_series
-/// and is bit-exact, RNG included.  Otherwise the global particle
-/// population is re-partitioned into contiguous equal slices (rank r takes
-/// total/n plus one extra when r < total%n), the absorption counters and
-/// Monte Carlo totals are summed onto the new rank 0 (they are global
-/// diagnostics, not per-particle state), and each rank's RNG is re-seeded
-/// deterministically from (step, new size, rank) so reshaped restarts stay
-/// reproducible.
-void restore_repartitioned(pmd::Series& series, picmc::Simulation& sim);
-
-/// restore_from_series generalized over a CheckpointSource: bit-exact
-/// restore of rank sim.rank() (RNG and MC totals included), reading only
-/// the ranges that rank needs — against a chain source this touches only
-/// the referenced blocks, never the whole arrays.  Throws UsageError when
-/// the checkpoint was written with a different communicator size.
-void restore_from_source(CheckpointSource& source, picmc::Simulation& sim);
-
-/// restore_repartitioned generalized over a CheckpointSource: same slicing,
-/// counter-summing and deterministic RNG re-derivation as the series
-/// overload (the two are differentially tested against each other), with
-/// ranged reads so each survivor touches only its own slice of the chain.
+/// survivors).  When the sizes match this is restore_from_source.
+/// Otherwise the global particle population is re-partitioned into
+/// contiguous equal slices (rank r takes total/n plus one extra when
+/// r < total%n), the absorption counters and Monte Carlo totals are summed
+/// onto the new rank 0 (they are global diagnostics, not per-particle
+/// state), and each rank's RNG is re-seeded deterministically from
+/// (step, new size, rank) so reshaped restarts stay reproducible.  Each
+/// survivor reads only its own slice of the particle arrays.
 void restore_repartitioned(CheckpointSource& source, picmc::Simulation& sim);
 
 }  // namespace bitio::core

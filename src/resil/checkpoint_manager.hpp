@@ -20,10 +20,13 @@
 // (one hop, never a chain of indirections).  The MANIFEST also lists the
 // base epochs the delta depends on; retention never prunes a base epoch a
 // retained delta still references, and the full interval bounds how long a
-// chain can grow.  Restore resolves a survivor's ranges through the chain
-// (resil::ChainCheckpointSource), reading and CRC-verifying only the
-// referenced blocks; a broken link anywhere in a chain fails that epoch's
-// verification and restart falls back chain by chain.
+// chain can grow.  Every epoch is read through one core::CheckpointSource
+// opened with its MANIFEST references: restore resolves a survivor's
+// ranges block by block, reading and CRC-verifying only the blocks under
+// them, and verification checks that the blocks of every variable tile it
+// and that every reference reads back with its hash.  A broken link
+// anywhere in a chain fails that epoch's verification and restart falls
+// back chain by chain.
 //
 // Commit protocol (per epoch): write the series, re-open it with bp::Reader
 // and CRC-verify every chunk (end-to-end integrity), then write
@@ -50,7 +53,6 @@
 
 #include "core/checkpoint_payload.hpp"
 #include "core/diagnostics_sink.hpp"
-#include "resil/chain_source.hpp"
 #include "core/io_config.hpp"
 #include "fsim/posix_fs.hpp"
 #include "picmc/simulation.hpp"
@@ -59,6 +61,29 @@
 #include "util/thread_annotations.hpp"
 
 namespace bitio::resil {
+
+using core::BlockRef;
+
+/// MANIFEST schema version, written as "manifest_version" and required on
+/// read.  Bump it whenever to_json gains, drops, or reshapes a field — the
+/// golden-bytes test (CkptManifest.GoldenDeltaManifestBytes) pins the
+/// serialized text next to this constant, so the two change together.
+inline constexpr int kManifestVersion = 2;
+
+/// Parsed MANIFEST of a committed epoch.
+struct EpochManifest {
+  std::uint64_t epoch = 0;
+  std::uint64_t step = 0;
+  int nranks = 0;
+  std::string engine;
+  std::string kind = "full";  // "full" | "delta"
+  std::vector<std::uint64_t> base_epochs;
+  std::vector<BlockRef> refs;  // delta: blocks stored in base epochs
+
+  Json to_json() const;
+  /// Throws FormatError unless the manifest carries this version and a kind.
+  static EpochManifest from_json(const Json& doc);
+};
 
 /// Counters the resilience layer accumulates across commits/restores (the
 /// numbers resilience.json and the resilience_sweep bench report).
@@ -141,10 +166,10 @@ public:
   /// Restore `sim` (any communicator size — re-partitions when it differs
   /// from the writer's, see core::restore_repartitioned) from a specific
   /// committed epoch, resolving delta chains block by block.  Safe to call
-  /// from every surviving rank concurrently (stats updates are the only
-  /// writes, and they ride the commit-protocol thread like every other
-  /// counter).
-  void restore_epoch(std::uint64_t epoch, picmc::Simulation& sim);
+  /// from every surviving rank concurrently: its only shared writes are the
+  /// two stats updates, taken under stage_mutex_.
+  void restore_epoch(std::uint64_t epoch, picmc::Simulation& sim)
+      EXCLUDES(stage_mutex_);
 
   /// Record one completed shrink-recovery taking `seconds` of wall time /
   /// one observed I/O-ladder degradation into the stats.
@@ -194,10 +219,14 @@ private:
   /// stored base chunk still exists and carries that hash.
   std::vector<BlockRef> plan_refs(
       const std::vector<core::CheckpointBlock>& blocks);
-  /// Full chain verification of one epoch: own chunks CRC-verified plus
-  /// every manifest reference resolved, read back and content-checked.
-  /// Any failure counts; 1 is returned for an epoch that does not open.
+  /// Full chain verification of one epoch: every reference points into a
+  /// committed epoch, the blocks of every variable tile it, own chunks
+  /// CRC-verify, and every reference reads back with its content hash.
+  /// Returns the number of failures; 1 for an epoch that does not open.
   std::uint64_t chain_bad_chunks(std::uint64_t epoch);
+  /// The one read path into a committed epoch: its container plus the
+  /// MANIFEST's references into base epochs.
+  core::CheckpointSource open_epoch(const EpochManifest& manifest);
   /// Restore through the chain, timing the walk and counting the blocks
   /// it fetched into the stats and the trace ("restore_chain").
   void restore_via_chain(std::uint64_t epoch, picmc::Simulation& sim,

@@ -1,20 +1,21 @@
 // Tests for incremental checkpoint epochs: the full/delta cadence of
 // checkpoint_full_interval, content-hash dedup against the last committed
 // epoch, random-access chain restore (bit-exact, shrink-tolerant, reading
-// only the referenced blocks), chain-aware retention and restart fallback,
+// only the referenced blocks, rejecting blocks that do not tile their
+// variable), one MANIFEST version, chain-aware retention and restart fallback,
 // crash-during-prune orphan cleanup, and the Darshan v6 job counters the
 // machinery feeds.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <optional>
 
 #include "darshan/darshan.hpp"
 #include "fsim/posix_fs.hpp"
 #include "fsim/storage_model.hpp"
 #include "fsim/system_profiles.hpp"
 #include "picmc/simulation.hpp"
-#include "resil/chain_source.hpp"
 #include "resil/checkpoint_manager.hpp"
 #include "util/error.hpp"
 
@@ -331,6 +332,25 @@ TEST(CkptManifest, GoldenDeltaManifestBytes) {
 })");
 }
 
+TEST(CkptManifest, OnlyTheCurrentVersionParses) {
+  // One MANIFEST version: a manifest without "manifest_version" (or with
+  // another one), or without a kind, is rejected rather than guessed at.
+  const std::string fields =
+      R"("epoch": 1, "step": 4, "engine": "bp4", "nranks": 1)";
+  EXPECT_NO_THROW(EpochManifest::from_json(Json::parse(
+      "{" + fields + R"(, "manifest_version": 2, "kind": "full"})")));
+  EXPECT_THROW(EpochManifest::from_json(
+                   Json::parse("{" + fields + R"(, "kind": "full"})")),
+               FormatError);
+  EXPECT_THROW(
+      EpochManifest::from_json(Json::parse(
+          "{" + fields + R"(, "manifest_version": 1, "kind": "full"})")),
+      FormatError);
+  EXPECT_THROW(EpochManifest::from_json(
+                   Json::parse("{" + fields + R"(, "manifest_version": 2})")),
+               FormatError);
+}
+
 TEST(CkptRobust, PruneKeepsBaseEpochsOfRetainedDeltas) {
   SharedFs fs(8);
   auto config = small_case();
@@ -448,6 +468,50 @@ TEST(CkptRobust, CorruptBaseBlockBreaksEveryDependentChain) {
   const RestartReport report = manager.restore(restarted);
   EXPECT_FALSE(report.recovered);
   EXPECT_EQ(report.rejected, (std::vector<std::uint64_t>{2, 1}));
+}
+
+TEST(CkptRobust, ReferencesThatDoNotTileAVariableAreRejected) {
+  // Two ranks, a full epoch and a delta epoch of the same state: every
+  // block of epoch 2 is a reference into epoch 1.  Moving rank 1's
+  // position/x reference onto rank 0's range keeps the element total (an
+  // overlap and a gap of equal size) but leaves half the array unstored.
+  SharedFs fs(8);
+  const auto config = small_case();
+  CheckpointManager manager(fs, "run", delta_config(/*full_interval=*/4), 2);
+  std::vector<std::unique_ptr<Simulation>> sims;
+  for (int r = 0; r < 2; ++r) {
+    sims.push_back(std::make_unique<Simulation>(config, r, 2));
+    sims.back()->initialize();
+    run_until(*sims.back(), 4);
+  }
+  for (int epoch = 1; epoch <= 2; ++epoch) {
+    for (int r = 0; r < 2; ++r) manager.stage(r, *sims[std::size_t(r)]);
+    manager.commit();
+  }
+  auto manifest = manager.read_manifest(2);
+  ASSERT_TRUE(manifest.has_value());
+  ASSERT_EQ(manifest->kind, "delta");
+  bool moved = false;
+  for (BlockRef& ref : manifest->refs) {
+    if (ref.var != "particles/e/position/x" || ref.rank != 1) continue;
+    ASSERT_GT(ref.offset, 0u);
+    ref.offset = 0;
+    moved = true;
+  }
+  ASSERT_TRUE(moved);
+  const std::string path = manager.epoch_dir(2) + "/MANIFEST";
+  const std::string text = manifest->to_json().dump(2) + "\n";
+  FsClient io(fs, 0);
+  io.unlink(path);
+  io.write_file(path, std::span<const std::uint8_t>(
+                          reinterpret_cast<const std::uint8_t*>(text.data()),
+                          text.size()));
+
+  const ScrubReport scrubbed = manager.scrub();
+  EXPECT_EQ(scrubbed.corrupt_epochs, (std::vector<std::uint64_t>{2}));
+  EXPECT_EQ(manager.newest_verifying_epoch(), std::optional<std::uint64_t>(1));
+  Simulation restored(config);
+  EXPECT_THROW(manager.restore_epoch(2, restored), FormatError);
 }
 
 TEST(CkptRobust, CrashDuringPruneLeavesRestorableStateAndScrubCleans) {

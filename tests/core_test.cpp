@@ -5,6 +5,7 @@
 
 #include <cmath>
 
+#include "bp/reader.hpp"
 #include "bp/writer.hpp"
 #include "core/adaptor.hpp"
 #include "core/diagnostics_sink.hpp"
@@ -406,12 +407,33 @@ TEST(Adaptor, MultiRankCheckpointRestartIsExact) {
     adaptor.flush_checkpoint();
     adaptor.close();
   }
+  // What each rank may read of the data subfiles: its own chunks, plus the
+  // per-species rank_count table every rank reads to place its slice.
+  std::vector<std::uint64_t> allowed(3, 0);
+  {
+    bp::Reader reader = bp::Reader::open(fs, 0, "run/dmp_file.bp4");
+    for (const auto& var : reader.step(0).variables)
+      for (const auto& chunk : var.chunks)
+        for (std::uint32_t rank = 0; rank < 3; ++rank)
+          if (chunk.writer_rank == rank ||
+              var.name.rfind("meshes/rank_count_", 0) == 0)
+            allowed[rank] += chunk.stored_bytes;
+  }
   for (int rank = 0; rank < 3; ++rank) {
     picmc::Simulation restored(config, rank, 3);
+    fs.clear_trace();
     Bit1OpenPmdAdaptor::restore(fs, "run", io, restored);
     EXPECT_EQ(restored.current_step(), 20u);
     EXPECT_EQ(restored.species(0).particles.x(), positions[std::size_t(rank)])
         << "rank " << rank;
+    std::uint64_t data_read = 0;
+    for (const auto& op : fs.trace())
+      if (op.kind == fsim::OpKind::read && op.file != fsim::kNoFile &&
+          fs.store().file_by_id(op.file).path.find("/data.") !=
+              std::string::npos)
+        data_read += op.bytes;
+    EXPECT_GT(data_read, 0u) << "rank " << rank;
+    EXPECT_LE(data_read, allowed[std::size_t(rank)]) << "rank " << rank;
   }
 }
 

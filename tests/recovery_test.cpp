@@ -13,14 +13,12 @@
 #include "bp/engine.hpp"
 #include "bp/reader.hpp"
 #include "bp/writer.hpp"
-#include "core/checkpoint_payload.hpp"
 #include "core/degrade.hpp"
 #include "darshan/darshan.hpp"
 #include "fsim/fault_plan.hpp"
 #include "fsim/posix_fs.hpp"
 #include "fsim/storage_model.hpp"
 #include "fsim/system_profiles.hpp"
-#include "openpmd/series.hpp"
 #include "picmc/diagnostics.hpp"
 #include "picmc/simulation.hpp"
 #include "resil/recovery.hpp"
@@ -183,9 +181,7 @@ TEST(OnlineRecovery, RestoreRepartitionedPreservesThePopulation) {
   std::vector<std::unique_ptr<Simulation>> new_sims;
   for (int r = 0; r < 3; ++r) {
     new_sims.push_back(std::make_unique<Simulation>(sim_config, r, 3));
-    pmd::Series series(fs, "run/resil/epoch_1/dmp_file.bp4",
-                       pmd::Access::read_only);
-    core::restore_repartitioned(series, *new_sims.back());
+    manager.restore_epoch(1, *new_sims.back());
     EXPECT_EQ(new_sims.back()->current_step(), 8u);
   }
 
