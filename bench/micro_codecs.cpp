@@ -81,7 +81,7 @@ void BM_StepMetadataEncode(benchmark::State& state) {
   record.step = 7;
   for (int v = 0; v < 3; ++v) {
     bp::VarRecord var{"vdf_" + std::to_string(v), bp::Datatype::float64,
-                      {25600ull * 1229}, {}};
+                      {25600ull * 1229}, "", {}};
     var.chunks.reserve(25600);
     for (std::uint32_t r = 0; r < 25600; ++r) {
       var.chunks.push_back({{std::uint64_t(r) * 1229},
@@ -91,7 +91,6 @@ void BM_StepMetadataEncode(benchmark::State& state) {
                             std::uint64_t(r) * 9832,
                             9832,
                             9832,
-                            "",
                             0.0,
                             1.0});
     }

@@ -34,8 +34,12 @@
 #                          san-recovery, a superset of the ckpt label: every
 #                          restore caller reads through the one
 #                          core::CheckpointSource), and the stream suite too
-#                          (ctest --preset san-stream); the full/delta sweep
-#                          is scripts/bench_report.sh -> BENCH_ckpt.json
+#                          (ctest --preset san-stream); then the ckpt_sweep
+#                          benchmark, whose in-band gates require every
+#                          delta sweep to dedup, every restore to be
+#                          bit-exact and every faulted cell to fall back
+#                          (the committed report is scripts/bench_report.sh
+#                          -> BENCH_ckpt.json)
 #   7. iopath suite        batched queue-pair differential tests (byte
 #                          identity vs the per-op writer, CZP1 + two-level
 #                          composition, Darshan batch counters; ctest -L
@@ -100,6 +104,11 @@ ctest --preset san-recovery
 
 step "stream engine suite under ASan+UBSan (ctest --preset san-stream)"
 ctest --preset san-stream
+
+step "incremental-checkpoint sweep gate (ckpt_sweep)"
+cmake --build --preset default -j "$(nproc 2>/dev/null || echo 4)" \
+  --target ckpt_sweep
+"$repo_root/build/bench/ckpt_sweep" >/dev/null
 
 step "batched I/O path suite (ctest -L iopath)"
 ctest --preset iopath

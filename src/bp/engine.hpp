@@ -16,9 +16,9 @@
 //           (src/bp/stream.hpp)
 //
 // Both kinds of engine marshal a chunk through the same bp::marshal_chunk
-// (src/bp/format.hpp), so a chunk's record — operator, sizes, CRC32C,
-// statistics, content hash — is the same whichever engine stored it; only
-// where the bytes go differs.  Call sites (the openPMD backend, the scale
+// (src/bp/format.hpp), so a chunk's record — sizes, CRC32C, statistics —
+// and its variable's operator are the same whichever engine stored it;
+// only where the bytes go differs.  Call sites (the openPMD backend, the scale
 // workload, the benches) select an engine purely via Bit1IoConfig::engine,
 // so swapping BP4 for the stream engine touches a TOML line, not code.
 // Bit1IoConfig::validate() accepts exactly the registered names

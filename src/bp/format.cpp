@@ -1,11 +1,12 @@
 #include "bp/format.hpp"
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "compress/parallel.hpp"
 #include "fsim/storage_model.hpp"
 #include "util/crc32c.hpp"
-#include "util/hash64.hpp"
 
 namespace bitio::bp {
 
@@ -82,6 +83,7 @@ EncodedStep encode_step(const StepRecord& record) {
     writer.str(var.name);
     writer.u8(std::uint8_t(var.dtype));
     writer.dims(var.shape);
+    writer.str(var.operator_name);
     writer.u32(std::uint32_t(var.chunks.size()));
     for (const auto& chunk : var.chunks) {
       writer.dims(chunk.offset);
@@ -91,13 +93,10 @@ EncodedStep encode_step(const StepRecord& record) {
       writer.u64(chunk.file_offset);
       writer.u64(chunk.stored_bytes);
       writer.u64(chunk.raw_bytes);
-      writer.str(chunk.operator_name);
       writer.f64(chunk.stat_min);
       writer.f64(chunk.stat_max);
       writer.u8(chunk.has_crc ? 1 : 0);
       writer.u32(chunk.crc32c);
-      writer.u8(chunk.has_content_hash ? 1 : 0);
-      writer.u64(chunk.content_hash);
     }
   }
   writer.u32(std::uint32_t(record.attributes.size()));
@@ -147,6 +146,14 @@ StepRecord decode_step(std::span<const std::uint8_t> data) {
     for (const std::uint64_t extent : var.shape)
       if (__builtin_mul_overflow(var_bytes, extent, &var_bytes))
         throw FormatError("bp: shape of '" + var.name + "' overflows");
+    // Every read decodes through the operator named here, so a name no
+    // codec answers to is corrupt metadata, rejected before any read.
+    var.operator_name = reader.str();
+    if (!var.operator_name.empty() &&
+        std::find(std::begin(cz::kCodecNames), std::end(cz::kCodecNames),
+                  var.operator_name) == std::end(cz::kCodecNames))
+      throw FormatError("bp: unknown operator '" + var.operator_name +
+                        "' on '" + var.name + "'");
     const std::uint32_t nchunks = reader.u32();
     var.chunks.reserve(nchunks);
     for (std::uint32_t c = 0; c < nchunks; ++c) {
@@ -158,13 +165,10 @@ StepRecord decode_step(std::span<const std::uint8_t> data) {
       chunk.file_offset = reader.u64();
       chunk.stored_bytes = reader.u64();
       chunk.raw_bytes = reader.u64();
-      chunk.operator_name = reader.str();
       chunk.stat_min = reader.f64();
       chunk.stat_max = reader.f64();
       chunk.has_crc = reader.u8() != 0;
       chunk.crc32c = reader.u32();
-      chunk.has_content_hash = reader.u8() != 0;
-      chunk.content_hash = reader.u64();
       // A CRC-valid block can still describe a chunk outside its variable;
       // every reader scatters by these fields, so reject it here.
       if (!chunk_in_shape(var.shape, chunk.offset, chunk.count))
@@ -283,7 +287,6 @@ ChunkRecord marshal_chunk(const cz::Codec* codec, Datatype dtype,
   if (codec) {
     // compress_append() straight into the destination: no intermediate
     // frame vector, no copy.
-    meta.operator_name = codec->name();
     codec->compress_append(raw, dst);
   } else {
     dst.insert(dst.end(), raw.begin(), raw.end());
@@ -295,10 +298,6 @@ ChunkRecord marshal_chunk(const cz::Codec* codec, Datatype dtype,
   meta.crc32c = crc32c(stored);
   meta.has_crc = true;
   compute_stats(dtype, raw, meta);
-  // Content identity over the raw bytes: the dedup key the
-  // incremental-checkpoint layer compares across epochs.
-  meta.content_hash = util::hash64(raw);
-  meta.has_content_hash = true;
   return meta;
 }
 
@@ -313,22 +312,32 @@ ChunkRecord synthetic_chunk(const cz::Codec* codec, double codec_ratio,
   meta.stored_bytes =
       codec ? std::uint64_t(double(meta.raw_bytes) * codec_ratio)
             : meta.raw_bytes;
-  if (codec) meta.operator_name = codec->name();
   return meta;
 }
 
-std::vector<std::uint8_t> decode_chunk(const ChunkRecord& chunk,
-                                       std::size_t elem,
+std::vector<std::uint8_t> decode_chunk(const VarRecord& var,
+                                       const ChunkRecord& chunk,
                                        std::vector<std::uint8_t> stored,
                                        const std::string& where) {
   if (chunk.has_crc && crc32c(stored) != chunk.crc32c)
     throw FormatError("bp: chunk CRC mismatch for " + where);
-  std::vector<std::uint8_t> raw = chunk.operator_name.empty()
-                                      ? std::move(stored)
-                                      : cz::decompress_frame(stored);
-  if (raw.size() != element_count(chunk.count) * elem)
+  const std::uint64_t raw_size =
+      element_count(chunk.count) * dtype_size(var.dtype);
+  // The frame decode checks the size the frame declares against raw_size
+  // before it allocates anything for the output.
+  std::vector<std::uint8_t> raw =
+      var.operator_name.empty()
+          ? std::move(stored)
+          : cz::decompress_frame(stored, /*threads=*/1, raw_size);
+  if (raw.size() != raw_size)
     throw FormatError("bp: chunk payload size mismatch for " + where);
   return raw;
+}
+
+double decompress_speed_bps(const VarRecord& var) {
+  if (var.operator_name.empty()) return 0.0;
+  return cz::make_codec(var.operator_name, dtype_size(var.dtype))
+      ->decompress_speed_bps();
 }
 
 void scatter_chunk(std::span<std::uint8_t> out, const Dims& shape,

@@ -6,10 +6,10 @@
 // corrupted output files beyond 20k ranks — must be *detectable* here).
 //
 // One version per surface:
-//   md.0 step block ("MD06")  every chunk record carries the CRC32C of its
-//       stored bytes and the FNV-1a content hash of its raw bytes (the
-//       dedup key of incremental checkpoints); the block ends in a CRC32C
-//       over itself.
+//   md.0 step block ("MD07")  each variable names its operator once; each
+//       chunk record keeps only its placement, sizes, statistics and the
+//       CRC32C of its stored bytes (no content hash: miniBP hashes
+//       nothing); the block ends in a CRC32C over itself.
 //   md.idx ("IDX5")  fixed-size entries (step, md_offset, md_length, md_crc)
 //       where md_crc is the CRC32C of the whole md.0 block, so the index
 //       and the metadata cross-check each other.
@@ -43,7 +43,7 @@
 
 namespace bitio::bp {
 
-inline constexpr std::uint32_t kMdMagic = 0x4D443036;   // "MD06"
+inline constexpr std::uint32_t kMdMagic = 0x4D443037;   // "MD07"
 inline constexpr std::uint32_t kIdxMagic = 0x49445835;  // "IDX5"
 inline constexpr std::uint32_t kIdxHeaderBytes = 8;     // magic + count
 inline constexpr std::uint32_t kIdxEntryBytes = 32;
@@ -63,8 +63,9 @@ struct EncodedStep {
 /// Serialize one step's metadata (appended to md.0).
 EncodedStep encode_step(const StepRecord& record);
 /// Parse one step's metadata, verifying its trailing CRC first.  Throws
-/// FormatError on corruption, an unknown version magic, or a chunk that
-/// fails chunk_in_shape against its variable's shape.
+/// FormatError on corruption, an unknown version magic, an operator name
+/// outside cz::kCodecNames, or a chunk that fails chunk_in_shape against
+/// its variable's shape.
 StepRecord decode_step(std::span<const std::uint8_t> data);
 /// CRC32C of a whole step block that decode_step() already accepted, in
 /// O(1): extends the verified trailing CRC over its own four bytes.
@@ -109,29 +110,36 @@ void check_put(bool step_open, int rank, int nranks, const std::string& name,
 
 /// Marshal one real chunk: apply `codec` (nullptr = no operator) to `raw`,
 /// append the stored bytes to `dst`, and return the chunk's complete
-/// record — operator name, stored and raw sizes, CRC32C of the stored
-/// bytes, min/max of the values, and the content hash of `raw`.  subfile
-/// and file_offset stay zero; the file engine fills them in.
+/// record — stored and raw sizes, CRC32C of the stored bytes and min/max
+/// of the values.  subfile and file_offset stay zero; the file engine
+/// fills them in.  The operator is the variable's (VarRecord).
 ChunkRecord marshal_chunk(const cz::Codec* codec, Datatype dtype,
                           std::span<const std::uint8_t> raw, Dims offset,
                           Dims count, std::uint32_t writer_rank,
                           std::vector<std::uint8_t>& dst);
 
-/// The record of a size-only (synthetic) chunk: no bytes, so no CRC,
-/// statistics or content hash; under a codec the stored size is the raw
-/// size scaled by `codec_ratio`.
+/// The record of a size-only (synthetic) chunk: no bytes, so no CRC or
+/// statistics; under a codec the stored size is the raw size scaled by
+/// `codec_ratio`.
 ChunkRecord synthetic_chunk(const cz::Codec* codec, double codec_ratio,
                             Datatype dtype, Dims offset, Dims count,
                             std::uint32_t writer_rank);
 
-/// Check and decode one chunk's stored bytes: the CRC32C (when the record
-/// carries one), the operator undo (cz::decompress_frame dispatches on the
-/// frame magic), and the raw size against count * `elem`.  Returns the raw
-/// bytes.  Throws FormatError mentioning `where` on any disagreement.
-std::vector<std::uint8_t> decode_chunk(const ChunkRecord& chunk,
-                                       std::size_t elem,
+/// Check and decode one chunk of `var` from its stored bytes: the CRC32C
+/// (when the record carries one), the undo of the variable's operator
+/// (cz::decompress_frame dispatches on the frame magic, and rejects a frame
+/// declaring any size but count * dtype before allocating), and the raw
+/// size against count * dtype.  Returns the raw bytes.  Throws FormatError
+/// mentioning `where` on any disagreement.
+std::vector<std::uint8_t> decode_chunk(const VarRecord& var,
+                                       const ChunkRecord& chunk,
                                        std::vector<std::uint8_t> stored,
                                        const std::string& where);
+
+/// Modelled decode throughput of `var`'s operator, for the CPU a reader
+/// charges per decoded chunk; 0 when the variable has no operator.  Builds
+/// the codec, so call it once per variable, not per chunk.
+double decompress_speed_bps(const VarRecord& var);
 
 /// Copy a chunk's decoded row-major bytes into place in `out`, the global
 /// array of `shape` with `elem`-byte elements.  The chunk must fit `shape`

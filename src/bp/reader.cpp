@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "bp/format.hpp"
-#include "compress/codec.hpp"
 #include "util/crc32c.hpp"
 #include "util/error.hpp"
 
@@ -90,7 +89,7 @@ std::vector<std::uint8_t> Reader::read_chunk(std::uint64_t step,
                      std::to_string(writer_rank) + " in step " +
                      std::to_string(step));
   fsim::FsClient io(fs_, client_);
-  return fetch_chunk(io, name, *chunk, dtype_size(var->dtype));
+  return fetch_chunk(io, *var, *chunk, decompress_speed_bps(*var));
 }
 
 std::vector<std::uint8_t> Reader::read_slice(std::uint64_t step,
@@ -110,40 +109,54 @@ std::vector<std::uint8_t> Reader::read_slice(std::uint64_t step,
   std::vector<std::uint8_t> out(elem_count * elem, 0);
 
   fsim::FsClient io(fs_, client_);
+  const double decode_bps = decompress_speed_bps(*var);
   for (const auto& chunk : var->chunks) {
     const std::uint64_t c_begin = chunk.offset[0];
     const std::uint64_t c_end = c_begin + chunk.count[0];
     const std::uint64_t lo = std::max(c_begin, elem_offset);
     const std::uint64_t hi = std::min(c_end, elem_offset + elem_count);
     if (lo >= hi) continue;  // no overlap: this chunk is never read
-    const std::vector<std::uint8_t> raw = fetch_chunk(io, name, chunk, elem);
+    const std::vector<std::uint8_t> raw =
+        fetch_chunk(io, *var, chunk, decode_bps);
     std::memcpy(out.data() + (lo - elem_offset) * elem,
                 raw.data() + (lo - c_begin) * elem, (hi - lo) * elem);
   }
   return out;
 }
 
-std::vector<std::uint8_t> Reader::fetch_chunk(fsim::FsClient& io,
-                                              const std::string& name,
-                                              const ChunkRecord& chunk,
-                                              std::size_t elem) {
-  // Fetch the stored bytes.
-  const std::string subfile =
-      path_ + "/data." + std::to_string(chunk.subfile);
-  const int fd = io.open(subfile, fsim::OpenMode::read);
-  std::vector<std::uint8_t> stored(chunk.stored_bytes);
-  const std::uint64_t got = io.pread(fd, chunk.file_offset, stored);
+std::string Reader::subfile_path(const ChunkRecord& chunk) const {
+  return path_ + "/data." + std::to_string(chunk.subfile);
+}
+
+std::optional<std::vector<std::uint8_t>> Reader::read_stored(
+    fsim::FsClient& io, const ChunkRecord& chunk) {
+  const int fd = io.open(subfile_path(chunk), fsim::OpenMode::read);
+  // Bound the extent by the subfile before allocating for it: a CRC-valid
+  // record can still claim any stored_bytes.
+  const std::uint64_t size = io.fd_size(fd);
+  std::optional<std::vector<std::uint8_t>> stored;
+  if (chunk.file_offset <= size &&
+      chunk.stored_bytes <= size - chunk.file_offset) {
+    stored.emplace(chunk.stored_bytes);
+    if (io.pread(fd, chunk.file_offset, *stored) != chunk.stored_bytes)
+      stored.reset();
+  }
   io.close(fd);
-  if (got != chunk.stored_bytes)
+  return stored;
+}
+
+std::vector<std::uint8_t> Reader::fetch_chunk(fsim::FsClient& io,
+                                              const VarRecord& var,
+                                              const ChunkRecord& chunk,
+                                              double decode_bps) {
+  const std::string subfile = subfile_path(chunk);
+  std::optional<std::vector<std::uint8_t>> stored = read_stored(io, chunk);
+  if (!stored)
     throw FormatError("bp::Reader: short read of chunk in " + subfile);
   std::vector<std::uint8_t> raw = decode_chunk(
-      chunk, elem, std::move(stored), "'" + name + "' in " + subfile);
-  if (!chunk.operator_name.empty()) {
-    // The named codec supplies the modelled decompression speed.
-    auto codec = cz::make_codec(chunk.operator_name, elem);
-    io.charge_cpu(double(raw.size()) / codec->decompress_speed_bps(),
-                  "decompress");
-  }
+      var, chunk, std::move(*stored), "'" + var.name + "' in " + subfile);
+  if (decode_bps > 0.0)
+    io.charge_cpu(double(raw.size()) / decode_bps, "decompress");
   return raw;
 }
 
@@ -157,9 +170,10 @@ std::vector<std::uint8_t> Reader::read(std::uint64_t step,
   std::vector<std::uint8_t> out(element_count(var->shape) * elem, 0);
 
   fsim::FsClient io(fs_, client_);
+  const double decode_bps = decompress_speed_bps(*var);
   for (const auto& chunk : var->chunks)
     scatter_chunk(out, var->shape, chunk, elem,
-                  fetch_chunk(io, name, chunk, elem));
+                  fetch_chunk(io, *var, chunk, decode_bps));
   return out;
 }
 
@@ -180,15 +194,11 @@ std::vector<Reader::ChunkVerdict> Reader::verify() {
           verdicts.push_back(std::move(verdict));
           continue;
         }
-        const std::string subfile =
-            path_ + "/data." + std::to_string(chunk.subfile);
-        const int fd = io.open(subfile, fsim::OpenMode::read);
-        std::vector<std::uint8_t> stored(chunk.stored_bytes);
-        const std::uint64_t got = io.pread(fd, chunk.file_offset, stored);
-        io.close(fd);
-        if (got != chunk.stored_bytes)
+        const std::optional<std::vector<std::uint8_t>> stored =
+            read_stored(io, chunk);
+        if (!stored)
           verdict.status = ChunkVerdict::Status::short_read;
-        else if (crc32c(stored) != chunk.crc32c)
+        else if (crc32c(*stored) != chunk.crc32c)
           verdict.status = ChunkVerdict::Status::crc_mismatch;
         else
           verdict.status = ChunkVerdict::Status::ok;

@@ -131,12 +131,22 @@ public:
 private:
   Reader(fsim::SharedFs& fs, fsim::ClientId client, std::string path);
 
-  /// Fetch one chunk's raw bytes: pread the stored extent, then
-  /// decode_chunk (CRC, operator, size).  Throws FormatError on a short
-  /// read or any decode_chunk failure.
+  /// data.<subfile> of `chunk` inside this container.
+  [[nodiscard]] std::string subfile_path(const ChunkRecord& chunk) const;
+
+  /// pread one chunk's stored extent; nullopt when the extent runs past
+  /// the end of its subfile (checked before anything is allocated) or the
+  /// read comes back short.
+  [[nodiscard]] std::optional<std::vector<std::uint8_t>> read_stored(
+      fsim::FsClient& io, const ChunkRecord& chunk);
+
+  /// Fetch one chunk of `var`: read_stored, then decode_chunk (CRC,
+  /// operator, size), charging the decode at `decode_bps` (the variable's
+  /// decompress_speed_bps, 0 = no operator).  Throws FormatError on a
+  /// short read or any decode_chunk failure.
   [[nodiscard]] std::vector<std::uint8_t> fetch_chunk(
-      fsim::FsClient& io, const std::string& name, const ChunkRecord& chunk,
-      std::size_t elem);
+      fsim::FsClient& io, const VarRecord& var, const ChunkRecord& chunk,
+      double decode_bps);
 
   fsim::SharedFs& fs_;
   fsim::ClientId client_;

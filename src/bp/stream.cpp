@@ -27,7 +27,7 @@ std::vector<std::uint8_t> decode_stream_variable(const StreamStep& step,
     const std::vector<std::uint8_t>& stored = payloads.at(c);
     if (stored.empty() && !chunk.has_crc) continue;  // synthetic: zeroes
     scatter_chunk(out, var->shape, chunk, elem,
-                  decode_chunk(chunk, elem, stored, where));
+                  decode_chunk(*var, chunk, stored, where));
   }
   return out;
 }
@@ -244,6 +244,7 @@ StreamEngine::PendingVar& StreamEngine::pending_var(const std::string& name,
   var.record.name = name;
   var.record.dtype = dtype;
   var.record.shape = shape;
+  if (codec_) var.record.operator_name = codec_->name();
   return var;
 }
 
@@ -408,15 +409,14 @@ std::vector<std::uint8_t> StreamConsumer::get(const std::string& name) {
     throw UsageError("bp::StreamConsumer: no current step (call next_step)");
   auto out = decode_stream_variable(*step_, name);
   // Charge the decode cost to this consumer, mirroring bp::Reader::read's
-  // accounting (the named codec supplies the modelled speed).
+  // accounting (the variable's operator supplies the modelled speed).
   const VarRecord* var = find_variable(name);
+  const double decode_bps = decompress_speed_bps(*var);
+  if (decode_bps == 0.0) return out;
   fsim::FsClient io(fs_, client_);
-  for (const auto& chunk : var->chunks) {
-    if (chunk.operator_name.empty() || chunk.raw_bytes == 0) continue;
-    auto codec = cz::make_codec(chunk.operator_name, dtype_size(var->dtype));
-    io.charge_cpu(double(chunk.raw_bytes) / codec->decompress_speed_bps(),
-                  "decompress");
-  }
+  for (const auto& chunk : var->chunks)
+    if (chunk.raw_bytes > 0)
+      io.charge_cpu(double(chunk.raw_bytes) / decode_bps, "decompress");
   return out;
 }
 

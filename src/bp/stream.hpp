@@ -6,9 +6,10 @@
 // bounded and a QueueFullPolicy decides what happens when readers fall
 // behind.  This is that shape over the simulated cluster: StreamEngine
 // implements the bp::Engine write surface, marshals each chunk through the
-// file engine's own bp::marshal_chunk (src/bp/format.hpp) — same operator,
-// CRC32C, statistics and content hash, so its ChunkRecords equal bp4's but
-// for subfile/file_offset — and at end_step() publishes the completed,
+// file engine's own bp::marshal_chunk (src/bp/format.hpp) — same sizes,
+// CRC32C and statistics, so its ChunkRecords equal bp4's but for
+// subfile/file_offset, and its variables name the same operator — and at
+// end_step() publishes the completed,
 // CRC-verified step into a bounded StreamChannel.  Consumers
 // attach/detach mid-run; each one holds a cursor into the shared window and
 // receives every step published after its attach (never a partial step).

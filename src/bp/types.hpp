@@ -136,7 +136,9 @@ private:
 };
 
 /// One stored block of a variable: where it sits in the global array and
-/// where its (possibly compressed) bytes live inside a subfile.
+/// where its (possibly compressed) bytes live inside a subfile.  It keeps
+/// only what the chunk alone knows — its placement and its integrity; the
+/// operator that encoded it is its variable's (VarRecord::operator_name).
 struct ChunkRecord {
   Dims offset;                 // position in the global array
   Dims count;                  // elements per dimension
@@ -145,7 +147,6 @@ struct ChunkRecord {
   std::uint64_t file_offset = 0;
   std::uint64_t stored_bytes = 0;  // bytes on disk (after operator)
   std::uint64_t raw_bytes = 0;     // bytes before operator
-  std::string operator_name;       // "" = none
   // Per-chunk value statistics (ADIOS2 keeps these in the metadata for
   // query/selection support — "rapid metadata extraction").  Zero for
   // non-numeric or synthetic chunks.
@@ -156,19 +157,16 @@ struct ChunkRecord {
   // (size-only) chunks, which have no bytes to check.
   std::uint32_t crc32c = 0;
   bool has_crc = false;
-  // Content identity: FNV-1a 64 of the *raw* (pre-operator) bytes.  The
-  // incremental-checkpoint layer compares these across epochs to detect
-  // unchanged blocks without reading any data back.  False for synthetic
-  // chunks.
-  std::uint64_t content_hash = 0;
-  bool has_content_hash = false;
 };
 
-/// Per-step record of one variable.
+/// Per-step record of one variable.  An engine applies one codec to
+/// everything it writes, so the operator is recorded once here, not per
+/// chunk.
 struct VarRecord {
   std::string name;
   Datatype dtype = Datatype::uint8;
   Dims shape;                  // global extent
+  std::string operator_name;   // "" = none; else one of cz::kCodecNames
   std::vector<ChunkRecord> chunks;
 };
 

@@ -334,8 +334,8 @@ void Writer::drain_step(const StepJob& job) {
       auto [it, fresh] = var_index.try_emplace(chunk.var, var_order.size());
       if (fresh) {
         var_order.push_back(chunk.var);
-        record.variables.push_back(
-            {chunk.var, chunk.dtype, chunk.shape, {}});
+        record.variables.push_back({chunk.var, chunk.dtype, chunk.shape,
+                                    codec_ ? codec_->name() : "", {}});
       }
       VarRecord& var = record.variables[it->second];
 

@@ -126,12 +126,14 @@ public:
         if (enc_len != raw_len) throw FormatError("blosc: bad raw chunk");
         out.insert(out.end(), body.begin(), body.end());
       } else if (mode == 1) {
+        // A chunk longer than what is left of orig_size is corrupt: reject
+        // it before the scratch grows to its declared length.
+        const std::size_t at = out.size();
+        if (at + raw_len > orig_size) throw FormatError("blosc: size mismatch");
         if (shuffled.size() < raw_len) shuffled.resize(raw_len);
         lz_decompress_block_into(body, shuffled.data(), raw_len);
         // Unshuffle straight into the output (reserve above keeps the
         // resize from reallocating mid-frame).
-        const std::size_t at = out.size();
-        if (at + raw_len > orig_size) throw FormatError("blosc: size mismatch");
         out.resize(at + raw_len);
         unshuffle_into(ByteSpan(shuffled.data(), raw_len), typesize,
                        out.data() + at);

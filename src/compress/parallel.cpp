@@ -20,6 +20,15 @@ bool has_magic(ByteSpan frame, const char* magic) {
   return true;
 }
 
+/// The decoded size a frame declares in its header: a u64 after the magic,
+/// behind a typesize (BLL1) or version (CZP1) byte.
+std::uint64_t declared_size(ByteSpan frame) {
+  Cursor cur(frame);
+  cur.bytes(4);  // magic
+  if (has_magic(frame, "BLL1") || has_magic(frame, "CZP1")) cur.u8();
+  return cur.u64();
+}
+
 /// Decode one CZP1 frame with up to `threads` lanes.
 Bytes decompress_czp1(ByteSpan frame, int threads) {
   Cursor cur(frame);
@@ -54,9 +63,8 @@ Bytes decompress_czp1(ByteSpan frame, int threads) {
     const std::size_t want =
         std::size_t(std::min<std::uint64_t>(block_size, orig_size - off));
     // Inner frames are self-framing legacy frames; decode serially per
-    // block (the parallelism lives at this level).
-    Bytes plain = decompress_frame(bodies[b], 1);
-    if (plain.size() != want) throw FormatError("czp: block size mismatch");
+    // block (the parallelism lives at this level), each held to its share.
+    Bytes plain = decompress_frame(bodies[b], 1, want);
     std::memcpy(out.data() + off, plain.data(), want);
   };
   if (nblocks <= 1 || threads <= 1) {
@@ -70,7 +78,12 @@ Bytes decompress_czp1(ByteSpan frame, int threads) {
 
 }  // namespace
 
-Bytes decompress_frame(ByteSpan frame, int threads) {
+Bytes decompress_frame(ByteSpan frame, int threads,
+                       std::optional<std::uint64_t> raw_size) {
+  if (raw_size && declared_size(frame) != *raw_size)
+    throw FormatError("codec: frame declares " +
+                      std::to_string(declared_size(frame)) +
+                      " bytes, expected " + std::to_string(*raw_size));
   if (has_magic(frame, "CZP1")) return decompress_czp1(frame, threads);
   if (has_magic(frame, "RAW1")) return make_none_codec()->decompress(frame);
   if (has_magic(frame, "BLL1")) return make_blosc_codec()->decompress(frame);

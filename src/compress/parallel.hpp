@@ -24,6 +24,7 @@
 // the magic.
 
 #include <memory>
+#include <optional>
 
 #include "compress/buffer_pool.hpp"
 #include "compress/codec.hpp"
@@ -39,8 +40,11 @@ inline constexpr std::uint8_t kFrameVersion = 1;
 
 /// Decode any cz frame by magic: CZP1 (block-parallel, decoded with up to
 /// `threads` lanes) or a legacy single-block RAW1/BLL1/BZL1 frame (decoded
-/// serially by its own codec).  Throws FormatError on corruption.
-Bytes decompress_frame(ByteSpan frame, int threads = 1);
+/// serially by its own codec).  With `raw_size`, a frame declaring any
+/// other decoded size — a CZP1 frame or any of its blocks — is rejected
+/// before anything is allocated for it.  Throws FormatError on corruption.
+Bytes decompress_frame(ByteSpan frame, int threads = 1,
+                       std::optional<std::uint64_t> raw_size = std::nullopt);
 
 class ParallelCodec final : public Codec {
  public:

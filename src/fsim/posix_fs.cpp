@@ -350,6 +350,12 @@ std::uint64_t FsClient::pread(int fd, std::uint64_t offset,
   return n;
 }
 
+std::uint64_t FsClient::fd_size(int fd) {
+  std::lock_guard<std::mutex> lock(fs_->mutex_);
+  auto& desc = checked_fd(fs_->fds_, fd, client_);
+  return fs_->store_.file_by_id(desc.file).size;
+}
+
 void FsClient::seek(int fd, std::uint64_t position) {
   std::lock_guard<std::mutex> lock(fs_->mutex_);
   auto& desc = checked_fd(fs_->fds_, fd, client_);

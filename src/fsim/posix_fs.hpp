@@ -166,6 +166,9 @@ public:
   [[nodiscard]] std::uint64_t read(int fd, std::span<std::uint8_t> out);
   [[nodiscard]] std::uint64_t pread(int fd, std::uint64_t offset,
                                     std::span<std::uint8_t> out);
+  /// Current size of the file open as `fd` (fstat's st_size).  Records no
+  /// op: the size rides on the descriptor the open already paid for.
+  [[nodiscard]] std::uint64_t fd_size(int fd);
   void seek(int fd, std::uint64_t position);
   void fsync(int fd);
   void close(int fd);

@@ -200,7 +200,7 @@ std::uint64_t CheckpointManager::commit() {
   const std::string kind = want_delta ? "delta" : "full";
 
   const std::uint64_t epoch = next_epoch_++;
-  bool committed = false;
+  std::optional<ChunkCrcs> committed;
   for (int attempt = 0; attempt < kMaxCommitAttempts && !committed;
        ++attempt) {
     if (attempt > 0) {
@@ -238,17 +238,20 @@ std::uint64_t CheckpointManager::commit() {
   }
   commits_since_full_ = want_delta ? commits_since_full_ + 1 : 0;
 
-  // The committed epoch becomes the new base for every block it wrote;
-  // referenced blocks keep pointing at the epoch that stores their bytes.
-  std::set<std::pair<std::string, int>> skipped;
+  // The committed epoch becomes the new base for every block it stored,
+  // pinned with the CRC its verify pass read; referenced blocks keep
+  // pointing at the epoch that stores their bytes.  An empty block stores
+  // no chunk, so it has no base to reference.
+  std::set<BlockKey> skipped;
   for (const BlockRef& ref : refs) skipped.insert({ref.var, ref.rank});
-  std::map<std::pair<std::string, int>, BlockRef> next_map;
+  std::map<BlockKey, BaseBlock> next_map;
   for (const auto& block : blocks) {
-    const std::pair<std::string, int> key{block.var, block.rank};
+    const BlockKey key{block.var, block.rank};
     if (skipped.count(key)) {
       next_map[key] = base_map_.at(key);
-    } else {
-      next_map[key] = BlockRef{block, epoch};
+    } else if (const auto crc = committed->find(key);
+               crc != committed->end()) {
+      next_map[key] = BaseBlock{BlockRef{block, epoch}, crc->second};
     }
   }
   base_map_ = std::move(next_map);
@@ -261,9 +264,9 @@ std::uint64_t CheckpointManager::commit() {
 std::vector<BlockRef> CheckpointManager::plan_refs(
     const std::vector<core::CheckpointBlock>& blocks) {
   // A block dedups when its content hash and count match the last
-  // committed copy AND that copy is still committed and really carries the
-  // expected chunk — a ref the chain could not resolve must be written
-  // instead, never committed.
+  // committed copy AND that copy is still committed and its stored chunk
+  // still carries the CRC pinned at commit — a ref the chain could not
+  // resolve must be written instead, never committed.
   std::vector<BlockRef> refs;
   std::set<std::uint64_t> live;
   for (const std::uint64_t epoch : committed_epochs()) live.insert(epoch);
@@ -271,7 +274,7 @@ std::vector<BlockRef> CheckpointManager::plan_refs(
   for (const auto& block : blocks) {
     const auto it = base_map_.find({block.var, block.rank});
     if (it == base_map_.end()) continue;
-    const BlockRef& base = it->second;
+    const BlockRef& base = it->second.ref;
     if (base.hash != block.hash || base.count != block.count) continue;
     if (!live.count(base.epoch)) continue;
     auto reader_it = readers.find(base.epoch);
@@ -288,18 +291,17 @@ std::vector<BlockRef> CheckpointManager::plan_refs(
     }
     const bp::ChunkRecord* chunk = reader_it->second->find_chunk(
         0, block.var, std::uint32_t(block.rank));
-    if (!chunk || !chunk->has_content_hash ||
-        chunk->content_hash != block.hash)
+    if (!chunk || !chunk->has_crc || chunk->crc32c != it->second.crc)
       continue;
     refs.push_back(BlockRef{block, base.epoch});
   }
   return refs;
 }
 
-bool CheckpointManager::try_commit_epoch(std::uint64_t epoch,
-                                         std::uint64_t step,
-                                         const std::string& kind,
-                                         const std::vector<BlockRef>& refs) {
+std::optional<CheckpointManager::ChunkCrcs>
+CheckpointManager::try_commit_epoch(std::uint64_t epoch, std::uint64_t step,
+                                    const std::string& kind,
+                                    const std::vector<BlockRef>& refs) {
   fsim::FsClient root(fs_, 0);
   root.mkdir(epoch_dir(epoch));
   std::set<std::pair<std::string, int>> skip;
@@ -322,20 +324,28 @@ bool CheckpointManager::try_commit_epoch(std::uint64_t epoch,
   // Validate before committing: re-open the container and CRC-verify every
   // chunk (catches silent bit flips and torn writes the write path did not
   // observe).  A corrupt epoch is torn down and rewritten by the caller.
+  // The CRCs just verified are what later delta commits check a base
+  // chunk against.
   std::uint64_t bad = 0;
+  ChunkCrcs crcs;
   try {
     bp::Reader reader = bp::Reader::open(fs_, 0, series_path(epoch));
     for (const auto& verdict : reader.verify())
       if (verdict.status == bp::Reader::ChunkVerdict::Status::short_read ||
           verdict.status == bp::Reader::ChunkVerdict::Status::crc_mismatch)
         bad += 1;
+    if (reader.has_step(0))
+      for (const auto& var : reader.step(0).variables)
+        for (const auto& chunk : var.chunks)
+          if (chunk.has_crc)
+            crcs[{var.name, int(chunk.writer_rank)}] = chunk.crc32c;
   } catch (const FormatError&) {
     bad += 1;  // corrupt metadata: the container does not even open
   }
   if (bad > 0) {
     stats_.corrupt_chunks_detected += bad;
     remove_epoch_files(epoch, false);
-    return false;
+    return std::nullopt;
   }
 
   // Atomic commit point: MANIFEST appears fully written or not at all.
@@ -357,7 +367,7 @@ bool CheckpointManager::try_commit_epoch(std::uint64_t epoch,
                            reinterpret_cast<const std::uint8_t*>(text.data()),
                            text.size()));
   root.rename(tmp, manifest_path(epoch));
-  return true;
+  return crcs;
 }
 
 void CheckpointManager::remove_epoch_files(std::uint64_t epoch,

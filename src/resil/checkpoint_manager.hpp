@@ -203,22 +203,37 @@ public:
   void write_stats_json();
 
 private:
+  /// A checkpoint block's (variable, rank) address.
+  using BlockKey = std::pair<std::string, int>;
+  /// CRC32C of every chunk an epoch stores, by block address.
+  using ChunkCrcs = std::map<BlockKey, std::uint32_t>;
+  /// The last committed copy of one block: the epoch storing it and the
+  /// content identity it had (the MANIFEST's BlockRef), plus the CRC32C of
+  /// its stored chunk as that epoch's commit-time verify read it.
+  struct BaseBlock {
+    BlockRef ref;
+    std::uint32_t crc = 0;
+  };
+
   std::string series_path(std::uint64_t epoch) const;
   std::string manifest_path(std::uint64_t epoch) const;
   /// One commit attempt: write series (delta epochs skip the blocks in
-  /// `refs`) + verify + rename manifest.  Returns false (after tearing the
-  /// epoch down) when verification finds corrupt chunks; throws IoError on
-  /// transient write failures.  Reads the staging table, so the caller must
-  /// hold the staging lock.
-  bool try_commit_epoch(std::uint64_t epoch, std::uint64_t step,
-                        const std::string& kind,
-                        const std::vector<BlockRef>& refs)
+  /// `refs`) + verify + rename manifest.  Returns the CRC32C of every chunk
+  /// the epoch stores, as the verify pass read them; nullopt (after tearing
+  /// the epoch down) when verification finds corrupt chunks.  Throws
+  /// IoError on transient write failures.  Reads the staging table, so the
+  /// caller must hold the staging lock.
+  std::optional<ChunkCrcs> try_commit_epoch(std::uint64_t epoch,
+                                            std::uint64_t step,
+                                            const std::string& kind,
+                                            const std::vector<BlockRef>& refs)
       REQUIRES(stage_mutex_);
   /// Dedup plan for the next epoch: the staged blocks whose content hash
   /// (and count) match the last committed copy — after confirming the
-  /// stored base chunk still exists and carries that hash.
+  /// stored base chunk still exists and carries the CRC32C pinned when its
+  /// epoch committed.
   std::vector<BlockRef> plan_refs(
-      const std::vector<core::CheckpointBlock>& blocks);
+      const std::vector<core::CheckpointBlock>& blocks) REQUIRES(stage_mutex_);
   /// Full chain verification of one epoch: every reference points into a
   /// committed epoch, the blocks of every variable tile it, own chunks
   /// CRC-verify, and every reference reads back with its content hash.
@@ -239,13 +254,12 @@ private:
   core::Bit1IoConfig config_;
   int nranks_;
   std::uint64_t next_epoch_ = 1;
-  // Last committed copy of every checkpoint block, keyed (variable, rank):
-  // which epoch physically stores it and the content identity it had.  A
-  // fresh manager starts empty, so the first commit of an incarnation is
-  // always a full epoch (no cross-incarnation chain rebuilding).  Only the
-  // commit protocol touches it, under the staging lock.
-  std::map<std::pair<std::string, int>, BlockRef> base_map_
-      GUARDED_BY(stage_mutex_);
+  // Last committed copy of every stored checkpoint block, keyed (variable,
+  // rank).  A fresh manager starts empty, so the first commit of an
+  // incarnation is always a full epoch (no cross-incarnation chain
+  // rebuilding).  Only the commit protocol touches it, under the staging
+  // lock.
+  std::map<BlockKey, BaseBlock> base_map_ GUARDED_BY(stage_mutex_);
   std::uint64_t commits_since_full_ = 0;
   // stage() is called from every rank's own thread; the staging table and
   // the lazily-fixed species layout are the shared state it guards.

@@ -89,6 +89,7 @@ public:
   }
   std::vector<std::uint64_t> dims() {
     const std::uint32_t n = u32();
+    need(std::size_t(n) * 8);  // before allocating for a corrupt rank
     std::vector<std::uint64_t> d(n);
     for (auto& v : d) v = u64();
     return d;

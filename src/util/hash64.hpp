@@ -1,10 +1,12 @@
 #pragma once
 // FNV-1a 64-bit content hash.
 //
-// The dedup key of the incremental-checkpoint layer: miniBP metadata
-// records this hash of each chunk's *raw* (pre-operator) bytes, and
+// The dedup key of the incremental-checkpoint layer, computed once per
+// staged block (core::checkpoint_blocks) and recorded in the MANIFEST:
 // resil::CheckpointManager compares the hashes of staged blocks against the
-// last committed epoch to decide what actually changed.  FNV-1a is not
+// last committed epoch to decide what actually changed, and restores
+// re-hash each referenced block against it.  miniBP does not record it; a
+// base chunk is identified by its CRC32C.  FNV-1a is not
 // cryptographic — it only has to make accidental collisions between two
 // different particle arrays vanishingly unlikely, and it must be cheap
 // enough to run over every staged block at every checkpoint.

@@ -69,6 +69,16 @@ TEST(BinIo, StringLengthBeyondBufferThrows) {
   EXPECT_THROW(reader.str(), FormatError);
 }
 
+TEST(BinIo, DimsRankBeyondBufferThrows) {
+  // A rank of 2^32 - 1 would allocate 32 GiB before the first extent is
+  // read: the rank is checked against the bytes left first.
+  BinWriter writer;
+  writer.u32(0xFFFFFFFFu);
+  writer.u64(7);
+  BinReader reader(writer.buffer());
+  EXPECT_THROW(reader.dims(), FormatError);
+}
+
 TEST(BinIo, PositionTracking) {
   BinWriter writer;
   writer.u32(1);

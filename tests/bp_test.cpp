@@ -29,9 +29,9 @@ std::vector<float> iota_floats(std::size_t n, float start = 0.f) {
 TEST(BpFormat, StepRecordRoundTrip) {
   StepRecord record;
   record.step = 42;
-  VarRecord var{"e/position/x", Datatype::float32, {1000}, {}};
-  var.chunks.push_back({{0}, {600}, 0, 0, 0, 2400, 2400, ""});
-  var.chunks.push_back({{600}, {400}, 1, 0, 2400, 900, 1600, "blosc"});
+  VarRecord var{"e/position/x", Datatype::float32, {1000}, "blosc", {}};
+  var.chunks.push_back({{0}, {600}, 0, 0, 0, 1300, 2400});
+  var.chunks.push_back({{600}, {400}, 1, 0, 1300, 900, 1600});
   record.variables.push_back(var);
   record.attributes.emplace_back("unitSI", AttrValue(1.0));
   record.attributes.emplace_back("comment", AttrValue(std::string("hi")));
@@ -45,8 +45,9 @@ TEST(BpFormat, StepRecordRoundTrip) {
   ASSERT_EQ(back.variables.size(), 1u);
   EXPECT_EQ(back.variables[0].name, "e/position/x");
   EXPECT_EQ(back.variables[0].shape, Dims{1000});
+  EXPECT_EQ(back.variables[0].operator_name, "blosc");
   ASSERT_EQ(back.variables[0].chunks.size(), 2u);
-  EXPECT_EQ(back.variables[0].chunks[1].operator_name, "blosc");
+  EXPECT_EQ(back.variables[0].chunks[1].stored_bytes, 900u);
   EXPECT_EQ(back.variables[0].chunks[1].raw_bytes, 1600u);
   ASSERT_EQ(back.attributes.size(), 3u);
   EXPECT_DOUBLE_EQ(std::get<double>(back.attributes[0].second), 1.0);
@@ -84,21 +85,35 @@ StepRecord golden_step() {
   chunk.stat_max = 2.5;
   chunk.crc32c = 0xA1B2C3D4;
   chunk.has_crc = true;
-  chunk.content_hash = 0x0123456789ABCDEF;
-  chunk.has_content_hash = true;
-  record.variables.push_back({"E/x", Datatype::float32, {5}, {chunk}});
+  record.variables.push_back({"E/x", Datatype::float32, {5}, "", {chunk}});
   record.attributes.emplace_back("unitSI", AttrValue(1.0));
   return record;
 }
 
 TEST(BpGolden, StepBlockBytes) {
-  EXPECT_EQ(kMdMagic, 0x4D443036u);  // "MD06"
+  EXPECT_EQ(kMdMagic, 0x4D443037u);  // "MD07"
   EXPECT_EQ(hex(encode_step(golden_step()).bytes),
-            "3630444d07000000000000000100000003000000452f78030100000005000000"
-            "0000000001000000010000000200000000000000010000000300000000000000"
-            "010000000000000040000000000000000c000000000000000c00000000000000"
-            "00000000000000000000f0bf000000000000044001d4c3b2a101efcdab896745"
-            "23010100000006000000756e6974534901000000000000f03fbf65d846");
+            "3730444d07000000000000000100000003000000452f78030100000005000000"
+            "0000000000000000010000000100000002000000000000000100000003000000"
+            "00000000010000000000000040000000000000000c000000000000000c000000"
+            "00000000000000000000f0bf000000000000044001d4c3b2a101000000060000"
+            "00756e6974534901000000000000f03f9ca9f285");
+}
+
+TEST(BpGolden, OneDimensionalChunkRecordIs77Bytes) {
+  // A 1-D record is its placement (2 x (4 + 8) for offset and count, 4 + 4
+  // + 8 for rank, subfile and file offset), its sizes (2 x 8), statistics
+  // (2 x 8) and CRC (1 + 4) — the same under every operator, which the
+  // variable records once.
+  for (const char* op : {"", "blosc"}) {
+    StepRecord one = golden_step();
+    one.variables[0].operator_name = op;
+    StepRecord two = one;
+    two.variables[0].chunks.push_back(two.variables[0].chunks[0]);
+    EXPECT_EQ(encode_step(two).bytes.size() - encode_step(one).bytes.size(),
+              77u)
+        << op;
+  }
 }
 
 TEST(BpGolden, IndexBytes) {
@@ -347,7 +362,7 @@ TEST(BpWriter, OperatorCompressesAndRoundTrips) {
   Reader reader = Reader::open(fs, 0, "c.bp4");
   const auto var = reader.find_variable(3, "x");
   ASSERT_NE(var, nullptr);
-  EXPECT_EQ(var->chunks[0].operator_name, "blosc");
+  EXPECT_EQ(var->operator_name, "blosc");
   const auto back = reader.read_as<float>(3, "x");
   EXPECT_EQ(back, smooth);
 }
@@ -411,7 +426,7 @@ TEST(BpWriter, ParallelCompressionRoundTripThroughContainer) {
   Reader reader = Reader::open(fs, 0, "par.bp4");
   const auto var = reader.find_variable(0, "x");
   ASSERT_NE(var, nullptr);
-  EXPECT_EQ(var->chunks[0].operator_name, "blosc");
+  EXPECT_EQ(var->operator_name, "blosc");
   const auto back = reader.read_as<float>(0, "x");
   ASSERT_EQ(back.size(), 2 * n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -719,8 +734,8 @@ TEST(BpFooter, RandomAccessChunkAndSliceReads) {
 StepRecord sample_record() {
   StepRecord record;
   record.step = 3;
-  VarRecord var{"x", Datatype::float32, {8}, {}};
-  var.chunks.push_back({{0}, {8}, 0, 0, 0, 32, 32, ""});
+  VarRecord var{"x", Datatype::float32, {8}, "", {}};
+  var.chunks.push_back({{0}, {8}, 0, 0, 0, 32, 32});
   record.variables.push_back(var);
   record.attributes.emplace_back("time", AttrValue(1.5));
   return record;
@@ -750,11 +765,12 @@ TEST(BpHardening, TruncatedIndexAlwaysFormatError) {
 }
 
 TEST(BpHardening, UnknownFormatVersionIsTypedFormatError) {
-  // Any magic but the one live version — a retired one ("MD04"/"MD05") or
-  // a future one ("MD07") — is rejected up front, even when the block's
-  // own CRC checks out, rather than parsed as whichever version the bytes
-  // happen to resemble.
-  for (const std::uint32_t magic : {0x4D443034u, 0x4D443035u, 0x4D443037u}) {
+  // Any magic but the one live version — a retired one ("MD04"/"MD05"/
+  // "MD06") or a future one ("MD08") — is rejected up front, even when the
+  // block's own CRC checks out, rather than parsed as whichever version the
+  // bytes happen to resemble.
+  for (const std::uint32_t magic :
+       {0x4D443034u, 0x4D443035u, 0x4D443036u, 0x4D443038u}) {
     auto bytes = encode_step(sample_record()).bytes;
     const std::size_t body = bytes.size() - 4;
     BinWriter head;
@@ -801,6 +817,123 @@ TEST(BpHardening, ChunkOutsideItsShapeFailsOpen) {
   huge_shape.variables[0].shape = {std::uint64_t(1) << 62};
   for (const StepRecord* record : {&wraps, &wrong_rank, &huge_shape})
     EXPECT_THROW(open_container(*record), FormatError);
+}
+
+TEST(BpHardening, Md06BlockIsRejected) {
+  // golden_step() as the previous format wrote it, CRC intact: there is no
+  // MD06 decoder.
+  const std::string md06 =
+      "3630444d07000000000000000100000003000000452f78030100000005000000"
+      "0000000001000000010000000200000000000000010000000300000000000000"
+      "010000000000000040000000000000000c000000000000000c00000000000000"
+      "00000000000000000000f0bf000000000000044001d4c3b2a101efcdab896745"
+      "23010100000006000000756e6974534901000000000000f03fbf65d846";
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = 0; i < md06.size(); i += 2)
+    bytes.push_back(std::uint8_t(std::stoul(md06.substr(i, 2), nullptr, 16)));
+  EXPECT_EQ(crc32c(std::span(bytes).first(bytes.size() - 4)),
+            BinReader(std::span(bytes).last(4)).u32());
+  EXPECT_THROW(decode_step(bytes), FormatError);
+}
+
+/// A closed one-rank bp4 container at `path` holding `n` floats as "x".
+void write_floats(fsim::SharedFs& fs, const std::string& path,
+                  const EngineConfig& config, std::size_t n) {
+  Writer writer = Writer::open(fs, path, config, 1);
+  writer.begin_step(0);
+  std::vector<float> v(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = float(i % 64) * 0.5f;
+  writer.put<float>(0, "x", {n}, {0}, {n}, v);
+  writer.end_step();
+  writer.close();
+}
+
+/// Replace a container's metadata with `record` alone — md.0 holds just its
+/// step block, md.idx points at it — through encode_step, so every CRC
+/// checks out whatever the record claims.
+void rewrite_metadata(fsim::SharedFs& fs, const std::string& path,
+                      const StepRecord& record) {
+  fsim::FsClient io(fs, 0);
+  io.unlink(path + "/md.0");
+  io.unlink(path + "/md.idx");
+  const EncodedStep md = encode_step(record);
+  io.write_file(path + "/md.0", md.bytes);
+  io.write_file(path + "/md.idx",
+                encode_index({{record.step, 0, md.bytes.size(), md.crc}}));
+}
+
+TEST(BpHardening, ChunkExtentPastItsSubfileIsFormatError) {
+  // A CRC-valid record can claim any extent.  The reader bounds it by the
+  // subfile before allocating: reads raise FormatError and verify()
+  // reports a short read, never std::bad_alloc.
+  for (const auto& [offset, stored] :
+       {std::pair<std::uint64_t, std::uint64_t>{0, std::uint64_t(1) << 50},
+        {UINT64_MAX, 64}}) {
+    SCOPED_TRACE(std::to_string(offset) + " + " + std::to_string(stored));
+    fsim::SharedFs fs(4);
+    write_floats(fs, "h.bp4", small_config(1), 16);
+    StepRecord record = Reader::open(fs, 0, "h.bp4").step(0);
+    record.variables[0].chunks[0].file_offset = offset;
+    record.variables[0].chunks[0].stored_bytes = stored;
+    rewrite_metadata(fs, "h.bp4", record);
+
+    Reader reader = Reader::open(fs, 0, "h.bp4");
+    EXPECT_THROW(reader.read(0, "x"), FormatError);
+    EXPECT_THROW(reader.read_chunk(0, "x", 0), FormatError);
+    const auto verdicts = reader.verify();
+    ASSERT_EQ(verdicts.size(), 1u);
+    EXPECT_EQ(verdicts[0].status, Reader::ChunkVerdict::Status::short_read);
+  }
+}
+
+TEST(BpHardening, FrameDeclaringAnotherSizeIsFormatError) {
+  // A stored frame whose header declares a decoded size other than count *
+  // dtype, under a record whose CRC matches it, is rejected before the
+  // decoder reserves that size — for every frame an operator stores: BLL1
+  // (blosc), BZL1 (bzip2) and CZP1 (block-parallel).  `size_at` is where
+  // the frame header keeps the size.
+  struct Case {
+    const char* codec;
+    int threads;
+    std::size_t size_at;
+  };
+  for (const Case& c : {Case{"blosc", 1, 5}, Case{"bzip2", 1, 4},
+                        Case{"blosc", 2, 5}}) {
+    SCOPED_TRACE(std::string(c.codec) + " x" + std::to_string(c.threads));
+    fsim::SharedFs fs(4);
+    EngineConfig config = small_config(1, c.codec);
+    config.compress_threads = c.threads;
+    write_floats(fs, "f.bp4", config, 4096);
+    StepRecord record = Reader::open(fs, 0, "f.bp4").step(0);
+    ChunkRecord& chunk = record.variables[0].chunks[0];
+    const std::span<std::uint8_t> frame =
+        std::span(fs.store().file("f.bp4/data.0").data)
+            .subspan(chunk.file_offset, chunk.stored_bytes);
+    BinWriter size;
+    size.u64(std::uint64_t(1) << 50);
+    std::copy(size.buffer().begin(), size.buffer().end(),
+              frame.begin() + std::ptrdiff_t(c.size_at));
+    chunk.crc32c = crc32c(frame);
+    rewrite_metadata(fs, "f.bp4", record);
+
+    Reader reader = Reader::open(fs, 0, "f.bp4");
+    EXPECT_TRUE(Reader::all_ok(reader.verify()));
+    EXPECT_THROW(reader.read(0, "x"), FormatError);
+  }
+}
+
+TEST(BpHardening, UnknownOperatorFailsOpen) {
+  // Every read decodes through the variable's operator, so a CRC-valid
+  // block naming one no codec answers to is rejected at open with
+  // FormatError — not at the first read, after decoding, with the codec
+  // registry's UsageError.
+  fsim::SharedFs fs(4);
+  write_floats(fs, "o.bp4", small_config(1, "blosc"), 64);
+  StepRecord record = Reader::open(fs, 0, "o.bp4").step(0);
+  ASSERT_EQ(record.variables[0].operator_name, "blosc");
+  record.variables[0].operator_name = "zstd";
+  rewrite_metadata(fs, "o.bp4", record);
+  EXPECT_THROW(Reader::open(fs, 0, "o.bp4"), FormatError);
 }
 
 // -------------------------------------------------------------- integrity ---

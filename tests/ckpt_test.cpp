@@ -1,6 +1,6 @@
 // Tests for incremental checkpoint epochs: the full/delta cadence of
 // checkpoint_full_interval, content-hash dedup against the last committed
-// epoch, random-access chain restore (bit-exact, shrink-tolerant, reading
+// epoch (checked against the CRC each base chunk had at commit), random-access chain restore (bit-exact, shrink-tolerant, reading
 // only the referenced blocks, rejecting blocks that do not tile their
 // variable), one MANIFEST version, chain-aware retention and restart fallback,
 // crash-during-prune orphan cleanup, and the Darshan v6 job counters the
@@ -151,6 +151,89 @@ TEST(CkptDelta, ChangedBlocksAreWrittenNotReferenced) {
   // Particles moved and the RNG advanced, so the delta must physically
   // store payload of its own.
   EXPECT_GT(epoch_payload_bytes(fs, manager, 2), 0u);
+}
+
+TEST(CkptDelta, ReplacedBaseChunksAreWrittenNotReferenced) {
+  // Commit pins each stored chunk's CRC32C; a delta references a base
+  // block only while the base container still holds that chunk.  Replace
+  // epoch 1's container with a valid one whose every block has the same
+  // shape but other values: a delta of the unchanged state must then write
+  // every block whose bytes differ, and restore bit-exactly.
+  SharedFs fs(8);
+  const auto config = small_case();
+  const auto io = delta_config(/*full_interval=*/4);
+  Simulation sim(config);
+  sim.initialize();
+  run_until(sim, 4);
+  CheckpointManager manager(fs, "run", io, 1);
+  manager.stage(0, sim);
+  manager.commit();  // epoch 1: full @ 4
+
+  Simulation other(config);
+  other.initialize();
+  run_until(other, 4);
+  std::vector<std::string> species;
+  for (std::size_t s = 0; s < other.species_count(); ++s) {
+    picmc::Species& sp = other.species(s);
+    species.push_back(sp.config.name);
+    for (auto* values : {&sp.particles.x(), &sp.particles.vx(),
+                         &sp.particles.vy(), &sp.particles.vz(),
+                         &sp.particles.w()})
+      for (double& v : *values) v += 0.5;
+    sp.absorbed_left += 1;
+    sp.absorbed_right += 1;
+    sp.absorbed_weight += 1.0;
+  }
+  auto rng = other.rng().state();
+  rng[0] ^= 1;
+  other.rng().set_state(rng);
+  other.set_ionization_totals(other.ionization_events() + 1,
+                              other.ionized_weight() + 1.0);
+  const std::string path = manager.epoch_dir(1) + "/dmp_file." + io.engine;
+  FsClient root(fs, 0);
+  for (const auto* node : fs.store().list_recursive(path))
+    root.unlink(node->path);
+  {
+    pmd::Series series(fs, path, pmd::Access::create, 1,
+                       io.engine_config(io.checkpoint_aggregators, false)
+                           .adios2_toml());
+    core::write_checkpoint_iteration(series,
+                                     {core::capture_rank_state(other)},
+                                     species, 1);
+    series.close();
+  }
+  ASSERT_EQ(manager.scrub().corrupt_epochs, std::vector<std::uint64_t>{});
+
+  manager.stage(0, sim);
+  manager.commit();  // epoch 2: delta of the unchanged state
+  const auto manifest = manager.read_manifest(2);
+  ASSERT_TRUE(manifest.has_value());
+  EXPECT_EQ(manifest->kind, "delta");
+  // Only the per-rank particle counts kept their bytes, so only they may
+  // still be referenced.
+  for (const BlockRef& ref : manifest->refs)
+    EXPECT_NE(ref.var.find("rank_count"), std::string::npos) << ref.var;
+  EXPECT_GT(epoch_payload_bytes(fs, manager, 2), 0u);
+
+  Simulation restored(config);
+  restored.initialize();
+  manager.restore_epoch(2, restored);
+  EXPECT_EQ(restored.current_step(), 4u);
+  EXPECT_EQ(restored.rng().state(), sim.rng().state());
+  EXPECT_EQ(restored.ionization_events(), sim.ionization_events());
+  EXPECT_EQ(restored.ionized_weight(), sim.ionized_weight());
+  for (std::size_t s = 0; s < sim.species_count(); ++s) {
+    const auto& a = restored.species(s);
+    const auto& b = sim.species(s);
+    EXPECT_EQ(a.particles.x(), b.particles.x()) << "species " << s;
+    EXPECT_EQ(a.particles.vx(), b.particles.vx()) << "species " << s;
+    EXPECT_EQ(a.particles.vy(), b.particles.vy()) << "species " << s;
+    EXPECT_EQ(a.particles.vz(), b.particles.vz()) << "species " << s;
+    EXPECT_EQ(a.particles.w(), b.particles.w()) << "species " << s;
+    EXPECT_EQ(a.absorbed_left, b.absorbed_left) << "species " << s;
+    EXPECT_EQ(a.absorbed_right, b.absorbed_right) << "species " << s;
+    EXPECT_EQ(a.absorbed_weight, b.absorbed_weight) << "species " << s;
+  }
 }
 
 // ------------------------------------------------------- chain restore ---

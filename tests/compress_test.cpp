@@ -479,5 +479,31 @@ TEST(ParallelCodec, RejectsCorruptFrames) {
   EXPECT_THROW(decompress_frame(ascii("XXXXnope")), FormatError);
 }
 
+TEST(ParallelCodec, FrameDecodeHoldsEveryFrameToTheExpectedSize) {
+  // With raw_size, decompress_frame rejects a frame declaring any other
+  // decoded size before decoding it: every frame kind it dispatches to,
+  // and every block inside a CZP1 frame.
+  const Bytes data = make_data("floats", 20000, 59);
+  const std::vector<Bytes> frames{
+      make_none_codec()->compress(data), make_blosc_codec(4)->compress(data),
+      make_bzip2_codec()->compress(data),
+      make_parallel_codec(make_blosc_codec(4), 2, 4096)->compress(data)};
+  for (const Bytes& frame : frames) {
+    SCOPED_TRACE(std::string(frame.begin(), frame.begin() + 4));
+    EXPECT_EQ(decompress_frame(frame, 1, data.size()), data);
+    EXPECT_THROW(decompress_frame(frame, 1, data.size() + 1), FormatError);
+    EXPECT_THROW(decompress_frame(frame, 1, std::uint64_t(1) << 50),
+                 FormatError);
+  }
+  // The first inner BLL1 frame of the CZP1 frame sits after the 21-byte
+  // header and the block table; its declared size is at +5.  Raising the
+  // top byte of that size makes the block claim petabytes.
+  Bytes czp = frames.back();
+  const std::size_t inner = 21 + 4 * ((data.size() + 4095) / 4096);
+  czp[inner + 5 + 7] = 0x40;
+  EXPECT_THROW(decompress_frame(czp, 1, data.size()), FormatError);
+  EXPECT_THROW(decompress_frame(czp), FormatError);
+}
+
 }  // namespace
 }  // namespace bitio::cz
