@@ -34,7 +34,7 @@ picmc::SimConfig sim_case() {
 struct CellResult {
   std::uint64_t crash_step = 0;
   int interval = 0;
-  int recoveries = 0;
+  std::uint64_t recoveries = 0;
   int final_size = 0;
   std::uint64_t restored_step = 0;
   std::uint64_t lost_steps = 0;
@@ -65,14 +65,15 @@ CellResult run_cell(std::uint64_t crash_step, int interval) {
   CellResult cell;
   cell.crash_step = crash_step;
   cell.interval = interval;
-  cell.recoveries = report.recoveries;
+  cell.recoveries = report.stats.recoveries;
   cell.final_size = report.final_size;
   cell.restored_step = report.restored_step;
   cell.lost_steps = crash_step - report.restored_step;
-  cell.t_recovery_s = report.t_recovery_s;
+  cell.t_recovery_s = report.stats.t_recovery_s;
   cell.epochs = report.stats.epochs_written;
   cell.final_step = report.final_step;
-  cell.completed = report.final_step == kLastStep && report.recoveries == 1 &&
+  cell.completed = report.final_step == kLastStep &&
+                   report.stats.recoveries == 1 &&
                    report.final_size == kRanks - 1;
   return cell;
 }
@@ -101,7 +102,7 @@ int main(int argc, char** argv) {
       all_completed = all_completed && cell.completed;
       table.row({strfmt("%llu", (unsigned long long)cell.crash_step),
                  strfmt("%d", cell.interval),
-                 strfmt("%d", cell.recoveries),
+                 strfmt("%llu", (unsigned long long)cell.recoveries),
                  strfmt("%d", cell.final_size),
                  strfmt("%llu", (unsigned long long)cell.restored_step),
                  strfmt("%llu", (unsigned long long)cell.lost_steps),

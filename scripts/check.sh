@@ -33,11 +33,17 @@
 #                          test under ASan+UBSan (ctest --preset
 #                          san-recovery, a superset of the ckpt label: every
 #                          restore caller reads through the one
-#                          core::CheckpointSource), and the stream suite too
-#                          (ctest --preset san-stream); then the ckpt_sweep
-#                          benchmark, whose in-band gates require every
-#                          delta sweep to dedup, every restore to be
-#                          bit-exact and every faulted cell to fall back
+#                          core::CheckpointSource); then the
+#                          recovery_overhead benchmark, whose in-band gate
+#                          requires every crashed run to shrink, complete
+#                          and report recoveries == 1 from the one home of
+#                          that count (resil::ResilienceStats, as written
+#                          to resilience.json); the stream suite under
+#                          ASan+UBSan (ctest --preset san-stream); then the
+#                          ckpt_sweep benchmark, whose in-band gates
+#                          require every delta sweep to dedup, every
+#                          restore to be bit-exact and every faulted cell
+#                          to fall back
 #                          (the committed report is scripts/bench_report.sh
 #                          -> BENCH_ckpt.json)
 #   7. iopath suite        batched queue-pair differential tests (byte
@@ -101,6 +107,11 @@ step "resilience + concurrency under ASan+UBSan (ctest --preset san-recovery)"
 cmake --preset san >/dev/null
 cmake --build --preset san -j "$(nproc 2>/dev/null || echo 4)"
 ctest --preset san-recovery
+
+step "online-recovery gate (recovery_overhead)"
+cmake --build --preset default -j "$(nproc 2>/dev/null || echo 4)" \
+  --target recovery_overhead
+"$repo_root/build/bench/recovery_overhead" >/dev/null
 
 step "stream engine suite under ASan+UBSan (ctest --preset san-stream)"
 ctest --preset san-stream

@@ -72,6 +72,23 @@ void compute_stats(Datatype dtype, std::span<const std::uint8_t> data,
   }
 }
 
+// Smallest encodings of a variable record (empty name, shape and operator,
+// no chunks) and of a chunk record (empty offset and count).  A record count
+// read from the block is checked against them before anything is reserved,
+// so a CRC-valid block cannot ask for more records than its bytes can hold.
+constexpr std::size_t kMinVarRecordBytes = 4 + 1 + 4 + 4 + 4;
+constexpr std::size_t kMinChunkRecordBytes =
+    4 + 4 + 4 + 4 + 3 * 8 + 2 * 8 + 1 + 4;
+
+std::uint32_t record_count(BinReader& reader, std::size_t min_record_bytes,
+                           const char* what) {
+  const std::uint32_t n = reader.u32();
+  if (n > reader.remaining() / min_record_bytes)
+    throw FormatError(std::string("bp: step metadata claims more ") + what +
+                      " than its bytes hold");
+  return n;
+}
+
 }  // namespace
 
 EncodedStep encode_step(const StepRecord& record) {
@@ -130,7 +147,8 @@ StepRecord decode_step(std::span<const std::uint8_t> data) {
   reader.u32();  // magic, validated above
   StepRecord record;
   record.step = reader.u64();
-  const std::uint32_t nvars = reader.u32();
+  const std::uint32_t nvars =
+      record_count(reader, kMinVarRecordBytes, "variables");
   record.variables.reserve(nvars);
   for (std::uint32_t v = 0; v < nvars; ++v) {
     VarRecord var;
@@ -154,7 +172,8 @@ StepRecord decode_step(std::span<const std::uint8_t> data) {
                   var.operator_name) == std::end(cz::kCodecNames))
       throw FormatError("bp: unknown operator '" + var.operator_name +
                         "' on '" + var.name + "'");
-    const std::uint32_t nchunks = reader.u32();
+    const std::uint32_t nchunks =
+        record_count(reader, kMinChunkRecordBytes, "chunks");
     var.chunks.reserve(nchunks);
     for (std::uint32_t c = 0; c < nchunks; ++c) {
       ChunkRecord chunk;

@@ -187,9 +187,15 @@ std::vector<std::uint16_t> zrle_encode(ByteSpan mtf) {
   return symbols;
 }
 
-Bytes zrle_decode(std::span<const std::uint16_t> symbols) {
+/// Inverse of zrle_encode for a block of `raw_len` bytes.  A RUNA/RUNB
+/// digit sequence is bijective base 2, so its run grows past `raw_len`
+/// within a few more digits than raw_len has bits: rejecting the run as soon
+/// as it overshoots bounds both the allocation and the shift (k stays far
+/// below 64 while raw_len <= kBlock).
+Bytes zrle_decode(std::span<const std::uint16_t> symbols,
+                  std::size_t raw_len) {
   Bytes out;
-  out.reserve(symbols.size() * 2);
+  out.reserve(std::min(symbols.size() * 2, raw_len));
   std::size_t i = 0;
   while (i < symbols.size()) {
     if (symbols[i] <= 1) {
@@ -197,11 +203,15 @@ Bytes zrle_decode(std::span<const std::uint16_t> symbols) {
       int k = 0;
       while (i < symbols.size() && symbols[i] <= 1) {
         run += std::uint64_t(symbols[i] + 1) << k;
+        if (run > raw_len - out.size())
+          throw FormatError("bzip2: zero run overruns the block");
         ++k;
         ++i;
       }
       out.insert(out.end(), run, 0);
     } else {
+      if (out.size() == raw_len)
+        throw FormatError("bzip2: symbols overrun the block");
       out.push_back(std::uint8_t(symbols[i] - 1));
       ++i;
     }
@@ -263,11 +273,12 @@ public:
     out.reserve(orig_size);
     for (std::uint32_t b = 0; b < nblocks; ++b) {
       const std::uint32_t raw_len = cur.u32();
+      if (raw_len > kBlock) throw FormatError("bzip2: block too long");
       const std::uint32_t primary = cur.u32();
       const std::uint32_t enc_len = cur.u32();
       ByteSpan enc = cur.bytes(enc_len);
       std::vector<std::uint16_t> symbols = huffman_decode(enc);
-      Bytes mtf = zrle_decode(symbols);
+      Bytes mtf = zrle_decode(symbols, raw_len);
       if (mtf.size() != raw_len) throw FormatError("bzip2: block length");
       Bytes last = mtf_decode(mtf);
       Bytes plain = bwt_inverse(last, primary);

@@ -88,8 +88,8 @@ public:
   /// restore could fetch is intact.
   std::uint64_t verify();
 
-  /// Blocks fetched by read() so far (the restore-cost counter the Darshan
-  /// log reports as blocks_restored).
+  /// Blocks fetched by read() so far (the restore-cost counter
+  /// resil::ResilienceStats reports as blocks_restored).
   std::uint64_t blocks_read() const { return blocks_read_; }
 
 private:

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "fsim/posix_fs.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/table.hpp"
@@ -35,11 +34,6 @@ DegradingSink::DegradingSink(fsim::SharedFs& fs, std::string run_dir,
   stats_.level = level_;
   current_dir_ = run_dir_;
   inner_ = build_inner(initial_level_, run_dir_);
-}
-
-void DegradingSink::set_transition_callback(TransitionCallback cb) {
-  util::MutexLock lock(mutex_);
-  on_transition_ = std::move(cb);
 }
 
 std::unique_ptr<DiagnosticsSink> DegradingSink::build_inner(
@@ -100,9 +94,6 @@ void DegradingSink::note_failure_locked(const char* what,
     const auto next = IoServiceLevel(int(level_) - 1);
     move_to_locked(next, cause);
     ++stats_.degradations;
-    // A zero-cost cpu op tagged "degrade": Darshan capture counts these
-    // into the job-level `degradations` counter.
-    fsim::FsClient(fs_, 0).charge_cpu(0.0, "degrade");
   }
 }
 
@@ -119,8 +110,7 @@ void DegradingSink::note_success_locked() {
   move_to_locked(next, strfmt("%d clean flushes at level %s",
                               consecutive_successes_,
                               service_level_name(level_)));
-  ++stats_.recoveries;
-  fsim::FsClient(fs_, 0).charge_cpu(0.0, "recovery");
+  ++stats_.step_ups;
 }
 
 void DegradingSink::move_to_locked(IoServiceLevel next,
@@ -151,7 +141,6 @@ void DegradingSink::move_to_locked(IoServiceLevel next,
              down ? "degraded" : "recovered", service_level_name(from),
              service_level_name(next), reason.c_str(),
              current_dir_.c_str()));
-  if (on_transition_) on_transition_(from, next, reason);
 }
 
 void DegradingSink::stage_diagnostics(
@@ -206,17 +195,6 @@ std::string DegradingSink::current_dir() const {
 LadderStats DegradingSink::stats() const {
   util::MutexLock lock(mutex_);
   return stats_;
-}
-
-Json DegradingSink::stats_json() const {
-  const LadderStats s = stats();
-  JsonObject out;
-  out["level"] = Json(service_level_name(s.level));
-  out["degradations"] = Json(s.degradations);
-  out["recoveries"] = Json(s.recoveries);
-  out["failures_absorbed"] = Json(s.failures_absorbed);
-  out["rebuilds"] = Json(s.rebuilds);
-  return Json(std::move(out));
 }
 
 std::unique_ptr<DegradingSink> make_degrading_sink(fsim::SharedFs& fs,

@@ -17,9 +17,10 @@
 // `degrade_threshold` consecutive failures the ladder closes the sink
 // (best-effort) and rebuilds one level lower in a fresh subdirectory; after
 // `degrade_cooldown` consecutive clean flushes it steps back up.  Every
-// transition is logged, charged to the trace as a zero-cost cpu op tagged
-// "degrade" / "recovery" (so Darshan capture can count it), and reported
-// through stats() / stats_json() for resilience.json.
+// transition is logged and counted in stats(), the one home of the ladder's
+// own counts; the recovery coordinator sums the step-downs of every
+// generation's ladder into resilience.json.  Nothing is charged to the
+// fsim trace: a transition is an event, not I/O or modelled CPU.
 
 #include <functional>
 #include <memory>
@@ -27,7 +28,6 @@
 
 #include "core/diagnostics_sink.hpp"
 #include "core/io_config.hpp"
-#include "util/json.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -42,26 +42,18 @@ const char* service_level_name(IoServiceLevel level);
 struct LadderStats {
   IoServiceLevel level = IoServiceLevel::async;  // current rung
   int degradations = 0;        // step-downs taken
-  int recoveries = 0;          // step-ups taken after cool-down
+  int step_ups = 0;            // step-ups taken after cool-down
   int failures_absorbed = 0;   // flushes whose failure was swallowed
   int rebuilds = 0;            // sinks constructed after the initial one
 };
 
 class DegradingSink final : public DiagnosticsSink {
 public:
-  /// (from, to, reason): observe transitions, e.g. to mirror them into
-  /// resil::ResilienceStats.  Called with the ladder lock held — do not call
-  /// back into the sink.
-  using TransitionCallback = std::function<void(
-      IoServiceLevel from, IoServiceLevel to, const std::string& reason)>;
-
   /// Builds the initial inner sink at the highest level `config` allows:
   /// async for openpmd + async_write, sync for plain openpmd, serial for
   /// IoMode::original (which then never degrades — it is already the floor).
   DegradingSink(fsim::SharedFs& fs, std::string run_dir, Bit1IoConfig config,
                 int nranks);
-
-  void set_transition_callback(TransitionCallback cb) EXCLUDES(mutex_);
 
   std::string sink_name() const override { return "degrading"; }
 
@@ -80,8 +72,6 @@ public:
   /// sink, `<run>/ladder_<k>_<level>` after the k-th rebuild.
   std::string current_dir() const EXCLUDES(mutex_);
   LadderStats stats() const EXCLUDES(mutex_);
-  /// {"level": "sync", "degradations": 1, ...} for resilience.json.
-  Json stats_json() const;
 
 private:
   /// Build a fresh inner sink for `level` writing into `dir`.  Takes the
@@ -117,7 +107,6 @@ private:
   int consecutive_failures_ GUARDED_BY(mutex_) = 0;
   int consecutive_successes_ GUARDED_BY(mutex_) = 0;
   LadderStats stats_ GUARDED_BY(mutex_);
-  TransitionCallback on_transition_ GUARDED_BY(mutex_);
 };
 
 /// Convenience: wrap make_diagnostics_sink's choice in the ladder.

@@ -146,7 +146,7 @@ private:
 
 // The one log format version.  It must move whenever the counter rows or
 // serialize() change; the wire-format golden enforces that.
-constexpr std::uint64_t kLogMagic = 0x4452534e4c4f4738ull;  // "DRSNLOG8"
+constexpr std::uint64_t kLogMagic = 0x4452534e4c4f4739ull;  // "DRSNLOG9"
 
 template <typename Record>
 void put_counters(std::vector<std::uint8_t>& out, const Record& record,
@@ -171,24 +171,6 @@ void get_counters(Cursor& cur, Record& record,
 }
 
 }  // namespace
-
-std::span<const Counter<JobInfo>> job_counters() {
-  using J = JobInfo;
-  static constexpr auto rows = std::to_array<Counter<J>>({
-      {"recoveries", &J::recoveries},
-      {"degradations", &J::degradations},
-      {"t_recovery_s", &J::t_recovery_s},
-      {"delta_epochs", &J::delta_epochs},
-      {"dedup_bytes_saved", &J::dedup_bytes_saved},
-      {"blocks_restored", &J::blocks_restored},
-      {"t_restore_s", &J::t_restore_s},
-  });
-  // exe + mount, nprocs (padded) + runtime_s, the rows, the histogram.
-  static_assert(sizeof(J) == 2 * sizeof(std::string) + 2 * 8 +
-                                 rows.size() * 8 + sizeof(J::ops_per_batch),
-                "a JobInfo counter has no row in job_counters()");
-  return rows;
-}
 
 std::span<const Counter<FileRecord>> file_record_counters() {
   using R = FileRecord;
@@ -223,13 +205,17 @@ std::span<const Counter<FileRecord>> file_record_counters() {
 }
 
 std::vector<std::uint8_t> DarshanLog::serialize() const {
+  // exe + mount, nprocs (padded) + runtime_s, the histogram: serialize()
+  // and parse() spell out every JobInfo member.
+  static_assert(sizeof(JobInfo) == 2 * sizeof(std::string) + 2 * 8 +
+                                       sizeof(JobInfo::ops_per_batch),
+                "a JobInfo member is missing from serialize()/parse()");
   std::vector<std::uint8_t> out;
   put_u64(out, kLogMagic);
   put_str(out, job.exe);
   put_u64(out, job.nprocs);
   put_f64(out, job.runtime_s);
   put_str(out, job.mount);
-  put_counters(out, job, job_counters());
   for (const std::uint64_t bucket : job.ops_per_batch) put_u64(out, bucket);
   put_u64(out, records.size());
   for (const auto& r : records) {
@@ -248,7 +234,6 @@ DarshanLog DarshanLog::parse(std::span<const std::uint8_t> data) {
   log.job.nprocs = std::uint32_t(cur.u64());
   log.job.runtime_s = cur.f64();
   log.job.mount = cur.str();
-  get_counters(cur, log.job, job_counters());
   for (std::uint64_t& bucket : log.job.ops_per_batch) bucket = cur.u64();
   const std::uint64_t n = cur.u64();
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -276,18 +261,6 @@ std::string DarshanLog::text_report() const {
   if (const auto faults = total_faults_injected(); faults > 0)
     out += strfmt("# faults_injected: %llu\n",
                   static_cast<unsigned long long>(faults));
-  if (job.recoveries > 0 || job.degradations > 0)
-    out += strfmt(
-        "# recoveries: %llu degradations: %llu t_recovery=%.6fs\n",
-        static_cast<unsigned long long>(job.recoveries),
-        static_cast<unsigned long long>(job.degradations), job.t_recovery_s);
-  if (job.delta_epochs > 0 || job.blocks_restored > 0)
-    out += strfmt(
-        "# delta_epochs: %llu dedup_saved: %s blocks_restored: %llu "
-        "t_restore=%.6fs\n",
-        static_cast<unsigned long long>(job.delta_epochs),
-        format_bytes(job.dedup_bytes_saved).c_str(),
-        static_cast<unsigned long long>(job.blocks_restored), job.t_restore_s);
   std::uint64_t batches = 0, sqes = 0, coalesced = 0;
   for (const auto& r : records) {
     batches += r.batches_submitted;
@@ -365,24 +338,7 @@ DarshanLog capture(const fsim::SharedFs& fs, const fsim::ReplayReport& replay,
     if (op.fault != fsim::FaultKind::none)
       record_for(std::int32_t(op.client), op.file).faults_injected +=
           op.op_count > 0 ? op.op_count : 1;
-    if (op.kind == OpKind::cpu) {
-      // The recovery machinery charges its events to the trace as tagged
-      // cpu ops; fold them into the job-level counters.
-      if (op.tag == "recovery") {
-        log.job.recoveries += 1;
-        log.job.t_recovery_s += op.cpu_seconds;
-      } else if (op.tag == "degrade") {
-        log.job.degradations += 1;
-      } else if (op.tag == "delta_commit") {
-        log.job.delta_epochs += op.op_count;
-      } else if (op.tag == "dedup") {
-        log.job.dedup_bytes_saved += op.bytes;
-      } else if (op.tag == "restore_chain") {
-        log.job.blocks_restored += op.op_count;
-        log.job.t_restore_s += op.cpu_seconds;
-      }
-      continue;  // not an I/O counter
-    }
+    if (op.kind == OpKind::cpu) continue;  // modelled CPU, not I/O
     FileRecord& r = record_for(std::int32_t(op.client), op.file);
     const double dt =
         i < replay.op_durations.size() ? replay.op_durations[i] : 0.0;

@@ -10,9 +10,14 @@
 // trace plus its timing replay into per-(rank,file) counter records that
 // mirror Darshan's POSIX module counters, `DarshanLog` serializes to a
 // compact binary log with round-trip parsing, and `text_report()` renders a
-// darshan-parser-style listing.  The log has one format version (DRSNLOG8):
+// darshan-parser-style listing.  The log has one format version (DRSNLOG9):
 // no log outlives the in-process simulator, so there are no older readers.
-// Its counters are the rows of job_counters() / file_record_counters().
+// Its per-file counters are the rows of file_record_counters().
+//
+// Like Darshan's, the log holds I/O facts only.  Checkpoint and recovery
+// events (delta epochs, dedup, chain restores, shrink recoveries, ladder
+// transitions) are counted once, in resil::ResilienceStats and the
+// resilience.json it writes; the trace carries none of them.
 
 #include <cstddef>
 #include <cstdint>
@@ -33,24 +38,6 @@ struct JobInfo {
   std::uint32_t nprocs = 1;
   double runtime_s = 0.0;           // simulated job I/O makespan
   std::string mount = "/lustre";    // mounted file system the job wrote to
-
-  // Online-recovery job counters.  capture() derives them
-  // from the cpu ops the recovery machinery charges to the trace:
-  // "recovery"-tagged ops (shrink-restarts and ladder step-ups) and
-  // "degrade"-tagged ops (I/O ladder step-downs).
-  std::uint64_t recoveries = 0;
-  std::uint64_t degradations = 0;
-  double t_recovery_s = 0.0;  // seconds charged under the "recovery" tag
-
-  // Incremental-checkpoint job counters, derived the same
-  // way from the checkpoint manager's tagged cpu ops: "delta_commit" marks
-  // a delta epoch, "dedup" carries the payload bytes a commit skipped by
-  // referencing a base epoch, and "restore_chain" carries the wall time
-  // and block-fetch count of a chain restore.
-  std::uint64_t delta_epochs = 0;
-  std::uint64_t dedup_bytes_saved = 0;
-  std::uint64_t blocks_restored = 0;
-  double t_restore_s = 0.0;  // seconds charged under the "restore_chain" tag
 
   // Batched queue-pair job counters: histogram of sqes per
   // submit() doorbell across the whole job, derived from the doorbell-
@@ -107,8 +94,8 @@ struct FileRecord {
   std::uint64_t coalesced_bytes = 0;
 };
 
-/// One serialized counter of a Record (JobInfo or FileRecord): its name and
-/// the member holding it.  Exactly one of u64/f64 is set.
+/// One serialized counter of a Record: its name and the member holding it.
+/// Exactly one of u64/f64 is set.
 template <typename Record>
 struct Counter {
   const char* name;
@@ -120,12 +107,10 @@ struct Counter {
   constexpr Counter(const char* n, double Record::*m) : name(n), f64(m) {}
 };
 
-/// The counter rows of the log format, in wire order: DarshanLog::serialize()
-/// and parse() loop over them.  The job rows sit between the mount string
-/// and the ops-per-batch histogram; the record rows follow each record's
+/// The per-file counter rows of the log format, in wire order:
+/// DarshanLog::serialize() and parse() loop over them after each record's
 /// path and rank.  A counter member without a row fails to compile (a
 /// sizeof check next to the rows in darshan.cpp).
-std::span<const Counter<JobInfo>> job_counters();
 std::span<const Counter<FileRecord>> file_record_counters();
 
 /// A captured log: job info + records + per-rank roll-ups.

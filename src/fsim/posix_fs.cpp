@@ -416,11 +416,10 @@ void FsClient::transfer(int fd, ClientId peer, std::uint64_t bytes,
   fs_->append_op(std::move(op));
 }
 
-void FsClient::charge_cpu(double seconds, const std::string& tag,
-                          std::uint64_t bytes, std::uint32_t op_count) {
+void FsClient::charge_cpu(double seconds, const std::string& tag) {
   std::lock_guard<std::mutex> lock(fs_->mutex_);
-  fs_->append_op({client_, OpKind::cpu, kNoFile, 0, bytes, op_count, seconds,
-                  tag, lane_});
+  fs_->append_op(
+      {client_, OpKind::cpu, kNoFile, 0, 0, 1, seconds, tag, lane_});
 }
 
 void FsClient::note_fault(FaultKind kind) {
@@ -470,8 +469,6 @@ std::vector<Cqe> SubmissionQueue::submit() {
           "(simulated_bytes), not both");
   }
 
-  stats_.batches_submitted += 1;
-  stats_.sqes_submitted += sqes_.size();
   cqes.reserve(sqes_.size());
 
   // The first trace record of the batch carries the doorbell tag: the
@@ -570,13 +567,8 @@ std::vector<Cqe> SubmissionQueue::submit() {
                 1, 0.0, {}, lane, fault});
     } else if (coalesce_ && run.sqes > 0 && run.file == desc.file &&
                run.offset + run.bytes == sqe.offset) {
-      // Counts every byte of a vectored record merging >= 2 sqes (the same
-      // definition darshan::capture uses), so the opening sqe's bytes join
-      // the tally the moment a run becomes vectored.
-      if (run.sqes == 1) stats_.coalesced_bytes += run.bytes;
       run.bytes += persist;
       run.sqes += 1;
-      stats_.coalesced_bytes += persist;
     } else {
       flush_run();
       run = {desc.file, sqe.offset, persist, 1};

@@ -190,13 +190,13 @@ public:
   void transfer(int fd, ClientId peer, std::uint64_t bytes, bool intra_node,
                 std::uint32_t op_count = 1);
 
-  /// Charge modeled client CPU time (compression, memcopy) to this client's
-  /// timeline; shows up in replay reports and profiling.json.  `bytes` and
-  /// `op_count` annotate the op for counters keyed on the tag (e.g. the
-  /// Darshan log's dedup_bytes_saved / blocks_restored) — cpu ops never
-  /// contribute to the traced read/write byte totals regardless.
-  void charge_cpu(double seconds, const std::string& tag,
-                  std::uint64_t bytes = 0, std::uint32_t op_count = 1);
+  /// Charge modeled client CPU time to this client's timeline; shows up in
+  /// replay reports and profiling.json under `tag`.  The trace records only
+  /// I/O and modelled CPU: `seconds` must come from a cost model (codec
+  /// speed, CRC or memcopy bandwidth, retry backoff), never from the host
+  /// clock, and the op is not an event channel — counts of checkpoint and
+  /// recovery events live in resil::ResilienceStats.
+  void charge_cpu(double seconds, const std::string& tag);
 
   /// Record a harness-level fault (e.g. rank_crash) as a zero-cost tagged
   /// TraceOp so Darshan capture attributes it like write-layer injections.
@@ -251,16 +251,6 @@ struct Cqe {
   bool short_write() const { return ok && bytes_persisted < bytes_requested; }
 };
 
-/// Counters for one queue pair's lifetime, mirrored into the Darshan batch
-/// counters by trace capture.
-struct BatchStats {
-  std::uint64_t batches_submitted = 0;  // submit() calls with >= 1 sqe
-  std::uint64_t sqes_submitted = 0;
-  // Bytes carried by vectored records merging >= 2 adjacent sqes (the same
-  // definition darshan::capture applies to the trace).
-  std::uint64_t coalesced_bytes = 0;
-};
-
 /// io_uring-style queue pair over the simulated filesystem: the client
 /// enqueues up to `depth` vectored sqes and rings the doorbell with
 /// submit(), which returns the batch's Cqes.  One submit() records
@@ -298,14 +288,11 @@ public:
   /// any sqe is processed).
   [[nodiscard]] std::vector<Cqe> submit();
 
-  const BatchStats& stats() const { return stats_; }
-
 private:
   FsClient io_;
   std::size_t depth_;
   bool coalesce_;
   std::vector<Sqe> sqes_;
-  BatchStats stats_;
 };
 
 }  // namespace bitio::fsim

@@ -227,14 +227,7 @@ std::uint64_t CheckpointManager::commit() {
   stats_.epochs_written += 1;
   if (want_delta) {
     stats_.delta_epochs += 1;
-    std::uint64_t saved = 0;
-    for (const BlockRef& ref : refs) saved += ref.bytes;
-    stats_.dedup_bytes_saved += saved;
-    // Surface the dedup decision in the trace so the Darshan log can count
-    // delta epochs and the bytes they avoided writing.
-    fsim::FsClient trace(fs_, 0);
-    trace.charge_cpu(0.0, "delta_commit");
-    trace.charge_cpu(0.0, "dedup", saved);
+    for (const BlockRef& ref : refs) stats_.dedup_bytes_saved += ref.bytes;
   }
   commits_since_full_ = want_delta ? commits_since_full_ + 1 : 0;
 
@@ -483,10 +476,6 @@ void CheckpointManager::restore_via_chain(std::uint64_t epoch,
     stats_.blocks_restored += source.blocks_read();
     stats_.t_restore_s += elapsed;
   }
-  // Wall time and block count of the chain walk, surfaced in the trace for
-  // the Darshan log's restore counters.
-  fsim::FsClient(fs_, 0).charge_cpu(elapsed, "restore_chain", 0,
-                                    std::uint32_t(source.blocks_read()));
 }
 
 RestartReport CheckpointManager::restore(picmc::Simulation& sim) {
@@ -538,13 +527,6 @@ void CheckpointManager::restore_epoch(std::uint64_t epoch,
                                       picmc::Simulation& sim) {
   restore_via_chain(epoch, sim, /*repartition=*/true);
 }
-
-void CheckpointManager::record_recovery(double seconds) {
-  stats_.recoveries += 1;
-  stats_.t_recovery_s += seconds;
-}
-
-void CheckpointManager::record_degradation() { stats_.degradations += 1; }
 
 void CheckpointManager::set_recovery_totals(std::uint64_t recoveries,
                                             std::uint64_t degradations,

@@ -86,7 +86,10 @@ struct EpochManifest {
 };
 
 /// Counters the resilience layer accumulates across commits/restores (the
-/// numbers resilience.json and the resilience_sweep bench report).
+/// numbers resilience.json and the resilience_sweep bench report).  This is
+/// the one home of every checkpoint and recovery count: the fsim trace and
+/// the Darshan log carry none of them.  The t_*_s fields are host wall
+/// seconds, never simulated ones.
 struct ResilienceStats {
   std::uint64_t epochs_written = 0;    // committed epochs
   std::uint64_t write_retries = 0;     // commit attempts retried (any cause)
@@ -94,11 +97,11 @@ struct ResilienceStats {
   std::uint64_t corrupt_chunks_detected = 0;  // CRC/short-read verdicts
   std::uint64_t restore_fallbacks = 0;        // epochs rejected at restart
   std::uint64_t epochs_pruned = 0;            // retention deletions
-  // Online-recovery counters (PR "Online failure recovery"):
+  // Online-recovery run totals, installed by set_recovery_totals():
   std::uint64_t recoveries = 0;     // shrink-restarts completed
   std::uint64_t degradations = 0;   // I/O ladder step-downs observed
   double t_recovery_s = 0.0;        // wall seconds spent inside recoveries
-  // Incremental-checkpoint counters (PR "Incremental checkpoint epochs"):
+  // Incremental-checkpoint counters:
   std::uint64_t delta_epochs = 0;       // committed epochs of kind "delta"
   std::uint64_t dedup_bytes_saved = 0;  // bytes referenced instead of written
   std::uint64_t blocks_restored = 0;    // blocks fetched by chain restores
@@ -171,10 +174,6 @@ public:
   void restore_epoch(std::uint64_t epoch, picmc::Simulation& sim)
       EXCLUDES(stage_mutex_);
 
-  /// Record one completed shrink-recovery taking `seconds` of wall time /
-  /// one observed I/O-ladder degradation into the stats.
-  void record_recovery(double seconds);
-  void record_degradation();
   /// Install run-wide online-recovery totals.  The recovery coordinator
   /// builds a fresh manager per shrink generation (the communicator size
   /// changed), so the final generation's manager adopts the totals
@@ -242,8 +241,8 @@ private:
   /// The one read path into a committed epoch: its container plus the
   /// MANIFEST's references into base epochs.
   core::CheckpointSource open_epoch(const EpochManifest& manifest);
-  /// Restore through the chain, timing the walk and counting the blocks
-  /// it fetched into the stats and the trace ("restore_chain").
+  /// Restore through the chain, timing the walk (host wall time) and
+  /// counting the blocks it fetched into the stats.
   void restore_via_chain(std::uint64_t epoch, picmc::Simulation& sim,
                          bool repartition) EXCLUDES(stage_mutex_);
   void remove_epoch_files(std::uint64_t epoch, bool manifest_first);

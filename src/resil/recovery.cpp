@@ -42,7 +42,6 @@ ResilientRunReport run_resilient_spmd(fsim::SharedFs& fs,
   std::uint64_t last_restored_epoch = 0;
   std::uint64_t last_restored_step = 0;
   bool restarted_from_scratch = false;
-  int degradations = 0;
   double t_recovery = 0.0;
 
   // "abort" keeps the old behaviour: zero re-entries, the survivors'
@@ -65,15 +64,6 @@ ResilientRunReport run_resilient_spmd(fsim::SharedFs& fs,
       gen.sink = core::make_degrading_sink(
           fs, strfmt("%s/gen_%d", cfg.run_dir.c_str(), ctx.generation),
           cfg.io, comm.size());
-      gen.sink->set_transition_callback(
-          [&state_mutex, &degradations](core::IoServiceLevel from,
-                                        core::IoServiceLevel to,
-                                        const std::string&) {
-            if (int(to) < int(from)) {
-              std::lock_guard<std::mutex> lock(state_mutex);
-              ++degradations;
-            }
-          });
       std::lock_guard<std::mutex> lock(state_mutex);
       generations[ctx.generation] = std::move(gen);
     }
@@ -109,9 +99,6 @@ ResilientRunReport run_resilient_spmd(fsim::SharedFs& fs,
           last_restored_step = sim.current_step();
           if (epoch == 0) restarted_from_scratch = true;
         }
-        // Charge the recovery to the trace so Darshan capture counts it.
-        fsim::FsClient(fs, 0).charge_cpu(seconds, "recovery");
-        gen.manager->record_recovery(seconds);
         log_info(strfmt(
             "recovery %d: %d survivors, %s, resuming at step %llu",
             ctx.generation, comm.size(),
@@ -193,19 +180,20 @@ ResilientRunReport run_resilient_spmd(fsim::SharedFs& fs,
       smpi::run_spmd_supervised(cfg.nranks, body, max_recoveries);
 
   ResilientRunReport report;
-  report.recoveries = spmd.recoveries;
   report.final_size = spmd.final_size;
   report.crashed_ranks = spmd.crashed_ranks;
   report.final_step = final_step;
   report.last_restored_epoch = last_restored_epoch;
   report.restored_step = last_restored_step;
   report.restarted_from_scratch = restarted_from_scratch;
-  report.degradations = degradations;
-  report.t_recovery_s = t_recovery;
   if (final_manager) {
+    // Every generation's ladder counted its own step-downs; the run total
+    // is their sum.
+    std::uint64_t degradations = 0;
+    for (const auto& entry : generations)
+      degradations += std::uint64_t(entry.second.sink->stats().degradations);
     final_manager->set_recovery_totals(std::uint64_t(spmd.recoveries),
-                                       std::uint64_t(degradations),
-                                       t_recovery);
+                                       degradations, t_recovery);
     final_manager->write_stats_json();
     report.stats = final_manager->stats();
   }

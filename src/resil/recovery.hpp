@@ -20,8 +20,11 @@
 //
 // Diagnostics go through the core::DegradingSink ladder, so backend
 // failures during the run degrade service (async -> sync -> serial)
-// instead of killing it; ladder step-downs, recoveries, and the wall time
-// spent recovering are accumulated into resilience.json.
+// instead of killing it.  At the end of the run the final generation's
+// CheckpointManager adopts the run totals — shrink recoveries, the ladder
+// step-downs of every generation, and the host wall time spent recovering
+// — and writes them to resilience.json.  None of them is charged to the
+// fsim trace: simulated seconds come only from modelled I/O and CPU.
 //
 // The policy knob is Bit1IoConfig::recovery: "shrink" enables the sequence
 // above, "abort" keeps the pre-PR behaviour (a rank failure ends the run
@@ -48,16 +51,15 @@ struct ResilientRunConfig {
 };
 
 struct ResilientRunReport {
-  int recoveries = 0;             // shrink generations completed
   int final_size = 0;             // communicator size at the end
   std::vector<int> crashed_ranks;  // original ranks that died
   std::uint64_t final_step = 0;   // simulation step reached
   std::uint64_t last_restored_epoch = 0;  // 0 = no restore happened
   std::uint64_t restored_step = 0;  // step the last restore resumed from
   bool restarted_from_scratch = false;  // a recovery found no valid epoch
-  int degradations = 0;           // I/O ladder step-downs observed
-  double t_recovery_s = 0.0;      // wall seconds inside recoveries
-  ResilienceStats stats;          // final generation's manager stats
+  // The final generation's manager stats, run totals included: recoveries,
+  // degradations and t_recovery_s are read here.
+  ResilienceStats stats;
 };
 
 /// Run `cfg.sim` on `cfg.nranks` simulated ranks with online failure

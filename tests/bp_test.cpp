@@ -819,6 +819,31 @@ TEST(BpHardening, ChunkOutsideItsShapeFailsOpen) {
     EXPECT_THROW(open_container(*record), FormatError);
 }
 
+TEST(BpHardening, RecordCountsBeyondTheBlockAreFormatError) {
+  // A CRC-valid block whose variable or chunk count exceeds what its bytes
+  // can hold is rejected before anything is reserved for the records.
+  const auto sealed = [](BinWriter writer) {
+    writer.u32(crc32c(writer.buffer()));
+    return writer.take();
+  };
+  BinWriter vars;
+  vars.u32(kMdMagic);
+  vars.u64(0);            // step
+  vars.u32(0xFFFFFFFFu);  // nvars
+  EXPECT_THROW(decode_step(sealed(std::move(vars))), FormatError);
+
+  BinWriter chunks;
+  chunks.u32(kMdMagic);
+  chunks.u64(0);  // step
+  chunks.u32(1);  // nvars
+  chunks.str("x");
+  chunks.u8(std::uint8_t(Datatype::float32));
+  chunks.dims({4});
+  chunks.str("");           // operator
+  chunks.u32(0xFFFFFFFFu);  // nchunks
+  EXPECT_THROW(decode_step(sealed(std::move(chunks))), FormatError);
+}
+
 TEST(BpHardening, Md06BlockIsRejected) {
   // golden_step() as the previous format wrote it, CRC intact: there is no
   // MD06 decoder.

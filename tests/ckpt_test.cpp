@@ -3,21 +3,23 @@
 // epoch (checked against the CRC each base chunk had at commit), random-access chain restore (bit-exact, shrink-tolerant, reading
 // only the referenced blocks, rejecting blocks that do not tile their
 // variable), one MANIFEST version, chain-aware retention and restart fallback,
-// crash-during-prune orphan cleanup, and the Darshan v6 job counters the
-// machinery feeds.
+// crash-during-prune orphan cleanup, and the rule that the machinery's
+// counts live in ResilienceStats while the simulated clock sees only
+// modelled cost.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <optional>
 
-#include "darshan/darshan.hpp"
 #include "fsim/posix_fs.hpp"
 #include "fsim/storage_model.hpp"
 #include "fsim/system_profiles.hpp"
 #include "picmc/simulation.hpp"
 #include "resil/checkpoint_manager.hpp"
 #include "util/error.hpp"
+
+#include "modelled_cpu.hpp"
 
 namespace bitio::resil {
 namespace {
@@ -640,33 +642,72 @@ TEST(CkptRobust, CrashDuringPruneLeavesRestorableStateAndScrubCleans) {
   EXPECT_EQ(manager.commit(), 3u);
 }
 
-// -------------------------------------------------------------- darshan ---
+// --------------------------------------------------------------- clock ---
 
-TEST(CkptDarshan, CheckpointCountersFlowIntoTheLog) {
+/// What one full -> delta -> chain restore -> scrub cycle leaves behind on a
+/// fresh file system.
+struct CheckpointCycle {
+  ResilienceStats stats;
+  Json resilience_json;
+  std::vector<std::string> unmodelled_cpu_tags;
+  double makespan = 0.0;  // simulated seconds of the trace's replay
+};
+
+CheckpointCycle run_checkpoint_cycle() {
   SharedFs fs(8);
   Simulation sim(small_case());
   sim.initialize();
   run_until(sim, 4);
   CheckpointManager manager(fs, "run", delta_config(/*full_interval=*/4), 1);
   manager.stage(0, sim);
-  manager.commit();
+  EXPECT_EQ(manager.commit(), 1u);  // full
   manager.stage(0, sim);
-  manager.commit();  // delta
+  EXPECT_EQ(manager.commit(), 2u);  // delta
   Simulation restored(small_case());
   restored.initialize();
-  manager.restore_epoch(2, restored);
+  EXPECT_EQ(manager.restore(restored).epoch, 2u);  // through the chain
+  EXPECT_TRUE(manager.scrub().corrupt_epochs.empty());
 
+  CheckpointCycle cycle;
+  cycle.unmodelled_cpu_tags = testkit::unmodelled_cpu_tags(fs);
   auto profile = fsim::dardel();
   profile.ranks_per_node = 4;
-  const auto replay =
-      fsim::replay_trace(profile, fs.store(), fs.trace(), 1);
-  const auto log = darshan::capture(fs, replay, {"bit1", 1, 0.0, "/lustre"});
-  EXPECT_EQ(log.job.delta_epochs, 1u);
-  EXPECT_EQ(log.job.dedup_bytes_saved, manager.stats().dedup_bytes_saved);
-  EXPECT_EQ(log.job.blocks_restored, manager.stats().blocks_restored);
-  EXPECT_GE(log.job.t_restore_s, 0.0);
-  const auto bytes = log.serialize();
-  EXPECT_EQ(darshan::DarshanLog::parse(bytes).job.delta_epochs, 1u);
+  cycle.makespan =
+      fsim::replay_trace(profile, fs.store(), fs.trace(), 1).makespan;
+
+  // Written after the replay: resilience.json holds host wall seconds
+  // (t_restore_s), so its length varies from run to run.
+  manager.write_stats_json();
+  cycle.stats = manager.stats();
+  const auto bytes = FsClient(fs, 0).read_all("run/resil/resilience.json");
+  cycle.resilience_json = Json::parse(
+      std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
+  return cycle;
+}
+
+TEST(CkptClock, CountsLiveInStatsAndReplayIgnoresTheHostClock) {
+  const CheckpointCycle a = run_checkpoint_cycle();
+
+  // The delta epoch, its dedup and the chain restore are counted once, in
+  // the manager's stats, and resilience.json reports those same numbers.
+  EXPECT_EQ(a.stats.delta_epochs, 1u);
+  EXPECT_GT(a.stats.dedup_bytes_saved, 0u);
+  EXPECT_GT(a.stats.blocks_restored, 0u);
+  EXPECT_GE(a.stats.t_restore_s, 0.0);
+  EXPECT_EQ(a.resilience_json.at("delta_epochs").as_uint(),
+            a.stats.delta_epochs);
+  EXPECT_EQ(a.resilience_json.at("dedup_bytes_saved").as_uint(),
+            a.stats.dedup_bytes_saved);
+  EXPECT_EQ(a.resilience_json.at("blocks_restored").as_uint(),
+            a.stats.blocks_restored);
+
+  // None of them rides the trace: every cpu op is modelled cost.
+  EXPECT_EQ(a.unmodelled_cpu_tags, std::vector<std::string>{});
+
+  // So the simulated clock does not depend on how fast the host restored.
+  const CheckpointCycle b = run_checkpoint_cycle();
+  EXPECT_GT(a.makespan, 0.0);
+  EXPECT_EQ(a.makespan, b.makespan);
 }
 
 }  // namespace

@@ -311,6 +311,38 @@ TEST(Codec, DecompressRejectsWrongMagic) {
   EXPECT_THROW(blosc->decompress(Bytes{}), FormatError);
 }
 
+/// A one-block BZL1 frame declaring a `raw_len`-byte block whose Huffman
+/// stream holds `runbs` RUNB symbols (zero-run digits) and nothing else.
+Bytes bzl1_zero_run_frame(std::size_t runbs, std::uint32_t raw_len = 16) {
+  const std::vector<std::uint16_t> symbols(runbs, 1);  // 1 = RUNB
+  const Bytes enc = huffman_encode(symbols, 257);
+  Bytes frame = {'B', 'Z', 'L', '1'};
+  const auto u32 = [&](std::uint32_t v) {
+    for (int i = 0; i < 4; ++i) frame.push_back(std::uint8_t(v >> (8 * i)));
+  };
+  u32(raw_len);  // orig_size, low half
+  u32(0);        // orig_size, high half
+  frame.push_back(1);  // mode: compressed
+  u32(1);              // nblocks
+  u32(raw_len);
+  u32(0);  // primary index
+  u32(std::uint32_t(enc.size()));
+  frame.insert(frame.end(), enc.begin(), enc.end());
+  return frame;
+}
+
+TEST(Codec, Bzip2ZeroRunPastItsBlockIsFormatError) {
+  const auto bz = make_bzip2_codec();
+  // 48 RUNB digits encode a run of 2^49 - 2 zeros in a 16-byte block: the
+  // decoder must reject it, not try to allocate it.
+  EXPECT_THROW(bz->decompress(bzl1_zero_run_frame(48)), FormatError);
+  // 70 digits would shift a digit past bit 63 of the run length.
+  EXPECT_THROW(bz->decompress(bzl1_zero_run_frame(70)), FormatError);
+  // A block longer than the codec ever writes is rejected up front.
+  EXPECT_THROW(bz->decompress(bzl1_zero_run_frame(1, 128 * 1024 + 1)),
+               FormatError);
+}
+
 TEST(Codec, SpeedModelOrdering) {
   // The storage simulator relies on blosc being modelled much faster than
   // bzip2 (that is the whole Fig 7 / Table II trade-off).
