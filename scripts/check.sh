@@ -60,7 +60,10 @@
 #                          tests, so a change to the types the benchmark
 #                          compiles against cannot break it unnoticed
 #   9. full test suite     default preset, all labels (includes the `perf`
-#                          smoke test and the `compile-fail` fixtures; the
+#                          label — the codec smoke test and bp_alloc_test,
+#                          whose counting operator new gates the synthetic
+#                          chunk path at fewer heap allocations than
+#                          chunks — and the `compile-fail` fixtures; the
 #                          full codec sweep is scripts/bench_report.sh ->
 #                          BENCH_codecs.json)
 set -eu

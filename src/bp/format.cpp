@@ -1,6 +1,7 @@
 #include "bp/format.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <iterator>
 
@@ -12,7 +13,57 @@ namespace bitio::bp {
 
 namespace {
 
-void encode_attr(BinWriter& writer, const std::string& name,
+std::size_t str_bytes(const std::string& s) { return 4 + s.size(); }
+std::size_t dims_bytes(const Dims& d) { return 4 + 8 * d.size(); }
+
+/// A chunk record's bytes besides its offset and count: writer rank,
+/// subfile, file offset, stored and raw sizes, min, max, CRC flag, CRC.
+constexpr std::size_t kChunkFixedBytes = 4 + 4 + 3 * 8 + 2 * 8 + 1 + 4;
+
+/// Little-endian writes into a buffer encode_step sized in advance.  A
+/// write past its end, or a finish() short of it, means the size pass and
+/// the write pass disagree: a bug, raised as bitio::Error.
+class Cursor {
+public:
+  explicit Cursor(std::vector<std::uint8_t>& buffer)
+      : pos_(buffer.data()), end_(buffer.data() + buffer.size()) {}
+
+  void u8(std::uint8_t v) { *reserve(1) = v; }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void f64(double d) { put(std::bit_cast<std::uint64_t>(d)); }
+  void str(const std::string& s) {
+    u32(std::uint32_t(s.size()));
+    if (!s.empty()) std::memcpy(reserve(s.size()), s.data(), s.size());
+  }
+  void dims(const Dims& d) {
+    u32(std::uint32_t(d.size()));
+    for (const std::uint64_t v : d) u64(v);
+  }
+  void finish() const {
+    if (pos_ != end_) throw Error("bp: encode_step wrote short of its size");
+  }
+
+private:
+  std::uint8_t* reserve(std::size_t n) {
+    if (std::size_t(end_ - pos_) < n)
+      throw Error("bp: encode_step wrote past its size");
+    std::uint8_t* at = pos_;
+    pos_ += n;
+    return at;
+  }
+  template <typename T>
+  void put(T v) {
+    std::uint8_t* at = reserve(sizeof(T));
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      at[i] = std::uint8_t(v >> (8 * i));
+  }
+
+  std::uint8_t* pos_;
+  std::uint8_t* end_;
+};
+
+void encode_attr(Cursor& writer, const std::string& name,
                  const AttrValue& value) {
   writer.str(name);
   writer.u8(std::uint8_t(value.index()));
@@ -23,6 +74,18 @@ void encode_attr(BinWriter& writer, const std::string& name,
   } else {
     writer.u64(std::get<std::uint64_t>(value));
   }
+}
+
+/// A dims field read straight into Dims; a rank above kMaxRank is corrupt
+/// metadata.
+Dims read_dims(BinReader& reader) {
+  const std::uint32_t rank = reader.u32();
+  if (rank > kMaxRank)
+    throw FormatError("bp: step metadata declares rank " +
+                      std::to_string(rank) + ", above kMaxRank (3)");
+  Dims d;
+  for (std::uint32_t i = 0; i < rank; ++i) d.push_back(reader.u64());
+  return d;
 }
 
 std::pair<std::string, AttrValue> decode_attr(BinReader& reader) {
@@ -77,8 +140,7 @@ void compute_stats(Datatype dtype, std::span<const std::uint8_t> data,
 // read from the block is checked against them before anything is reserved,
 // so a CRC-valid block cannot ask for more records than its bytes can hold.
 constexpr std::size_t kMinVarRecordBytes = 4 + 1 + 4 + 4 + 4;
-constexpr std::size_t kMinChunkRecordBytes =
-    4 + 4 + 4 + 4 + 3 * 8 + 2 * 8 + 1 + 4;
+constexpr std::size_t kMinChunkRecordBytes = 4 + 4 + kChunkFixedBytes;
 
 std::uint32_t record_count(BinReader& reader, std::size_t min_record_bytes,
                            const char* what) {
@@ -92,7 +154,24 @@ std::uint32_t record_count(BinReader& reader, std::size_t min_record_bytes,
 }  // namespace
 
 EncodedStep encode_step(const StepRecord& record) {
-  BinWriter writer;
+  // Size pass, then one write pass into a buffer of exactly that size.
+  std::size_t size = 4 + 8 + 4;  // magic, step, variable count
+  for (const auto& var : record.variables) {
+    size += str_bytes(var.name) + 1 + dims_bytes(var.shape) +
+            str_bytes(var.operator_name) + 4;
+    for (const auto& chunk : var.chunks)
+      size += dims_bytes(chunk.offset) + dims_bytes(chunk.count) +
+              kChunkFixedBytes;
+  }
+  size += 4;  // attribute count
+  for (const auto& [name, value] : record.attributes) {
+    const auto* text = std::get_if<std::string>(&value);
+    size += str_bytes(name) + 1 + (text ? str_bytes(*text) : 8);
+  }
+  size += 4;  // trailing CRC
+
+  EncodedStep out{std::vector<std::uint8_t>(size), 0};
+  Cursor writer(out.bytes);
   writer.u32(kMdMagic);
   writer.u64(record.step);
   writer.u32(std::uint32_t(record.variables.size()));
@@ -121,8 +200,8 @@ EncodedStep encode_step(const StepRecord& record) {
     encode_attr(writer, name, value);
   // The metadata block protects itself: trailing CRC32C over everything
   // above, verified before any field is trusted on decode.
-  writer.u32(crc32c(writer.buffer()));
-  EncodedStep out{writer.take(), 0};
+  writer.u32(crc32c(std::span<const std::uint8_t>(out.bytes).first(size - 4)));
+  writer.finish();
   out.crc = step_block_crc(out.bytes);
   return out;
 }
@@ -157,7 +236,7 @@ StepRecord decode_step(std::span<const std::uint8_t> data) {
     if (dtype > std::uint8_t(Datatype::float64))
       throw FormatError("bp: bad datatype tag");
     var.dtype = Datatype(dtype);
-    var.shape = reader.dims();
+    var.shape = read_dims(reader);
     // Readers allocate the whole global array, so its byte size must not
     // wrap.
     std::uint64_t var_bytes = dtype_size(var.dtype);
@@ -177,8 +256,8 @@ StepRecord decode_step(std::span<const std::uint8_t> data) {
     var.chunks.reserve(nchunks);
     for (std::uint32_t c = 0; c < nchunks; ++c) {
       ChunkRecord chunk;
-      chunk.offset = reader.dims();
-      chunk.count = reader.dims();
+      chunk.offset = read_dims(reader);
+      chunk.count = read_dims(reader);
       chunk.writer_rank = reader.u32();
       chunk.subfile = reader.u32();
       chunk.file_offset = reader.u64();

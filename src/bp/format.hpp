@@ -9,7 +9,9 @@
 //   md.0 step block ("MD07")  each variable names its operator once; each
 //       chunk record keeps only its placement, sizes, statistics and the
 //       CRC32C of its stored bytes (no content hash: miniBP hashes
-//       nothing); the block ends in a CRC32C over itself.
+//       nothing); the block ends in a CRC32C over itself.  Every shape,
+//       offset and count has rank <= kMaxRank (3, bp/types.hpp); a block
+//       declaring a higher rank is a FormatError.
 //   md.idx ("IDX5")  fixed-size entries (step, md_offset, md_length, md_crc)
 //       where md_crc is the CRC32C of the whole md.0 block, so the index
 //       and the metadata cross-check each other.
@@ -60,12 +62,14 @@ struct EncodedStep {
   std::uint32_t crc = 0;
 };
 
-/// Serialize one step's metadata (appended to md.0).
+/// Serialize one step's metadata (appended to md.0): one pass sizes the
+/// block exactly, a second writes it into a buffer of that size.  Throws
+/// bitio::Error if the two passes disagree.
 EncodedStep encode_step(const StepRecord& record);
 /// Parse one step's metadata, verifying its trailing CRC first.  Throws
-/// FormatError on corruption, an unknown version magic, an operator name
-/// outside cz::kCodecNames, or a chunk that fails chunk_in_shape against
-/// its variable's shape.
+/// FormatError on corruption, an unknown version magic, a rank above
+/// kMaxRank, an operator name outside cz::kCodecNames, or a chunk that
+/// fails chunk_in_shape against its variable's shape.
 StepRecord decode_step(std::span<const std::uint8_t> data);
 /// CRC32C of a whole step block that decode_step() already accepted, in
 /// O(1): extends the verified trailing CRC over its own four bytes.
@@ -104,7 +108,8 @@ double compress_cpu_seconds(const cz::Codec& codec, std::uint64_t raw_bytes,
 
 /// The put-side checks every engine applies: an open step, `rank` inside
 /// [0, nranks), and a chunk that fits `shape` (chunk_in_shape).  Throws
-/// UsageError prefixed "bp::put".
+/// UsageError prefixed "bp::put".  A rank above kMaxRank never gets here:
+/// building its Dims already threw UsageError.
 void check_put(bool step_open, int rank, int nranks, const std::string& name,
                const Dims& shape, const Dims& offset, const Dims& count);
 

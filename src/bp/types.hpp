@@ -2,13 +2,19 @@
 // Core vocabulary of the miniBP engine: datatypes, extents, variable and
 // chunk descriptors.  Mirrors the slice of ADIOS2's data model the paper's
 // workflow needs: n-dimensional variables with global shape, per-rank
-// (offset, count) chunks, steps, and attributes.
+// (offset, count) chunks, steps, and attributes.  A variable has rank at
+// most kMaxRank = 3 (every shape in the paper's workflow is 1-D to 3-D):
+// Dims keeps its extents inline, so a chunk's placement costs no heap
+// allocation.
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <numeric>
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -17,7 +23,54 @@
 
 namespace bitio::bp {
 
-using Dims = std::vector<std::uint64_t>;
+/// Highest rank of a variable, its chunks and an openPMD extent.  A higher
+/// rank is rejected where it enters: UsageError when a Dims is built (so
+/// at every engine's put), FormatError when md.0 or an openPMD extent
+/// attribute declares one.
+inline constexpr std::size_t kMaxRank = 3;
+
+/// Extents of an array of rank <= kMaxRank, held inline: a trivially
+/// copyable 32-byte value with the slice of std::vector's surface the
+/// callers use (braced init, size, empty, [], begin/end, back, ==,
+/// push_back).
+class Dims {
+public:
+  constexpr Dims() = default;
+  constexpr Dims(std::initializer_list<std::uint64_t> extents) {
+    if (extents.size() > kMaxRank) throw_rank();
+    for (const std::uint64_t extent : extents) extents_[rank_++] = extent;
+  }
+
+  constexpr void push_back(std::uint64_t extent) {
+    if (rank_ == kMaxRank) throw_rank();
+    extents_[rank_++] = extent;
+  }
+
+  constexpr std::size_t size() const { return rank_; }
+  constexpr bool empty() const { return rank_ == 0; }
+  constexpr std::uint64_t operator[](std::size_t d) const {
+    return extents_[d];
+  }
+  constexpr std::uint64_t back() const { return extents_[rank_ - 1]; }
+  constexpr const std::uint64_t* begin() const { return extents_; }
+  constexpr const std::uint64_t* end() const { return extents_ + rank_; }
+
+  friend constexpr bool operator==(const Dims& a, const Dims& b) {
+    if (a.rank_ != b.rank_) return false;
+    for (std::size_t d = 0; d < a.rank_; ++d)
+      if (a.extents_[d] != b.extents_[d]) return false;
+    return true;
+  }
+
+private:
+  [[noreturn]] static void throw_rank() {
+    throw UsageError("bp: rank above kMaxRank (3)");
+  }
+
+  std::uint64_t extents_[kMaxRank] = {};
+  std::uint32_t rank_ = 0;
+};
+static_assert(sizeof(Dims) == 32 && std::is_trivially_copyable_v<Dims>);
 
 /// Gather strategies of the writer's aggregation path
 /// (EngineConfig::aggregation): "flat" ships every rank's bytes straight to

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <numeric>
 
 #include "util/binio.hpp"
@@ -162,30 +163,43 @@ void Writer::begin_step(std::uint64_t step) {
   current_step_ = step;
   attributes_.clear();
   step_vars_.clear();
+  last_var_ = 0;
   step_kind_ = 0;
 }
 
-void Writer::validate_put(int rank, const std::string& name, Datatype dtype,
-                          const Dims& shape, const Dims& offset,
-                          const Dims& count) {
+std::uint32_t Writer::validate_put(int rank, const std::string& name,
+                                   Datatype dtype, const Dims& shape,
+                                   const Dims& offset, const Dims& count,
+                                   int kind) {
   check_put(step_open_, rank, nranks_, name, shape, offset, count);
+  const std::size_t nvars = step_vars_.size();
+  std::size_t slot = nvars;
+  for (std::size_t i = 0; i < nvars; ++i) {
+    const std::size_t at = (last_var_ + i) % nvars;
+    if (step_vars_[at].name == name) {
+      slot = at;
+      break;
+    }
+  }
   // Shape/dtype agreement with earlier puts of the same variable this step.
-  auto [it, fresh] = step_vars_.try_emplace(name, dtype, shape);
-  if (!fresh && (it->second.first != dtype || it->second.second != shape))
+  if (slot < nvars && (step_vars_[slot].dtype != dtype ||
+                       step_vars_[slot].shape != shape))
     throw UsageError("bp::put: inconsistent shape/dtype for '" + name + "'");
+  if (step_kind_ != 0 && step_kind_ != kind)
+    throw UsageError("bp::put: cannot mix real and synthetic puts");
+  step_kind_ = kind;
+  if (slot == nvars) step_vars_.push_back({name, dtype, shape});
+  ++step_vars_[slot].puts;
+  last_var_ = slot;
+  return std::uint32_t(slot);
 }
 
 void Writer::put(int rank, const std::string& name, const Dims& shape,
                  const ChunkView& view) {
   util::MutexLock lock(mutex_);
-  validate_put(rank, name, view.dtype(), shape, view.offset(), view.count());
-  if (step_kind_ == 2)
-    throw UsageError("bp::put: cannot mix real and synthetic puts");
-  step_kind_ = 1;
   PendingChunk chunk;
-  chunk.var = name;
-  chunk.dtype = view.dtype();
-  chunk.shape = shape;
+  chunk.var = validate_put(rank, name, view.dtype(), shape, view.offset(),
+                           view.count(), /*kind=*/1);
   chunk.offset = view.offset();
   chunk.count = view.count();
   // Stage the payload in a recycled pool buffer: steady-state puts do no
@@ -200,14 +214,9 @@ void Writer::put(int rank, const std::string& name, const Dims& shape,
 void Writer::put_borrowed(int rank, const std::string& name,
                           const Dims& shape, const ChunkView& view) {
   util::MutexLock lock(mutex_);
-  validate_put(rank, name, view.dtype(), shape, view.offset(), view.count());
-  if (step_kind_ == 2)
-    throw UsageError("bp::put: cannot mix real and synthetic puts");
-  step_kind_ = 1;
   PendingChunk chunk;
-  chunk.var = name;
-  chunk.dtype = view.dtype();
-  chunk.shape = shape;
+  chunk.var = validate_put(rank, name, view.dtype(), shape, view.offset(),
+                           view.count(), /*kind=*/1);
   chunk.offset = view.offset();
   chunk.count = view.count();
   // No staging: the drain marshals straight from the caller's bytes (which
@@ -220,14 +229,9 @@ void Writer::put_synthetic(int rank, const std::string& name, Datatype dtype,
                            const Dims& shape, const Dims& offset,
                            const Dims& count) {
   util::MutexLock lock(mutex_);
-  validate_put(rank, name, dtype, shape, offset, count);
-  if (step_kind_ == 1)
-    throw UsageError("bp::put: cannot mix real and synthetic puts");
-  step_kind_ = 2;
   PendingChunk chunk;
-  chunk.var = name;
-  chunk.dtype = dtype;
-  chunk.shape = shape;
+  chunk.var =
+      validate_put(rank, name, dtype, shape, offset, count, /*kind=*/2);
   chunk.offset = offset;
   chunk.count = count;
   chunk.synthetic = true;
@@ -251,12 +255,20 @@ void Writer::end_step() {
     job.kind = step_kind_;
     job.attributes = std::move(attributes_);
     attributes_.clear();
+    job.vars = std::move(step_vars_);
+    step_vars_.clear();
     job.chunks = std::move(pending_);
     pending_ = decltype(pending_)(std::size_t(nranks_));
     ++steps_written_;
   }
   if (!config_.async_write) {
     drain_step(job);
+    // Hand the drained per-rank tables back emptied, so the next step's
+    // puts refill them without growing.  No put can land in between: the
+    // step is closed.
+    for (auto& chunks : job.chunks) chunks.clear();
+    util::MutexLock lock(mutex_);
+    pending_ = std::move(job.chunks);
     return;
   }
   {
@@ -277,9 +289,11 @@ void Writer::drain_step(const StepJob& job) {
   record.step = job.step;
   record.attributes = job.attributes;
 
-  // Variable table in first-seen order.
-  std::vector<std::string> var_order;
-  std::map<std::string, std::size_t> var_index;
+  // Record slot of each step variable, assigned in rank-major first-seen
+  // order (the order md.0 lists variables in).
+  constexpr std::size_t kUnseen = ~std::size_t(0);
+  std::vector<std::size_t> var_slot(job.vars.size(), kUnseen);
+  record.variables.reserve(job.vars.size());
 
   // Aggregation buffers (real payloads) and size counters (synthetic),
   // one per subfile.  Real steps draw the buffers from the pool — after
@@ -331,21 +345,24 @@ void Writer::drain_step(const StepJob& job) {
     double rank_crc_s = 0.0;
     std::uint64_t rank_stored = 0;  // this rank's marshalled bytes this step
     for (const auto& chunk : chunks) {
-      auto [it, fresh] = var_index.try_emplace(chunk.var, var_order.size());
-      if (fresh) {
-        var_order.push_back(chunk.var);
-        record.variables.push_back({chunk.var, chunk.dtype, chunk.shape,
+      const StepVar& step_var = job.vars[chunk.var];
+      std::size_t& slot = var_slot[chunk.var];
+      if (slot == kUnseen) {
+        slot = record.variables.size();
+        record.variables.push_back({step_var.name, step_var.dtype,
+                                    step_var.shape,
                                     codec_ ? codec_->name() : "", {}});
+        record.variables.back().chunks.reserve(step_var.puts);
       }
-      VarRecord& var = record.variables[it->second];
+      VarRecord& var = record.variables[slot];
 
       if (chunk.is_borrowed()) ++zero_copy_chunks_total_;
       ChunkRecord meta =
           chunk.synthetic
               ? synthetic_chunk(codec_.get(), config_.synthetic_codec_ratio,
-                                chunk.dtype, chunk.offset, chunk.count,
+                                step_var.dtype, chunk.offset, chunk.count,
                                 std::uint32_t(rank))
-              : marshal_chunk(codec_.get(), chunk.dtype, chunk.payload(),
+              : marshal_chunk(codec_.get(), step_var.dtype, chunk.payload(),
                               chunk.offset, chunk.count, std::uint32_t(rank),
                               *agg[std::size_t(a)]);
       meta.subfile = std::uint32_t(a);

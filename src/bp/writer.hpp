@@ -47,7 +47,6 @@
 #include <atomic>
 #include <deque>
 #include <exception>
-#include <map>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -181,10 +180,18 @@ public:
   std::unique_ptr<EngineReader> attach(fsim::ClientId client) override;
 
 private:
-  struct PendingChunk {
-    std::string var;
+  /// One variable of the open step: what every put of it must agree on,
+  /// and how many chunks it has (drain_step reserves its record from it).
+  struct StepVar {
+    std::string name;
     Datatype dtype;
-    Dims shape, offset, count;
+    Dims shape;
+    std::size_t puts = 0;
+  };
+
+  struct PendingChunk {
+    std::uint32_t var = 0;  // index into the step's variable table
+    Dims offset, count;
     cz::PooledBuffer data;  // empty for synthetic/borrowed chunks
     // Caller-owned bytes of a put_borrowed() chunk (valid until the step's
     // drain completes, per the deferred-Put contract).
@@ -204,6 +211,7 @@ private:
     std::uint64_t step = 0;
     int kind = 0;  // see step_kind_
     std::vector<std::pair<std::string, AttrValue>> attributes;
+    std::vector<StepVar> vars;  // in first-put order
     std::vector<std::vector<PendingChunk>> chunks;  // per rank
   };
 
@@ -227,10 +235,12 @@ private:
     std::uint64_t zero_copy_chunks = 0;
   };
 
-  /// check_put plus shape/dtype agreement with the step's earlier puts of
-  /// `name` (the per-variable map is the put hot path at scale).
-  void validate_put(int rank, const std::string& name, Datatype dtype,
-                    const Dims& shape, const Dims& offset, const Dims& count)
+  /// check_put, shape/dtype agreement with the step's earlier puts of
+  /// `name`, and no mixing of real (kind 1) and synthetic (kind 2) puts in
+  /// one step.  Counts the put and returns its variable's table index.
+  std::uint32_t validate_put(int rank, const std::string& name,
+                             Datatype dtype, const Dims& shape,
+                             const Dims& offset, const Dims& count, int kind)
       REQUIRES(mutex_);
   /// Resolve the configured topology preset (with the engine's
   /// ranks_per_node and any numa/nic overrides applied) into the writer's
@@ -281,9 +291,11 @@ private:
   std::vector<std::vector<PendingChunk>> pending_ GUARDED_BY(mutex_);
   std::vector<std::pair<std::string, AttrValue>> attributes_
       GUARDED_BY(mutex_);
-  // Shape/dtype seen per variable within the open step (put validation).
-  std::map<std::string, std::pair<Datatype, Dims>> step_vars_
-      GUARDED_BY(mutex_);
+  // The open step's variable table, in first-put order, and the slot of
+  // the last put's variable: puts come variable-major or rank-major, so
+  // the name lookup starting there hits at once or one slot on.
+  std::vector<StepVar> step_vars_ GUARDED_BY(mutex_);
+  std::size_t last_var_ GUARDED_BY(mutex_) = 0;
 
   // Open descriptors, one per subfile plus metadata files (rank-0 client).
   // NOT lock-protected: the descriptor/offset tables, the step index, and

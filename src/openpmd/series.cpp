@@ -35,8 +35,13 @@ std::string join_extent(const Extent& extent) {
 
 Extent parse_extent(const std::string& text) {
   Extent extent;
-  for (const auto& part : split_on(text, ','))
-    if (!part.empty()) extent.push_back(std::stoull(part));
+  for (const auto& part : split_on(text, ',')) {
+    if (part.empty()) continue;
+    if (extent.size() == bp::kMaxRank)
+      throw FormatError("openPMD: extent '" + text +
+                        "' has rank above kMaxRank (3)");
+    extent.push_back(std::stoull(part));
+  }
   return extent;
 }
 

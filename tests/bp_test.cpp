@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <type_traits>
 
 #include "bp/engine.hpp"
 #include "bp/reader.hpp"
@@ -22,6 +23,48 @@ std::vector<float> iota_floats(std::size_t n, float start = 0.f) {
   std::vector<float> v(n);
   std::iota(v.begin(), v.end(), start);
   return v;
+}
+
+// ------------------------------------------------------------------ dims ---
+
+TEST(BpDims, HoldsRanksZeroToThreeInline) {
+  static_assert(sizeof(Dims) == 32);
+  static_assert(std::is_trivially_copyable_v<Dims>);
+  const Dims ranks[] = {{}, {7}, {7, 8}, {7, 8, 9}};
+  for (std::size_t rank = 0; rank <= kMaxRank; ++rank) {
+    const Dims& d = ranks[rank];
+    EXPECT_EQ(d.size(), rank);
+    EXPECT_EQ(d.empty(), rank == 0);
+    for (std::size_t i = 0; i < rank; ++i) EXPECT_EQ(d[i], 7 + i);
+    if (rank > 0) {
+      EXPECT_EQ(d.back(), 6 + rank);
+    }
+    EXPECT_EQ(std::size_t(d.end() - d.begin()), rank);
+    const std::uint64_t elements[] = {1, 7, 56, 504};
+    EXPECT_EQ(element_count(d), elements[rank]);
+  }
+}
+
+TEST(BpDims, CopiesAndComparesByValue) {
+  Dims a{1, 2};
+  const Dims b = a;
+  EXPECT_EQ(a, b);
+  a.push_back(3);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(b, (Dims{1, 2}));
+  // Rank is part of the value: {1, 2} is not {1, 2, 0}.
+  EXPECT_NE((Dims{1, 2}), (Dims{1, 2, 0}));
+  EXPECT_EQ((Dims{}), Dims());
+  Dims grown;
+  for (const std::uint64_t extent : {1u, 2u, 3u}) grown.push_back(extent);
+  EXPECT_EQ(grown, a);
+}
+
+TEST(BpDims, RankAboveThreeIsUsageError) {
+  EXPECT_THROW((Dims{1, 2, 3, 4}), UsageError);
+  Dims full{1, 2, 3};
+  EXPECT_THROW(full.push_back(4), UsageError);
+  EXPECT_EQ(full, (Dims{1, 2, 3}));
 }
 
 // ---------------------------------------------------------------- format ---
@@ -98,6 +141,45 @@ TEST(BpGolden, StepBlockBytes) {
             "00000000010000000000000040000000000000000c000000000000000c000000"
             "00000000000000000000f0bf000000000000044001d4c3b2a101000000060000"
             "00756e6974534901000000000000f03f9ca9f285");
+}
+
+/// Every field the size pass counts: a 3-D variable, an operator name and
+/// one attribute of each kind.
+StepRecord golden_3d_step() {
+  StepRecord record;
+  record.step = 9;
+  ChunkRecord chunk;
+  chunk.offset = {0, 2, 4};
+  chunk.count = {2, 2, 4};
+  chunk.writer_rank = 3;
+  chunk.subfile = 1;
+  chunk.file_offset = 128;
+  chunk.stored_bytes = 40;
+  chunk.raw_bytes = 64;
+  chunk.stat_min = -0.5;
+  chunk.stat_max = 4.0;
+  chunk.crc32c = 0x01234567;
+  chunk.has_crc = true;
+  record.variables.push_back(
+      {"B/z", Datatype::float32, {2, 4, 8}, "blosc", {chunk}});
+  record.attributes.emplace_back("author", AttrValue(std::string("bitio")));
+  record.attributes.emplace_back("dt", AttrValue(0.25));
+  record.attributes.emplace_back("nranks", AttrValue(std::uint64_t(4)));
+  return record;
+}
+
+TEST(BpGolden, ThreeDimensionalStepWithEveryAttributeKind) {
+  const EncodedStep md = encode_step(golden_3d_step());
+  EXPECT_EQ(hex(md.bytes),
+            "3730444d09000000000000000100000003000000422f7a030300000002000000"
+            "000000000400000000000000080000000000000005000000626c6f7363010000"
+            "0003000000000000000000000002000000000000000400000000000000030000"
+            "0002000000000000000200000000000000040000000000000003000000010000"
+            "00800000000000000028000000000000004000000000000000000000000000e0"
+            "bf000000000000104001674523010300000006000000617574686f7200050000"
+            "00626974696f02000000647401000000000000d03f060000006e72616e6b7302"
+            "04000000000000009951d4a1");
+  EXPECT_EQ(encode_step(decode_step(md.bytes)).bytes, md.bytes);
 }
 
 TEST(BpGolden, OneDimensionalChunkRecordIs77Bytes) {
@@ -557,6 +639,26 @@ TEST(BpWriter, UsageErrors) {
   EXPECT_THROW(writer.begin_step(2), UsageError);  // closed
 }
 
+TEST(BpWriter, RankAboveThreeIsUsageErrorOnEveryEngine) {
+  for (const char* engine_name : {"bp4", "stream"}) {
+    SCOPED_TRACE(engine_name);
+    fsim::SharedFs fs(4);
+    auto engine = make_engine(engine_name, fs, std::string("r4.") + engine_name,
+                              EngineConfig{}, 1);
+    engine->begin_step(0);
+    const std::vector<float> one(1, 1.f);
+    EXPECT_THROW(engine->put_synthetic(0, "x", Datatype::float32, {1, 1, 1, 1},
+                                       {0, 0, 0, 0}, {1, 1, 1, 1}),
+                 UsageError);
+    EXPECT_THROW(engine->put<float>(0, "x", {1, 1, 1, 1}, {0, 0, 0, 0},
+                                    {1, 1, 1, 1}, one),
+                 UsageError);
+    engine->put<float>(0, "x", {1, 1, 1}, {0, 0, 0}, {1, 1, 1}, one);
+    engine->end_step();
+    engine->close();
+  }
+}
+
 TEST(BpReader, DetectsCorruptContainer) {
   fsim::SharedFs fs(4);
   {
@@ -842,6 +944,35 @@ TEST(BpHardening, RecordCountsBeyondTheBlockAreFormatError) {
   chunks.str("");           // operator
   chunks.u32(0xFFFFFFFFu);  // nchunks
   EXPECT_THROW(decode_step(sealed(std::move(chunks))), FormatError);
+}
+
+TEST(BpHardening, RankAboveThreeIsFormatError) {
+  // A CRC-valid block whose shape, offset or count declares rank 4.
+  const auto block = [](const std::vector<std::uint64_t>& shape,
+                        const std::vector<std::uint64_t>& offset) {
+    BinWriter writer;
+    writer.u32(kMdMagic);
+    writer.u64(0);  // step
+    writer.u32(1);  // nvars
+    writer.str("x");
+    writer.u8(std::uint8_t(Datatype::float32));
+    writer.dims(shape);
+    writer.str("");  // operator
+    writer.u32(1);   // nchunks
+    writer.dims(offset);
+    writer.dims(std::vector<std::uint64_t>(offset.size(), 1));  // count
+    writer.u32(0);  // writer rank
+    writer.u32(0);  // subfile
+    for (int i = 0; i < 5; ++i) writer.u64(0);  // offset, sizes, min, max
+    writer.u8(0);   // has_crc
+    writer.u32(0);  // crc
+    writer.u32(0);  // nattrs
+    writer.u32(crc32c(writer.buffer()));
+    return writer.take();
+  };
+  EXPECT_NO_THROW(decode_step(block({2, 2, 2}, {0, 0, 0})));
+  EXPECT_THROW(decode_step(block({2, 2, 2, 2}, {0, 0, 0, 0})), FormatError);
+  EXPECT_THROW(decode_step(block({2, 2, 2}, {0, 0, 0, 0})), FormatError);
 }
 
 TEST(BpHardening, Md06BlockIsRejected) {

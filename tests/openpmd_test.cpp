@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "bp/engine.hpp"
 #include "openpmd/series.hpp"
 #include "smpi/comm.hpp"
 #include "util/error.hpp"
@@ -103,6 +104,35 @@ INSTANTIATE_TEST_SUITE_P(Backends, OpenPmdBackends,
                          [](const auto& info) {
                            return std::string(info.param);
                          });
+
+TEST(OpenPmd, StoredExtentAboveRankThreeIsFormatError) {
+  // A constant record's extent lives in a "1,2,3"-style attribute; one
+  // past bp::kMaxRank is corrupt metadata, rejected when the iteration is
+  // opened.
+  for (const char* extent : {"1,2,3", "1,2,3,4"}) {
+    SCOPED_TRACE(extent);
+    SharedFs fs(4);
+    const std::string path = "particles/e/positionOffset/x";
+    {
+      auto engine = bp::make_engine("bp4", fs, "c.bp4", bp::EngineConfig{}, 1);
+      engine->begin_step(0);
+      engine->add_attribute("__constants", AttrValue(path + ";"));
+      engine->add_attribute(path + "/value", AttrValue(0.25));
+      engine->add_attribute(path + "/shape", AttrValue(std::string(extent)));
+      engine->end_step();
+      engine->close();
+    }
+    Series series(fs, "c.bp4", Access::read_only);
+    if (std::string(extent) == "1,2,3") {
+      EXPECT_EQ(series.read_iteration(0)
+                    .particles("e")["positionOffset"]["x"]
+                    .extent(),
+                (Extent{1, 2, 3}));
+    } else {
+      EXPECT_THROW(series.read_iteration(0), FormatError);
+    }
+  }
+}
 
 TEST(OpenPmd, BackendSelectionByExtension) {
   SharedFs fs(4);
