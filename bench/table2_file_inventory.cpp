@@ -46,8 +46,9 @@ int main() {
   std::vector<core::EpochResult> original, node_agg, one_agg, blosc_agg;
   for (int nodes : kPaperNodeCounts) {
     const auto spec = core::ScaleSpec::table2(nodes);
-    // Census only: no timing replay (a 200-dump trace at 200 nodes would
-    // not fit in memory, and Table II reports sizes, not seconds).
+    // Census only: no timing replay.  Table II reports sizes, not seconds,
+    // and the original-I/O trace of 200 dumps at 200 nodes is 30.8M
+    // 48-byte records (1.4 GiB; Fig 5 replays one at a 1.8 GiB peak RSS).
     original.push_back(core::run_original_epoch(profile, spec, false));
     node_agg.push_back(
         core::run_openpmd_epoch(profile, spec, openpmd_config(0), false));

@@ -13,6 +13,16 @@ namespace bitio::bp {
 
 namespace {
 
+/// Byte size of `var`'s whole global array; FormatError when it overflows
+/// uint64.
+std::uint64_t shape_bytes(const VarRecord& var) {
+  std::uint64_t bytes = dtype_size(var.dtype);
+  for (const std::uint64_t extent : var.shape)
+    if (__builtin_mul_overflow(bytes, extent, &bytes))
+      throw FormatError("bp: shape of '" + var.name + "' overflows");
+  return bytes;
+}
+
 std::size_t str_bytes(const std::string& s) { return 4 + s.size(); }
 std::size_t dims_bytes(const Dims& d) { return 4 + 8 * d.size(); }
 
@@ -239,10 +249,7 @@ StepRecord decode_step(std::span<const std::uint8_t> data) {
     var.shape = read_dims(reader);
     // Readers allocate the whole global array, so its byte size must not
     // wrap.
-    std::uint64_t var_bytes = dtype_size(var.dtype);
-    for (const std::uint64_t extent : var.shape)
-      if (__builtin_mul_overflow(var_bytes, extent, &var_bytes))
-        throw FormatError("bp: shape of '" + var.name + "' overflows");
+    (void)shape_bytes(var);
     // Every read decodes through the operator named here, so a name no
     // codec answers to is corrupt metadata, rejected before any read.
     var.operator_name = reader.str();
@@ -411,6 +418,16 @@ ChunkRecord synthetic_chunk(const cz::Codec* codec, double codec_ratio,
       codec ? std::uint64_t(double(meta.raw_bytes) * codec_ratio)
             : meta.raw_bytes;
   return meta;
+}
+
+std::size_t array_bytes(const VarRecord& var) {
+  constexpr std::uint64_t kMaxArrayBytes = std::uint64_t(1) << 48;
+  const std::uint64_t bytes = shape_bytes(var);
+  if (bytes > kMaxArrayBytes)
+    throw FormatError("bp: shape of '" + var.name + "' needs " +
+                      std::to_string(bytes) +
+                      " bytes, more than a reader can allocate");
+  return std::size_t(bytes);
 }
 
 std::vector<std::uint8_t> decode_chunk(const VarRecord& var,

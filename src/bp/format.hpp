@@ -130,6 +130,13 @@ ChunkRecord synthetic_chunk(const cz::Codec* codec, double codec_ratio,
                             Datatype dtype, Dims offset, Dims count,
                             std::uint32_t writer_rank);
 
+/// Byte size of `var`'s whole global array, which Reader::read and
+/// decode_stream_variable check before they allocate it.  Throws
+/// FormatError when the size overflows uint64 or passes 2^48 bytes, more
+/// than any one process on a 64-bit host can address: a CRC-valid shape
+/// no reader could back never surfaces as std::bad_alloc.
+std::size_t array_bytes(const VarRecord& var);
+
 /// Check and decode one chunk of `var` from its stored bytes: the CRC32C
 /// (when the record carries one), the undo of the variable's operator
 /// (cz::decompress_frame dispatches on the frame magic, and rejects a frame

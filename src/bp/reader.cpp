@@ -156,7 +156,7 @@ std::vector<std::uint8_t> Reader::fetch_chunk(fsim::FsClient& io,
   std::vector<std::uint8_t> raw = decode_chunk(
       var, chunk, std::move(*stored), "'" + var.name + "' in " + subfile);
   if (decode_bps > 0.0)
-    io.charge_cpu(double(raw.size()) / decode_bps, "decompress");
+    io.charge_cpu(double(raw.size()) / decode_bps, fsim::TraceTag::decompress);
   return raw;
 }
 
@@ -167,7 +167,7 @@ std::vector<std::uint8_t> Reader::read(std::uint64_t step,
     throw UsageError("bp::Reader: no variable '" + name + "' in step " +
                      std::to_string(step));
   const std::size_t elem = dtype_size(var->dtype);
-  std::vector<std::uint8_t> out(element_count(var->shape) * elem, 0);
+  std::vector<std::uint8_t> out(array_bytes(*var), 0);
 
   fsim::FsClient io(fs_, client_);
   const double decode_bps = decompress_speed_bps(*var);

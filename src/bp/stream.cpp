@@ -19,7 +19,7 @@ std::vector<std::uint8_t> decode_stream_variable(const StreamStep& step,
   const auto& payloads =
       step.payload.at(std::size_t(var - step.record.variables.data()));
   const std::size_t elem = dtype_size(var->dtype);
-  std::vector<std::uint8_t> out(element_count(var->shape) * elem, 0);
+  std::vector<std::uint8_t> out(array_bytes(*var), 0);
   const std::string where =
       "'" + name + "' in step " + std::to_string(step.record.step);
   for (std::size_t c = 0; c < var->chunks.size(); ++c) {
@@ -276,9 +276,11 @@ void StreamEngine::put(int rank, const std::string& name, const Dims& shape,
     const double compress_s =
         compress_cpu_seconds(*codec_, meta.raw_bytes, config_.compress_threads,
                              config_.compress_block_kb);
-    if (compress_s > 0.0) client.charge_cpu(compress_s, "compress");
+    if (compress_s > 0.0)
+      client.charge_cpu(compress_s, fsim::TraceTag::compress);
   }
-  client.charge_cpu(double(meta.stored_bytes) / kCrcBandwidthBps, "crc32c");
+  client.charge_cpu(double(meta.stored_bytes) / kCrcBandwidthBps,
+                    fsim::TraceTag::crc32c);
   var.record.chunks.push_back(std::move(meta));
   var.payload.push_back(std::move(stored));
 }
@@ -416,7 +418,8 @@ std::vector<std::uint8_t> StreamConsumer::get(const std::string& name) {
   fsim::FsClient io(fs_, client_);
   for (const auto& chunk : var->chunks)
     if (chunk.raw_bytes > 0)
-      io.charge_cpu(double(chunk.raw_bytes) / decode_bps, "decompress");
+      io.charge_cpu(double(chunk.raw_bytes) / decode_bps,
+                    fsim::TraceTag::decompress);
   return out;
 }
 

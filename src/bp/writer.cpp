@@ -437,9 +437,11 @@ void Writer::drain_step(const StepJob& job) {
       lane_crc[std::size_t(a)] += rank_crc_s;
     } else {
       if (rank_compress_s > 0.0)
-        client.charge_cpu(rank_compress_s, "compress");
-      if (rank_memcopy_s > 0.0) client.charge_cpu(rank_memcopy_s, "memcopy");
-      if (rank_crc_s > 0.0) client.charge_cpu(rank_crc_s, "crc32c");
+        client.charge_cpu(rank_compress_s, fsim::TraceTag::compress);
+      if (rank_memcopy_s > 0.0)
+        client.charge_cpu(rank_memcopy_s, fsim::TraceTag::memcopy);
+      if (rank_crc_s > 0.0)
+        client.charge_cpu(rank_crc_s, fsim::TraceTag::crc32c);
     }
   }
 
@@ -471,11 +473,13 @@ void Writer::drain_step(const StepJob& job) {
                           async ? kDataLane : 0);
     if (async) {
       if (lane_compress[std::size_t(a)] > 0.0)
-        client.charge_cpu(lane_compress[std::size_t(a)], "compress");
+        client.charge_cpu(lane_compress[std::size_t(a)],
+                          fsim::TraceTag::compress);
       if (lane_memcopy[std::size_t(a)] > 0.0)
-        client.charge_cpu(lane_memcopy[std::size_t(a)], "memcopy");
+        client.charge_cpu(lane_memcopy[std::size_t(a)],
+                          fsim::TraceTag::memcopy);
       if (lane_crc[std::size_t(a)] > 0.0)
-        client.charge_cpu(lane_crc[std::size_t(a)], "crc32c");
+        client.charge_cpu(lane_crc[std::size_t(a)], fsim::TraceTag::crc32c);
     }
     if (bytes == 0) continue;
     touch_heartbeat();

@@ -1,6 +1,8 @@
 #include "core/workload.hpp"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "bp/engine.hpp"
 #include "util/error.hpp"
@@ -112,30 +114,35 @@ EpochResult run_original_epoch(const fsim::SystemProfile& profile,
 
   // Diagnostic dumps: every rank re-opens and appends its two .dat files
   // in stdio-sized synchronous records; rank 0 appends four history files.
+  // Each rank's paths are spelled once, not once per dump.
+  std::vector<std::string> dat_paths;
+  dat_paths.reserve(2 * std::size_t(ranks));
+  for (int r = 0; r < ranks; ++r)
+    for (const char* stem : {"slow_", "slow1_"})
+      dat_paths.push_back(dir + "/" + stem + std::to_string(r) + ".dat");
+  std::vector<std::string> history_paths;
+  for (const char* name :
+       {"history.dat", "energy.dat", "pwall.dat", "iondiag.dat"})
+    history_paths.push_back(dir + "/" + name);
   for (int dump = 0; dump < spec.dat_dumps; ++dump) {
+    const auto mode =
+        dump == 0 ? fsim::OpenMode::create : fsim::OpenMode::append;
     for (int r = 0; r < ranks; ++r) {
       fsim::FsClient client(fs, fsim::ClientId(r));
       const std::uint64_t bytes = spec.diag_bytes_for_rank(r);
       const std::uint64_t slow = bytes * 3 / 5;   // profiles + VDFs
       const std::uint64_t slow1 = bytes - slow;   // collision diagnostics
-      for (const auto& [stem, n] :
-           {std::pair<const char*, std::uint64_t>{"slow_", slow},
-            std::pair<const char*, std::uint64_t>{"slow1_", slow1}}) {
-        const std::string path =
-            dir + "/" + stem + std::to_string(r) + ".dat";
-        const int fd = client.open(path, dump == 0
-                                             ? fsim::OpenMode::create
-                                             : fsim::OpenMode::append);
+      const std::uint64_t file_bytes[2] = {slow, slow1};
+      for (std::size_t k = 0; k < 2; ++k) {
+        const std::uint64_t n = file_bytes[k];
+        const int fd = client.open(dat_paths[2 * std::size_t(r) + k], mode);
         client.write_simulated(fd, n, record_count(n, kStdioRecord));
         client.close(fd);
       }
     }
     fsim::FsClient root(fs, 0);
-    for (const char* name :
-         {"history.dat", "energy.dat", "pwall.dat", "iondiag.dat"}) {
-      const std::string path = dir + "/" + std::string(name);
-      const int fd = root.open(path, dump == 0 ? fsim::OpenMode::create
-                                               : fsim::OpenMode::append);
+    for (const std::string& path : history_paths) {
+      const int fd = root.open(path, mode);
       root.write_simulated(fd, 128, 1);
       root.close(fd);
     }

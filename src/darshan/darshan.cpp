@@ -382,8 +382,8 @@ DarshanLog capture(const fsim::SharedFs& fs, const fsim::ReplayReport& replay,
         break;
       case OpKind::xfer:
         // Two-level aggregation gather feeding this file; the tag names
-        // the level (fsim::kShmGatherTag / kNetGatherTag).
-        if (op.tag == fsim::kShmGatherTag) {
+        // the level (TraceTag::shm_gather / net_gather).
+        if (op.tag == fsim::TraceTag::shm_gather) {
           r.shm_gathers += op.op_count;
           r.shm_gather_bytes += op.bytes;
         } else {
@@ -408,7 +408,7 @@ DarshanLog capture(const fsim::SharedFs& fs, const fsim::ReplayReport& replay,
         r.max_write_size = std::max(r.max_write_size, op.bytes);
         if (op.op_count >= 2) r.coalesced_bytes += op.bytes;
         const auto key = std::make_pair(op.client, op.lane);
-        if (op.tag == fsim::kBatchDoorbellTag) {
+        if (op.tag == fsim::TraceTag::doorbell) {
           r.batches_submitted += 1;
           if (const auto it = open_batches.find(key);
               it != open_batches.end() && it->second > 0)

@@ -77,8 +77,8 @@ struct FileRecord {
   std::uint64_t faults_injected = 0;
   // Per-level gather counters of the two-level aggregation path:
   // OpKind::xfer transfers feeding this file, split by gather level —
-  // in-node shared-memory hops (fsim::kShmGatherTag) vs inter-node NIC
-  // hops (kNetGatherTag).  Zero for flat aggregation.
+  // in-node shared-memory hops (fsim::TraceTag::shm_gather) vs inter-node
+  // NIC hops (TraceTag::net_gather).  Zero for flat aggregation.
   std::uint64_t shm_gathers = 0;
   std::uint64_t net_gathers = 0;
   std::uint64_t shm_gather_bytes = 0;

@@ -39,6 +39,51 @@ std::string base_name(const std::string& path) {
   return parts.back();
 }
 
+namespace {
+
+/// Pops the next component off the front of `rest` as a view into it;
+/// empty once none is left.  Leading, trailing and repeated '/' are
+/// skipped, like split_path.
+std::string_view next_component(std::string_view& rest) {
+  const std::size_t begin = rest.find_first_not_of('/');
+  if (begin == std::string_view::npos) {
+    rest = {};
+    return {};
+  }
+  rest.remove_prefix(begin);
+  const std::string_view part = rest.substr(0, rest.find('/'));
+  rest.remove_prefix(part.size());
+  return part;
+}
+
+/// The path index's key: the components joined with single '/'.
+std::string canonical_path(std::string_view path) {
+  std::string out;
+  out.reserve(path.size());
+  for (auto part = next_component(path); !part.empty();
+       part = next_component(path)) {
+    if (!out.empty()) out += '/';
+    out += part;
+  }
+  return out;
+}
+
+/// Parent directory and last component of a file path, as views into it.
+struct SplitPath {
+  std::string_view parent;
+  std::string_view name;
+};
+
+SplitPath split_file_path(std::string_view path) {
+  while (!path.empty() && path.back() == '/') path.remove_suffix(1);
+  if (path.empty()) throw UsageError("base_name: empty path");
+  const std::size_t slash = path.rfind('/');
+  if (slash == std::string_view::npos) return {{}, path};
+  return {path.substr(0, slash), path.substr(slash + 1)};
+}
+
+}  // namespace
+
 ObjectStore::ObjectStore(int ost_count, bool store_data,
                          StripeSettings default_stripe)
     : ost_count_(ost_count), store_data_(store_data) {
@@ -48,36 +93,41 @@ ObjectStore::ObjectStore(int ost_count, bool store_data,
   root_.has_explicit_stripe = true;
 }
 
-DirNode& ObjectStore::mkdirs(const std::string& path) {
+DirNode& ObjectStore::mkdirs(std::string_view path) {
   DirNode* node = &root_;
-  std::string so_far;
-  for (const auto& part : split_path(path)) {
-    so_far = so_far.empty() ? part : so_far + "/" + part;
-    if (node->files.count(part))
-      throw IoError("mkdirs: '" + so_far + "' is a file");
-    auto& slot = node->dirs[part];
-    if (!slot) {
-      slot = std::make_unique<DirNode>();
-      slot->path = so_far;
-      // Inherit striping from the parent, Lustre-style.
-      slot->default_stripe = node->default_stripe;
+  for (auto part = next_component(path); !part.empty();
+       part = next_component(path)) {
+    if (const auto it = node->dirs.find(part); it != node->dirs.end()) {
+      node = it->second.get();
+      continue;
     }
-    node = slot.get();
+    std::string sub_path =
+        node->path.empty() ? std::string(part)
+                           : node->path + "/" + std::string(part);
+    if (node->files.find(part) != node->files.end())
+      throw IoError("mkdirs: '" + sub_path + "' is a file");
+    auto sub = std::make_unique<DirNode>();
+    sub->path = std::move(sub_path);
+    // Inherit striping from the parent, Lustre-style.
+    sub->default_stripe = node->default_stripe;
+    node = node->dirs.emplace(std::string(part), std::move(sub))
+               .first->second.get();
   }
   return *node;
 }
 
-const DirNode* ObjectStore::find_dir(const std::string& path) const {
+const DirNode* ObjectStore::find_dir(std::string_view path) const {
   const DirNode* node = &root_;
-  for (const auto& part : split_path(path)) {
-    auto it = node->dirs.find(part);
+  for (auto part = next_component(path); !part.empty();
+       part = next_component(path)) {
+    const auto it = node->dirs.find(part);
     if (it == node->dirs.end()) return nullptr;
     node = it->second.get();
   }
   return node;
 }
 
-DirNode* ObjectStore::find_dir(const std::string& path) {
+DirNode* ObjectStore::find_dir(std::string_view path) {
   return const_cast<DirNode*>(
       static_cast<const ObjectStore*>(this)->find_dir(path));
 }
@@ -87,8 +137,7 @@ bool ObjectStore::dir_exists(const std::string& path) const {
 }
 
 bool ObjectStore::file_exists(const std::string& path) const {
-  const DirNode* dir = find_dir(parent_path(path));
-  return dir && dir->files.count(base_name(path)) > 0;
+  return find_file(path) != nullptr;
 }
 
 void ObjectStore::set_dir_stripe(const std::string& path,
@@ -127,31 +176,45 @@ StripeLayout ObjectStore::make_layout(StripeSettings settings) {
 
 FileNode& ObjectStore::create_file(
     const std::string& path, std::optional<StripeSettings> stripe_override) {
-  const std::string parent = parent_path(path);
+  const auto [parent, name] = split_file_path(path);
   DirNode& dir = mkdirs(parent);
-  const std::string name = base_name(path);
-  if (dir.files.count(name))
+  if (dir.files.find(name) != dir.files.end())
     throw IoError("create_file: '" + path + "' exists");
-  if (dir.dirs.count(name))
+  if (dir.dirs.find(name) != dir.dirs.end())
     throw IoError("create_file: '" + path + "' is a directory");
+  if (files_.size() >= std::size_t(kNoFile))
+    throw IoError("create_file: the store is out of file ids");
 
   auto node = std::make_unique<FileNode>();
-  node->id = files_.size();
+  node->id = FileId(files_.size());
   node->path = path;
   node->layout =
       make_layout(stripe_override ? *stripe_override : dir.default_stripe);
   node->create_order = next_create_order_++;
-  dir.files[name] = node->id;
+  dir.files.emplace(std::string(name), node->id);
+  path_index_.emplace(canonical_path(path), node->id);
   files_.push_back(std::move(node));
   return *files_.back();
 }
 
+const FileNode* ObjectStore::find_file(const std::string& path) const {
+  if (const auto it = path_index_.find(path); it != path_index_.end())
+    return files_[it->second].get();
+  // A miss: no such file, or a path spelled with extra slashes.
+  const std::string key = canonical_path(path);
+  if (key.empty()) throw UsageError("base_name: empty path");
+  if (key == path) return nullptr;
+  const auto it = path_index_.find(key);
+  return it == path_index_.end() ? nullptr : files_[it->second].get();
+}
+
+FileNode* ObjectStore::find_file(const std::string& path) {
+  return const_cast<FileNode*>(
+      static_cast<const ObjectStore*>(this)->find_file(path));
+}
+
 FileNode& ObjectStore::file(const std::string& path) {
-  DirNode* dir = find_dir(parent_path(path));
-  if (dir) {
-    auto it = dir->files.find(base_name(path));
-    if (it != dir->files.end()) return *files_[it->second];
-  }
+  if (FileNode* node = find_file(path)) return *node;
   throw IoError("file: no such file '" + path + "'");
 }
 
@@ -170,29 +233,35 @@ const FileNode& ObjectStore::file_by_id(FileId id) const {
 }
 
 void ObjectStore::unlink(const std::string& path) {
-  DirNode* dir = find_dir(parent_path(path));
+  const auto [parent, name] = split_file_path(path);
+  DirNode* dir = find_dir(parent);
   if (!dir) throw IoError("unlink: no such file '" + path + "'");
-  auto it = dir->files.find(base_name(path));
+  auto it = dir->files.find(name);
   if (it == dir->files.end())
     throw IoError("unlink: no such file '" + path + "'");
   // The FileNode stays alive (only the namespace entry goes away) so that
   // trace replay can still resolve layouts of files written before unlink.
   dir->files.erase(it);
+  path_index_.erase(canonical_path(path));
 }
 
 void ObjectStore::rename(const std::string& from, const std::string& to) {
-  DirNode* src_dir = find_dir(parent_path(from));
+  const auto [src_parent, src_name] = split_file_path(from);
+  DirNode* src_dir = find_dir(src_parent);
   if (!src_dir) throw IoError("rename: no such file '" + from + "'");
-  auto src = src_dir->files.find(base_name(from));
+  auto src = src_dir->files.find(src_name);
   if (src == src_dir->files.end())
     throw IoError("rename: no such file '" + from + "'");
   const FileId id = src->second;
-  DirNode& dst_dir = mkdirs(parent_path(to));
-  const std::string dst_name = base_name(to);
-  if (dst_dir.dirs.count(dst_name))
+  const auto [dst_parent, dst_name] = split_file_path(to);
+  DirNode& dst_dir = mkdirs(dst_parent);
+  if (dst_dir.dirs.find(dst_name) != dst_dir.dirs.end())
     throw IoError("rename: '" + to + "' is a directory");
   src_dir->files.erase(src);
-  dst_dir.files[dst_name] = id;  // replaces any existing entry, like POSIX
+  // Replaces any existing entry, like POSIX.
+  dst_dir.files.insert_or_assign(std::string(dst_name), id);
+  path_index_.erase(canonical_path(from));
+  path_index_.insert_or_assign(canonical_path(to), id);
   files_[id]->path = to;
 }
 

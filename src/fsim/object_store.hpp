@@ -9,10 +9,13 @@
 // the operation trace against a queueing model.
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "fsim/types.hpp"
@@ -39,8 +42,8 @@ struct DirNode {
   std::string path;
   StripeSettings default_stripe;    // inherited by files created inside
   bool has_explicit_stripe = false;
-  std::map<std::string, std::unique_ptr<DirNode>> dirs;
-  std::map<std::string, FileId> files;
+  std::map<std::string, std::unique_ptr<DirNode>, std::less<>> dirs;
+  std::map<std::string, FileId, std::less<>> files;
 };
 
 /// The shared store.  Not thread-safe by itself; PosixFs serializes access.
@@ -56,7 +59,7 @@ public:
 
   // -- namespace operations ------------------------------------------------
   /// Create directories along the path (mkdir -p).  Returns the leaf.
-  DirNode& mkdirs(const std::string& path);
+  DirNode& mkdirs(std::string_view path);
   bool dir_exists(const std::string& path) const;
   bool file_exists(const std::string& path) const;
 
@@ -66,15 +69,23 @@ public:
 
   /// Create a file (parent directories are created implicitly, matching the
   /// behaviour of the real code which mkdir-s its output tree up front).
-  /// `stripe_override` beats the directory default.  Fails if it exists.
+  /// `stripe_override` beats the directory default.  Fails if it exists,
+  /// or if the store already holds kNoFile files.
   FileNode& create_file(const std::string& path,
                         std::optional<StripeSettings> stripe_override = {});
 
+  /// Lookup: one probe of the path index when `path` is spelled the way
+  /// the index keys it ("a/b/c"); other spellings ("/a//b/c") are
+  /// normalized on the miss.  nullptr if there is no such file.
+  FileNode* find_file(const std::string& path);
+  const FileNode* find_file(const std::string& path) const;
   /// Lookup; throws IoError if missing.
   FileNode& file(const std::string& path);
   const FileNode& file(const std::string& path) const;
   FileNode& file_by_id(FileId id);
   const FileNode& file_by_id(FileId id) const;
+  /// Files ever created, unlinked ones included: ids run 0..file_count()-1.
+  std::size_t file_count() const { return files_.size(); }
 
   void unlink(const std::string& path);
 
@@ -98,14 +109,18 @@ public:
   void truncate(FileNode& node, std::uint64_t size);
 
 private:
-  const DirNode* find_dir(const std::string& path) const;
-  DirNode* find_dir(const std::string& path);
+  const DirNode* find_dir(std::string_view path) const;
+  DirNode* find_dir(std::string_view path);
   StripeLayout make_layout(StripeSettings settings);
 
   int ost_count_;
   bool store_data_;
   DirNode root_;
   std::vector<std::unique_ptr<FileNode>> files_;  // index == FileId
+  // Every file in the namespace, keyed by its path's components joined
+  // with single '/'.  Kept in step with the tree by create_file, unlink
+  // and rename; the tree still answers directory queries and listings.
+  std::unordered_map<std::string, FileId> path_index_;
   std::uint64_t next_create_order_ = 0;
   std::uint64_t next_object_id_ = 0x11b00000;  // cosmetic, Listing-1 style
   int next_ost_ = 0;                           // round-robin base allocation

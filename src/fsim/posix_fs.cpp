@@ -9,7 +9,7 @@ SharedFs::SharedFs(int ost_count, bool store_data,
                    StripeSettings default_stripe)
     : store_(ost_count, store_data, default_stripe) {}
 
-void SharedFs::append_op(TraceOp op) {
+void SharedFs::append_op(const TraceOp& op) {
   if (!tracing_) return;
   // Coalesce a sequential write with the immediately preceding one from the
   // same client and file.  Faulted ops are never coalesced so each injection
@@ -25,7 +25,7 @@ void SharedFs::append_op(TraceOp op) {
       return;
     }
   }
-  trace_.push_back(std::move(op));
+  trace_.push_back(op);
 }
 
 void SharedFs::set_fault_plan(FaultPlan plan) {
@@ -99,7 +99,7 @@ std::uint64_t SharedFs::traced_bytes_read() const {
 void FsClient::mkdir(const std::string& path) {
   std::lock_guard<std::mutex> lock(fs_->mutex_);
   fs_->store_.mkdirs(path);
-  fs_->append_op({client_, OpKind::mkdir, kNoFile, 0, 0, 1, 0.0, {}, lane_});
+  fs_->append_op({.client = client_, .lane = lane_, .kind = OpKind::mkdir});
 }
 
 void FsClient::setstripe(const std::string& dir, StripeSettings settings) {
@@ -138,7 +138,8 @@ bool FsClient::exists(const std::string& path) const {
 std::uint64_t FsClient::stat_size(const std::string& path) {
   std::lock_guard<std::mutex> lock(fs_->mutex_);
   const FileNode& node = fs_->store_.file(path);
-  fs_->append_op({client_, OpKind::stat, node.id, 0, 0, 1, 0.0, {}, lane_});
+  fs_->append_op({.client = client_, .file = node.id, .lane = lane_,
+                  .kind = OpKind::stat});
   return node.size;
 }
 
@@ -146,14 +147,16 @@ void FsClient::unlink(const std::string& path) {
   std::lock_guard<std::mutex> lock(fs_->mutex_);
   const FileId id = fs_->store_.file(path).id;
   fs_->store_.unlink(path);
-  fs_->append_op({client_, OpKind::unlink, id, 0, 0, 1, 0.0, {}, lane_});
+  fs_->append_op({.client = client_, .file = id, .lane = lane_,
+                  .kind = OpKind::unlink});
 }
 
 void FsClient::rename(const std::string& from, const std::string& to) {
   std::lock_guard<std::mutex> lock(fs_->mutex_);
   const FileId id = fs_->store_.file(from).id;
   fs_->store_.rename(from, to);
-  fs_->append_op({client_, OpKind::rename, id, 0, 0, 1, 0.0, {}, lane_});
+  fs_->append_op({.client = client_, .file = id, .lane = lane_,
+                  .kind = OpKind::rename});
 }
 
 int FsClient::open(const std::string& path, OpenMode mode) {
@@ -166,8 +169,8 @@ int FsClient::open(const std::string& path, OpenMode mode) {
       meta = OpKind::create;
       break;
     case OpenMode::create_or_truncate:
-      if (fs_->store_.file_exists(path)) {
-        node = &fs_->store_.file(path);
+      node = fs_->store_.find_file(path);
+      if (node) {
         fs_->store_.truncate(*node, 0);
         meta = OpKind::open;
       } else {
@@ -187,9 +190,16 @@ int FsClient::open(const std::string& path, OpenMode mode) {
   desc.position = mode == OpenMode::append ? node->size : 0;
   desc.writable = mode != OpenMode::read;
   desc.open = true;
-  fs_->append_op({client_, meta, node->id, 0, 0, 1, 0.0, {}, lane_});
-  fs_->fds_.push_back(desc);
-  return int(fs_->fds_.size() - 1);
+  fs_->append_op({.client = client_, .file = node->id, .lane = lane_,
+                  .kind = meta});
+  if (fs_->closed_fds_.empty()) {
+    fs_->fds_.push_back(desc);
+    return int(fs_->fds_.size() - 1);
+  }
+  const int fd = fs_->closed_fds_.top();
+  fs_->closed_fds_.pop();
+  fs_->fds_[std::size_t(fd)] = desc;
+  return fd;
 }
 
 namespace {
@@ -222,13 +232,15 @@ void FsClient::write(int fd, std::span<const std::uint8_t> data) {
   FileNode& node = fs_->store_.file_by_id(desc.file);
   const FaultKind fault = fs_->next_write_fault(node, client_, data.size());
   if (fault == FaultKind::eio || fault == FaultKind::enospc) {
-    fs_->append_op({client_, OpKind::write, desc.file, desc.position, 0, 1,
-                    0.0, {}, lane_, fault});
+    fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
+                    .kind = OpKind::write, .fault = fault,
+                    .offset = desc.position});
     throw_injected("write", fault, node.path);
   }
   if (fault == FaultKind::stall) {
-    fs_->append_op({client_, OpKind::write, desc.file, desc.position, 0, 1,
-                    0.0, {}, lane_, fault});
+    fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
+                    .kind = OpKind::write, .fault = fault,
+                    .offset = desc.position});
     fs_->stall_write(lock, "write", node.path);
   }
   std::uint64_t persist = data.size();
@@ -242,8 +254,9 @@ void FsClient::write(int fd, std::span<const std::uint8_t> data) {
         fs_->fault_plan_->injected_count(), data.size());
     node.data[desc.position + bit / 8] ^= std::uint8_t(1u << (bit % 8));
   }
-  fs_->append_op({client_, OpKind::write, desc.file, desc.position, persist,
-                  1, 0.0, {}, lane_, fault});
+  fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
+                  .kind = OpKind::write, .fault = fault,
+                  .offset = desc.position, .bytes = persist});
   // The caller saw a successful full write (torn tails are a *silent*
   // failure, discovered only on verification).
   desc.position += data.size();
@@ -257,13 +270,13 @@ void FsClient::pwrite(int fd, std::uint64_t offset,
   FileNode& node = fs_->store_.file_by_id(desc.file);
   const FaultKind fault = fs_->next_write_fault(node, client_, data.size());
   if (fault == FaultKind::eio || fault == FaultKind::enospc) {
-    fs_->append_op(
-        {client_, OpKind::write, desc.file, offset, 0, 1, 0.0, {}, lane_, fault});
+    fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
+                    .kind = OpKind::write, .fault = fault, .offset = offset});
     throw_injected("pwrite", fault, node.path);
   }
   if (fault == FaultKind::stall) {
-    fs_->append_op(
-        {client_, OpKind::write, desc.file, offset, 0, 1, 0.0, {}, lane_, fault});
+    fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
+                    .kind = OpKind::write, .fault = fault, .offset = offset});
     fs_->stall_write(lock, "pwrite", node.path);
   }
   std::uint64_t persist = data.size();
@@ -277,9 +290,9 @@ void FsClient::pwrite(int fd, std::uint64_t offset,
         fs_->fault_plan_->injected_count(), data.size());
     node.data[offset + bit / 8] ^= std::uint8_t(1u << (bit % 8));
   }
-  fs_->append_op(
-      {client_, OpKind::write, desc.file, offset, persist, 1, 0.0, {}, lane_,
-       fault});
+  fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
+                  .kind = OpKind::write, .fault = fault, .offset = offset,
+                  .bytes = persist});
 }
 
 void FsClient::write_simulated(int fd, std::uint64_t bytes,
@@ -292,13 +305,15 @@ void FsClient::write_simulated(int fd, std::uint64_t bytes,
   FileNode& node = fs_->store_.file_by_id(desc.file);
   const FaultKind fault = fs_->next_write_fault(node, client_, bytes);
   if (fault == FaultKind::eio || fault == FaultKind::enospc) {
-    fs_->append_op({client_, OpKind::write, desc.file, desc.position, 0, 1,
-                    0.0, {}, lane_, fault});
+    fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
+                    .kind = OpKind::write, .fault = fault,
+                    .offset = desc.position});
     throw_injected("write_simulated", fault, node.path);
   }
   if (fault == FaultKind::stall) {
-    fs_->append_op({client_, OpKind::write, desc.file, desc.position, 0, 1,
-                    0.0, {}, lane_, fault});
+    fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
+                    .kind = OpKind::write, .fault = fault,
+                    .offset = desc.position});
     fs_->stall_write(lock, "write_simulated", node.path);
   }
   std::uint64_t persist = bytes;
@@ -308,8 +323,9 @@ void FsClient::write_simulated(int fd, std::uint64_t bytes,
   node.size = std::max(node.size, desc.position + persist);
   if (fs_->store_.stores_data() && node.data.size() < node.size)
     node.data.resize(node.size, 0);
-  fs_->append_op({client_, OpKind::write, desc.file, desc.position, persist,
-                  op_count, 0.0, {}, lane_, fault});
+  fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
+                  .op_count = op_count, .kind = OpKind::write, .fault = fault,
+                  .offset = desc.position, .bytes = persist});
   desc.position += bytes;
 }
 
@@ -322,8 +338,9 @@ void FsClient::read_simulated(int fd, std::uint64_t bytes,
   const std::uint64_t avail =
       desc.position < node.size ? node.size - desc.position : 0;
   const std::uint64_t n = std::min(bytes, avail);
-  fs_->append_op(
-      {client_, OpKind::read, desc.file, desc.position, n, op_count, 0.0, {}, lane_});
+  fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
+                  .op_count = op_count, .kind = OpKind::read,
+                  .offset = desc.position, .bytes = n});
   desc.position += n;
 }
 
@@ -333,8 +350,8 @@ std::uint64_t FsClient::read(int fd, std::span<std::uint8_t> out) {
   const FileNode& node = fs_->store_.file_by_id(desc.file);
   const std::uint64_t n =
       fs_->store_.pread(node, desc.position, out.data(), out.size());
-  fs_->append_op(
-      {client_, OpKind::read, desc.file, desc.position, n, 1, 0.0, {}, lane_});
+  fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
+                  .kind = OpKind::read, .offset = desc.position, .bytes = n});
   desc.position += n;
   return n;
 }
@@ -346,7 +363,8 @@ std::uint64_t FsClient::pread(int fd, std::uint64_t offset,
   const FileNode& node = fs_->store_.file_by_id(desc.file);
   const std::uint64_t n =
       fs_->store_.pread(node, offset, out.data(), out.size());
-  fs_->append_op({client_, OpKind::read, desc.file, offset, n, 1, 0.0, {}, lane_});
+  fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
+                  .kind = OpKind::read, .offset = offset, .bytes = n});
   return n;
 }
 
@@ -365,14 +383,17 @@ void FsClient::seek(int fd, std::uint64_t position) {
 void FsClient::fsync(int fd) {
   std::lock_guard<std::mutex> lock(fs_->mutex_);
   auto& desc = checked_fd(fs_->fds_, fd, client_);
-  fs_->append_op({client_, OpKind::fsync, desc.file, 0, 0, 1, 0.0, {}, lane_});
+  fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
+                  .kind = OpKind::fsync});
 }
 
 void FsClient::close(int fd) {
   std::lock_guard<std::mutex> lock(fs_->mutex_);
   auto& desc = checked_fd(fs_->fds_, fd, client_);
   desc.open = false;
-  fs_->append_op({client_, OpKind::close, desc.file, 0, 0, 1, 0.0, {}, lane_});
+  fs_->closed_fds_.push(fd);
+  fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
+                  .kind = OpKind::close});
 }
 
 std::vector<std::uint8_t> FsClient::read_all(const std::string& path) {
@@ -408,24 +429,23 @@ void FsClient::transfer(int fd, ClientId peer, std::uint64_t bytes,
       !fs_->fds_[std::size_t(fd)].open)
     throw IoError("bad file descriptor " + std::to_string(fd));
   const auto& desc = fs_->fds_[std::size_t(fd)];
-  TraceOp op{client_,  OpKind::xfer, desc.file, 0, bytes,
-             op_count, 0.0,          intra_node ? kShmGatherTag
-                                                : kNetGatherTag,
-             lane_};
-  op.peer = peer;
-  fs_->append_op(std::move(op));
+  fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
+                  .op_count = op_count, .peer = peer, .kind = OpKind::xfer,
+                  .tag = intra_node ? TraceTag::shm_gather
+                                    : TraceTag::net_gather,
+                  .bytes = bytes});
 }
 
-void FsClient::charge_cpu(double seconds, const std::string& tag) {
+void FsClient::charge_cpu(double seconds, TraceTag tag) {
   std::lock_guard<std::mutex> lock(fs_->mutex_);
-  fs_->append_op(
-      {client_, OpKind::cpu, kNoFile, 0, 0, 1, seconds, tag, lane_});
+  fs_->append_op({.client = client_, .lane = lane_, .kind = OpKind::cpu,
+                  .tag = tag, .cpu_seconds = seconds});
 }
 
 void FsClient::note_fault(FaultKind kind) {
   std::lock_guard<std::mutex> lock(fs_->mutex_);
-  fs_->append_op({client_, OpKind::cpu, kNoFile, 0, 0, 1, 0.0, "fault", lane_,
-                  kind});
+  fs_->append_op({.client = client_, .lane = lane_, .kind = OpKind::cpu,
+                  .tag = TraceTag::fault, .fault = kind});
 }
 
 // ---------------------------------------------------------------- queue pair
@@ -486,15 +506,16 @@ std::vector<Cqe> SubmissionQueue::submit() {
   Run run;
   const auto trace_op = [&](TraceOp op) {
     if (doorbell) {
-      op.tag = kBatchDoorbellTag;
+      op.tag = TraceTag::doorbell;
       doorbell = false;
     }
-    fs.append_op(std::move(op));
+    fs.append_op(op);
   };
   const auto flush_run = [&] {
     if (run.sqes == 0) return;
-    trace_op({client, OpKind::batch_write, run.file, run.offset, run.bytes,
-              run.sqes, 0.0, {}, lane});
+    trace_op({.client = client, .file = run.file, .lane = lane,
+              .op_count = run.sqes, .kind = OpKind::batch_write,
+              .offset = run.offset, .bytes = run.bytes});
     run = Run{};
   };
 
@@ -511,8 +532,9 @@ std::vector<Cqe> SubmissionQueue::submit() {
     cqe.fault = fault;
     if (fault == FaultKind::eio || fault == FaultKind::enospc) {
       flush_run();
-      trace_op({client, OpKind::batch_write, desc.file, sqe.offset, 0, 1, 0.0,
-                {}, lane, fault});
+      trace_op({.client = client, .file = desc.file, .lane = lane,
+                .kind = OpKind::batch_write, .fault = fault,
+                .offset = sqe.offset});
       cqe.ok = false;
       cqe.error = "submit: injected " + std::string(fault_name(fault)) +
                   " on '" + node.path + "'";
@@ -521,8 +543,9 @@ std::vector<Cqe> SubmissionQueue::submit() {
     }
     if (fault == FaultKind::stall) {
       flush_run();
-      trace_op({client, OpKind::batch_write, desc.file, sqe.offset, 0, 1, 0.0,
-                {}, lane, fault});
+      trace_op({.client = client, .file = desc.file, .lane = lane,
+                .kind = OpKind::batch_write, .fault = fault,
+                .offset = sqe.offset});
       try {
         fs.stall_write(lock, "submit", node.path);
       } catch (const TimeoutError& err) {
@@ -563,8 +586,9 @@ std::vector<Cqe> SubmissionQueue::submit() {
       // Faulted records are never coalesced, so each injection stays
       // attributable in the trace.
       flush_run();
-      trace_op({client, OpKind::batch_write, desc.file, sqe.offset, persist,
-                1, 0.0, {}, lane, fault});
+      trace_op({.client = client, .file = desc.file, .lane = lane,
+                .kind = OpKind::batch_write, .fault = fault,
+                .offset = sqe.offset, .bytes = persist});
     } else if (coalesce_ && run.sqes > 0 && run.file == desc.file &&
                run.offset + run.bytes == sqe.offset) {
       run.bytes += persist;

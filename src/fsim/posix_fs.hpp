@@ -14,9 +14,11 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <queue>
 #include <span>
 #include <string>
 #include <vector>
@@ -91,7 +93,7 @@ public:
 private:
   friend class FsClient;
   friend class SubmissionQueue;
-  void append_op(TraceOp op);
+  void append_op(const TraceOp& op);
   /// Consult the fault plan for a data write (mutex must be held).
   [[nodiscard]] FaultKind next_write_fault(const FileNode& node,
                                            ClientId client,
@@ -105,7 +107,10 @@ private:
   mutable std::mutex mutex_;
   ObjectStore store_;
   std::vector<TraceOp> trace_;
+  // Descriptor table.  open() takes the lowest closed slot, as POSIX does,
+  // so the table stays as large as the most descriptors open at once.
   std::vector<Descriptor> fds_;
+  std::priority_queue<int, std::vector<int>, std::greater<>> closed_fds_;
   bool tracing_ = true;
   std::optional<FaultPlan> fault_plan_;
   // Stall-fault gate: wedged writes wait here; cancel_stalls() bumps the
@@ -184,7 +189,8 @@ public:
   /// descriptor `fd` (the container file the gather feeds, so Darshan can
   /// bucket per-level gather counters by file).  `intra_node` selects the
   /// modeled channel: the node's shared-memory channel (tag
-  /// fsim::kShmGatherTag) or the inter-node NIC links (kNetGatherTag).
+  /// TraceTag::shm_gather) or the inter-node NIC links
+  /// (TraceTag::net_gather).
   /// Only the timing model moves bytes — no store data changes hands; the
   /// payload still reaches the OSTs through the aggregator's write.
   void transfer(int fd, ClientId peer, std::uint64_t bytes, bool intra_node,
@@ -196,7 +202,7 @@ public:
   /// speed, CRC or memcopy bandwidth, retry backoff), never from the host
   /// clock, and the op is not an event channel — counts of checkpoint and
   /// recovery events live in resil::ResilienceStats.
-  void charge_cpu(double seconds, const std::string& tag);
+  void charge_cpu(double seconds, TraceTag tag);
 
   /// Record a harness-level fault (e.g. rank_crash) as a zero-cost tagged
   /// TraceOp so Darshan capture attributes it like write-layer injections.

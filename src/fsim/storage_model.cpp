@@ -1,9 +1,9 @@
 #include "fsim/storage_model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <queue>
-#include <set>
 #include <utility>
 
 #include "fsim/des.hpp"
@@ -21,13 +21,27 @@ double mean_over_clients(const std::vector<ClientTimes>& clients,
   return sum / double(clients.size());
 }
 
-/// Pick the OST serving byte `offset` of a file under RAID0 striping.
-int ost_for_offset(const StripeLayout& layout, std::uint64_t offset) {
-  const auto& s = layout.settings;
-  const std::uint64_t stripe_index = (offset / s.stripe_size) %
-                                     std::uint64_t(s.stripe_count);
-  return layout.ost_indices[std::size_t(stripe_index)];
-}
+/// A file's stripe geometry, resolved from its FileNode on the first data
+/// op that touches it, so later ops index two flat tables instead of
+/// walking the node's layout.
+struct FileLayout {
+  std::uint64_t stripe_size = 0;
+  std::uint32_t stripe_count = 0;
+  std::uint32_t first_ost = 0;  // the file's OST list starts here
+  bool resolved = false;
+  bool read = false;  // a reader has fetched it: later reads hit the cache
+};
+
+/// One FIFO program of the replay: the ops of one (client, lane), in trace
+/// order, are `order[begin, end)`.
+struct Sequence {
+  ClientId client = 0;
+  std::uint32_t lane = 0;
+  std::uint32_t begin = 0;
+  std::uint32_t end = 0;
+};
+
+constexpr std::uint32_t kNoSequence = ~std::uint32_t(0);
 
 }  // namespace
 
@@ -53,26 +67,43 @@ ReplayReport replay_trace(const SystemProfile& profile,
   if (nclients <= 0) throw UsageError("replay_trace: nclients must be > 0");
 
   // Group op indices into FIFO sequences keyed by (client, lane),
-  // preserving program order within each sequence.  Lane 0 is the client's
-  // critical path; every drain lane is an independent concurrent program of
-  // the same client (all lanes start at t = 0 and share the client's node
-  // link and the OSTs).
-  struct Sequence {
-    ClientId client = 0;
-    std::uint32_t lane = 0;
-    std::vector<std::uint32_t> ops;
-  };
+  // numbered in order of first appearance and preserving program order
+  // within each sequence.  Lane 0 is the client's critical path; every
+  // drain lane is an independent concurrent program of the same client
+  // (all lanes start at t = 0 and share the client's node link and the
+  // OSTs).  A lane-0 op finds its sequence by client id; the few drain
+  // lanes go through a map.  A counting sort then lays every sequence out
+  // as one contiguous run of `order`.
+  if (trace.size() >= std::size_t(kNoSequence))
+    throw UsageError("replay_trace: trace too long");
   std::vector<Sequence> sequences;
-  std::map<std::pair<ClientId, std::uint32_t>, std::size_t> sequence_of;
-  for (std::uint32_t i = 0; i < trace.size(); ++i) {
-    const TraceOp& op = trace[i];
+  std::vector<std::uint32_t> lane0(std::size_t(nclients), kNoSequence);
+  std::map<std::pair<ClientId, std::uint32_t>, std::uint32_t> drain_lanes;
+  const auto find_sequence = [&](const TraceOp& op) -> std::uint32_t& {
+    return op.lane == 0 ? lane0[op.client]
+                        : drain_lanes.try_emplace({op.client, op.lane},
+                                                  kNoSequence)
+                              .first->second;
+  };
+  for (const TraceOp& op : trace) {
     if (op.client >= ClientId(nclients))
       throw UsageError("replay_trace: client id out of range");
-    const auto key = std::make_pair(op.client, op.lane);
-    auto [it, inserted] = sequence_of.try_emplace(key, sequences.size());
-    if (inserted) sequences.push_back({op.client, op.lane, {}});
-    sequences[it->second].ops.push_back(i);
+    std::uint32_t& s = find_sequence(op);
+    if (s == kNoSequence) {
+      s = std::uint32_t(sequences.size());
+      sequences.push_back({op.client, op.lane, 0, 0});
+    }
+    ++sequences[s].end;  // a count until the layout pass below
   }
+  std::uint32_t next_begin = 0;
+  for (Sequence& seq : sequences) {
+    seq.begin = next_begin;
+    next_begin += seq.end;
+    seq.end = seq.begin;
+  }
+  std::vector<std::uint32_t> order(trace.size());
+  for (std::uint32_t i = 0; i < trace.size(); ++i)
+    order[sequences[find_sequence(trace[i])].end++] = i;
 
   const int nnodes =
       (nclients + profile.ranks_per_node - 1) / profile.ranks_per_node;
@@ -98,25 +129,55 @@ ReplayReport replay_trace(const SystemProfile& profile,
   report.clients.assign(std::size_t(nclients), ClientTimes{});
   report.op_durations.assign(trace.size(), 0.0);
 
-  // Min-heap of (ready time, sequence, next op index within the sequence).
+  // Min-heap of (ready time, sequence, position in `order`).  Ties pop in
+  // the order std::priority_queue leaves them, and the noise stream is
+  // drawn in pop order, so the comparator stays time-only.
   struct Pending {
     double time;
-    std::size_t sequence;
-    std::uint32_t index;
+    std::uint32_t sequence;
+    std::uint32_t position;
     bool operator>(const Pending& other) const { return time > other.time; }
   };
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> heap;
-  for (std::size_t s = 0; s < sequences.size(); ++s)
-    if (!sequences[s].ops.empty()) heap.push({0.0, s, 0});
+  std::vector<Pending> heap_storage;
+  heap_storage.reserve(sequences.size());
+  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> heap(
+      std::greater<>{}, std::move(heap_storage));
+  for (std::uint32_t s = 0; s < sequences.size(); ++s)
+    heap.push({0.0, s, sequences[s].begin});
 
-  // Files already read once: later readers hit the page cache.
-  std::set<FileId> first_read;
+  std::vector<FileLayout> files(store.file_count());
+  std::vector<int> file_osts;
+  const auto layout_of = [&](FileId id) -> FileLayout& {
+    if (id >= files.size() || !files[id].resolved) {
+      // file_by_id throws IoError for an id the store never handed out.
+      const StripeLayout& layout = store.file_by_id(id).layout;
+      FileLayout& file = files[id];
+      file.stripe_size = layout.settings.stripe_size;
+      file.stripe_count = std::uint32_t(layout.settings.stripe_count);
+      file.first_ost = std::uint32_t(file_osts.size());
+      file.resolved = true;
+      file_osts.insert(file_osts.end(), layout.ost_indices.begin(),
+                       layout.ost_indices.end());
+    }
+    return files[id];
+  };
+  // The OST serving byte `offset` of a file under RAID0 striping.
+  const auto ost_for_offset = [&](const FileLayout& file,
+                                  std::uint64_t offset) -> FifoResource& {
+    const std::uint64_t stripe_index =
+        (offset / file.stripe_size) % std::uint64_t(file.stripe_count);
+    return osts[std::size_t(
+        file_osts[file.first_ost + std::size_t(stripe_index)])];
+  };
+
+  std::array<double, kTraceTagCount> cpu_by_tag{};
+  std::array<bool, kTraceTagCount> cpu_tag_seen{};
 
   while (!heap.empty()) {
     const Pending pending = heap.top();
     heap.pop();
     const Sequence& seq = sequences[pending.sequence];
-    const std::uint32_t trace_index = seq.ops[pending.index];
+    const std::uint32_t trace_index = order[pending.position];
     const TraceOp& op = trace[trace_index];
     ClientTimes& times = report.clients[std::size_t(seq.client)];
     // Drain lanes accumulate into `drain` only; the critical-path buckets
@@ -147,7 +208,8 @@ ReplayReport replay_trace(const SystemProfile& profile,
     case ServiceClass::cpu: {
       done = t0 + op.cpu_seconds;
       charge(&ClientTimes::cpu, op.cpu_seconds);
-      report.cpu_by_tag[op.tag] += op.cpu_seconds;
+      cpu_by_tag[std::size_t(op.tag)] += op.cpu_seconds;
+      cpu_tag_seen[std::size_t(op.tag)] = true;
       break;
     }
     case ServiceClass::net: {
@@ -155,16 +217,16 @@ ReplayReport replay_trace(const SystemProfile& profile,
       // *receiving* rank records the op — seq.client is the gatherer,
       // op.peer the sender — so the fan-in gates the receiver's later
       // ops (its forward hop or container write).  The tag carries the
-      // gather level: kShmGatherTag streams through the node's shared-
-      // memory channel (with a NUMA penalty when sender and receiver sit
-      // in different domains); anything else is an inter-node hop that
-      // occupies the sender's NIC and then the receiver's NIC store-and-
-      // forward, so concurrent gathers into one aggregator contend on its
-      // link.
+      // gather level: TraceTag::shm_gather streams through the node's
+      // shared-memory channel (with a NUMA penalty when sender and
+      // receiver sit in different domains); net_gather is an inter-node
+      // hop that occupies the sender's NIC and then the receiver's NIC
+      // store-and-forward, so concurrent gathers into one aggregator
+      // contend on its link.
       if (op.peer >= ClientId(nclients))
         throw UsageError("replay_trace: xfer peer out of range");
       const int recv_node = int(seq.client) / profile.ranks_per_node;
-      if (op.tag == kShmGatherTag) {
+      if (op.tag == TraceTag::shm_gather) {
         double service = profile.shm_latency_s * double(op.op_count) +
                          double(op.bytes) / profile.shm_bandwidth_bps;
         const int per_numa =
@@ -191,7 +253,7 @@ ReplayReport replay_trace(const SystemProfile& profile,
       break;
     }
     case ServiceClass::data: {
-      const StripeLayout& layout = store.file_by_id(op.file).layout;
+      FileLayout& file = layout_of(op.file);
       FifoResource& link = link_of(seq.client);
       const std::uint64_t record =
           op.op_count > 0 ? op.bytes / op.op_count : op.bytes;
@@ -209,8 +271,7 @@ ReplayReport replay_trace(const SystemProfile& profile,
                                    profile.small_write_meta_s * noise.next();
         const double data_serial =
             double(op.op_count) * profile.small_write_data_s;
-        FifoResource& ost =
-            osts[std::size_t(ost_for_offset(layout, op.offset))];
+        FifoResource& ost = ost_for_offset(file, op.offset);
         const double per_record =
             profile.ost_small_service_s +
             (op.op_count >= 2 ? profile.ost_sync_extra_s : 0.0);
@@ -227,31 +288,14 @@ ReplayReport replay_trace(const SystemProfile& profile,
         else
           times.write_calls += op.op_count;
         report.bytes_written += op.bytes;
-        report.op_durations[trace_index] = done - t0;
-        times.end = std::max(times.end, done);
-        report.makespan = std::max(report.makespan, done);
-        const std::uint32_t next_index = pending.index + 1;
-        if (next_index < seq.ops.size())
-          heap.push({done, pending.sequence, next_index});
-        continue;
+        break;
       }
-      if (op.kind == OpKind::read && !first_read.insert(op.file).second) {
+      if (op.kind == OpKind::read && std::exchange(file.read, true)) {
         // Page-cache hit: everyone after the first reader of this file.
         done = link.submit(t0, profile.cached_read_service_s +
                                    double(op.bytes) /
                                        profile.link_bandwidth_bps);
-        charge(&ClientTimes::read, done - t0);
-        if (!drain_lane) times.read_calls += op.op_count;
-        report.bytes_read += op.bytes;
-        report.op_durations[trace_index] = done - t0;
-        times.end = std::max(times.end, done);
-        report.makespan = std::max(report.makespan, done);
-        const std::uint32_t next_index = pending.index + 1;
-        if (next_index < seq.ops.size())
-          heap.push({done, pending.sequence, next_index});
-        continue;
-      }
-      {
+      } else {
         // Streaming path: syscall overhead, then sliced transfers through
         // the node link and the stripe-mapped OSTs.  OST request latency
         // pipelines across queued slices (it delays completion, not server
@@ -261,17 +305,17 @@ ReplayReport replay_trace(const SystemProfile& profile,
         // pays one doorbell plus a tiny per-sqe charge instead of
         // per-call syscalls.
         const double setup =
-            is_batch ? (op.tag == kBatchDoorbellTag ? profile.batch_setup_s
-                                                    : 0.0) +
+            is_batch ? (op.tag == TraceTag::doorbell ? profile.batch_setup_s
+                                                     : 0.0) +
                            double(op.op_count) * profile.sqe_overhead_s
                      : double(op.op_count) * profile.syscall_overhead_s;
         const double t_start = t0 + setup;
         // RPC size: stripe size clamped to [64 KiB, slice_bytes].
         const std::uint64_t slice = std::clamp<std::uint64_t>(
-            layout.settings.stripe_size, 64 * 1024, profile.slice_bytes);
+            file.stripe_size, 64 * 1024, profile.slice_bytes);
         const std::uint64_t nslices = (op.bytes + slice - 1) / slice;
         const std::uint64_t osts_touched = std::min<std::uint64_t>(
-            std::uint64_t(layout.settings.stripe_count), nslices);
+            std::uint64_t(file.stripe_count), nslices);
         done = t_start + double(nslices) * profile.rpc_overhead_s +
                double(osts_touched) * profile.stripe_lock_overhead_s +
                double(op.bytes) / profile.client_stream_bandwidth_bps;
@@ -282,8 +326,7 @@ ReplayReport replay_trace(const SystemProfile& profile,
           const double link_done = link.submit(
               t_start, profile.link_latency_s +
                            double(n) / profile.link_bandwidth_bps);
-          FifoResource& ost =
-              osts[std::size_t(ost_for_offset(layout, offset))];
+          FifoResource& ost = ost_for_offset(file, offset);
           const double occupancy =
               double(n) / profile.ost_bandwidth_bps * noise.next();
           done = std::max(done, ost.submit(link_done, occupancy) +
@@ -312,10 +355,12 @@ ReplayReport replay_trace(const SystemProfile& profile,
     report.op_durations[trace_index] = done - t0;
     times.end = std::max(times.end, done);
     report.makespan = std::max(report.makespan, done);
-    const std::uint32_t next = pending.index + 1;
-    if (next < seq.ops.size())
-      heap.push({done, pending.sequence, next});
+    const std::uint32_t next = pending.position + 1;
+    if (next < seq.end) heap.push({done, pending.sequence, next});
   }
+  for (std::size_t t = 0; t < kTraceTagCount; ++t)
+    if (cpu_tag_seen[t])
+      report.cpu_by_tag.emplace(tag_name(TraceTag(t)), cpu_by_tag[t]);
   for (const auto& ost : osts) {
     report.ost_busy_seconds.push_back(ost.busy_seconds());
     report.ost_busy_until.push_back(ost.busy_until());

@@ -76,8 +76,9 @@ struct SystemProfile {
   int nics_per_node = 1;
 
   // Intra-node shared-memory channel, used by OpKind::xfer gathers tagged
-  // kShmGatherTag (rank -> node-leader hop of two-level aggregation).  One
-  // FIFO per node: concurrent in-node gathers contend for the memory bus.
+  // TraceTag::shm_gather (rank -> node-leader hop of two-level
+  // aggregation).  One FIFO per node: concurrent in-node gathers contend
+  // for the memory bus.
   double shm_bandwidth_bps = 20e9;
   double shm_latency_s = 0.5e-6;
   // Service multiplier when an in-node transfer crosses NUMA domains
@@ -143,7 +144,8 @@ struct ReplayReport {
   /// aggregation).  Not part of bytes_written: the same payload still
   /// lands on the OSTs through the aggregator's write.
   std::uint64_t bytes_transferred = 0;
-  /// Aggregate CPU seconds by tag ("compress", "memcopy", ...).
+  /// Aggregate CPU seconds by tag_name() ("compress", "memcopy", ...): one
+  /// key for every tag a cpu op in the trace carried, zero-second ones too.
   std::map<std::string, double> cpu_by_tag;
   /// Simulated duration of each trace op, indexed like the input trace
   /// (used by the darshan module to attribute time per file).

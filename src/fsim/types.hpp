@@ -1,13 +1,18 @@
 #pragma once
 // Shared vocabulary types for the storage simulator.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace bitio::fsim {
 
-using FileId = std::uint64_t;
+/// Index of a file in its ObjectStore, in creation order.  32 bits keep a
+/// TraceOp small; ObjectStore::create_file refuses the file that would
+/// reach kNoFile.
+using FileId = std::uint32_t;
 using ClientId = std::uint32_t;
 
 inline constexpr FileId kNoFile = ~FileId(0);
@@ -46,22 +51,6 @@ enum class OpKind : std::uint8_t {
   cpu,      // client-local compute charged by upper layers (compress, copy)
   batch_write,  // queue-pair submission: op_count sqes in one ring doorbell
 };
-
-/// Tags carried by OpKind::xfer records, naming the gather level of the
-/// two-level aggregation path.  The recording site (bp::Writer via
-/// FsClient::transfer) picks the tag from the topo::Mapper placement; the
-/// timing replay selects the modeled channel from it and Darshan capture
-/// buckets the per-level gather counters by it.
-inline constexpr const char* kShmGatherTag = "shm_gather";
-inline constexpr const char* kNetGatherTag = "net_gather";
-
-/// Tag carried by the first OpKind::batch_write record of each
-/// SubmissionQueue::submit() call (the ring doorbell).  The timing replay
-/// charges SystemProfile::batch_setup_s only on doorbell-tagged records, so
-/// the setup cost is amortized over the whole batch while every record pays
-/// the tiny per-sqe charge; Darshan capture counts doorbells as
-/// batches_submitted and uses them to delimit the ops-per-batch histogram.
-inline constexpr const char* kBatchDoorbellTag = "doorbell";
 
 /// How the timing replay and Darshan capture bucket an operation: against
 /// the metadata server, as a data transfer to/from the OSTs, or as
@@ -139,36 +128,80 @@ inline const char* fault_name(FaultKind kind) {
   return "?";
 }
 
-/// One record of a client I/O trace.  Consecutive sequential writes by the
-/// same client to the same descriptor are coalesced into a single record
-/// with op_count > 1 so huge runs stay tractable; the timing model charges
-/// per-op overhead `op_count` times.
+/// The closed set of tags a TraceOp carries.  cpu ops name their modelled
+/// cost; OpKind::xfer records name the gather level of the two-level
+/// aggregation path (the recording site, bp::Writer via
+/// FsClient::transfer, picks it from the topo::Mapper placement; the replay
+/// selects the modelled channel from it and Darshan buckets the per-level
+/// gather counters by it); the first OpKind::batch_write record of each
+/// SubmissionQueue::submit() call carries the ring doorbell (the replay
+/// charges SystemProfile::batch_setup_s only there, and Darshan counts it
+/// as batches_submitted).  tag_name() is exhaustive under -Werror=switch.
+enum class TraceTag : std::uint8_t {
+  none,        // untagged: metadata and data ops, non-doorbell batch records
+  compress,    // codec cost
+  memcopy,     // aggregation-buffer copies
+  crc32c,      // checksum cost
+  decompress,  // decode cost on restore and read
+  backoff,     // retry backoff before a commit is attempted again
+  compute,     // a modelled application step (bench/async_overlap)
+  fault,       // FsClient::note_fault's zero-second harness fault marker
+  shm_gather,  // xfer through the node's shared-memory channel
+  net_gather,  // xfer across nodes over the NICs
+  doorbell,    // first batch_write record of a submit(); keep it last
+};
+
+/// TraceTag values run 0 .. kTraceTagCount - 1.
+inline constexpr std::size_t kTraceTagCount =
+    std::size_t(TraceTag::doorbell) + 1;
+
+inline const char* tag_name(TraceTag tag) {
+  switch (tag) {
+    case TraceTag::none: return "none";
+    case TraceTag::compress: return "compress";
+    case TraceTag::memcopy: return "memcopy";
+    case TraceTag::crc32c: return "crc32c";
+    case TraceTag::decompress: return "decompress";
+    case TraceTag::backoff: return "backoff";
+    case TraceTag::compute: return "compute";
+    case TraceTag::fault: return "fault";
+    case TraceTag::shm_gather: return "shm_gather";
+    case TraceTag::net_gather: return "net_gather";
+    case TraceTag::doorbell: return "doorbell";
+  }
+  return "?";
+}
+
+/// One record of a client I/O trace: a trivially copyable 48-byte value.
+/// Consecutive sequential writes by the same client to the same descriptor
+/// are coalesced into a single record with op_count > 1 so huge runs stay
+/// tractable; the timing model charges per-op overhead `op_count` times.
 struct TraceOp {
   ClientId client = 0;
-  OpKind kind = OpKind::open;
   FileId file = kNoFile;
-  std::uint64_t offset = 0;      // starting byte offset (write/read)
-  std::uint64_t bytes = 0;       // total bytes (write/read)
-  std::uint32_t op_count = 1;    // number of coalesced calls
-  double cpu_seconds = 0.0;      // only for OpKind::cpu
-  std::string tag;               // cpu subcategory ("compress", "memcopy",
-                                 // ...) or xfer gather level (kShmGatherTag
-                                 // / kNetGatherTag)
   // Logical execution lane within the client.  Lane 0 is the rank's
   // critical path; lanes > 0 are overlapped drain lanes (BP5 AsyncWrite):
   // their ops replay concurrently with lane 0 and are attributed to
   // ClientTimes::drain instead of meta/write/read.
   std::uint32_t lane = 0;
+  std::uint32_t op_count = 1;    // number of coalesced calls
+  // Remote endpoint of an OpKind::xfer gather transfer — the *sending*
+  // rank (the receiver records the op so the fan-in gates its later trace
+  // ops); unused by every other kind.  The replay derives the remote node
+  // / NIC from it.
+  ClientId peer = 0;
+  OpKind kind = OpKind::open;
+  TraceTag tag = TraceTag::none;
   // Fault injected into this operation, if any.  For torn writes `bytes`
   // is the *persisted* prefix; for eio/enospc the write threw and `bytes`
   // is 0.  Faulted ops are never coalesced.
   FaultKind fault = FaultKind::none;
-  // Remote endpoint of an OpKind::xfer gather transfer — the *sending*
-  // rank (the receiver records the op so the fan-in gates its later trace
-  // ops); unused by every other kind.  The replay derives the remote node
-  // / NIC from it.  (Deliberately last: the rest of the struct keeps its
-  // historical aggregate-initialization order.)
-  ClientId peer = 0;
+  std::uint64_t offset = 0;      // starting byte offset (write/read)
+  std::uint64_t bytes = 0;       // total bytes (write/read/xfer)
+  double cpu_seconds = 0.0;      // only for OpKind::cpu
 };
+
+static_assert(std::is_trivially_copyable_v<TraceOp> && sizeof(TraceOp) <= 48,
+              "TraceOp stays a trivially copyable record of at most 48 bytes");
 
 }  // namespace bitio::fsim

@@ -208,7 +208,8 @@ std::uint64_t CheckpointManager::commit() {
       // timeline so the cost shows up in the replay like a real sleep.
       stats_.write_retries += 1;
       fsim::FsClient(fs_, 0).charge_cpu(
-          kBackoffBaseSeconds * double(1ull << (attempt - 1)), "backoff");
+          kBackoffBaseSeconds * double(1ull << (attempt - 1)),
+          fsim::TraceTag::backoff);
     }
     try {
       committed = try_commit_epoch(epoch, step, kind, refs);

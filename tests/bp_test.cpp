@@ -7,6 +7,7 @@
 
 #include "bp/engine.hpp"
 #include "bp/reader.hpp"
+#include "bp/stream.hpp"
 #include "bp/writer.hpp"
 #include "fsim/storage_model.hpp"
 #include "util/binio.hpp"
@@ -462,8 +463,8 @@ TEST(BpWriter, CompressionChargesCompressNotMemcopy) {
   double compress = 0.0, memcopy = 0.0;
   for (const auto& op : fs.trace()) {
     if (op.kind != fsim::OpKind::cpu) continue;
-    if (op.tag == "compress") compress += op.cpu_seconds;
-    if (op.tag == "memcopy") memcopy += op.cpu_seconds;
+    if (op.tag == fsim::TraceTag::compress) compress += op.cpu_seconds;
+    if (op.tag == fsim::TraceTag::memcopy) memcopy += op.cpu_seconds;
   }
   EXPECT_GT(compress, 0.0);
   EXPECT_DOUBLE_EQ(memcopy, 0.0);  // Fig 8: memcopy eliminated
@@ -481,7 +482,7 @@ TEST(BpWriter, NoCompressionChargesMemcopy) {
   }
   double memcopy = 0.0;
   for (const auto& op : fs.trace())
-    if (op.kind == fsim::OpKind::cpu && op.tag == "memcopy")
+    if (op.kind == fsim::OpKind::cpu && op.tag == fsim::TraceTag::memcopy)
       memcopy += op.cpu_seconds;
   EXPECT_GT(memcopy, 0.0);
 }
@@ -919,6 +920,33 @@ TEST(BpHardening, ChunkOutsideItsShapeFailsOpen) {
   huge_shape.variables[0].shape = {std::uint64_t(1) << 62};
   for (const StepRecord* record : {&wraps, &wrong_rank, &huge_shape})
     EXPECT_THROW(open_container(*record), FormatError);
+}
+
+TEST(BpHardening, ShapeNoReaderCanBackIsFormatErrorOnRead) {
+  // A CRC-valid block whose rank-1 shape declares 2^62 one-byte elements:
+  // the byte size fits uint64, so open accepts the block, but no process
+  // can allocate the whole array.  A full read through either engine is a
+  // FormatError, never std::bad_alloc.
+  StepRecord record;
+  record.step = 0;
+  VarRecord var{"x", Datatype::uint8, {std::uint64_t(1) << 62}, "", {}};
+  var.chunks.push_back({{0}, {32}, 0, 0, 0, 32, 32});
+  record.variables.push_back(var);
+
+  fsim::SharedFs fs(4);
+  fsim::FsClient io(fs, 0);
+  const EncodedStep md = encode_step(record);
+  io.write_file("h.bp4/md.0", md.bytes);
+  io.write_file("h.bp4/md.idx",
+                encode_index({{0, 0, md.bytes.size(), md.crc}}));
+  io.write_file("h.bp4/data.0", std::vector<std::uint8_t>(32, 0));
+  Reader reader = Reader::open(fs, 0, "h.bp4");
+  EXPECT_THROW((void)reader.read(0, "x"), FormatError);
+
+  StreamStep step;
+  step.record = record;
+  step.payload = {{std::vector<std::uint8_t>(32, 0)}};
+  EXPECT_THROW((void)decode_stream_variable(step, "x"), FormatError);
 }
 
 TEST(BpHardening, RecordCountsBeyondTheBlockAreFormatError) {

@@ -189,6 +189,49 @@ TEST(PosixFs, DescriptorDiscipline) {
   EXPECT_THROW(a.write(rd, rec), IoError);  // read-only
 }
 
+TEST(PosixFs, ClosedDescriptorsAreRecycledLowestFirst) {
+  SharedFs fs(4);
+  FsClient a(fs, 0), b(fs, 1);
+  const int f0 = a.open("f0", OpenMode::create);
+  const int f1 = a.open("f1", OpenMode::create);
+  const int f2 = a.open("f2", OpenMode::create);
+  a.close(f2);
+  a.close(f0);
+  auto rec = pattern(4);
+  // Closed and not yet reused: still a bad descriptor.
+  EXPECT_THROW(a.write(f0, rec), IoError);
+  EXPECT_THROW(a.write(f2, rec), IoError);
+  // The next open takes the lowest freed number, as POSIX does.
+  const int g = b.open("g", OpenMode::create);
+  EXPECT_EQ(g, f0);
+  // The number now belongs to b: a's stale copy is another client's fd.
+  EXPECT_THROW(a.write(g, rec), IoError);
+  EXPECT_NO_THROW(b.write(g, rec));
+  EXPECT_EQ(a.open("f0", OpenMode::read), f2);
+  a.close(f1);
+}
+
+TEST(PosixFs, DescriptorTableStaysAtThePeakOpenCount) {
+  // 1,000 opens, never more than three open at once: every descriptor
+  // number handed out is below three, so the table never grows past it.
+  SharedFs fs(4);
+  FsClient client(fs, 0);
+  const int held = client.open("held", OpenMode::create);
+  int highest = held;
+  for (int i = 0; i < 500; ++i) {
+    const OpenMode mode = i == 0 ? OpenMode::create : OpenMode::append;
+    const int x = client.open("x", mode);
+    const int y = client.open("y", mode);
+    highest = std::max({highest, x, y});
+    client.write_simulated(x, 100);
+    client.close(y);
+    client.close(x);
+  }
+  client.close(held);
+  EXPECT_LT(highest, 3);
+  EXPECT_EQ(fs.store().file("x").size, 50000u);
+}
+
 TEST(PosixFs, GetstripeTextLooksLikeListing1) {
   SharedFs fs(48);
   FsClient client(fs, 0);
@@ -205,11 +248,11 @@ TEST(PosixFs, GetstripeTextLooksLikeListing1) {
 TEST(PosixFs, CpuChargeAppearsInTrace) {
   SharedFs fs(4);
   FsClient client(fs, 2);
-  client.charge_cpu(0.25, "compress");
+  client.charge_cpu(0.25, TraceTag::compress);
   ASSERT_EQ(fs.trace().size(), 1u);
   EXPECT_EQ(fs.trace()[0].kind, OpKind::cpu);
   EXPECT_DOUBLE_EQ(fs.trace()[0].cpu_seconds, 0.25);
-  EXPECT_EQ(fs.trace()[0].tag, "compress");
+  EXPECT_EQ(fs.trace()[0].tag, TraceTag::compress);
 }
 
 // ------------------------------------------------------------------- DES ---
@@ -367,8 +410,8 @@ TEST(Replay, ConcurrentWritersContendOnOneOst) {
 TEST(Replay, CpuOpsChargeOnlyTheClient) {
   SharedFs fs(1);
   FsClient a(fs, 0), b(fs, 1);
-  a.charge_cpu(1.0, "compress");
-  b.charge_cpu(0.5, "memcopy");
+  a.charge_cpu(1.0, TraceTag::compress);
+  b.charge_cpu(0.5, TraceTag::memcopy);
   auto report = replay_trace(flat_profile(), fs.store(), fs.trace(), 2);
   EXPECT_DOUBLE_EQ(report.clients[0].cpu, 1.0);
   EXPECT_DOUBLE_EQ(report.clients[1].cpu, 0.5);
@@ -380,7 +423,7 @@ TEST(Replay, CpuOpsChargeOnlyTheClient) {
 TEST(Replay, ValidatesInput) {
   SharedFs fs(1);
   FsClient client(fs, 5);
-  client.charge_cpu(0.1, "x");
+  client.charge_cpu(0.1, TraceTag::compute);
   EXPECT_THROW(replay_trace(flat_profile(), fs.store(), fs.trace(), 2),
                UsageError);
   EXPECT_THROW(replay_trace(flat_profile(), fs.store(), {}, 0), UsageError);
@@ -502,9 +545,9 @@ TEST(QueuePair, VectoredBatchPersistsAndTracesOneDoorbell) {
   // coalescing, so neither record is vectored.
   const auto ops = batch_ops(fs);
   ASSERT_EQ(ops.size(), 2u);
-  EXPECT_EQ(ops[0].tag, kBatchDoorbellTag);
+  EXPECT_EQ(ops[0].tag, TraceTag::doorbell);
   EXPECT_EQ(ops[0].op_count, 1u);
-  EXPECT_TRUE(ops[1].tag.empty());
+  EXPECT_EQ(ops[1].tag, TraceTag::none);
   EXPECT_EQ(ops[1].op_count, 1u);
 }
 
@@ -537,7 +580,7 @@ TEST(QueuePair, CoalescesAdjacentSqesIntoVectoredRecords) {
   ASSERT_EQ(ops.size(), 2u);
   EXPECT_EQ(ops[0].op_count, 3u);  // the coalesced run
   EXPECT_EQ(ops[0].bytes, 192u);
-  EXPECT_EQ(ops[0].tag, kBatchDoorbellTag);
+  EXPECT_EQ(ops[0].tag, TraceTag::doorbell);
   EXPECT_EQ(ops[1].op_count, 1u);
   EXPECT_EQ(ops[1].offset, 512u);
 

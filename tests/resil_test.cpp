@@ -336,7 +336,8 @@ TEST(CheckpointManager, CommitRetriesThroughTransientFaults) {
   // The exponential backoff shows up on the rank's timeline.
   bool backoff = false;
   for (const auto& op : fs.trace())
-    if (op.kind == fsim::OpKind::cpu && op.tag == "backoff") backoff = true;
+    if (op.kind == fsim::OpKind::cpu && op.tag == fsim::TraceTag::backoff)
+      backoff = true;
   EXPECT_TRUE(backoff);
   // And the epoch that finally landed verifies clean.
   EXPECT_EQ(manager.scrub().corrupt_chunks, 0u);

@@ -216,7 +216,7 @@ std::map<std::string, std::vector<std::uint8_t>> container_bytes(
   return bytes;
 }
 
-int count_xfer(const fsim::SharedFs& fs, const char* tag) {
+int count_xfer(const fsim::SharedFs& fs, fsim::TraceTag tag) {
   int n = 0;
   for (const auto& op : fs.trace())
     if (op.kind == fsim::OpKind::xfer && op.tag == tag) ++n;
@@ -253,18 +253,18 @@ TEST(TopoEngine, FlatModeContainerIsByteIdenticalToLegacy) {
   EXPECT_EQ(container_bytes(two_fs, "out/series.bp4"), legacy_bytes);
 
   // The legacy trace has no gather ops; the topology-modeled ones do.
-  EXPECT_EQ(count_xfer(legacy_fs, fsim::kShmGatherTag) +
-                count_xfer(legacy_fs, fsim::kNetGatherTag),
+  EXPECT_EQ(count_xfer(legacy_fs, fsim::TraceTag::shm_gather) +
+                count_xfer(legacy_fs, fsim::TraceTag::net_gather),
             0);
   // Flat aggregation on a multi-node topology: every non-leader rank ships
   // to the single aggregator leader; the leader's node-mates go over shm.
-  EXPECT_GT(count_xfer(flat_fs, fsim::kNetGatherTag), 0);
+  EXPECT_GT(count_xfer(flat_fs, fsim::TraceTag::net_gather), 0);
   // Two-level: ranks gather to their node leader over shm, node leaders
   // forward one combined transfer each over the NIC.
-  EXPECT_GT(count_xfer(two_fs, fsim::kShmGatherTag), 0);
-  EXPECT_GT(count_xfer(two_fs, fsim::kNetGatherTag), 0);
-  EXPECT_LT(count_xfer(two_fs, fsim::kNetGatherTag),
-            count_xfer(flat_fs, fsim::kNetGatherTag));
+  EXPECT_GT(count_xfer(two_fs, fsim::TraceTag::shm_gather), 0);
+  EXPECT_GT(count_xfer(two_fs, fsim::TraceTag::net_gather), 0);
+  EXPECT_LT(count_xfer(two_fs, fsim::TraceTag::net_gather),
+            count_xfer(flat_fs, fsim::TraceTag::net_gather));
 
   // And the data still reads back.
   bp::Reader reader = bp::Reader::open(two_fs, 0, "out/series.bp4");
