@@ -7,38 +7,6 @@
 
 namespace bitio::fsim {
 
-std::vector<std::string> split_path(const std::string& path) {
-  std::vector<std::string> parts;
-  std::string cur;
-  for (char c : path) {
-    if (c == '/') {
-      if (!cur.empty()) parts.push_back(std::move(cur));
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  if (!cur.empty()) parts.push_back(std::move(cur));
-  return parts;
-}
-
-std::string parent_path(const std::string& path) {
-  auto parts = split_path(path);
-  if (parts.size() <= 1) return "";
-  std::string out;
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
-    if (i) out += '/';
-    out += parts[i];
-  }
-  return out;
-}
-
-std::string base_name(const std::string& path) {
-  auto parts = split_path(path);
-  if (parts.empty()) throw UsageError("base_name: empty path");
-  return parts.back();
-}
-
 namespace {
 
 /// Pops the next component off the front of `rest` as a view into it;
@@ -83,6 +51,30 @@ SplitPath split_file_path(std::string_view path) {
 }
 
 }  // namespace
+
+std::vector<std::string> split_path(const std::string& path) {
+  std::vector<std::string> parts;
+  std::string_view rest = path;
+  for (auto part = next_component(rest); !part.empty();
+       part = next_component(rest))
+    parts.emplace_back(part);
+  return parts;
+}
+
+std::string parent_path(const std::string& path) {
+  auto parts = split_path(path);
+  if (parts.size() <= 1) return "";
+  std::string out;
+  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
+    if (i) out += '/';
+    out += parts[i];
+  }
+  return out;
+}
+
+std::string base_name(const std::string& path) {
+  return std::string(split_file_path(path).name);
+}
 
 ObjectStore::ObjectStore(int ost_count, bool store_data,
                          StripeSettings default_stripe)
