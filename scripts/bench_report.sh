@@ -6,17 +6,19 @@
 #                       decompress MB/s, ratio, determinism + round-trip
 #                       checks, and the headline speedup vs the frozen seed
 #                       kernel)
-#   BENCH_stream.json   stream_fanout clients x slow-reader-policy sweep of
-#                       the miniSST engine + in-situ query service
-#                       (queries/s, cache hit rate, steps lost/dropped,
-#                       >= 1000 concurrent clients sustained)
+#   BENCH_stream.json   stream_fanout slow-reader-policy sweep of the
+#                       miniSST engine, one row per policy (steps received,
+#                       lost and dropped, disconnect, peak window depth).
+#                       Sanity gates are in-band: each policy must act on
+#                       the slow consumer as specified, and every step it
+#                       receives must decode to the right size and first
+#                       element — a violation fails this script.
 #   BENCH_topo.json     topo_sweep flat vs two-level aggregation curves at
 #                       1K/10K/50K simulated ranks on the Dardel hierarchy
-#                       plus the live 50K-rank scheduler run (GiB/s,
-#                       gathered bytes, bounded-pool thread peak).  The
-#                       sweep's sanity gate is in-band: two-level must not
-#                       lose to flat at >= 10K ranks on >= 16 ranks/node,
-#                       and a violation fails this script.
+#                       (GiB/s, gathered bytes).  The sweep's sanity gate
+#                       is in-band: two-level must not lose to flat at
+#                       >= 10K ranks on >= 16 ranks/node, and a violation
+#                       fails this script.
 #   BENCH_ckpt.json     ckpt_sweep full-vs-delta checkpoint sweep across
 #                       checkpoint_full_interval, clean and with a rotted
 #                       newest epoch (bytes stored, dedup savings, chain

@@ -15,17 +15,18 @@
 #   4. stream suite        engine factory + miniSST lifecycle/policy tests
 #                          (ctest -L stream; the same tests also carry the
 #                          `concurrency` label for the TSan preset, and the
-#                          fan-out sweep is scripts/bench_report.sh ->
-#                          BENCH_stream.json)
-#   5. topo suite          topology/aggregation + event-driven scheduler
-#                          tests (ctest -L topo), then the same label under
+#                          slow-reader policy sweep is
+#                          scripts/bench_report.sh -> BENCH_stream.json)
+#   5. topo suite          topology/two-level aggregation tests (ctest -L
+#                          topo), then the same label under
 #                          ThreadSanitizer (ctest --preset tsan-topo), the
 #                          stream suite too (ctest --preset tsan-stream),
 #                          and every resilience and concurrency test (ctest
 #                          --preset tsan-recovery): TSan's deadlock detector
 #                          is the lock-order check, and that preset also
-#                          runs its seeded-inversion test; the rank sweep is
-#                          scripts/bench_report.sh -> BENCH_topo.json
+#                          runs its seeded-inversion test; the flat vs
+#                          two-level sweep is scripts/bench_report.sh ->
+#                          BENCH_topo.json
 #   6. ckpt suite          incremental-checkpoint tests (delta cadence,
 #                          dedup, chain restore, block tiling, retention
 #                          pinning, prune crash-window scrub; ctest -L
@@ -92,7 +93,7 @@ cmake --build --preset default -j "$(nproc 2>/dev/null || echo 4)"
 step "stream engine suite (ctest -L stream)"
 ctest --preset stream
 
-step "topology + scheduler suite (ctest -L topo)"
+step "topology suite (ctest -L topo)"
 ctest --preset topo
 
 step "topology suite under ThreadSanitizer (ctest --preset tsan-topo)"

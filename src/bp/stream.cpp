@@ -119,7 +119,6 @@ void StreamChannel::publish(std::shared_ptr<const StreamStep> step) {
   }
   window_.push_back(std::move(step));
   ++next_seq_;
-  ++published_;
   peak_depth_ = std::max(peak_depth_, int(window_.size()));
   data_cv_.notify_all();
 }
@@ -169,11 +168,6 @@ bool StreamChannel::disconnected(ConsumerId id) const {
   return it != cursors_.end() && it->second.disconnected;
 }
 
-std::uint64_t StreamChannel::steps_published() const {
-  util::MutexLock lock(mutex_);
-  return published_;
-}
-
 std::uint64_t StreamChannel::steps_lost() const {
   util::MutexLock lock(mutex_);
   return lost_;
@@ -182,16 +176,6 @@ std::uint64_t StreamChannel::steps_lost() const {
 int StreamChannel::peak_depth() const {
   util::MutexLock lock(mutex_);
   return peak_depth_;
-}
-
-std::size_t StreamChannel::consumers() const {
-  util::MutexLock lock(mutex_);
-  std::size_t n = 0;
-  for (const auto& [id, cursor] : cursors_) {
-    (void)id;
-    if (!cursor.detached && !cursor.disconnected) ++n;
-  }
-  return n;
 }
 
 // --- StreamEngine ----------------------------------------------------------
@@ -363,11 +347,6 @@ std::unique_ptr<EngineReader> StreamEngine::attach(fsim::ClientId client) {
   return std::make_unique<StreamConsumer>(channel_, fs_, client);
 }
 
-std::unique_ptr<StreamConsumer> StreamEngine::attach_stream(
-    fsim::ClientId client) {
-  return std::make_unique<StreamConsumer>(channel_, fs_, client);
-}
-
 // --- StreamConsumer --------------------------------------------------------
 
 StreamConsumer::StreamConsumer(std::shared_ptr<StreamChannel> channel,
@@ -378,16 +357,11 @@ StreamConsumer::StreamConsumer(std::shared_ptr<StreamChannel> channel,
 
 StreamConsumer::~StreamConsumer() { channel_->detach(id_); }
 
-std::shared_ptr<const StreamStep> StreamConsumer::next_raw() {
-  if (detached_) return nullptr;
-  step_ = channel_->next(id_);
-  return step_;
-}
-
 std::optional<std::uint64_t> StreamConsumer::next_step() {
-  auto step = next_raw();
-  if (!step) return std::nullopt;
-  return step->record.step;
+  if (detached_) return std::nullopt;
+  step_ = channel_->next(id_);
+  if (!step_) return std::nullopt;
+  return step_->record.step;
 }
 
 std::uint64_t StreamConsumer::current_step() const {

@@ -26,9 +26,9 @@
 // A step already read by every attached consumer is always evicted freely —
 // with zero consumers the producer never blocks.
 //
-// Steps are published as shared_ptr<const StreamStep>, so a consumer (or
-// the query service's cache, src/bp/query.hpp) can keep a step alive after
-// the window evicted it and after the engine itself is destroyed.
+// Steps are published as shared_ptr<const StreamStep>, so a consumer can
+// keep its current step alive after the window evicted it and after the
+// engine itself is destroyed.
 
 #ifdef BITIO_BP_SEAM_ONLY
 // Outside src/bp, BITIO_BP_SEAM_ONLY is set (src/CMakeLists.txt).
@@ -105,12 +105,10 @@ class StreamChannel {
   bool disconnected(ConsumerId id) const EXCLUDES(mutex_);
 
   // Window diagnostics.
-  std::uint64_t steps_published() const EXCLUDES(mutex_);
   /// Steps evicted before some attached consumer could read them (the sum
   /// of all consumers' losses is >= this; 0 under the block policy).
   std::uint64_t steps_lost() const EXCLUDES(mutex_);
   int peak_depth() const EXCLUDES(mutex_);
-  std::size_t consumers() const EXCLUDES(mutex_);
 
  private:
   struct Cursor {
@@ -137,12 +135,9 @@ class StreamChannel {
   std::map<ConsumerId, Cursor> cursors_ GUARDED_BY(mutex_);
   ConsumerId next_id_ GUARDED_BY(mutex_) = 0;
   bool closed_ GUARDED_BY(mutex_) = false;
-  std::uint64_t published_ GUARDED_BY(mutex_) = 0;
   std::uint64_t lost_ GUARDED_BY(mutex_) = 0;
   int peak_depth_ GUARDED_BY(mutex_) = 0;
 };
-
-class StreamConsumer;
 
 /// The `stream` engine.  Same step/put surface and put checks (check_put)
 /// as bp::Writer, but end_step() publishes into the channel instead of
@@ -181,11 +176,6 @@ class StreamEngine final : public Engine {
 
   std::unique_ptr<EngineReader> attach(fsim::ClientId client) override;
 
-  /// Typed attach for in-situ services that want the raw published steps
-  /// (shared_ptr ownership, compressed payloads) instead of the decoded
-  /// EngineReader view — see bp::QueryService.
-  std::unique_ptr<StreamConsumer> attach_stream(fsim::ClientId client);
-
   /// The shared channel (outlives the engine via shared_ptr; consumers
   /// keep it alive).
   const StreamChannel& channel() const { return *channel_; }
@@ -223,9 +213,8 @@ class StreamEngine final : public Engine {
       GUARDED_BY(mutex_);
 };
 
-/// Read-side session over a live stream.  Owns a channel cursor; also
-/// usable through the EngineReader interface.  next_raw() exposes the
-/// shared published step for zero-copy fan-out services.
+/// Read-side session over a live stream, behind the EngineReader
+/// interface.  Owns a channel cursor.
 class StreamConsumer final : public EngineReader {
  public:
   /// `fs` must outlive the consumer (decoding charges CPU to `client`,
@@ -244,13 +233,6 @@ class StreamConsumer final : public EngineReader {
   std::uint64_t steps_dropped() const override;
   bool disconnected() const override;
   void detach() override;
-
-  /// Advance and return the raw published step (compressed payloads,
-  /// shared ownership); nullptr at end of stream.
-  std::shared_ptr<const StreamStep> next_raw();
-  /// The raw step the cursor is currently on (nullptr before the first
-  /// next_step/next_raw).
-  std::shared_ptr<const StreamStep> current_raw() const { return step_; }
 
  private:
   std::shared_ptr<StreamChannel> channel_;

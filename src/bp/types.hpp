@@ -227,8 +227,7 @@ struct VarRecord {
 using AttrValue = std::variant<std::string, double, std::uint64_t>;
 
 /// Everything recorded for one step in md.0.  The name lookups below are
-/// the only ones: the reader, both engines' read sides and the query
-/// service all go through them.
+/// the only ones: the reader and both engines' read sides go through them.
 struct StepRecord {
   std::uint64_t step = 0;
   std::vector<VarRecord> variables;

@@ -87,11 +87,6 @@ class BufferPool {
   /// within the reserved capacity never reallocate.
   PooledBuffer acquire_reserve(std::size_t capacity) EXCLUDES(mutex_);
 
-  /// Adopt a vector into its capacity class.  PooledBuffer returns itself;
-  /// this is for buffers the pool never handed out (bp::QueryService's
-  /// decoded blocks).  Zero-capacity buffers are ignored and not counted.
-  void release(std::vector<std::uint8_t>&& buffer) EXCLUDES(mutex_);
-
   struct Stats {
     std::uint64_t hits = 0;      // acquires served from a freelist
     std::uint64_t misses = 0;    // acquires that had to allocate
@@ -117,6 +112,14 @@ class BufferPool {
   static BufferPool& shared();
 
  private:
+  friend class PooledBuffer;
+
+  /// File a returned vector under its capacity class.  Private: every
+  /// pooled byte enters through acquire(), and only a PooledBuffer hands
+  /// its vector back.  Zero-capacity buffers (moved-from) are ignored and
+  /// not counted.
+  void release(std::vector<std::uint8_t>&& buffer) EXCLUDES(mutex_);
+
   // Capacity classes: class k holds buffers of capacity exactly 2^k bytes,
   // k in [kMinClassBits, kMaxClassBits].  Requests above the largest class
   // are served unpooled (they would hoard too much memory); requests below

@@ -115,6 +115,12 @@ public:
     const std::size_t typesize = cur.u8();
     const std::uint64_t orig_size = cur.u64();
     const std::uint32_t nchunks = cur.u32();
+    // Bound the reservation by what the frame can back: each chunk has a
+    // 9-byte header and holds at most kChunk bytes.
+    if (nchunks > cur.remaining() / 9)
+      throw FormatError("blosc: chunk count exceeds frame");
+    if (orig_size > std::uint64_t(nchunks) * kChunk)
+      throw FormatError("blosc: size exceeds chunk count");
     Bytes out;
     out.reserve(orig_size);
     for (std::uint32_t c = 0; c < nchunks; ++c) {
@@ -269,6 +275,12 @@ public:
       return Bytes(body.begin(), body.end());
     }
     const std::uint32_t nblocks = cur.u32();
+    // Bound the reservation by what the frame can back: each block has a
+    // 12-byte header and holds at most kBlock bytes.
+    if (nblocks > cur.remaining() / 12)
+      throw FormatError("bzip2: block count exceeds frame");
+    if (orig_size > std::uint64_t(nblocks) * kBlock)
+      throw FormatError("bzip2: size exceeds block count");
     Bytes out;
     out.reserve(orig_size);
     for (std::uint32_t b = 0; b < nblocks; ++b) {

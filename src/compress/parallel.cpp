@@ -51,6 +51,10 @@ Bytes decompress_czp1(ByteSpan frame, int threads) {
     if (nblocks != want) throw FormatError("czp: bad block count");
   }
 
+  // The block table is 4 bytes per block: a count the frame cannot hold is
+  // rejected before the table is allocated.
+  if (nblocks > cur.remaining() / 4)
+    throw FormatError("czp: block count exceeds frame");
   std::vector<std::uint32_t> enc_len(nblocks);
   for (std::uint64_t b = 0; b < nblocks; ++b) enc_len[b] = cur.u32();
   std::vector<ByteSpan> bodies(nblocks);

@@ -19,6 +19,4 @@
 #include <iostream>
 #include <sstream>
 
-#ifndef BITIO_ALLOW_RAW_IO  // set per source by the build, never in code
 #pragma GCC poison fopen fdopen freopen popen tmpfile fwrite fread fscanf fputs ofstream ifstream fstream filesystem
-#endif

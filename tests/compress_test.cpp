@@ -6,6 +6,7 @@
 
 #include "compress/bwt.hpp"
 #include "compress/codec.hpp"
+#include "compress/frame.hpp"
 #include "compress/huffman.hpp"
 #include "compress/lz.hpp"
 #include "compress/parallel.hpp"
@@ -341,6 +342,59 @@ TEST(Codec, Bzip2ZeroRunPastItsBlockIsFormatError) {
   // A block longer than the codec ever writes is rejected up front.
   EXPECT_THROW(bz->decompress(bzl1_zero_run_frame(1, 128 * 1024 + 1)),
                FormatError);
+}
+
+TEST(Codec, DeclaredSizesTheFrameCannotBackAreFormatError) {
+  // Each decoder bounds what it allocates by what the frame's bytes can
+  // back, so a forged size or count is a FormatError, never bad_alloc.
+  constexpr std::uint64_t kHuge = std::uint64_t(1) << 62;
+  constexpr std::uint64_t kTiB = std::uint64_t(1) << 40;
+  constexpr std::uint32_t kMaxCount = 0xFFFFFFFFu;
+  const auto blosc = make_blosc_codec();
+  const auto bz = make_bzip2_codec();
+
+  // BLL1: 2^62 bytes in one (empty, raw) chunk of at most 256 KiB.
+  Bytes bll1_size = ascii("BLL1");
+  bll1_size.push_back(4);  // typesize
+  put_u64(bll1_size, kHuge);
+  put_u32(bll1_size, 1);  // nchunks
+  put_u32(bll1_size, 0);  // raw_len
+  bll1_size.push_back(0);  // mode: raw
+  put_u32(bll1_size, 0);  // enc_len
+  EXPECT_THROW(blosc->decompress(bll1_size), FormatError);
+
+  // BLL1: 2^32 - 1 chunk headers declared, none present.
+  Bytes bll1_count = ascii("BLL1");
+  bll1_count.push_back(4);
+  put_u64(bll1_count, kTiB);
+  put_u32(bll1_count, kMaxCount);
+  EXPECT_THROW(blosc->decompress(bll1_count), FormatError);
+
+  // BZL1: 2^62 bytes in one (empty) block of at most 128 KiB.
+  Bytes bzl1_size = ascii("BZL1");
+  put_u64(bzl1_size, kHuge);
+  bzl1_size.push_back(1);  // mode: compressed
+  put_u32(bzl1_size, 1);   // nblocks
+  put_u32(bzl1_size, 0);   // raw_len
+  put_u32(bzl1_size, 0);   // primary index
+  put_u32(bzl1_size, 0);   // enc_len
+  EXPECT_THROW(bz->decompress(bzl1_size), FormatError);
+
+  // BZL1: 2^32 - 1 block headers declared, none present.
+  Bytes bzl1_count = ascii("BZL1");
+  put_u64(bzl1_count, kTiB);
+  bzl1_count.push_back(1);
+  put_u32(bzl1_count, kMaxCount);
+  EXPECT_THROW(bz->decompress(bzl1_count), FormatError);
+
+  // CZP1: 1-byte blocks make a consistent 2^32 - 1 entry block table (a
+  // 16 GiB allocation), which the frame does not hold.
+  Bytes czp1 = ascii("CZP1");
+  czp1.push_back(kFrameVersion);
+  put_u64(czp1, kMaxCount);  // orig_size
+  put_u32(czp1, 1);          // block_size
+  put_u32(czp1, kMaxCount);  // nblocks
+  EXPECT_THROW(decompress_frame(czp1), FormatError);
 }
 
 TEST(Codec, SpeedModelOrdering) {

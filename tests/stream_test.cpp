@@ -2,8 +2,8 @@
 // stream engine: factory registration, byte-identical compatibility of the
 // named Writer/Reader constructors, the shared put check and chunk records
 // of the file and stream engines, reader lifecycle edges (attach before
-// the first step, detach mid-stream), the three slow-reader policies, the
-// in-situ QueryService, and multi-consumer hammers for the TSan suite.
+// the first step, detach mid-stream), the three slow-reader policies, and
+// multi-consumer hammers for the TSan suite.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,6 @@
 #include <tuple>
 
 #include "bp/engine.hpp"
-#include "bp/query.hpp"
 #include "bp/reader.hpp"
 #include "bp/stream.hpp"
 #include "bp/writer.hpp"
@@ -502,159 +501,6 @@ TEST(StreamEngine, MultiConsumerHammer) {
   for (int c = 0; c < kConsumers; ++c)
     expected_total += c % 2 == 1 ? std::uint64_t(2 + c) : kSteps;
   EXPECT_EQ(decoded.load(), expected_total);
-}
-
-// ----------------------------------------------------------- query service ---
-
-TEST(QueryService, ServesDecodedBlocksWithLruCache) {
-  fsim::SharedFs fs(4);
-  auto engine = make_engine("stream", fs, "q.stream",
-                            stream_config(8, "block", "blosc"), 2);
-  auto* stream = dynamic_cast<StreamEngine*>(engine.get());
-  ASSERT_NE(stream, nullptr);
-
-  QueryService service(*stream, 0);
-  for (std::uint64_t step = 0; step < 3; ++step)
-    put_step(*engine, step, float(step) * 10.f);
-  engine->close();
-  EXPECT_EQ(service.wait_steps(3), 3u);
-
-  EXPECT_EQ(service.steps(), (std::vector<std::uint64_t>{0, 1, 2}));
-  EXPECT_EQ(service.latest_step(), std::optional<std::uint64_t>(2));
-  EXPECT_EQ(service.variables(1), std::vector<std::string>{"density"});
-
-  const auto miss = service.query(1, "density");
-  ASSERT_NE(miss, nullptr);
-  EXPECT_EQ(as_floats(*miss), iota_floats(16, 10.f));
-  const auto hit = service.query(1, "density");
-  EXPECT_EQ(hit.get(), miss.get());  // shared cached block
-
-  const auto stats = service.stats();
-  EXPECT_EQ(stats.queries, 2u);
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.steps_indexed, 3u);
-
-  // Unknown step / variable are nullptr, not exceptions.
-  EXPECT_EQ(service.query(99, "density"), nullptr);
-  EXPECT_EQ(service.query(1, "nope"), nullptr);
-}
-
-TEST(QueryService, RetainStepsBoundsTheIndex) {
-  fsim::SharedFs fs(4);
-  auto engine = make_engine("stream", fs, "ret.stream",
-                            stream_config(8, "block"), 2);
-  auto* stream = dynamic_cast<StreamEngine*>(engine.get());
-  QueryService::Options options;
-  options.retain_steps = 2;
-  QueryService service(*stream, 0, options);
-  for (std::uint64_t step = 0; step < 5; ++step)
-    put_step(*engine, step, float(step));
-  engine->close();
-  service.wait_steps(5);
-
-  EXPECT_EQ(service.steps(), (std::vector<std::uint64_t>{3, 4}));
-  EXPECT_EQ(service.query(0, "density"), nullptr);  // pruned from the index
-  EXPECT_NE(service.query(4, "density"), nullptr);
-}
-
-TEST(QueryService, TinyBudgetEvicts) {
-  fsim::SharedFs fs(4);
-  auto engine = make_engine("stream", fs, "ev.stream",
-                            stream_config(8, "block"), 2);
-  auto* stream = dynamic_cast<StreamEngine*>(engine.get());
-  QueryService::Options options;
-  options.cache_bytes = 64;  // far below one 64-byte-per-step decoded block
-  options.shards = 1;
-  QueryService service(*stream, 0, options);
-  for (std::uint64_t step = 0; step < 4; ++step)
-    put_step(*engine, step, float(step));
-  engine->close();
-  service.wait_steps(4);
-
-  for (std::uint64_t step = 0; step < 4; ++step)
-    ASSERT_NE(service.query(step, "density"), nullptr);
-  const auto stats = service.stats();
-  EXPECT_GT(stats.evictions, 0u);
-  EXPECT_EQ(stats.misses, 4u);
-}
-
-TEST(QueryService, ConcurrentClientsShareTheCache) {
-  fsim::SharedFs fs(8);
-  auto engine = make_engine("stream", fs, "cc.stream",
-                            stream_config(8, "block", "blosc"), 2);
-  auto* stream = dynamic_cast<StreamEngine*>(engine.get());
-  QueryService service(*stream, 0);
-
-  constexpr std::uint64_t kSteps = 6;
-  for (std::uint64_t step = 0; step < kSteps; ++step)
-    put_step(*engine, step, float(step));
-  engine->close();
-  service.wait_steps(kSteps);
-
-  constexpr int kClients = 8;
-  std::atomic<std::uint64_t> served{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&, c] {
-      for (int round = 0; round < 32; ++round) {
-        const std::uint64_t step =
-            std::uint64_t(c + round) % kSteps;
-        const auto block = service.query(step, "density");
-        ASSERT_NE(block, nullptr);
-        EXPECT_EQ(as_floats(*block), iota_floats(16, float(step)));
-        served.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& thread : clients) thread.join();
-
-  const auto stats = service.stats();
-  EXPECT_EQ(served.load(), std::uint64_t(kClients) * 32u);
-  EXPECT_EQ(stats.queries, std::uint64_t(kClients) * 32u);
-  // Each (step, var) decodes a bounded number of times (a decode race may
-  // decode twice); the rest are cache hits.
-  EXPECT_GE(stats.hits, stats.queries - 2u * kSteps);
-  EXPECT_GT(stats.hit_rate(), 0.9);
-
-  service.stop();
-  // Queries keep working on the retained index after stop().
-  EXPECT_NE(service.query(0, "density"), nullptr);
-}
-
-TEST(QueryService, LiveIngestWhileClientsQuery) {
-  fsim::SharedFs fs(8);
-  auto engine = make_engine("stream", fs, "live-q.stream",
-                            stream_config(4, "block"), 2);
-  auto* stream = dynamic_cast<StreamEngine*>(engine.get());
-  QueryService service(*stream, 0);
-
-  constexpr std::uint64_t kSteps = 16;
-  std::thread producer([&] {
-    for (std::uint64_t step = 0; step < kSteps; ++step)
-      put_step(*engine, step, float(step));
-    engine->close();
-  });
-
-  std::atomic<bool> done{false};
-  std::thread client([&] {
-    while (!done.load(std::memory_order_relaxed)) {
-      if (const auto latest = service.latest_step()) {
-        const auto block = service.query(*latest, "density");
-        // The step may age out between latest_step() and query(): nullptr
-        // is acceptable, a wrong payload is not.
-        if (block) {
-          EXPECT_EQ(as_floats(*block).at(0), float(*latest));
-        }
-      }
-    }
-  });
-
-  EXPECT_EQ(service.wait_steps(kSteps), kSteps);
-  done.store(true, std::memory_order_relaxed);
-  producer.join();
-  client.join();
-  EXPECT_EQ(service.stats().steps_indexed, kSteps);
 }
 
 }  // namespace
