@@ -2,6 +2,8 @@
 // end-to-end, aggregation mapping, operators, steps, and failure detection.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <numeric>
 #include <type_traits>
 
@@ -1420,6 +1422,248 @@ TEST(BpAsync, DrainLanesInTraceAndReplay) {
   const auto sync_replay =
       fsim::replay_trace(fsim::dardel(), sync_fs.store(), sync_fs.trace(), 4);
   EXPECT_DOUBLE_EQ(sync_replay.mean_drain_time(), 0.0);
+}
+
+
+// ------------------------------------------------------ golden writer ---
+// Two steps through the file writer with puts scrambled across ranks and
+// variables: one all-synthetic step, one real step mixing put() and
+// put_borrowed().  The container bytes and the trace pin the writer's
+// variable order (rank-major, first seen), chunk order (rank, then put
+// order), per-aggregator offsets and op sequence.
+
+/// One put of the golden workload: rank, variable (0 "E/x" 1-D float32,
+/// 1 "B/yz" 2-D float64, 2 "ions/w" 1-D uint64) and, for the 2-D variable,
+/// which half of the rank's row.
+struct GoldenPut {
+  int rank;
+  int var;
+  std::uint64_t part;
+};
+
+/// Rank 0 puts ions/w, then E/x, then its second B/yz half before its
+/// first, so md.0's variable order differs from the first-put order, and
+/// rank 4 never puts ions/w.
+constexpr GoldenPut kGoldenPuts[] = {
+    {3, 1, 1}, {5, 0, 0}, {0, 2, 0}, {3, 0, 0}, {1, 1, 0}, {0, 0, 0},
+    {2, 2, 0}, {5, 1, 0}, {0, 1, 1}, {1, 0, 0}, {3, 2, 0}, {2, 1, 1},
+    {0, 1, 0}, {5, 2, 0}, {1, 1, 1}, {2, 0, 0}, {3, 1, 0}, {1, 2, 0},
+    {5, 1, 1}, {2, 1, 0}, {4, 0, 0}, {4, 1, 1}, {4, 1, 0}};
+
+struct GoldenVar {
+  const char* name;
+  Datatype dtype;
+  Dims shape;
+};
+const GoldenVar kGoldenVars[] = {{"E/x", Datatype::float32, {30}},
+                                 {"B/yz", Datatype::float64, {6, 8}},
+                                 {"ions/w", Datatype::uint64, {12}}};
+
+Dims golden_offset(const GoldenPut& p) {
+  switch (p.var) {
+    case 0: return {std::uint64_t(p.rank) * 5};
+    case 1: return {std::uint64_t(p.rank), p.part * 4};
+    default: return {std::uint64_t(p.rank) * 2};
+  }
+}
+
+Dims golden_count(const GoldenPut& p) {
+  switch (p.var) {
+    case 0: return {5};
+    case 1: return {1, 4};
+    default: return {2};
+  }
+}
+
+/// The payload of one real put: element i of the chunk is a value unique
+/// to (rank, variable, part, i).
+std::vector<std::uint8_t> golden_payload(const GoldenPut& p) {
+  const std::uint64_t n = element_count(golden_count(p));
+  std::vector<std::uint8_t> bytes;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const double v = double(p.rank) * 100.0 + double(p.var) * 10.0 +
+                     double(p.part) * 5.0 + double(i) * 0.25;
+    std::uint8_t raw[8];
+    std::size_t size = 8;
+    switch (kGoldenVars[p.var].dtype) {
+      case Datatype::float32: {
+        const float f = float(v);
+        std::memcpy(raw, &f, size = 4);
+        break;
+      }
+      case Datatype::float64: std::memcpy(raw, &v, 8); break;
+      default: {
+        const std::uint64_t u = std::uint64_t(v * 4.0);
+        std::memcpy(raw, &u, 8);
+        break;
+      }
+    }
+    bytes.insert(bytes.end(), raw, raw + size);
+  }
+  return bytes;
+}
+
+/// Writes the two golden steps into `path` on 6 ranks and 2 aggregators
+/// and returns the writer's pool counters.  Rank 4 sits the real step out.
+cz::BufferPool::Stats write_golden_steps(fsim::SharedFs& fs, const std::string& path,
+                        bool async) {
+  EngineConfig config = small_config(2);
+  config.ranks_per_node = 2;
+  config.profiling = true;
+  config.async_write = async;
+  Writer writer = Writer::open(fs, path, config, 6);
+
+  writer.begin_step(0);
+  for (const GoldenPut& p : kGoldenPuts) {
+    const GoldenVar& var = kGoldenVars[p.var];
+    writer.put_synthetic(p.rank, var.name, var.dtype, var.shape,
+                         golden_offset(p), golden_count(p));
+  }
+  writer.add_attribute("time", AttrValue(0.5));
+  writer.end_step();
+
+  // Borrowed payloads must outlive the drain, which under async_write
+  // lands by close().
+  std::vector<std::vector<std::uint8_t>> payloads;
+  for (const GoldenPut& p : kGoldenPuts) payloads.push_back(golden_payload(p));
+  writer.begin_step(1);
+  for (std::size_t i = 0; i < std::size(kGoldenPuts); ++i) {
+    const GoldenPut& p = kGoldenPuts[i];
+    if (p.rank == 4) continue;
+    const GoldenVar& var = kGoldenVars[p.var];
+    const ChunkView view(var.dtype, payloads[i], golden_offset(p),
+                         golden_count(p));
+    if (i % 2 == 0)
+      writer.put(p.rank, var.name, var.shape, view);
+    else
+      writer.put_borrowed(p.rank, var.name, var.shape, view);
+  }
+  writer.add_attribute("author", AttrValue(std::string("bitio")));
+  writer.add_attribute("iteration", AttrValue(std::uint64_t(1)));
+  writer.end_step();
+  writer.close();
+  return writer.pool_stats();
+}
+
+/// "name:size:crc32c" of one container file.
+std::string golden_file(fsim::SharedFs& fs, const std::string& path,
+                        const char* name) {
+  fsim::FsClient io(fs, 0);
+  const auto bytes = io.read_all(path + "/" + name);
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%s:%zu:%08x", name, bytes.size(),
+                crc32c(bytes));
+  return buf;
+}
+
+TEST(BpGolden, WriterStepsWithInterleavedPuts) {
+  fsim::SharedFs fs(8);
+  const cz::BufferPool::Stats pool =
+      write_golden_steps(fs, "golden.bp4", /*async=*/false);
+  EXPECT_EQ(pool.hits, 0u);
+  EXPECT_EQ(pool.misses, 12u);  // ten staged puts, two aggregation buffers
+  EXPECT_EQ(pool.released, 12u);
+
+  // Every op the writer recorded, in order; a cpu op shows its seconds.
+  std::string trace;
+  for (const fsim::TraceOp& op : fs.trace()) {
+    char line[160];
+    std::snprintf(line, sizeof line, "%u/%u %s %s %llu+%llu x%u",
+                  unsigned(op.client), unsigned(op.lane),
+                  fsim::op_name(op.kind), fsim::tag_name(op.tag),
+                  static_cast<unsigned long long>(op.offset),
+                  static_cast<unsigned long long>(op.bytes),
+                  unsigned(op.op_count));
+    trace += line;
+    if (op.kind == fsim::OpKind::cpu) {
+      std::snprintf(line, sizeof line, " %.17g", op.cpu_seconds);
+      trace += line;
+    }
+    trace += "\n";
+  }
+  EXPECT_EQ(trace,
+            "0/0 create none 0+0 x1\n"
+            "3/0 create none 0+0 x1\n"
+            "0/0 create none 0+0 x1\n"
+            "0/0 create none 0+0 x1\n"
+            "0/0 write none 0+8 x1\n"
+            "0/0 cpu memcopy 0+0 x1 6.2499999999999997e-09\n"
+            "1/0 cpu memcopy 0+0 x1 6.2500000000000005e-09\n"
+            "2/0 cpu memcopy 0+0 x1 6.2499999999999997e-09\n"
+            "3/0 cpu memcopy 0+0 x1 6.2499999999999997e-09\n"
+            "4/0 cpu memcopy 0+0 x1 5.2500000000000007e-09\n"
+            "5/0 cpu memcopy 0+0 x1 6.2499999999999997e-09\n"
+            "0/0 write none 0+300 x1\n"
+            "3/0 write none 0+284 x1\n"
+            "0/0 write none 0+2100 x1\n"
+            "0/0 write none 8+32 x1\n"
+            "0/0 cpu memcopy 0+0 x1 5.6250000000000007e-09\n"
+            "0/0 cpu crc32c 0+0 x1 8.3333333333333319e-09\n"
+            "1/0 cpu memcopy 0+0 x1 5.1250000000000004e-09\n"
+            "1/0 cpu crc32c 0+0 x1 8.3333333333333335e-09\n"
+            "2/0 cpu memcopy 0+0 x1 3.6250000000000002e-09\n"
+            "2/0 cpu crc32c 0+0 x1 8.3333333333333319e-09\n"
+            "3/0 cpu memcopy 0+0 x1 5.6250000000000007e-09\n"
+            "3/0 cpu crc32c 0+0 x1 8.3333333333333319e-09\n"
+            "5/0 cpu memcopy 0+0 x1 4.1250000000000005e-09\n"
+            "5/0 cpu crc32c 0+0 x1 8.3333333333333319e-09\n"
+            "0/0 write none 300+300 x1\n"
+            "3/0 write none 284+200 x1\n"
+            "0/0 write none 2100+1862 x1\n"
+            "0/0 write none 40+32 x1\n"
+            "0/0 write none 0+8 x1\n"
+            "0/0 write none 3962+96 x1\n"
+            "0/0 create none 0+0 x1\n"
+            "0/0 write none 0+333 x1\n"
+            "0/0 close none 0+0 x1\n"
+            "0/0 fsync none 0+0 x1\n"
+            "0/0 close none 0+0 x1\n"
+            "3/0 fsync none 0+0 x1\n"
+            "3/0 close none 0+0 x1\n"
+            "0/0 close none 0+0 x1\n"
+            "0/0 close none 0+0 x1\n");
+
+  fsim::FsClient io(fs, 0);
+  EXPECT_EQ(hex(io.read_all("golden.bp4/md.idx")), 
+            "3558444902000000000000000000000000000000000000003408000000000000"
+            "c74b674800000000010000000000000034080000000000004607000000000000"
+            "c74b674800000000");
+  std::string files;
+  for (const char* name :
+       {"data.0", "data.1", "md.0", "md.idx", "profiling.json"})
+    files += golden_file(fs, "golden.bp4", name) + "\n";
+  EXPECT_EQ(files,
+            "data.0:600:22e35533\n"
+            "data.1:484:554e0960\n"
+            "md.0:4058:5d9f9c28\n"
+            "md.idx:72:7e8cd936\n"
+            "profiling.json:333:74b01c61\n");
+
+  // The metadata a reader sees: variables in rank-major first-seen order,
+  // each variable's chunks by rank, then put order.
+  Reader reader = Reader::open(fs, 0, "golden.bp4");
+  for (std::uint64_t step = 0; step < 2; ++step) {
+    const StepRecord& record = reader.step(step);
+    EXPECT_EQ(record.variable_names(),
+              (std::vector<std::string>{"ions/w", "E/x", "B/yz"}));
+    std::string order;
+    for (const ChunkRecord& c : record.find_variable("B/yz")->chunks)
+      order += std::to_string(c.writer_rank) + ":" +
+               std::to_string(c.offset[1]) + " ";
+    EXPECT_EQ(order, step == 0
+                         ? "0:4 0:0 1:0 1:4 2:4 2:0 3:4 3:0 4:4 4:0 5:0 5:4 "
+                         : "0:4 0:0 1:0 1:4 2:4 2:0 3:4 3:0 5:0 5:4 ");
+  }
+  for (const auto& v : reader.verify())
+    EXPECT_EQ(v.status, v.step == 0 ? Reader::ChunkVerdict::Status::no_crc
+                                    : Reader::ChunkVerdict::Status::ok);
+
+  // The background drain lands the same bytes.
+  fsim::SharedFs async_fs(8);
+  (void)write_golden_steps(async_fs, "golden.bp4", /*async=*/true);
+  for (const char* name : {"data.0", "data.1", "md.0", "md.idx"})
+    EXPECT_EQ(golden_file(async_fs, "golden.bp4", name),
+              golden_file(fs, "golden.bp4", name));
 }
 
 }  // namespace
