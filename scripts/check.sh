@@ -64,7 +64,9 @@
 #                          label — the codec smoke test, bp_alloc_test,
 #                          whose counting operator new gates the synthetic
 #                          chunk path at fewer heap allocations than
-#                          chunks, and fsim_alloc_test, which gates the
+#                          chunks and, as the rank-scaling gate, at most
+#                          16 more at 512 ranks than at 64 (nothing per
+#                          rank), and fsim_alloc_test, which gates the
 #                          trace replay of 4,096 clients at fewer heap
 #                          allocations than clients — and the
 #                          `compile-fail` fixtures; the

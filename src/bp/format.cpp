@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <iterator>
+#include <type_traits>
 
 #include "compress/parallel.hpp"
 #include "fsim/storage_model.hpp"
@@ -23,67 +24,45 @@ std::uint64_t shape_bytes(const VarRecord& var) {
   return bytes;
 }
 
-std::size_t str_bytes(const std::string& s) { return 4 + s.size(); }
+std::size_t str_bytes(std::string_view s) { return 4 + s.size(); }
 std::size_t dims_bytes(const Dims& d) { return 4 + 8 * d.size(); }
 
-/// A chunk record's bytes besides its offset and count: writer rank,
-/// subfile, file offset, stored and raw sizes, min, max, CRC flag, CRC.
-constexpr std::size_t kChunkFixedBytes = 4 + 4 + 3 * 8 + 2 * 8 + 1 + 4;
+static_assert(std::endian::native == std::endian::little,
+              "MD07 is written with native word stores");
 
-/// Little-endian writes into a buffer encode_step sized in advance.  A
-/// write past its end, or a finish() short of it, means the size pass and
-/// the write pass disagree: a bug, raised as bitio::Error.
-class Cursor {
-public:
-  explicit Cursor(std::vector<std::uint8_t>& buffer)
-      : pos_(buffer.data()), end_(buffer.data() + buffer.size()) {}
+/// Little-endian word stores into a block sized in advance: each writes
+/// its field at `at` and returns the byte past it.
+template <typename T>
+  requires std::is_integral_v<T>
+std::uint8_t* store(std::uint8_t* at, T v) {
+  std::memcpy(at, &v, sizeof v);
+  return at + sizeof v;
+}
+std::uint8_t* store(std::uint8_t* at, std::string_view s) {
+  at = store(at, std::uint32_t(s.size()));
+  if (!s.empty()) std::memcpy(at, s.data(), s.size());
+  return at + s.size();
+}
+std::uint8_t* store(std::uint8_t* at, const Dims& d) {
+  at = store(at, std::uint32_t(d.size()));
+  for (const std::uint64_t v : d) at = store(at, v);
+  return at;
+}
 
-  void u8(std::uint8_t v) { *reserve(1) = v; }
-  void u32(std::uint32_t v) { put(v); }
-  void u64(std::uint64_t v) { put(v); }
-  void f64(double d) { put(std::bit_cast<std::uint64_t>(d)); }
-  void str(const std::string& s) {
-    u32(std::uint32_t(s.size()));
-    if (!s.empty()) std::memcpy(reserve(s.size()), s.data(), s.size());
-  }
-  void dims(const Dims& d) {
-    u32(std::uint32_t(d.size()));
-    for (const std::uint64_t v : d) u64(v);
-  }
-  void finish() const {
-    if (pos_ != end_) throw Error("bp: encode_step wrote short of its size");
-  }
+std::size_t attr_bytes(const std::string& name, const AttrValue& value) {
+  const auto* text = std::get_if<std::string>(&value);
+  return str_bytes(name) + 1 + (text ? str_bytes(*text) : 8);
+}
 
-private:
-  std::uint8_t* reserve(std::size_t n) {
-    if (std::size_t(end_ - pos_) < n)
-      throw Error("bp: encode_step wrote past its size");
-    std::uint8_t* at = pos_;
-    pos_ += n;
-    return at;
-  }
-  template <typename T>
-  void put(T v) {
-    std::uint8_t* at = reserve(sizeof(T));
-    for (std::size_t i = 0; i < sizeof(T); ++i)
-      at[i] = std::uint8_t(v >> (8 * i));
-  }
-
-  std::uint8_t* pos_;
-  std::uint8_t* end_;
-};
-
-void encode_attr(Cursor& writer, const std::string& name,
-                 const AttrValue& value) {
-  writer.str(name);
-  writer.u8(std::uint8_t(value.index()));
-  if (const auto* s = std::get_if<std::string>(&value)) {
-    writer.str(*s);
-  } else if (const auto* d = std::get_if<double>(&value)) {
-    writer.f64(*d);
-  } else {
-    writer.u64(std::get<std::uint64_t>(value));
-  }
+std::uint8_t* store_attr(std::uint8_t* at, const std::string& name,
+                         const AttrValue& value) {
+  at = store(at, std::string_view(name));
+  at = store(at, std::uint8_t(value.index()));
+  if (const auto* s = std::get_if<std::string>(&value))
+    return store(at, std::string_view(*s));
+  if (const auto* d = std::get_if<double>(&value))
+    return store(at, std::bit_cast<std::uint64_t>(*d));
+  return store(at, std::get<std::uint64_t>(value));
 }
 
 /// A dims field read straight into Dims; a rank above kMaxRank is corrupt
@@ -150,7 +129,7 @@ void compute_stats(Datatype dtype, std::span<const std::uint8_t> data,
 // read from the block is checked against them before anything is reserved,
 // so a CRC-valid block cannot ask for more records than its bytes can hold.
 constexpr std::size_t kMinVarRecordBytes = 4 + 1 + 4 + 4 + 4;
-constexpr std::size_t kMinChunkRecordBytes = 4 + 4 + kChunkFixedBytes;
+constexpr std::size_t kMinChunkRecordBytes = chunk_record_bytes(0, 0);
 
 std::uint32_t record_count(BinReader& reader, std::size_t min_record_bytes,
                            const char* what) {
@@ -163,56 +142,97 @@ std::uint32_t record_count(BinReader& reader, std::size_t min_record_bytes,
 
 }  // namespace
 
-EncodedStep encode_step(const StepRecord& record) {
-  // Size pass, then one write pass into a buffer of exactly that size.
+std::size_t step_block_bytes(
+    std::span<const VarLayout> vars,
+    std::span<const std::pair<std::string, AttrValue>> attributes) {
   std::size_t size = 4 + 8 + 4;  // magic, step, variable count
-  for (const auto& var : record.variables) {
+  for (const VarLayout& var : vars)
     size += str_bytes(var.name) + 1 + dims_bytes(var.shape) +
-            str_bytes(var.operator_name) + 4;
-    for (const auto& chunk : var.chunks)
-      size += dims_bytes(chunk.offset) + dims_bytes(chunk.count) +
-              kChunkFixedBytes;
-  }
+            str_bytes(var.operator_name) + 4 + var.chunk_bytes;
   size += 4;  // attribute count
-  for (const auto& [name, value] : record.attributes) {
-    const auto* text = std::get_if<std::string>(&value);
-    size += str_bytes(name) + 1 + (text ? str_bytes(*text) : 8);
-  }
-  size += 4;  // trailing CRC
+  for (const auto& [name, value] : attributes) size += attr_bytes(name, value);
+  return size + 4;  // trailing CRC
+}
 
-  EncodedStep out{std::vector<std::uint8_t>(size), 0};
-  Cursor writer(out.bytes);
-  writer.u32(kMdMagic);
-  writer.u64(record.step);
-  writer.u32(std::uint32_t(record.variables.size()));
-  for (const auto& var : record.variables) {
-    writer.str(var.name);
-    writer.u8(std::uint8_t(var.dtype));
-    writer.dims(var.shape);
-    writer.str(var.operator_name);
-    writer.u32(std::uint32_t(var.chunks.size()));
-    for (const auto& chunk : var.chunks) {
-      writer.dims(chunk.offset);
-      writer.dims(chunk.count);
-      writer.u32(chunk.writer_rank);
-      writer.u32(chunk.subfile);
-      writer.u64(chunk.file_offset);
-      writer.u64(chunk.stored_bytes);
-      writer.u64(chunk.raw_bytes);
-      writer.f64(chunk.stat_min);
-      writer.f64(chunk.stat_max);
-      writer.u8(chunk.has_crc ? 1 : 0);
-      writer.u32(chunk.crc32c);
-    }
+void lay_out_step(
+    std::uint64_t step, std::span<const VarLayout> vars,
+    std::span<const std::pair<std::string, AttrValue>> attributes,
+    std::span<std::uint8_t> block, std::span<std::size_t> chunk_slots) {
+  if (block.size() != step_block_bytes(vars, attributes))
+    throw Error("bp: MD07 block of the wrong size");
+  std::uint8_t* const base = block.data();
+  std::uint8_t* at = store(base, kMdMagic);
+  at = store(at, step);
+  at = store(at, std::uint32_t(vars.size()));
+  for (std::size_t v = 0; v < vars.size(); ++v) {
+    const VarLayout& var = vars[v];
+    at = store(at, var.name);
+    at = store(at, std::uint8_t(var.dtype));
+    at = store(at, var.shape);
+    at = store(at, var.operator_name);
+    at = store(at, var.chunks);
+    chunk_slots[v] = std::size_t(at - base);
+    at += var.chunk_bytes;
   }
-  writer.u32(std::uint32_t(record.attributes.size()));
-  for (const auto& [name, value] : record.attributes)
-    encode_attr(writer, name, value);
+  at = store(at, std::uint32_t(attributes.size()));
+  for (const auto& [name, value] : attributes) at = store_attr(at, name, value);
+  if (at != base + block.size() - 4)
+    throw Error("bp: MD07 layout wrote other than its size");
+}
+
+std::uint8_t* encode_chunk_record(std::uint8_t* at,
+                                  std::span<const std::uint64_t> offset,
+                                  std::span<const std::uint64_t> count,
+                                  const ChunkRecord& chunk) {
+  at = store(at, std::uint32_t(offset.size()));
+  for (const std::uint64_t v : offset) at = store(at, v);
+  at = store(at, std::uint32_t(count.size()));
+  for (const std::uint64_t v : count) at = store(at, v);
+  at = store(at, chunk.writer_rank);
+  at = store(at, chunk.subfile);
+  at = store(at, chunk.file_offset);
+  at = store(at, chunk.stored_bytes);
+  at = store(at, chunk.raw_bytes);
+  at = store(at, std::bit_cast<std::uint64_t>(chunk.stat_min));
+  at = store(at, std::bit_cast<std::uint64_t>(chunk.stat_max));
+  at = store(at, std::uint8_t(chunk.has_crc ? 1 : 0));
+  return store(at, chunk.crc32c);
+}
+
+std::uint32_t seal_step(std::span<std::uint8_t> block) {
   // The metadata block protects itself: trailing CRC32C over everything
-  // above, verified before any field is trusted on decode.
-  writer.u32(crc32c(std::span<const std::uint8_t>(out.bytes).first(size - 4)));
-  writer.finish();
-  out.crc = step_block_crc(out.bytes);
+  // before it, verified before any field is trusted on decode.
+  const std::span<std::uint8_t> body = block.first(block.size() - 4);
+  store(block.data() + body.size(), crc32c(body));
+  return step_block_crc(block);
+}
+
+EncodedStep encode_step(const StepRecord& record) {
+  std::vector<VarLayout> vars;
+  vars.reserve(record.variables.size());
+  for (const VarRecord& var : record.variables) {
+    std::size_t chunk_bytes = 0;
+    for (const ChunkRecord& chunk : var.chunks)
+      chunk_bytes +=
+          chunk_record_bytes(chunk.offset.size(), chunk.count.size());
+    vars.push_back({var.name, var.dtype, var.shape, var.operator_name,
+                    std::uint32_t(var.chunks.size()), chunk_bytes});
+  }
+  EncodedStep out{
+      std::vector<std::uint8_t>(step_block_bytes(vars, record.attributes)),
+      0};
+  std::vector<std::size_t> slots(vars.size());
+  lay_out_step(record.step, vars, record.attributes, out.bytes, slots);
+  for (std::size_t v = 0; v < vars.size(); ++v) {
+    std::uint8_t* at = out.bytes.data() + slots[v];
+    for (const ChunkRecord& chunk : record.variables[v].chunks)
+      at = encode_chunk_record(at, {chunk.offset.begin(), chunk.offset.end()},
+                               {chunk.count.begin(), chunk.count.end()},
+                               chunk);
+    if (at != out.bytes.data() + slots[v] + vars[v].chunk_bytes)
+      throw Error("bp: chunk records missed their MD07 slots");
+  }
+  out.crc = seal_step(out.bytes);
   return out;
 }
 
@@ -406,6 +426,12 @@ ChunkRecord marshal_chunk(const cz::Codec* codec, Datatype dtype,
   return meta;
 }
 
+std::uint64_t synthetic_stored_bytes(const cz::Codec* codec,
+                                     double codec_ratio,
+                                     std::uint64_t raw_bytes) {
+  return codec ? std::uint64_t(double(raw_bytes) * codec_ratio) : raw_bytes;
+}
+
 ChunkRecord synthetic_chunk(const cz::Codec* codec, double codec_ratio,
                             Datatype dtype, Dims offset, Dims count,
                             std::uint32_t writer_rank) {
@@ -415,8 +441,7 @@ ChunkRecord synthetic_chunk(const cz::Codec* codec, double codec_ratio,
   meta.count = std::move(count);
   meta.writer_rank = writer_rank;
   meta.stored_bytes =
-      codec ? std::uint64_t(double(meta.raw_bytes) * codec_ratio)
-            : meta.raw_bytes;
+      synthetic_stored_bytes(codec, codec_ratio, meta.raw_bytes);
   return meta;
 }
 

@@ -38,6 +38,7 @@
 
 #include <optional>
 #include <span>
+#include <string_view>
 
 #include "bp/types.hpp"
 #include "compress/codec.hpp"
@@ -62,9 +63,59 @@ struct EncodedStep {
   std::uint32_t crc = 0;
 };
 
-/// Serialize one step's metadata (appended to md.0): one pass sizes the
-/// block exactly, a second writes it into a buffer of that size.  Throws
-/// bitio::Error if the two passes disagree.
+/// Bytes of one MD07 chunk record: its offset and count (each a u32 rank
+/// and that many u64 extents), then writer rank, subfile, file offset,
+/// stored and raw sizes, min, max, CRC flag and CRC.  A 1-D record is 77.
+constexpr std::size_t chunk_record_bytes(std::size_t offset_rank,
+                                         std::size_t count_rank) {
+  return 4 + 8 * offset_rank + 4 + 8 * count_rank + 4 + 4 + 3 * 8 + 2 * 8 +
+         1 + 4;
+}
+
+/// One variable of an MD07 step block: its header fields, and the count
+/// and total bytes of the chunk records that follow the header.
+struct VarLayout {
+  std::string_view name;
+  Datatype dtype = Datatype::uint8;
+  Dims shape;
+  std::string_view operator_name;
+  std::uint32_t chunks = 0;
+  std::size_t chunk_bytes = 0;
+};
+
+/// Bytes of the MD07 block of one step with these variables and
+/// attributes.
+std::size_t step_block_bytes(
+    std::span<const VarLayout> vars,
+    std::span<const std::pair<std::string, AttrValue>> attributes);
+
+/// The one MD07 encoder, in three calls.  lay_out_step writes everything
+/// of a step block but its chunk records into `block`, which must be
+/// step_block_bytes() long: magic, step, each variable's header, the
+/// attributes.  `chunk_slots[v]` comes back as the offset of variable v's
+/// first chunk record.  Each record then goes into its slot through
+/// encode_chunk_record, in any order, and seal_step writes the trailing
+/// CRC32C.  lay_out_step throws bitio::Error if `block` has another size
+/// or its writes and the size pass disagree.
+void lay_out_step(
+    std::uint64_t step, std::span<const VarLayout> vars,
+    std::span<const std::pair<std::string, AttrValue>> attributes,
+    std::span<std::uint8_t> block, std::span<std::size_t> chunk_slots);
+/// Writes one chunk record at `at`, which must hold
+/// chunk_record_bytes(offset.size(), count.size()) bytes, with word
+/// stores, and returns the byte past it.  The placement comes as extents,
+/// so the file writer encodes straight from its chunk table; `chunk` gives
+/// every other field (its own offset and count are not read).
+std::uint8_t* encode_chunk_record(std::uint8_t* at,
+                                  std::span<const std::uint64_t> offset,
+                                  std::span<const std::uint64_t> count,
+                                  const ChunkRecord& chunk);
+/// Writes the CRC32C of the rest of a laid-out block into its last four
+/// bytes and returns the whole block's CRC32C (the md.idx entry's md_crc).
+std::uint32_t seal_step(std::span<std::uint8_t> block);
+
+/// Serialize one step's metadata (appended to md.0) through the encoder
+/// above.
 EncodedStep encode_step(const StepRecord& record);
 /// Parse one step's metadata, verifying its trailing CRC first.  Throws
 /// FormatError on corruption, an unknown version magic, a rank above
@@ -95,8 +146,10 @@ std::optional<std::vector<IndexEntry>> decode_footer(
 
 // --- chunk path --------------------------------------------------------------
 
-/// Modelled CRC32C throughput for the per-chunk checksum charge (software
-/// slice-by-one on one core; same order as the memcopy bandwidth).
+/// Modelled CRC32C throughput for the per-chunk checksum charge: a rate
+/// the simulated CPU pays, of the same order as the memcopy bandwidth, not
+/// a measurement of the host kernel (util/crc32c.hpp, SSE4.2 where the CPU
+/// has it).
 inline constexpr double kCrcBandwidthBps = 12e9;
 
 /// CPU seconds an engine charges for compressing `raw_bytes` with `codec`:
@@ -123,9 +176,14 @@ ChunkRecord marshal_chunk(const cz::Codec* codec, Datatype dtype,
                           Dims count, std::uint32_t writer_rank,
                           std::vector<std::uint8_t>& dst);
 
+/// The stored size of a size-only (synthetic) chunk of `raw_bytes`: under
+/// a codec the raw size scaled by `codec_ratio`.
+std::uint64_t synthetic_stored_bytes(const cz::Codec* codec,
+                                     double codec_ratio,
+                                     std::uint64_t raw_bytes);
+
 /// The record of a size-only (synthetic) chunk: no bytes, so no CRC or
-/// statistics; under a codec the stored size is the raw size scaled by
-/// `codec_ratio`.
+/// statistics, and synthetic_stored_bytes.
 ChunkRecord synthetic_chunk(const cz::Codec* codec, double codec_ratio,
                             Datatype dtype, Dims offset, Dims count,
                             std::uint32_t writer_rank);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <numeric>
 
@@ -92,8 +93,6 @@ Writer::Writer(fsim::SharedFs& fs, std::string path, EngineConfig config,
   num_aggregators_ = std::min(num_aggregators_, nranks_);
 
   codec_ = make_operator(config_, buffer_pool_);
-
-  pending_.resize(std::size_t(nranks_));
 
   // Create the container: every aggregator leader creates its subfile, rank
   // 0 creates the metadata files.  (This is the file population Table II
@@ -197,45 +196,53 @@ std::uint32_t Writer::validate_put(int rank, const std::string& name,
 void Writer::put(int rank, const std::string& name, const Dims& shape,
                  const ChunkView& view) {
   util::MutexLock lock(mutex_);
-  PendingChunk chunk;
-  chunk.var = validate_put(rank, name, view.dtype(), shape, view.offset(),
-                           view.count(), /*kind=*/1);
-  chunk.offset = view.offset();
-  chunk.count = view.count();
+  const std::uint32_t var = validate_put(rank, name, view.dtype(), shape,
+                                         view.offset(), view.count(),
+                                         /*kind=*/1);
   // Stage the payload in a recycled pool buffer: steady-state puts do no
   // heap allocation (the buffer returns to the pool with its step job).
-  chunk.data = buffer_pool_.acquire(view.bytes().size());
+  cz::PooledBuffer staged = buffer_pool_.acquire(view.bytes().size());
   if (!view.bytes().empty())
-    std::memcpy(chunk.data->data(), view.bytes().data(), view.bytes().size());
+    std::memcpy(staged->data(), view.bytes().data(), view.bytes().size());
+  payloads_.push_back({std::move(staged), {}});
   ++stage_copies_total_;
-  pending_[std::size_t(rank)].push_back(std::move(chunk));
+  add_chunk(var, rank, view.offset(), view.count());
 }
 
 void Writer::put_borrowed(int rank, const std::string& name,
                           const Dims& shape, const ChunkView& view) {
   util::MutexLock lock(mutex_);
-  PendingChunk chunk;
-  chunk.var = validate_put(rank, name, view.dtype(), shape, view.offset(),
-                           view.count(), /*kind=*/1);
-  chunk.offset = view.offset();
-  chunk.count = view.count();
+  const std::uint32_t var = validate_put(rank, name, view.dtype(), shape,
+                                         view.offset(), view.count(),
+                                         /*kind=*/1);
   // No staging: the drain marshals straight from the caller's bytes (which
   // the deferred-Put contract keeps valid until the step lands).
-  chunk.borrowed = view.bytes();
-  pending_[std::size_t(rank)].push_back(std::move(chunk));
+  payloads_.emplace_back().borrowed = view.bytes();
+  add_chunk(var, rank, view.offset(), view.count());
 }
 
 void Writer::put_synthetic(int rank, const std::string& name, Datatype dtype,
                            const Dims& shape, const Dims& offset,
                            const Dims& count) {
   util::MutexLock lock(mutex_);
-  PendingChunk chunk;
-  chunk.var =
+  const std::uint32_t var =
       validate_put(rank, name, dtype, shape, offset, count, /*kind=*/2);
-  chunk.offset = offset;
-  chunk.count = count;
-  chunk.synthetic = true;
-  pending_[std::size_t(rank)].push_back(std::move(chunk));
+  add_chunk(var, rank, offset, count);
+}
+
+void Writer::add_chunk(std::uint32_t var, int rank, const Dims& offset,
+                       const Dims& count) {
+  StepChunk& chunk = chunks_.emplace_back();
+  chunk.var = var;
+  chunk.rank = std::uint32_t(rank);
+  if (offset.size() == 1) {
+    chunk.at[0] = offset[0];
+    chunk.at[1] = count[0];
+  } else if (!offset.empty()) {
+    chunk.at[0] = extents_.size();
+    extents_.insert(extents_.end(), offset.begin(), offset.end());
+    extents_.insert(extents_.end(), count.begin(), count.end());
+  }
 }
 
 void Writer::add_attribute(const std::string& name, AttrValue value) {
@@ -257,18 +264,26 @@ void Writer::end_step() {
     attributes_.clear();
     job.vars = std::move(step_vars_);
     step_vars_.clear();
-    job.chunks = std::move(pending_);
-    pending_ = decltype(pending_)(std::size_t(nranks_));
+    job.chunks = std::move(chunks_);
+    chunks_.clear();
+    job.extents = std::move(extents_);
+    extents_.clear();
+    job.payloads = std::move(payloads_);
+    payloads_.clear();
     ++steps_written_;
   }
   if (!config_.async_write) {
     drain_step(job);
-    // Hand the drained per-rank tables back emptied, so the next step's
-    // puts refill them without growing.  No put can land in between: the
-    // step is closed.
-    for (auto& chunks : job.chunks) chunks.clear();
+    // Hand the drained tables back emptied, so the next step's puts refill
+    // them without growing.  Clearing the payloads returns their staged
+    // buffers to the pool.  No put can land in between: the step is closed.
+    job.chunks.clear();
+    job.extents.clear();
+    job.payloads.clear();
     util::MutexLock lock(mutex_);
-    pending_ = std::move(job.chunks);
+    chunks_ = std::move(job.chunks);
+    extents_ = std::move(job.extents);
+    payloads_ = std::move(job.payloads);
     return;
   }
   {
@@ -283,17 +298,58 @@ void Writer::end_step() {
 
 void Writer::drain_step(const StepJob& job) {
   const bool async = config_.async_write;
+  const bool synthetic_step = job.kind == 2;
   touch_heartbeat();
 
-  StepRecord record;
-  record.step = job.step;
-  record.attributes = job.attributes;
+  // The chunk table is walked rank-major — by rank, then put order —
+  // through a stable counting sort by rank: rank_order_ lists the table's
+  // rows rank by rank, and rank r's rows end at rank_end_[r].
+  const std::vector<StepChunk>& chunks = job.chunks;
+  if (chunks.size() >= std::numeric_limits<std::uint32_t>::max())
+    throw UsageError("bp::Writer: more chunks in one step than it can index");
+  rank_end_.assign(std::size_t(nranks_) + 1, 0);
+  for (const StepChunk& chunk : chunks) ++rank_end_[chunk.rank + 1];
+  std::partial_sum(rank_end_.begin(), rank_end_.end(), rank_end_.begin());
+  rank_order_.resize(chunks.size());
+  for (std::uint32_t i = 0; i < std::uint32_t(chunks.size()); ++i)
+    rank_order_[rank_end_[chunks[i].rank]++] = i;
 
-  // Record slot of each step variable, assigned in rank-major first-seen
-  // order (the order md.0 lists variables in).
-  constexpr std::size_t kUnseen = ~std::size_t(0);
-  std::vector<std::size_t> var_slot(job.vars.size(), kUnseen);
-  record.variables.reserve(job.vars.size());
+  // md.0 lists the variables in rank-major first-seen order.  A variable's
+  // chunk records all have the rank of its shape (check_put), so its put
+  // count sizes its records, and laying the block out up front gives every
+  // chunk record a slot before any chunk is marshalled.
+  constexpr std::uint32_t kUnseen = ~std::uint32_t(0);
+  const std::size_t nvars = job.vars.size();
+  std::vector<std::uint32_t> var_slot(nvars, kUnseen);
+  std::vector<VarLayout> layout;
+  layout.reserve(nvars);
+  const std::string operator_name = codec_ ? codec_->name() : "";
+  for (std::size_t p = 0; p < chunks.size() && layout.size() < nvars; ++p) {
+    const std::uint32_t v = chunks[rank_order_[p]].var;
+    if (var_slot[v] != kUnseen) continue;
+    var_slot[v] = std::uint32_t(layout.size());
+    const StepVar& var = job.vars[v];
+    const std::size_t rank = var.shape.size();
+    layout.push_back({var.name, var.dtype, var.shape, operator_name,
+                      std::uint32_t(var.puts),
+                      var.puts * chunk_record_bytes(rank, rank)});
+  }
+  // The block is kept across steps, and not zero-filled: the layout and
+  // the chunk records below write every byte of it.
+  const std::size_t md_bytes = step_block_bytes(layout, job.attributes);
+  if (md_bytes > md_capacity_) {
+    md_block_ = std::make_unique_for_overwrite<std::uint8_t[]>(md_bytes);
+    md_capacity_ = md_bytes;
+  }
+  const std::span<std::uint8_t> md_block(md_block_.get(), md_bytes);
+  // Where each variable's next chunk record goes, and where its records
+  // end.
+  std::vector<std::size_t> record_at(nvars);
+  lay_out_step(job.step, layout, job.attributes, md_block, record_at);
+  std::vector<std::size_t> records_end(nvars);
+  for (std::size_t v = 0; v < nvars; ++v)
+    records_end[v] = record_at[v] + layout[v].chunk_bytes;
+  std::uint8_t* const md = md_block.data();
 
   // Aggregation buffers (real payloads) and size counters (synthetic),
   // one per subfile.  Real steps draw the buffers from the pool — after
@@ -334,9 +390,15 @@ void Writer::drain_step(const StepJob& job) {
   const bool two_level = model_gather && config_.aggregation == "two_level";
   std::map<std::pair<int, int>, std::uint64_t> node_agg_bytes;
 
+  // The record of the chunk being drained, reused from chunk to chunk; the
+  // encoder takes its placement from the chunk table.
+  ChunkRecord meta;
+
   for (int rank = 0; rank < nranks_; ++rank) {
-    const auto& chunks = job.chunks[std::size_t(rank)];
-    if (chunks.empty()) continue;
+    const std::uint32_t begin =
+        rank == 0 ? 0 : rank_end_[std::size_t(rank) - 1];
+    const std::uint32_t end = rank_end_[std::size_t(rank)];
+    if (begin == end) continue;
     touch_heartbeat();
     const int a = aggregator_of(rank);
     fsim::FsClient client(fs_, fsim::ClientId(rank));
@@ -344,27 +406,39 @@ void Writer::drain_step(const StepJob& job) {
     double rank_memcopy_s = 0.0;
     double rank_crc_s = 0.0;
     std::uint64_t rank_stored = 0;  // this rank's marshalled bytes this step
-    for (const auto& chunk : chunks) {
+    for (std::uint32_t p = begin; p < end; ++p) {
+      const std::uint32_t row = rank_order_[p];
+      const StepChunk& chunk = chunks[row];
       const StepVar& step_var = job.vars[chunk.var];
-      std::size_t& slot = var_slot[chunk.var];
-      if (slot == kUnseen) {
-        slot = record.variables.size();
-        record.variables.push_back({step_var.name, step_var.dtype,
-                                    step_var.shape,
-                                    codec_ ? codec_->name() : "", {}});
-        record.variables.back().chunks.reserve(step_var.puts);
-      }
-      VarRecord& var = record.variables[slot];
+      const std::size_t dims = step_var.shape.size();
+      const std::uint64_t* extents =
+          dims == 1 ? chunk.at : job.extents.data() + chunk.at[0];
+      const std::span<const std::uint64_t> offset(extents, dims);
+      const std::span<const std::uint64_t> count(extents + dims, dims);
+      const Payload* payload = synthetic_step ? nullptr : &job.payloads[row];
+      const bool borrowed = payload != nullptr && payload->is_borrowed();
 
-      if (chunk.is_borrowed()) ++zero_copy_chunks_total_;
-      ChunkRecord meta =
-          chunk.synthetic
-              ? synthetic_chunk(codec_.get(), config_.synthetic_codec_ratio,
-                                step_var.dtype, chunk.offset, chunk.count,
-                                std::uint32_t(rank))
-              : marshal_chunk(codec_.get(), step_var.dtype, chunk.payload(),
-                              chunk.offset, chunk.count, std::uint32_t(rank),
-                              *agg[std::size_t(a)]);
+      if (borrowed) ++zero_copy_chunks_total_;
+      if (payload == nullptr) {
+        // A synthetic chunk has no bytes, so no CRC or statistics: only
+        // its sizes and placement change from chunk to chunk.
+        meta.raw_bytes = std::accumulate(count.begin(), count.end(),
+                                         std::uint64_t(1),
+                                         std::multiplies<>()) *
+                         dtype_size(step_var.dtype);
+        meta.stored_bytes = synthetic_stored_bytes(
+            codec_.get(), config_.synthetic_codec_ratio, meta.raw_bytes);
+        meta.writer_rank = std::uint32_t(rank);
+      } else {
+        Dims offset_dims, count_dims;
+        for (std::size_t d = 0; d < dims; ++d) {
+          offset_dims.push_back(offset[d]);
+          count_dims.push_back(count[d]);
+        }
+        meta = marshal_chunk(codec_.get(), step_var.dtype, payload->bytes(),
+                             offset_dims, count_dims, std::uint32_t(rank),
+                             *agg[std::size_t(a)]);
+      }
       meta.subfile = std::uint32_t(a);
       meta.file_offset =
           data_offsets_[std::size_t(a)] + agg_bytes[std::size_t(a)];
@@ -383,8 +457,7 @@ void Writer::drain_step(const StepJob& job) {
                                         config_.compress_block_kb)
                  : double(raw_bytes) /
                        (config_.mem_bandwidth_bps *
-                        (chunk.is_borrowed() ? kZeroCopyFactor
-                                             : kWarmCopyFactor));
+                        (borrowed ? kZeroCopyFactor : kWarmCopyFactor));
       (codec_ ? rank_compress_s : rank_memcopy_s) += marshal_s;
       (async    ? drain_us_total_
        : codec_ ? compress_us_total_
@@ -397,7 +470,8 @@ void Writer::drain_step(const StepJob& job) {
         rank_crc_s += seconds;
         crc_us_total_ += seconds * 1e6;
       }
-      var.chunks.push_back(std::move(meta));
+      std::size_t& at = record_at[var_slot[chunk.var]];
+      at = std::size_t(encode_chunk_record(md + at, offset, count, meta) - md);
 
       raw_bytes_total_ += raw_bytes;
       stored_bytes_total_ += stored_size;
@@ -464,7 +538,6 @@ void Writer::drain_step(const StepJob& job) {
 
   // Each aggregator leader appends its step buffer as one sequential write
   // — on its overlapped drain lane in buffer_chunk_mb slices when async.
-  const bool synthetic_step = job.kind == 2;
   const std::uint64_t slice =
       std::max<std::uint64_t>(1, config_.buffer_chunk_mb) << 20;
   for (int a = 0; a < num_aggregators_; ++a) {
@@ -534,12 +607,16 @@ void Writer::drain_step(const StepJob& job) {
   // grew to) for the next step's drain; a throw above returns them too.
   agg.clear();
 
-  // Rank 0 appends step metadata and the index entry (its own overlapped
-  // metadata lane when async).
+  // Every chunk record landed in its slot; rank 0 seals the block and
+  // appends it and the index entry (its own overlapped metadata lane when
+  // async).
+  for (std::size_t v = 0; v < nvars; ++v)
+    if (record_at[v] != records_end[v])
+      throw Error("bp: a variable's chunk records missed their MD07 slots");
   touch_heartbeat();
   fsim::FsClient root(fs_, 0, async ? kMetaLane : 0);
-  const EncodedStep md = encode_step(record);
-  const IndexEntry entry{job.step, md_offset_, md.bytes.size(), md.crc};
+  const IndexEntry entry{job.step, md_offset_, md_bytes,
+                         seal_step(md_block)};
   BinWriter idx_bytes;
   put_index_entry(idx_bytes, entry);
   const std::uint64_t idx_offset =
@@ -553,7 +630,7 @@ void Writer::drain_step(const StepJob& job) {
     fsim::Sqe md_sqe;
     md_sqe.fd = md_fd_;
     md_sqe.offset = md_offset_;
-    md_sqe.iov.push_back(std::span<const std::uint8_t>(md.bytes));
+    md_sqe.iov.push_back(md_block);
     mq.push(std::move(md_sqe));
     fsim::Sqe idx_sqe;
     idx_sqe.fd = idx_fd_;
@@ -563,10 +640,10 @@ void Writer::drain_step(const StepJob& job) {
     mq.push(std::move(idx_sqe));
     submit_checked(mq);
   } else {
-    root.pwrite(md_fd_, md_offset_, md.bytes);
+    root.pwrite(md_fd_, md_offset_, md_block);
     root.pwrite(idx_fd_, idx_offset, idx_bytes.buffer());
   }
-  md_offset_ += md.bytes.size();
+  md_offset_ += md_bytes;
   index_.push_back(entry);
 }
 

@@ -11,22 +11,29 @@
 //   mmd.0                BP5 engines only (second metadata file)
 //
 // Write path per step (matching the paper's description of BP4):
-//   * every rank's put() is deferred into a rank-local pending buffer
-//     ("key operations between storeChunk() and flush() must not modify the
-//     referenced data");
-//   * end_step() marshals every chunk through bp::marshal_chunk (the same
-//     marshal the stream engine runs, src/bp/format.hpp) — with a codec the
-//     data is compressed straight into the aggregation buffer (no separate
-//     memcopy, which is why Fig 8 shows memcopy time eliminated under
-//     compression; without a codec a plain memcopy is charged);
+//   * every rank's put() is deferred ("key operations between storeChunk()
+//     and flush() must not modify the referenced data") as one row of the
+//     step's flat chunk table: variable slot, rank, offset and count, in
+//     put order.  Rows own nothing; a real chunk's staged or borrowed bytes
+//     sit in a side payload table, and a synthetic chunk has none;
+//   * end_step() walks the table rank-major (by rank, then put order)
+//     through a stable counting sort by rank, and marshals every real chunk
+//     through bp::marshal_chunk (the same marshal the stream engine runs,
+//     src/bp/format.hpp) — with a codec the data is compressed straight
+//     into the aggregation buffer (no separate memcopy, which is why Fig 8
+//     shows memcopy time eliminated under compression; without a codec a
+//     plain memcopy is charged);
+//   * each chunk's MD07 record is encoded straight into its slot in the
+//     step's md.0 block, laid out before the walk: a variable's records
+//     all have the rank of its shape, so its put count fixes where they go;
 //   * ranks are mapped onto M aggregators in contiguous blocks
 //     (OPENPMD_ADIOS2_BP5_NumAgg in the paper); each aggregator leader
 //     appends its ranks' chunks to its subfile in one sequential write;
-//   * rank 0 appends the step's metadata to md.0 and its index entry to
-//     md.idx.
+//   * rank 0 seals the step's md.0 block with its CRC, appends it to md.0
+//     and its index entry to md.idx.
 //
 // Asynchronous drain (BP5's AsyncWrite): with EngineConfig::async_write,
-// end_step() snapshots the pending chunk table into an immutable StepJob
+// end_step() moves the step's chunk table into an immutable StepJob
 // and returns immediately; a background worker drains jobs FIFO, issuing
 // each aggregator's subfile append on that leader's overlapped drain lane
 // in buffer_chunk_mb slices.  A bounded queue applies backpressure —
@@ -189,20 +196,28 @@ private:
     std::size_t puts = 0;
   };
 
-  struct PendingChunk {
+  /// One chunk of the open step, in put order: 24 bytes that own nothing.
+  /// A step is all real or all synthetic, and a real step's row i has its
+  /// bytes in payload i of the step's payload table.  The placement of a
+  /// rank-1 chunk (every chunk of the paper's workloads) is inline; a
+  /// chunk of rank 2 or 3 keeps its offset then its count in the step's
+  /// extent table, from index `at[0]` on.  The rank is its variable's.
+  struct StepChunk {
     std::uint32_t var = 0;  // index into the step's variable table
-    Dims offset, count;
-    cz::PooledBuffer data;  // empty for synthetic/borrowed chunks
-    // Caller-owned bytes of a put_borrowed() chunk (valid until the step's
-    // drain completes, per the deferred-Put contract).
+    std::uint32_t rank = 0;
+    std::uint64_t at[2] = {};  // offset and count, or the extent index
+  };
+
+  /// The bytes of one real chunk: staged in a pool buffer by put(), or
+  /// borrowed from the caller by put_borrowed() (valid until the step's
+  /// drain completes, per the deferred-Put contract).
+  struct Payload {
+    cz::PooledBuffer staged;
     std::span<const std::uint8_t> borrowed;
-    bool synthetic = false;
 
     bool is_borrowed() const { return borrowed.data() != nullptr; }
-    /// The chunk's payload wherever it lives (staged or borrowed).
-    std::span<const std::uint8_t> payload() const {
-      return is_borrowed() ? borrowed
-                           : std::span<const std::uint8_t>(*data);
+    std::span<const std::uint8_t> bytes() const {
+      return is_borrowed() ? borrowed : std::span<const std::uint8_t>(*staged);
     }
   };
 
@@ -211,8 +226,10 @@ private:
     std::uint64_t step = 0;
     int kind = 0;  // see step_kind_
     std::vector<std::pair<std::string, AttrValue>> attributes;
-    std::vector<StepVar> vars;  // in first-put order
-    std::vector<std::vector<PendingChunk>> chunks;  // per rank
+    std::vector<StepVar> vars;       // in first-put order
+    std::vector<StepChunk> chunks;        // in put order
+    std::vector<std::uint64_t> extents;   // of chunks above rank 1
+    std::vector<Payload> payloads;        // one per chunk of a real step
   };
 
   // Drain-lane ids (TraceOp::lane).  Lane 0 is the caller's critical path;
@@ -242,6 +259,9 @@ private:
                              Datatype dtype, const Dims& shape,
                              const Dims& offset, const Dims& count, int kind)
       REQUIRES(mutex_);
+  /// Appends a validated chunk's row (and, above rank 1, its extents).
+  void add_chunk(std::uint32_t var, int rank, const Dims& offset,
+                 const Dims& count) REQUIRES(mutex_);
   /// Resolve the configured topology preset (with the engine's
   /// ranks_per_node and any numa/nic overrides applied) into the writer's
   /// rank placement.  Returns a trivial single-node mapper for inputs the
@@ -271,7 +291,7 @@ private:
   const topo::Mapper mapper_;
   int num_aggregators_;
   // Recycles every hot-path buffer.  Declared before codec_ (a
-  // ParallelCodec wrapper keeps a pointer to it) and before pending_ and
+  // ParallelCodec wrapper keeps a pointer to it) and before payloads_ and
   // drain_queue_, whose PooledBuffers return to it when destroyed.
   // Thread-safe; shared by rank threads in put() and whichever thread
   // drains.
@@ -287,8 +307,11 @@ private:
   int step_kind_ GUARDED_BY(mutex_) = 0;
   std::uint64_t current_step_ GUARDED_BY(mutex_) = 0;
   std::uint64_t steps_written_ GUARDED_BY(mutex_) = 0;
-  // Per-rank pending chunk tables of the open step.
-  std::vector<std::vector<PendingChunk>> pending_ GUARDED_BY(mutex_);
+  // The open step's chunk table, in put order, the extents of its chunks
+  // above rank 1, and the payloads of its real chunks.
+  std::vector<StepChunk> chunks_ GUARDED_BY(mutex_);
+  std::vector<std::uint64_t> extents_ GUARDED_BY(mutex_);
+  std::vector<Payload> payloads_ GUARDED_BY(mutex_);
   std::vector<std::pair<std::string, AttrValue>> attributes_
       GUARDED_BY(mutex_);
   // The open step's variable table, in first-put order, and the slot of
@@ -310,6 +333,13 @@ private:
   std::uint64_t md_offset_ = 0;
   int idx_fd_ = -1;
   std::vector<IndexEntry> index_;
+  // drain_step's scratch, kept across steps so a steady-state drain does
+  // not allocate: the chunk table's rank-major order (a counting sort by
+  // rank) with each rank's end in it, and the md.0 block being encoded.
+  std::vector<std::uint32_t> rank_end_;
+  std::vector<std::uint32_t> rank_order_;
+  std::unique_ptr<std::uint8_t[]> md_block_;
+  std::size_t md_capacity_ = 0;
 
   // profiling.json accumulators (microseconds, like ADIOS2's profiler).
   // With async_write, marshalling/compression time lands in drain_us_total_

@@ -16,6 +16,69 @@ namespace bitio::cz {
 
 namespace {
 
+/// Largest decoded chunk of a BLL1 frame and block of a BZL1 frame.
+constexpr std::size_t kBloscChunk = 256 * 1024;
+constexpr std::size_t kBzipBlock = 128 * 1024;
+
+// Frame headers, each read once for its decoder and for backed_size: what
+// the frame declares, checked against what its bytes can back before
+// anything is allocated for the output.
+
+/// RAW1: the declared size, which must be exactly the body's length.
+std::uint64_t read_raw_header(Cursor& cur) {
+  check_magic(cur, "RAW1");
+  const std::uint64_t size = cur.u64();
+  if (cur.remaining() != size) throw FormatError("none: size mismatch");
+  return size;
+}
+
+struct BloscHeader {
+  std::size_t typesize = 0;
+  std::uint64_t orig_size = 0;
+  std::uint32_t nchunks = 0;
+};
+
+/// BLL1: each chunk has a 9-byte header and holds at most kBloscChunk
+/// bytes.
+BloscHeader read_blosc_header(Cursor& cur) {
+  check_magic(cur, "BLL1");
+  BloscHeader h;
+  h.typesize = cur.u8();
+  h.orig_size = cur.u64();
+  h.nchunks = cur.u32();
+  if (h.nchunks > cur.remaining() / 9)
+    throw FormatError("blosc: chunk count exceeds frame");
+  if (h.orig_size > std::uint64_t(h.nchunks) * kBloscChunk)
+    throw FormatError("blosc: size exceeds chunk count");
+  return h;
+}
+
+struct BzipHeader {
+  std::uint64_t orig_size = 0;
+  std::uint8_t mode = 0;     // 0 = raw body, else nblocks coded blocks
+  std::uint32_t nblocks = 0;
+};
+
+/// BZL1: a raw body is exactly the declared size; otherwise each block has
+/// a 12-byte header and holds at most kBzipBlock bytes.
+BzipHeader read_bzip_header(Cursor& cur) {
+  check_magic(cur, "BZL1");
+  BzipHeader h;
+  h.orig_size = cur.u64();
+  h.mode = cur.u8();
+  if (h.mode == 0) {
+    if (cur.remaining() != h.orig_size)
+      throw FormatError("bzip2: raw size mismatch");
+    return h;
+  }
+  h.nblocks = cur.u32();
+  if (h.nblocks > cur.remaining() / 12)
+    throw FormatError("bzip2: block count exceeds frame");
+  if (h.orig_size > std::uint64_t(h.nblocks) * kBzipBlock)
+    throw FormatError("bzip2: size exceeds block count");
+  return h;
+}
+
 // ---------------------------------------------------------------- none ----
 
 class NoneCodec final : public Codec {
@@ -37,9 +100,7 @@ public:
 
   Bytes decompress(ByteSpan frame) const override {
     Cursor cur(frame);
-    check_magic(cur, "RAW1");
-    const std::uint64_t size = cur.u64();
-    if (cur.remaining() != size) throw FormatError("none: size mismatch");
+    (void)read_raw_header(cur);
     ByteSpan body = cur.rest();
     return Bytes(body.begin(), body.end());
   }
@@ -64,7 +125,7 @@ public:
     // Full worst-case bound (raw fallback caps every chunk at raw size plus
     // headers, and the LZ stage transiently needs its own bound): one
     // allocation, no mid-frame reallocation/copy.
-    out.reserve(input.size() + input.size() / 255 + 13 * (input.size() / kChunk + 1) + 32);
+    out.reserve(input.size() + input.size() / 255 + 13 * (input.size() / kBloscChunk + 1) + 32);
     compress_append(input, out);
     return out;
   }
@@ -77,11 +138,11 @@ public:
     out.push_back(std::uint8_t(typesize_));
     put_u64(out, input.size());
     const std::uint32_t nchunks =
-        std::uint32_t((input.size() + kChunk - 1) / kChunk);
+        std::uint32_t((input.size() + kBloscChunk - 1) / kBloscChunk);
     put_u32(out, nchunks);
     for (std::uint32_t c = 0; c < nchunks; ++c) {
-      const std::size_t off = std::size_t(c) * kChunk;
-      const std::size_t len = std::min(kChunk, input.size() - off);
+      const std::size_t off = std::size_t(c) * kBloscChunk;
+      const std::size_t len = std::min(kBloscChunk, input.size() - off);
       ByteSpan chunk = input.subspan(off, len);
       if (shuffled.size() < len) shuffled.resize(len);
       shuffle_into(chunk, typesize_, shuffled.data());
@@ -111,16 +172,8 @@ public:
     thread_local Bytes shuffled;
 
     Cursor cur(frame);
-    check_magic(cur, "BLL1");
-    const std::size_t typesize = cur.u8();
-    const std::uint64_t orig_size = cur.u64();
-    const std::uint32_t nchunks = cur.u32();
-    // Bound the reservation by what the frame can back: each chunk has a
-    // 9-byte header and holds at most kChunk bytes.
-    if (nchunks > cur.remaining() / 9)
-      throw FormatError("blosc: chunk count exceeds frame");
-    if (orig_size > std::uint64_t(nchunks) * kChunk)
-      throw FormatError("blosc: size exceeds chunk count");
+    // The header bounds the reservation by what the frame can back.
+    const auto [typesize, orig_size, nchunks] = read_blosc_header(cur);
     Bytes out;
     out.reserve(orig_size);
     for (std::uint32_t c = 0; c < nchunks; ++c) {
@@ -156,7 +209,6 @@ public:
   double decompress_speed_bps() const override { return 2.5e9; }
 
 private:
-  static constexpr std::size_t kChunk = 256 * 1024;
   std::size_t typesize_;
 };
 
@@ -197,7 +249,7 @@ std::vector<std::uint16_t> zrle_encode(ByteSpan mtf) {
 /// digit sequence is bijective base 2, so its run grows past `raw_len`
 /// within a few more digits than raw_len has bits: rejecting the run as soon
 /// as it overshoots bounds both the allocation and the shift (k stays far
-/// below 64 while raw_len <= kBlock).
+/// below 64 while raw_len <= kBzipBlock).
 Bytes zrle_decode(std::span<const std::uint16_t> symbols,
                   std::size_t raw_len) {
   Bytes out;
@@ -241,11 +293,11 @@ public:
     out.push_back(1);  // mode: compressed (tentative, rolled back if larger)
     const std::size_t body_pos = out.size();
     const std::uint32_t nblocks =
-        std::uint32_t((input.size() + kBlock - 1) / kBlock);
+        std::uint32_t((input.size() + kBzipBlock - 1) / kBzipBlock);
     put_u32(out, nblocks);
     for (std::uint32_t b = 0; b < nblocks; ++b) {
-      const std::size_t off = std::size_t(b) * kBlock;
-      const std::size_t len = std::min(kBlock, input.size() - off);
+      const std::size_t off = std::size_t(b) * kBzipBlock;
+      const std::size_t len = std::min(kBzipBlock, input.size() - off);
       ByteSpan block = input.subspan(off, len);
       BwtResult bwt = bwt_forward(block);
       Bytes mtf = mtf_encode(bwt.last_column);
@@ -265,27 +317,17 @@ public:
 
   Bytes decompress(ByteSpan frame) const override {
     Cursor cur(frame);
-    check_magic(cur, "BZL1");
-    const std::uint64_t orig_size = cur.u64();
-    const std::uint8_t mode = cur.u8();
+    // The header bounds the reservation by what the frame can back.
+    const auto [orig_size, mode, nblocks] = read_bzip_header(cur);
     if (mode == 0) {
-      if (cur.remaining() != orig_size)
-        throw FormatError("bzip2: raw size mismatch");
       ByteSpan body = cur.rest();
       return Bytes(body.begin(), body.end());
     }
-    const std::uint32_t nblocks = cur.u32();
-    // Bound the reservation by what the frame can back: each block has a
-    // 12-byte header and holds at most kBlock bytes.
-    if (nblocks > cur.remaining() / 12)
-      throw FormatError("bzip2: block count exceeds frame");
-    if (orig_size > std::uint64_t(nblocks) * kBlock)
-      throw FormatError("bzip2: size exceeds block count");
     Bytes out;
     out.reserve(orig_size);
     for (std::uint32_t b = 0; b < nblocks; ++b) {
       const std::uint32_t raw_len = cur.u32();
-      if (raw_len > kBlock) throw FormatError("bzip2: block too long");
+      if (raw_len > kBzipBlock) throw FormatError("bzip2: block too long");
       const std::uint32_t primary = cur.u32();
       const std::uint32_t enc_len = cur.u32();
       ByteSpan enc = cur.bytes(enc_len);
@@ -305,11 +347,21 @@ public:
   double decompress_speed_bps() const override { return 4.0e7; }
 
 private:
-  static constexpr std::size_t kBlock = 128 * 1024;
   static constexpr std::size_t kAlphabet = 257;
 };
 
 }  // namespace
+
+std::uint64_t backed_size(ByteSpan frame) {
+  const auto is = [&](const char* magic) {
+    return frame.size() >= 4 && std::memcmp(frame.data(), magic, 4) == 0;
+  };
+  Cursor cur(frame);
+  if (is("RAW1")) return read_raw_header(cur);
+  if (is("BLL1")) return read_blosc_header(cur).orig_size;
+  if (is("BZL1")) return read_bzip_header(cur).orig_size;
+  throw FormatError("codec: bad frame magic");
+}
 
 std::unique_ptr<Codec> make_none_codec() {
   return std::make_unique<NoneCodec>();

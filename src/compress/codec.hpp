@@ -63,6 +63,14 @@ std::unique_ptr<Codec> make_blosc_codec(std::size_t typesize = 4);
 /// bzip2-like: BWT + MTF + ZRLE + Huffman, 128 KiB blocks.
 std::unique_ptr<Codec> make_bzip2_codec();
 
+/// The decoded size a RAW1, BLL1 or BZL1 frame declares, once its header
+/// shows that the frame's bytes can back it: the check each decoder makes
+/// before it allocates.  RAW1 carries exactly that many body bytes; BLL1
+/// and BZL1 declare no more than their chunk or block count holds and have
+/// the bytes for those headers.  Throws FormatError otherwise, or for any
+/// other magic.  Allocates nothing.
+std::uint64_t backed_size(ByteSpan frame);
+
 /// The codec names make_codec accepts (an empty name also means "none").
 /// bp::EngineConfig::validate() checks the configured codec against it.
 inline constexpr const char* kCodecNames[] = {"none", "blosc", "bzip2"};

@@ -61,13 +61,23 @@ Bytes decompress_czp1(ByteSpan frame, int threads) {
   for (std::uint64_t b = 0; b < nblocks; ++b) bodies[b] = cur.bytes(enc_len[b]);
   if (cur.remaining() != 0) throw FormatError("czp: trailing bytes in frame");
 
+  // Block b's share of the output.  Every inner frame must declare exactly
+  // its share, and be able to back it, before the output is allocated: a
+  // free u32 block_size must not buy a 4 GiB allocation with a few bytes.
+  const auto share = [&](std::uint64_t b) {
+    return std::min<std::uint64_t>(block_size, orig_size - b * block_size);
+  };
+  for (std::uint64_t b = 0; b < nblocks; ++b)
+    if (backed_size(bodies[b]) != share(b))
+      throw FormatError("czp: block " + std::to_string(b) +
+                        " does not back its share");
+
   Bytes out(orig_size);
   auto decode_block = [&](std::size_t b) {
     const std::uint64_t off = std::uint64_t(b) * block_size;
-    const std::size_t want =
-        std::size_t(std::min<std::uint64_t>(block_size, orig_size - off));
-    // Inner frames are self-framing legacy frames; decode serially per
-    // block (the parallelism lives at this level), each held to its share.
+    const std::size_t want = std::size_t(share(b));
+    // Inner frames are self-framing RAW1/BLL1/BZL1 frames; decode serially
+    // per block (the parallelism lives at this level).
     Bytes plain = decompress_frame(bodies[b], 1, want);
     std::memcpy(out.data() + off, plain.data(), want);
   };

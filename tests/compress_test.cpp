@@ -397,6 +397,39 @@ TEST(Codec, DeclaredSizesTheFrameCannotBackAreFormatError) {
   EXPECT_THROW(decompress_frame(czp1), FormatError);
 }
 
+TEST(Codec, Czp1BlockItsFrameCannotBackIsFormatError) {
+  // block_size is a free u32, so one CZP1 block may declare 2^32 - 1
+  // bytes.  The decoder checks every inner frame against its block's
+  // share before it allocates the output: a 38-byte frame must never cost
+  // a 4 GiB allocation.
+  constexpr std::uint32_t kMaxCount = 0xFFFFFFFFu;
+  const auto czp1_one_block = [&](const Bytes& inner) {
+    Bytes frame = ascii("CZP1");
+    frame.push_back(kFrameVersion);
+    put_u64(frame, kMaxCount);  // orig_size
+    put_u32(frame, kMaxCount);  // block_size
+    put_u32(frame, 1);          // nblocks
+    put_u32(frame, std::uint32_t(inner.size()));
+    frame.insert(frame.end(), inner.begin(), inner.end());
+    return frame;
+  };
+
+  // The inner RAW1 frame declares its 1-byte body, not the block's share.
+  Bytes raw_one = ascii("RAW1");
+  put_u64(raw_one, 1);
+  raw_one.push_back(0x5A);
+  const Bytes short_share = czp1_one_block(raw_one);
+  EXPECT_EQ(short_share.size(), 38u);
+  EXPECT_THROW(decompress_frame(short_share), FormatError);
+
+  // The inner RAW1 frame declares the share, 2^32 - 1 bytes, over a 1-byte
+  // body: RAW1's own rule (body length = declared size) rejects it.
+  Bytes raw_forged = ascii("RAW1");
+  put_u64(raw_forged, kMaxCount);
+  raw_forged.push_back(0x5A);
+  EXPECT_THROW(decompress_frame(czp1_one_block(raw_forged)), FormatError);
+}
+
 TEST(Codec, SpeedModelOrdering) {
   // The storage simulator relies on blosc being modelled much faster than
   // bzip2 (that is the whole Fig 7 / Table II trade-off).
