@@ -302,17 +302,17 @@ void Writer::drain_step(const StepJob& job) {
   touch_heartbeat();
 
   // The chunk table is walked rank-major — by rank, then put order —
-  // through a stable counting sort by rank: rank_order_ lists the table's
-  // rows rank by rank, and rank r's rows end at rank_end_[r].
+  // through a stable counting sort by rank: rank_order lists the table's
+  // rows rank by rank, and rank r's rows end at rank_end[r].
   const std::vector<StepChunk>& chunks = job.chunks;
   if (chunks.size() >= std::numeric_limits<std::uint32_t>::max())
     throw UsageError("bp::Writer: more chunks in one step than it can index");
-  rank_end_.assign(std::size_t(nranks_) + 1, 0);
-  for (const StepChunk& chunk : chunks) ++rank_end_[chunk.rank + 1];
-  std::partial_sum(rank_end_.begin(), rank_end_.end(), rank_end_.begin());
-  rank_order_.resize(chunks.size());
+  std::vector<std::uint32_t> rank_end(std::size_t(nranks_) + 1, 0);
+  for (const StepChunk& chunk : chunks) ++rank_end[chunk.rank + 1];
+  std::partial_sum(rank_end.begin(), rank_end.end(), rank_end.begin());
+  std::vector<std::uint32_t> rank_order(chunks.size());
   for (std::uint32_t i = 0; i < std::uint32_t(chunks.size()); ++i)
-    rank_order_[rank_end_[chunks[i].rank]++] = i;
+    rank_order[rank_end[chunks[i].rank]++] = i;
 
   // md.0 lists the variables in rank-major first-seen order.  A variable's
   // chunk records all have the rank of its shape (check_put), so its put
@@ -325,7 +325,7 @@ void Writer::drain_step(const StepJob& job) {
   layout.reserve(nvars);
   const std::string operator_name = codec_ ? codec_->name() : "";
   for (std::size_t p = 0; p < chunks.size() && layout.size() < nvars; ++p) {
-    const std::uint32_t v = chunks[rank_order_[p]].var;
+    const std::uint32_t v = chunks[rank_order[p]].var;
     if (var_slot[v] != kUnseen) continue;
     var_slot[v] = std::uint32_t(layout.size());
     const StepVar& var = job.vars[v];
@@ -334,14 +334,8 @@ void Writer::drain_step(const StepJob& job) {
                       std::uint32_t(var.puts),
                       var.puts * chunk_record_bytes(rank, rank)});
   }
-  // The block is kept across steps, and not zero-filled: the layout and
-  // the chunk records below write every byte of it.
-  const std::size_t md_bytes = step_block_bytes(layout, job.attributes);
-  if (md_bytes > md_capacity_) {
-    md_block_ = std::make_unique_for_overwrite<std::uint8_t[]>(md_bytes);
-    md_capacity_ = md_bytes;
-  }
-  const std::span<std::uint8_t> md_block(md_block_.get(), md_bytes);
+  md_block_.resize(step_block_bytes(layout, job.attributes));
+  const std::span<std::uint8_t> md_block(md_block_);
   // Where each variable's next chunk record goes, and where its records
   // end.
   std::vector<std::size_t> record_at(nvars);
@@ -396,8 +390,8 @@ void Writer::drain_step(const StepJob& job) {
 
   for (int rank = 0; rank < nranks_; ++rank) {
     const std::uint32_t begin =
-        rank == 0 ? 0 : rank_end_[std::size_t(rank) - 1];
-    const std::uint32_t end = rank_end_[std::size_t(rank)];
+        rank == 0 ? 0 : rank_end[std::size_t(rank) - 1];
+    const std::uint32_t end = rank_end[std::size_t(rank)];
     if (begin == end) continue;
     touch_heartbeat();
     const int a = aggregator_of(rank);
@@ -407,7 +401,7 @@ void Writer::drain_step(const StepJob& job) {
     double rank_crc_s = 0.0;
     std::uint64_t rank_stored = 0;  // this rank's marshalled bytes this step
     for (std::uint32_t p = begin; p < end; ++p) {
-      const std::uint32_t row = rank_order_[p];
+      const std::uint32_t row = rank_order[p];
       const StepChunk& chunk = chunks[row];
       const StepVar& step_var = job.vars[chunk.var];
       const std::size_t dims = step_var.shape.size();
@@ -615,7 +609,7 @@ void Writer::drain_step(const StepJob& job) {
       throw Error("bp: a variable's chunk records missed their MD07 slots");
   touch_heartbeat();
   fsim::FsClient root(fs_, 0, async ? kMetaLane : 0);
-  const IndexEntry entry{job.step, md_offset_, md_bytes,
+  const IndexEntry entry{job.step, md_offset_, md_block.size(),
                          seal_step(md_block)};
   BinWriter idx_bytes;
   put_index_entry(idx_bytes, entry);
@@ -643,7 +637,7 @@ void Writer::drain_step(const StepJob& job) {
     root.pwrite(md_fd_, md_offset_, md_block);
     root.pwrite(idx_fd_, idx_offset, idx_bytes.buffer());
   }
-  md_offset_ += md_bytes;
+  md_offset_ += md_block.size();
   index_.push_back(entry);
 }
 

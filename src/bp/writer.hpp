@@ -135,7 +135,7 @@ public:
       EXCLUDES(mutex_);
 
   /// Aggregate, compress, write data subfiles, append metadata.  With
-  /// async_write the pending chunk table is snapshotted into an immutable
+  /// async_write the step's chunk table is moved into an immutable
   /// step job, handed to the drain worker, and the call returns
   /// immediately; otherwise the drain runs on the caller.
   void end_step() override EXCLUDES(mutex_, drain_mutex_);
@@ -188,7 +188,8 @@ public:
 
 private:
   /// One variable of the open step: what every put of it must agree on,
-  /// and how many chunks it has (drain_step reserves its record from it).
+  /// and how many chunks it has (drain_step sizes its MD07 records from
+  /// it).
   struct StepVar {
     std::string name;
     Datatype dtype;
@@ -226,7 +227,7 @@ private:
     std::uint64_t step = 0;
     int kind = 0;  // see step_kind_
     std::vector<std::pair<std::string, AttrValue>> attributes;
-    std::vector<StepVar> vars;       // in first-put order
+    std::vector<StepVar> vars;            // in first-put order
     std::vector<StepChunk> chunks;        // in put order
     std::vector<std::uint64_t> extents;   // of chunks above rank 1
     std::vector<Payload> payloads;        // one per chunk of a real step
@@ -333,13 +334,9 @@ private:
   std::uint64_t md_offset_ = 0;
   int idx_fd_ = -1;
   std::vector<IndexEntry> index_;
-  // drain_step's scratch, kept across steps so a steady-state drain does
-  // not allocate: the chunk table's rank-major order (a counting sort by
-  // rank) with each rank's end in it, and the md.0 block being encoded.
-  std::vector<std::uint32_t> rank_end_;
-  std::vector<std::uint32_t> rank_order_;
-  std::unique_ptr<std::uint8_t[]> md_block_;
-  std::size_t md_capacity_ = 0;
+  // The md.0 block drain_step encodes, kept across steps so a step's
+  // block reuses the last one's pages.
+  std::vector<std::uint8_t> md_block_;
 
   // profiling.json accumulators (microseconds, like ADIOS2's profiler).
   // With async_write, marshalling/compression time lands in drain_us_total_
