@@ -125,7 +125,8 @@ public:
     // Full worst-case bound (raw fallback caps every chunk at raw size plus
     // headers, and the LZ stage transiently needs its own bound): one
     // allocation, no mid-frame reallocation/copy.
-    out.reserve(input.size() + input.size() / 255 + 13 * (input.size() / kBloscChunk + 1) + 32);
+    out.reserve(input.size() + input.size() / 255 +
+                13 * (input.size() / kBloscChunk + 1) + 32);
     compress_append(input, out);
     return out;
   }
