@@ -6,13 +6,6 @@
 #                       decompress MB/s, ratio, determinism + round-trip
 #                       checks, and the headline speedup vs the frozen seed
 #                       kernel)
-#   BENCH_stream.json   stream_fanout slow-reader-policy sweep of the
-#                       miniSST engine, one row per policy (steps received,
-#                       lost and dropped, disconnect, peak window depth).
-#                       Sanity gates are in-band: each policy must act on
-#                       the slow consumer as specified, and every step it
-#                       receives must decode to the right size and first
-#                       element — a violation fails this script.
 #   BENCH_topo.json     topo_sweep flat vs two-level aggregation curves at
 #                       1K/10K/50K simulated ranks on the Dardel hierarchy
 #                       (GiB/s, gathered bytes).  The sweep's sanity gate
@@ -47,14 +40,11 @@ repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 build_dir=${1:-"$repo_root/build"}
 
 cmake -S "$repo_root" -B "$build_dir" >/dev/null
-cmake --build "$build_dir" --target micro_codecs stream_fanout topo_sweep \
-  ckpt_sweep iopath_sweep -j "$(nproc 2>/dev/null || echo 4)"
+cmake --build "$build_dir" --target micro_codecs topo_sweep ckpt_sweep \
+  iopath_sweep -j "$(nproc 2>/dev/null || echo 4)"
 
 "$build_dir/bench/micro_codecs" --json > "$repo_root/BENCH_codecs.json"
 printf 'wrote %s\n' "$repo_root/BENCH_codecs.json"
-
-"$build_dir/bench/stream_fanout" --json > "$repo_root/BENCH_stream.json"
-printf 'wrote %s\n' "$repo_root/BENCH_stream.json"
 
 "$build_dir/bench/topo_sweep" --json > "$repo_root/BENCH_topo.json"
 printf 'wrote %s\n' "$repo_root/BENCH_topo.json"

@@ -12,22 +12,16 @@
 #   3. clang-tidy          bugprone/performance/concurrency profile, with
 #                          --warnings-as-errors so findings fail the gate
 #                          (no-op without clang-tidy installed)
-#   4. stream suite        engine factory + miniSST lifecycle/policy tests
-#                          (ctest -L stream; the same tests also carry the
-#                          `concurrency` label for the TSan preset, and the
-#                          slow-reader policy sweep is
-#                          scripts/bench_report.sh -> BENCH_stream.json)
-#   5. topo suite          topology/two-level aggregation tests (ctest -L
+#   4. topo suite          topology/two-level aggregation tests (ctest -L
 #                          topo), then the same label under
-#                          ThreadSanitizer (ctest --preset tsan-topo), the
-#                          stream suite too (ctest --preset tsan-stream),
-#                          and every resilience and concurrency test (ctest
+#                          ThreadSanitizer (ctest --preset tsan-topo), and
+#                          every resilience and concurrency test (ctest
 #                          --preset tsan-recovery): TSan's deadlock detector
 #                          is the lock-order check, and that preset also
 #                          runs its seeded-inversion test; the flat vs
 #                          two-level sweep is scripts/bench_report.sh ->
 #                          BENCH_topo.json
-#   6. ckpt suite          incremental-checkpoint tests (delta cadence,
+#   5. ckpt suite          incremental-checkpoint tests (delta cadence,
 #                          dedup, chain restore, block tiling, retention
 #                          pinning, prune crash-window scrub; ctest -L
 #                          ckpt), then every resilience and concurrency
@@ -39,15 +33,13 @@
 #                          requires every crashed run to shrink, complete
 #                          and report recoveries == 1 from the one home of
 #                          that count (resil::ResilienceStats, as written
-#                          to resilience.json); the stream suite under
-#                          ASan+UBSan (ctest --preset san-stream); then the
-#                          ckpt_sweep benchmark, whose in-band gates
-#                          require every delta sweep to dedup, every
-#                          restore to be bit-exact and every faulted cell
-#                          to fall back
+#                          to resilience.json); then the ckpt_sweep
+#                          benchmark, whose in-band gates require every
+#                          delta sweep to dedup, every restore to be
+#                          bit-exact and every faulted cell to fall back
 #                          (the committed report is scripts/bench_report.sh
 #                          -> BENCH_ckpt.json)
-#   7. iopath suite        batched queue-pair differential tests (byte
+#   6. iopath suite        batched queue-pair differential tests (byte
 #                          identity vs the per-op writer, CZP1 + two-level
 #                          composition, Darshan batch counters; ctest -L
 #                          iopath), then the iopath_sweep benchmark whose
@@ -55,12 +47,12 @@
 #                          the per-op path at 64+ ranks and the coalesced
 #                          path to reach >= 2x (the committed report is
 #                          scripts/bench_report.sh -> BENCH_iopath.json)
-#   8. perfbench build     perfbench/ configured as its own CMake project
+#   7. perfbench build     perfbench/ configured as its own CMake project
 #                          (as perfbench/run.py builds it) in build-perfbench/;
 #                          builds perfbench and perfbench_tests and runs the
 #                          tests, so a change to the types the benchmark
 #                          compiles against cannot break it unnoticed
-#   9. full test suite     default preset, all labels (includes the `perf`
+#   8. full test suite     default preset, all labels (includes the `perf`
 #                          label — the codec smoke test, bp_alloc_test,
 #                          whose counting operator new gates the synthetic
 #                          chunk path at fewer heap allocations than
@@ -92,9 +84,6 @@ cmake --preset default >/dev/null
 cmake --build --preset default -j "$(nproc 2>/dev/null || echo 4)"
 "$repo_root/scripts/run_clang_tidy.sh" "$repo_root/build"
 
-step "stream engine suite (ctest -L stream)"
-ctest --preset stream
-
 step "topology suite (ctest -L topo)"
 ctest --preset topo
 
@@ -102,9 +91,6 @@ step "topology suite under ThreadSanitizer (ctest --preset tsan-topo)"
 cmake --preset tsan >/dev/null
 cmake --build --preset tsan -j "$(nproc 2>/dev/null || echo 4)"
 ctest --preset tsan-topo
-
-step "stream engine suite under ThreadSanitizer (ctest --preset tsan-stream)"
-ctest --preset tsan-stream
 
 step "resilience + concurrency under ThreadSanitizer (ctest --preset tsan-recovery)"
 ctest --preset tsan-recovery
@@ -121,9 +107,6 @@ step "online-recovery gate (recovery_overhead)"
 cmake --build --preset default -j "$(nproc 2>/dev/null || echo 4)" \
   --target recovery_overhead
 "$repo_root/build/bench/recovery_overhead" >/dev/null
-
-step "stream engine suite under ASan+UBSan (ctest --preset san-stream)"
-ctest --preset san-stream
 
 step "incremental-checkpoint sweep gate (ckpt_sweep)"
 cmake --build --preset default -j "$(nproc 2>/dev/null || echo 4)" \

@@ -1,38 +1,31 @@
 #pragma once
-// The pluggable engine seam of the miniBP layer.
+// The engine seam of the miniBP layer.
 //
 // ADIOS2 separates "what the application stores" (steps of variables and
-// attributes) from "how the bytes move" (the engine: BP4, BP5, SST, ...),
+// attributes) from "how the bytes move" (the engine: BP4, BP5, ...),
 // selected by a string through the runtime config.  This header is that
-// seam for bitio: the engine settings (EngineConfig), an abstract
-// write-side Engine plus a read-side EngineReader session, and a
-// string-keyed factory that maps engine names onto concrete engines.  The
-// built-ins come from one table in engine.cpp:
+// seam for bitio: the engine settings (EngineConfig), the abstract
+// write-side Engine, and make_engine, which maps an engine name onto it.
+// Both names build the one file engine, bp::Writer (src/bp/writer.hpp):
 //
-//   bp4     bp::Writer, the synchronous file engine (BP4 semantics)
-//   bp5     bp::Writer with the BP5 AsyncWrite background drain
-//   stream  miniSST: completed CRC-verified steps are published into a
-//           bounded in-memory channel; consumers attach/detach mid-run
-//           (src/bp/stream.hpp)
+//   bp4     the BP4-style container
+//   bp5     the same container plus BP5's second metadata file, mmd.0
 //
-// Both kinds of engine marshal a chunk through the same bp::marshal_chunk
-// (src/bp/format.hpp), so a chunk's record — sizes, CRC32C, statistics —
-// and its variable's operator are the same whichever engine stored it;
-// only where the bytes go differs.  Call sites (the openPMD backend, the scale
-// workload, the benches) select an engine purely via Bit1IoConfig::engine,
-// so swapping BP4 for the stream engine touches a TOML line, not code.
-// Bit1IoConfig::validate() accepts exactly the registered names
-// (engine_registered / registered_engines below).
+// (BP5's AsyncWrite background drain is EngineConfig::async_write, on
+// either.)
+//
+// Call sites (the openPMD backend, the scale workload, the benches) select
+// an engine purely via Bit1IoConfig::engine, which validate() checks
+// against kEngineNames.  A container is read back through bp::Reader::open
+// (src/bp/reader.hpp), closed or, after Writer::publish_index, mid-run.
 //
 // kEngineParameters below owns the adios2 parameter names (NumAggregators,
 // Profile, ...); EngineConfig's adios2 parser and emitter loop over it.
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <variant>
-#include <vector>
 
 #include "bp/types.hpp"
 #include "compress/buffer_pool.hpp"
@@ -42,27 +35,13 @@
 
 namespace bitio::bp {
 
-enum class EngineType { bp4, bp5, stream };
+enum class EngineType { bp4, bp5 };
 
-inline const char* engine_name(EngineType t) {
-  switch (t) {
-    case EngineType::bp4: return "bp4";
-    case EngineType::bp5: return "bp5";
-    case EngineType::stream: return "stream";
-  }
-  return "?";
-}
+/// The engine names, indexed by EngineType.  make_engine, engine_type_of
+/// and core::Bit1IoConfig::validate() read this list.
+inline constexpr const char* kEngineNames[] = {"bp4", "bp5"};
 
-/// Slow-reader backpressure policy of the stream engine's bounded channel
-/// (see src/bp/stream.hpp), parsed from the `stream_policy` config string.
-enum class StreamPolicy { block, drop_oldest, disconnect };
-
-/// The `stream_policy` names, indexed by StreamPolicy.  stream_policy_of
-/// and EngineConfig::validate() read this list.
-inline constexpr const char* kStreamPolicies[] = {"block", "drop_oldest",
-                                                  "disconnect"};
-
-StreamPolicy stream_policy_of(const std::string& name);
+inline const char* engine_name(EngineType t) { return kEngineNames[int(t)]; }
 
 struct EngineConfig {
   EngineType engine = EngineType::bp4;
@@ -116,11 +95,6 @@ struct EngineConfig {
   /// abandoned with a TimeoutError.  The queue is then poisoned (later jobs
   /// are skipped) so end_step()/close() can never hang on a wedged lane.
   int max_drain_retries = 2;
-  /// Stream engine only: bound on buffered published steps in the in-memory
-  /// channel (the miniSST window) and the slow-reader policy applied when a
-  /// publish finds the channel full.  Ignored by the file engines.
-  int stream_max_steps = 4;
-  std::string stream_policy = "block";
   /// Topology-modeled gather path (src/topo).  `topology` names a
   /// topo::Cluster preset; `aggregation` selects how marshalled bytes reach
   /// the aggregator leaders on it ("flat" = every rank ships straight to
@@ -139,9 +113,9 @@ struct EngineConfig {
   friend bool operator==(const EngineConfig&,
                          const EngineConfig&) = default;
 
-  /// Reject out-of-range knobs and unknown names (codec, stream policy,
-  /// aggregation mode, topology) with a UsageError naming the member.
-  /// Every engine constructor and core::Bit1IoConfig::validate() call it.
+  /// Reject out-of-range knobs and unknown names (codec, aggregation mode,
+  /// topology) with a UsageError naming the member.
+  /// The Writer constructor and core::Bit1IoConfig::validate() call it.
   void validate() const;
 
   /// Parse the "adios2" section of an openPMD-style JSON/TOML config, e.g.
@@ -163,55 +137,17 @@ std::unique_ptr<cz::Codec> make_operator(const EngineConfig& config,
                                          cz::BufferPool& pool);
 
 /// Drain-watchdog counters (all zero when the watchdog is disabled).
-/// Namespace-scoped so the abstract Engine can report them for any engine.
+/// Namespace-scoped so the abstract Engine can report them.
 struct WatchdogStats {
   std::uint64_t timeouts = 0;         // stalled-lane cancellations issued
   std::uint64_t retries = 0;          // drain attempts retried
   std::uint64_t steps_abandoned = 0;  // jobs given up after max retries
 };
 
-/// Read-side session obtained from Engine::attach() (or attach_reader() for
-/// an on-disk container).  next_step() advances a cursor: for file engines
-/// it walks the steps already landed in the container; for the stream
-/// engine it blocks until the producer publishes the next step (or the
-/// stream ends).  The current-step accessors throw UsageError before the
-/// first successful next_step().
-class EngineReader {
- public:
-  virtual ~EngineReader() = default;
-
-  /// Advance to the next step.  Returns its id, or nullopt at the end of
-  /// the stream (container exhausted, engine closed, or this consumer
-  /// disconnected by the slow-reader policy).
-  virtual std::optional<std::uint64_t> next_step() = 0;
-
-  virtual std::uint64_t current_step() const = 0;
-  virtual std::vector<std::string> variables() const = 0;
-  virtual const VarRecord* find_variable(const std::string& name) const = 0;
-
-  /// Decoded global array of a current-step variable (CRC-verified,
-  /// decompressed, chunks scattered into place).  Synthetic chunks
-  /// contribute zeroes.
-  virtual std::vector<std::uint8_t> get(const std::string& name) = 0;
-
-  virtual std::optional<AttrValue> attribute(const std::string& name) const = 0;
-
-  // Slow-reader diagnostics; inert for file engines.
-  /// Steps this consumer missed (evicted by the drop_oldest policy before
-  /// it could read them).
-  virtual std::uint64_t steps_dropped() const { return 0; }
-  /// True once the disconnect policy cut this consumer off.
-  virtual bool disconnected() const { return false; }
-  /// Detach from a live stream (idempotent; next_step() then returns
-  /// nullopt and the producer stops waiting for this consumer).
-  virtual void detach() {}
-};
-
 /// Abstract write-side engine, implemented by bp::Writer (the bp4/bp5 file
-/// engine, src/bp/writer.hpp) and bp::StreamEngine (src/bp/stream.hpp).
-/// put() may be called concurrently by rank threads;
-/// begin_step/end_step/flush/close are collective-like, one thread at a
-/// time.
+/// engine, src/bp/writer.hpp).  put() may be called concurrently by rank
+/// threads; begin_step/end_step/flush/close are collective-like, one thread
+/// at a time.
 class Engine {
  public:
   virtual ~Engine() = default;
@@ -236,27 +172,19 @@ class Engine {
   virtual void add_attribute(const std::string& name, AttrValue value) = 0;
   virtual void end_step() = 0;
 
-  /// Join outstanding background work (the async drain; a no-op for
-  /// engines that complete at end_step).  Required before attaching a
-  /// reader to a file engine mid-run.
+  /// Join outstanding background work (the async drain; a no-op when
+  /// end_step completes the step).  Required before reading the container
+  /// back mid-run.
   virtual void flush() = 0;
   virtual void close() = 0;
 
   virtual std::uint64_t steps_written() const = 0;
 
-  // Optional diagnostics; engines without the notion return zeroes.
-  /// Peak simultaneously outstanding units of backpressure: drain jobs for
-  /// the file engines, buffered channel steps for the stream engine.
-  virtual int peak_inflight() const { return 0; }
-  virtual cz::BufferPool::Stats pool_stats() const { return {}; }
-  virtual void reset_pool_stats() {}
-  virtual WatchdogStats watchdog_stats() const { return {}; }
-
-  /// Attach a read-side consumer charged to `client`.  File engines flush
-  /// outstanding drains and return a cursor over the steps landed so far;
-  /// the stream engine subscribes the consumer to steps published from now
-  /// on (mid-run attach/detach is the point).
-  virtual std::unique_ptr<EngineReader> attach(fsim::ClientId client) = 0;
+  /// Peak simultaneously outstanding drain jobs (the backpressure bound).
+  virtual int peak_inflight() const = 0;
+  virtual cz::BufferPool::Stats pool_stats() const = 0;
+  virtual void reset_pool_stats() = 0;
+  virtual WatchdogStats watchdog_stats() const = 0;
 };
 
 // --- adios2 parameters ------------------------------------------------------
@@ -296,8 +224,6 @@ inline constexpr EngineParameter kEngineParameters[] = {
     {"CoalesceWrites", &EngineConfig::coalesce_writes},
     {"DrainTimeoutMs", &EngineConfig::drain_timeout_ms},
     {"MaxDrainRetries", &EngineConfig::max_drain_retries},
-    {"StreamMaxSteps", &EngineConfig::stream_max_steps},
-    {"StreamPolicy", &EngineConfig::stream_policy},
     {"Aggregation", &EngineConfig::aggregation},
     {"Topology", &EngineConfig::topology},
     {"NumaPerNode", &EngineConfig::numa_per_node},
@@ -310,38 +236,16 @@ inline constexpr EngineParameter kEngineParameters[] = {
 
 // --- factory ---------------------------------------------------------------
 
-using EngineFactory = std::function<std::unique_ptr<Engine>(
-    fsim::SharedFs& fs, std::string path, EngineConfig config, int nranks)>;
-
-/// Register (or override) an engine under `name`.  The built-ins ("bp4",
-/// "bp5", "stream") are registered on first use; tests may add their own.
-void register_engine(const std::string& name, EngineFactory factory);
-
-bool engine_registered(const std::string& name);
-
-/// Registered engine names, sorted.
-std::vector<std::string> registered_engines();
-
-/// The EngineType of a built-in engine name; nullopt for engines
-/// registered by tests (their factories read config.engine as they like).
+/// The EngineType of an engine name; nullopt for a name outside
+/// kEngineNames.
 std::optional<EngineType> engine_type_of(const std::string& name);
 
-/// Construct the engine registered under `name`.  `config.engine` is
-/// overridden to match `name` (the string is the source of truth — call
-/// sites select it from Bit1IoConfig::engine).  Throws UsageError for an
-/// unregistered name, listing the registered ones.
+/// Construct the engine named `name`, one of kEngineNames.  `config.engine`
+/// is overridden to match `name` (the string is the source of truth — call
+/// sites select it from Bit1IoConfig::engine).  Throws UsageError for any
+/// other name, listing kEngineNames.
 std::unique_ptr<Engine> make_engine(const std::string& name,
                                     fsim::SharedFs& fs, std::string path,
                                     EngineConfig config, int nranks);
-
-/// Convenience: engine name taken from `config.engine`.
-std::unique_ptr<Engine> make_engine(fsim::SharedFs& fs, std::string path,
-                                    EngineConfig config, int nranks);
-
-/// Open an on-disk BP4/BP5 container for sequential consumption without a
-/// live engine (the offline analogue of Engine::attach).
-std::unique_ptr<EngineReader> attach_reader(fsim::SharedFs& fs,
-                                            fsim::ClientId client,
-                                            std::string path);
 
 }  // namespace bitio::bp

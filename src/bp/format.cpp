@@ -203,8 +203,9 @@ std::uint32_t seal_step(std::span<std::uint8_t> block) {
   // The metadata block protects itself: trailing CRC32C over everything
   // before it, verified before any field is trusted on decode.
   const std::span<std::uint8_t> body = block.first(block.size() - 4);
-  store(block.data() + body.size(), crc32c(body));
-  return step_block_crc(block);
+  const std::uint32_t crc = crc32c(body);
+  store(block.data() + body.size(), crc);
+  return crc;
 }
 
 EncodedStep encode_step(const StepRecord& record) {
@@ -237,11 +238,8 @@ EncodedStep encode_step(const StepRecord& record) {
 }
 
 std::uint32_t step_block_crc(std::span<const std::uint8_t> block) {
-  // crc32c(body ++ tail) == crc32c(tail, crc32c(body)), and the tail of a
-  // verified block *is* crc32c(body).
   if (block.size() < 4) throw FormatError("bp: truncated step metadata");
-  const std::span<const std::uint8_t> tail = block.last(4);
-  return crc32c(tail, BinReader(tail).u32());
+  return BinReader(block.last(4)).u32();
 }
 
 StepRecord decode_step(std::span<const std::uint8_t> data) {

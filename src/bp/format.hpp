@@ -12,10 +12,11 @@
 //       nothing); the block ends in a CRC32C over itself.  Every shape,
 //       offset and count has rank <= kMaxRank (3, bp/types.hpp); a block
 //       declaring a higher rank is a FormatError.
-//   md.idx ("IDX5")  fixed-size entries (step, md_offset, md_length, md_crc)
-//       where md_crc is the CRC32C of the whole md.0 block, so the index
-//       and the metadata cross-check each other.
-//   footer ("FTR7")  appended to md.0 at close: the md.idx encoding of every
+//   md.idx ("IDX6")  fixed-size entries (step, md_offset, md_length, md_crc)
+//       where md_crc is the md.0 block's own trailing CRC32C, so the index
+//       and the metadata cross-check each other: an entry names one block,
+//       not just an intact one.
+//   footer ("FTR8")  appended to md.0 at close: the md.idx encoding of every
 //       step's entry — a pointer table into md.0, not a copy of it —
 //       followed by a fixed-size trailer pointing back at it.  A reader that
 //       finds an intact footer takes its index from there; a missing, torn,
@@ -23,13 +24,11 @@
 //       into the footer region).
 // Any other magic is a wrong-version/corrupt input and raises FormatError.
 //
-// The per-chunk path lives here too, once for every engine: the put-side
-// checks (check_put), the marshal that turns a chunk into its stored bytes
-// and ChunkRecord (marshal_chunk / synthetic_chunk), the CPU model the
-// engines charge for it, and the read-side check and scatter
-// (decode_chunk / scatter_chunk).  The file engine (bp::Writer), the
-// stream engine and bp::Reader all call these, so a chunk's record and
-// decoded bytes cannot depend on which engine moved it.
+// The per-chunk path lives here too: the put-side checks (check_put), the
+// marshal that turns a chunk into its stored bytes and ChunkRecord
+// (marshal_chunk / synthetic_chunk), the CPU model the writer charges for
+// it, and the read-side check and scatter (decode_chunk / scatter_chunk),
+// which bp::Writer and bp::Reader share.
 
 #ifdef BITIO_BP_SEAM_ONLY
 // Outside src/bp, BITIO_BP_SEAM_ONLY is set (src/CMakeLists.txt).
@@ -47,17 +46,16 @@
 namespace bitio::bp {
 
 inline constexpr std::uint32_t kMdMagic = 0x4D443037;   // "MD07"
-inline constexpr std::uint32_t kIdxMagic = 0x49445835;  // "IDX5"
+inline constexpr std::uint32_t kIdxMagic = 0x49445836;  // "IDX6"
 inline constexpr std::uint32_t kIdxHeaderBytes = 8;     // magic + count
 inline constexpr std::uint32_t kIdxEntryBytes = 32;
-inline constexpr std::uint32_t kFtrMagic = 0x46545237;  // "FTR7"
+inline constexpr std::uint32_t kFtrMagic = 0x46545238;  // "FTR8"
 /// Fixed-size footer trailer at the very end of md.0:
 ///   u64 footer_offset | u64 footer_length | u32 crc32c(footer) | u32 magic
 inline constexpr std::uint32_t kFtrTrailerBytes = 24;
 
-/// One encoded md.0 step block and the CRC32C of all of its bytes (the
-/// md.idx entry's md_crc), derived from the block's own trailing CRC so the
-/// block is checksummed once.
+/// One encoded md.0 step block and its trailing CRC32C (the md.idx entry's
+/// md_crc).
 struct EncodedStep {
   std::vector<std::uint8_t> bytes;
   std::uint32_t crc = 0;
@@ -111,7 +109,7 @@ std::uint8_t* encode_chunk_record(std::uint8_t* at,
                                   std::span<const std::uint64_t> count,
                                   const ChunkRecord& chunk);
 /// Writes the CRC32C of the rest of a laid-out block into its last four
-/// bytes and returns the whole block's CRC32C (the md.idx entry's md_crc).
+/// bytes and returns it (the md.idx entry's md_crc).
 std::uint32_t seal_step(std::span<std::uint8_t> block);
 
 /// Serialize one step's metadata (appended to md.0) through the encoder
@@ -122,8 +120,9 @@ EncodedStep encode_step(const StepRecord& record);
 /// kMaxRank, an operator name outside cz::kCodecNames, or a chunk that
 /// fails chunk_in_shape against its variable's shape.
 StepRecord decode_step(std::span<const std::uint8_t> data);
-/// CRC32C of a whole step block that decode_step() already accepted, in
-/// O(1): extends the verified trailing CRC over its own four bytes.
+/// The trailing CRC32C of a step block (its last four bytes), which
+/// decode_step() verifies and the block's md.idx entry repeats.  Throws
+/// FormatError when the block is shorter than the CRC.
 std::uint32_t step_block_crc(std::span<const std::uint8_t> block);
 
 /// md.idx: header (magic + count) followed by fixed-size entries.  The
@@ -152,14 +151,14 @@ std::optional<std::vector<IndexEntry>> decode_footer(
 /// has it).
 inline constexpr double kCrcBandwidthBps = 12e9;
 
-/// CPU seconds an engine charges for compressing `raw_bytes` with `codec`:
+/// CPU seconds the writer charges for compressing `raw_bytes` with `codec`:
 /// serial time, or fsim::parallel_cpu_seconds over compress_block_kb-KiB
 /// blocks when compress_threads > 1.
 double compress_cpu_seconds(const cz::Codec& codec, std::uint64_t raw_bytes,
                             int compress_threads,
                             std::size_t compress_block_kb);
 
-/// The put-side checks every engine applies: an open step, `rank` inside
+/// The put-side checks of every put: an open step, `rank` inside
 /// [0, nranks), and a chunk that fits `shape` (chunk_in_shape).  Throws
 /// UsageError prefixed "bp::put".  A rank above kMaxRank never gets here:
 /// building its Dims already threw UsageError.
@@ -169,8 +168,8 @@ void check_put(bool step_open, int rank, int nranks, const std::string& name,
 /// Marshal one real chunk: apply `codec` (nullptr = no operator) to `raw`,
 /// append the stored bytes to `dst`, and return the chunk's complete
 /// record — stored and raw sizes, CRC32C of the stored bytes and min/max
-/// of the values.  subfile and file_offset stay zero; the file engine
-/// fills them in.  The operator is the variable's (VarRecord).
+/// of the values.  subfile and file_offset stay zero; the writer fills
+/// them in.  The operator is the variable's (VarRecord).
 ChunkRecord marshal_chunk(const cz::Codec* codec, Datatype dtype,
                           std::span<const std::uint8_t> raw, Dims offset,
                           Dims count, std::uint32_t writer_rank,
@@ -188,8 +187,8 @@ ChunkRecord synthetic_chunk(const cz::Codec* codec, double codec_ratio,
                             Datatype dtype, Dims offset, Dims count,
                             std::uint32_t writer_rank);
 
-/// Byte size of `var`'s whole global array, which Reader::read and
-/// decode_stream_variable check before they allocate it.  Throws
+/// Byte size of `var`'s whole global array, which Reader::read checks
+/// before it allocates it.  Throws
 /// FormatError when the size overflows uint64 or passes 2^48 bytes, more
 /// than any one process on a 64-bit host can address: a CRC-valid shape
 /// no reader could back never surfaces as std::bad_alloc.

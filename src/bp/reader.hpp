@@ -14,7 +14,7 @@
 //
 // Open path: one read of md.0.  A closed container ends md.0 with a footer
 // — the index entry of every step plus a fixed trailer — so open() needs
-// no second file.  A container still being written (attached mid-run via
+// no second file.  A container still being written (opened mid-run after
 // publish_index) or one whose footer is torn or corrupt takes its entries
 // from md.idx instead.  Either way the same CRC-checked decode of the md.0
 // step blocks follows; used_footer_index() reports which index served.
@@ -30,9 +30,9 @@ namespace bitio::bp {
 
 class Reader {
 public:
-  /// Open a container (Reader holds a SharedFs reference, so it is not
-  /// assignable; C++17 guaranteed elision makes this returnable).  Engine
-  /// call sites use bp::attach_reader (src/bp/engine.hpp) instead.
+  /// Open a container, closed or published mid-run by
+  /// Writer::publish_index (Reader holds a SharedFs reference, so it is not
+  /// assignable; C++17 guaranteed elision makes this returnable).
   [[nodiscard]] static Reader open(fsim::SharedFs& fs, fsim::ClientId client,
                                    std::string path) {
     return Reader(fs, client, std::move(path));

@@ -25,7 +25,7 @@ namespace bitio::bp {
 
 /// Highest rank of a variable, its chunks and an openPMD extent.  A higher
 /// rank is rejected where it enters: UsageError when a Dims is built (so
-/// at every engine's put), FormatError when md.0 or an openPMD extent
+/// at every put), FormatError when md.0 or an openPMD extent
 /// attribute declares one.
 inline constexpr std::size_t kMaxRank = 3;
 
@@ -134,7 +134,7 @@ inline std::uint64_t element_count(const Dims& dims) {
 
 /// The one placement check: true when a chunk of `count` elements at
 /// `offset` lies inside `shape` — same rank, and no dimension overruns the
-/// extent.  Written so that offset + count cannot wrap.  The engines'
+/// extent.  Written so that offset + count cannot wrap.  The writer's
 /// put() (check_put) and decode_step apply it.
 inline bool chunk_in_shape(const Dims& shape, const Dims& offset,
                            const Dims& count) {
@@ -212,7 +212,7 @@ struct ChunkRecord {
   bool has_crc = false;
 };
 
-/// Per-step record of one variable.  An engine applies one codec to
+/// Per-step record of one variable.  The writer applies one codec to
 /// everything it writes, so the operator is recorded once here, not per
 /// chunk.
 struct VarRecord {
@@ -227,7 +227,7 @@ struct VarRecord {
 using AttrValue = std::variant<std::string, double, std::uint64_t>;
 
 /// Everything recorded for one step in md.0.  The name lookups below are
-/// the only ones: the reader and both engines' read sides go through them.
+/// the only ones: the reader goes through them.
 struct StepRecord {
   std::uint64_t step = 0;
   std::vector<VarRecord> variables;

@@ -80,10 +80,6 @@ Writer::Writer(fsim::SharedFs& fs, std::string path, EngineConfig config,
     : fs_(fs), path_(std::move(path)), config_(config), nranks_(nranks),
       mapper_(build_mapper(config_, nranks_)) {
   if (nranks_ <= 0) throw UsageError("bp::Writer: nranks must be positive");
-  if (config_.engine == EngineType::stream)
-    throw UsageError(
-        "bp::Writer: the stream engine has no file container — construct it "
-        "via bp::make_engine(\"stream\", ...)");
   config_.validate();
 
   const int nnodes =
@@ -801,15 +797,6 @@ void Writer::stop_drain_thread() {
   }
   drain_cv_.notify_all();
   drain_thread_.join();
-}
-
-std::unique_ptr<EngineReader> Writer::attach(fsim::ClientId client) {
-  // Outstanding drains must land before the metadata is parsed, and the
-  // md.idx header count is only finalized at close(), so publish it now
-  // (same bytes close() writes) for the reader to open against.
-  wait_drains();
-  publish_index();
-  return attach_reader(fs_, client, path_);
 }
 
 void Writer::publish_index() {

@@ -18,11 +18,10 @@
 //     sit in a side payload table, and a synthetic chunk has none;
 //   * end_step() walks the table rank-major (by rank, then put order)
 //     through a stable counting sort by rank, and marshals every real chunk
-//     through bp::marshal_chunk (the same marshal the stream engine runs,
-//     src/bp/format.hpp) — with a codec the data is compressed straight
-//     into the aggregation buffer (no separate memcopy, which is why Fig 8
-//     shows memcopy time eliminated under compression; without a codec a
-//     plain memcopy is charged);
+//     through bp::marshal_chunk (src/bp/format.hpp) — with a codec the
+//     data is compressed straight into the aggregation buffer (no separate
+//     memcopy, which is why Fig 8 shows memcopy time eliminated under
+//     compression; without a codec a plain memcopy is charged);
 //   * each chunk's MD07 record is encoded straight into its slot in the
 //     step's md.0 block, laid out before the walk: a variable's records
 //     all have the rank of its shape, so its put count fixes where they go;
@@ -153,7 +152,7 @@ public:
   /// Patch the md.idx header with the current step count so a reader can
   /// open the container mid-run (close() writes the same bytes again, so
   /// the final container is unchanged).  Call wait_drains() first; no-op
-  /// after close().  attach() runs both.
+  /// after close().
   void publish_index() EXCLUDES(mutex_);
 
   /// Join outstanding drains, patch the md.idx header, emit
@@ -180,11 +179,6 @@ public:
 
   /// Drain-watchdog counters (all zero when the watchdog is disabled).
   WatchdogStats watchdog_stats() const override;
-
-  /// Joins outstanding drains and publishes the index, then opens a cursor
-  /// over every step landed so far (attach_reader): attaching mid-run sees
-  /// every step whose end_step returned.
-  std::unique_ptr<EngineReader> attach(fsim::ClientId client) override;
 
 private:
   /// One variable of the open step: what every put of it must agree on,

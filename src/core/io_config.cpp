@@ -7,7 +7,6 @@
 #include <type_traits>
 
 #include "bp/engine.hpp"
-#include "bp/types.hpp"
 #include "util/error.hpp"
 #include "util/table.hpp"
 #include "util/toml.hpp"
@@ -46,35 +45,8 @@ RecoveryPolicy recovery_policy_of(const std::string& name) {
 }
 
 void Bit1IoConfig::validate() const {
-  require_one_of("io config", "engine", engine, bp::registered_engines());
+  require_one_of("io config", "engine", engine, bp::kEngineNames);
   engine_config(num_aggregators, profiling).validate();
-  if (engine == "stream") {
-    // The stream engine has no file container: knobs that only make sense
-    // for on-disk output are a configuration error, not a silent no-op.
-    if (checkpoint_interval > 0)
-      throw UsageError(
-          "io config: engine \"stream\" cannot take checkpoints "
-          "(checkpoint_interval = " + std::to_string(checkpoint_interval) +
-          ") — checkpoint epochs need a file container; use engine \"bp4\" "
-          "or \"bp5\", or set checkpoint_interval = 0");
-    if (use_striping)
-      throw UsageError(
-          "io config: engine \"stream\" writes no files, so [io.striping] "
-          "has nothing to stripe — remove the striping table or pick a "
-          "file engine");
-    if (async_write)
-      throw UsageError(
-          "io config: engine \"stream\" publishes at end_step; there is no "
-          "subfile drain for async_write to move off the critical path — "
-          "drop async_write or pick engine \"bp5\"");
-    if (aggregation == "two_level" && topology == "flat")
-      throw UsageError(
-          "io config: aggregation \"two_level\" with engine \"stream\" "
-          "needs a multi-node topology, and topology \"flat\" places every "
-          "rank on one node — pick a hierarchical topology (e.g. "
-          "\"dardel\") or one of the aggregation modes " +
-          quoted_list(bp::kAggregationModes));
-  }
   for (const auto& [name, value, min] :
        {std::tuple{"checkpoint_aggregators", checkpoint_aggregators, 1},
         {"checkpoint_interval", checkpoint_interval, 0},

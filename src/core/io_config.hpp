@@ -13,8 +13,8 @@
 // settings — loops over the rows that name an EngineConfig member.  A new
 // knob is one member plus one row; a member with neither a row nor a
 // place in kHandWrittenMembers does not compile.  Accepted names belong
-// to their owners (bp::registered_engines(), cz::kCodecNames, ...), which
-// the validators ask directly.
+// to their owners (bp::kEngineNames, cz::kCodecNames, ...), which the
+// validators ask directly.
 
 #include <cstddef>
 #include <string>
@@ -47,7 +47,7 @@ struct Bit1IoConfig {
 
   // openPMD / ADIOS2 engine settings.  A knob whose kBit1IoConfigKeys row
   // feeds a bp::EngineConfig member is documented on that member.
-  std::string engine = "bp4";         // a bp::registered_engines() name
+  std::string engine = "bp4";         // one of bp::kEngineNames
   int num_aggregators = 0;            // diagnostics series; 0 = per node
   int checkpoint_aggregators = 1;     // checkpoint series (shared-file)
   std::string codec = "none";         // one of cz::kCodecNames
@@ -98,17 +98,11 @@ struct Bit1IoConfig {
   int numa_per_node = 0;
   int nics_per_node = 0;
 
-  // Stream engine (engine = "stream") only: the channel window and the
-  // slow-reader policy.
-  int stream_max_steps = 4;
-  std::string stream_policy = "block";  // one of bp::kStreamPolicies
-
   friend bool operator==(const Bit1IoConfig&, const Bit1IoConfig&) = default;
 
-  /// Reject an unregistered engine, anything engine_config().validate()
-  /// rejects, out-of-range checkpoint/degrade/recovery settings, file-only
-  /// knobs on the stream engine, or a stripe size that is zero or not a
-  /// power of two.  Throws UsageError.
+  /// Reject an unknown engine, anything engine_config().validate()
+  /// rejects, out-of-range checkpoint/degrade/recovery settings, or a
+  /// stripe size that is zero or not a power of two.  Throws UsageError.
   /// Called by from_toml after parsing; call it directly after building a
   /// config in code.
   void validate() const;
@@ -196,10 +190,6 @@ inline constexpr IoConfigKey kBit1IoConfigKeys[] = {
     {"degrade_threshold", &Bit1IoConfig::degrade_threshold},
     {"degrade_cooldown", &Bit1IoConfig::degrade_cooldown},
     {"recovery", &Bit1IoConfig::recovery},
-    {"stream_max_steps", &Bit1IoConfig::stream_max_steps,
-     &bp::EngineConfig::stream_max_steps},
-    {"stream_policy", &Bit1IoConfig::stream_policy,
-     &bp::EngineConfig::stream_policy},
     {"aggregation", &Bit1IoConfig::aggregation,
      &bp::EngineConfig::aggregation},
     {"topology", &Bit1IoConfig::topology, &bp::EngineConfig::topology},

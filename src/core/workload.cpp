@@ -209,8 +209,8 @@ EpochResult run_openpmd_epoch(const fsim::SystemProfile& profile,
     return engine;
   };
 
-  // Engine selection goes through the string-keyed registry: the config's
-  // engine name picks BP4/BP5/stream without this call site changing.
+  // The config's engine name picks BP4 or BP5 without this call site
+  // changing.
   auto diag_ptr = bp::make_engine(
       config.engine, fs, dir + "/dat_file." + config.engine,
       engine_config(config.num_aggregators, config.profiling), ranks);

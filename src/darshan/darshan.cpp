@@ -440,7 +440,7 @@ std::string uppercase(std::string name) {
 }  // namespace
 
 std::string engine_tag(const std::string& engine) {
-  return engine == "stream" ? "SST" : uppercase(engine);
+  return uppercase(engine);
 }
 
 std::string aggregation_tag(const std::string& aggregation) {

@@ -165,9 +165,7 @@ DarshanLog capture(const fsim::SharedFs& fs,
                    const fsim::ReplayReport& replay, JobInfo job);
 
 /// Short tag identifying the I/O engine in Darshan-side reports and bench
-/// JSON: the uppercased engine name ("BP4", "BP5"), except that the stream
-/// engine reports as "SST".  Any name registered via bp::register_engine
-/// gets a tag.
+/// JSON: the uppercased engine name ("BP4", "BP5").
 std::string engine_tag(const std::string& engine);
 
 /// Short tag identifying the aggregation mode in Darshan-side reports and

@@ -22,8 +22,8 @@ public:
     bp::EngineConfig config = adios2_config.is_null()
                                   ? bp::EngineConfig{}
                                   : bp::EngineConfig::from_json(adios2_config);
-    // Engine selection goes through the string-keyed registry; the name
-    // (from the file extension or Bit1IoConfig::engine) is authoritative.
+    // The engine name (from the file extension or Bit1IoConfig::engine) is
+    // authoritative.
     writer_ = bp::make_engine(engine, fs, path, std::move(config), nranks);
   }
 
@@ -51,8 +51,6 @@ public:
   }
 
   void close() override { writer_->close(); }
-
-  bp::Engine* engine() override { return writer_.get(); }
 
   std::vector<std::uint64_t> iterations() const override {
     throw UsageError("openPMD: series is write-only");
@@ -368,9 +366,6 @@ std::unique_ptr<SeriesBackend> make_write_backend(fsim::SharedFs& fs,
   if (ext == "bp5")
     return std::make_unique<BpWriteBackend>(fs, path, nranks, adios2_config,
                                             "bp5");
-  if (ext == "stream")
-    return std::make_unique<BpWriteBackend>(fs, path, nranks, adios2_config,
-                                            "stream");
   if (ext == "json")
     return std::make_unique<JsonBackend>(fs, path, /*write=*/true);
   throw UsageError("openPMD: no backend for extension '." + ext + "'");

@@ -22,10 +22,6 @@
 #include "fsim/posix_fs.hpp"
 #include "util/json.hpp"
 
-namespace bitio::bp {
-class Engine;  // src/bp/engine.hpp
-}
-
 namespace bitio::pmd {
 
 using bp::AttrValue;
@@ -70,11 +66,6 @@ public:
                                              const std::string& var) = 0;
   virtual std::optional<AttrValue> attribute(std::uint64_t iteration,
                                              const std::string& name) const = 0;
-
-  /// The underlying bp::Engine when this backend writes through one
-  /// (BP4/BP5/stream); nullptr otherwise (JSON).  In-situ consumers use
-  /// this to Engine::attach() to a live series.
-  virtual bp::Engine* engine() { return nullptr; }
 };
 
 /// Create the backend for `path` based on its extension.  `nranks` sizes

@@ -189,11 +189,6 @@ public:
   Access access() const { return access_; }
   int nranks() const { return nranks_; }
 
-  /// The bp::Engine behind a BP/stream write series (nullptr for JSON):
-  /// in-situ consumers Engine::attach() through this while the series is
-  /// still being written.
-  bp::Engine* engine() { return backend_->engine(); }
-
   /// Open an iteration for writing.  Opening index 0 again after it was
   /// closed re-opens the checkpoint slot (latest rewrite wins on read).
   Iteration& write_iteration(std::uint64_t index);

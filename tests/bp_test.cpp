@@ -9,7 +9,6 @@
 
 #include "bp/engine.hpp"
 #include "bp/reader.hpp"
-#include "bp/stream.hpp"
 #include "bp/writer.hpp"
 #include "fsim/storage_model.hpp"
 #include "util/binio.hpp"
@@ -84,8 +83,11 @@ TEST(BpFormat, StepRecordRoundTrip) {
   record.attributes.emplace_back("count", AttrValue(std::uint64_t(7)));
 
   const EncodedStep encoded = encode_step(record);
-  // The returned CRC covers the whole block, as the index entry records it.
-  EXPECT_EQ(encoded.crc, crc32c(encoded.bytes));
+  // The returned CRC is the block's own trailing CRC32C, as the index entry
+  // records it.
+  EXPECT_EQ(encoded.crc,
+            crc32c(std::span(encoded.bytes).first(encoded.bytes.size() - 4)));
+  EXPECT_EQ(encoded.crc, step_block_crc(encoded.bytes));
   const StepRecord back = decode_step(encoded.bytes);
   EXPECT_EQ(back.step, 42u);
   ASSERT_EQ(back.variables.size(), 1u);
@@ -202,18 +204,18 @@ TEST(BpGolden, OneDimensionalChunkRecordIs77Bytes) {
 }
 
 TEST(BpGolden, IndexBytes) {
-  EXPECT_EQ(kIdxMagic, 0x49445835u);  // "IDX5"
+  EXPECT_EQ(kIdxMagic, 0x49445836u);  // "IDX6"
   EXPECT_EQ(hex(encode_index({{7, 0, 113, 0xCAFEF00D}, {8, 113, 90, 0x5}})),
-            "3558444902000000070000000000000000000000000000007100000000000000"
+            "3658444902000000070000000000000000000000000000007100000000000000"
             "0df0feca00000000080000000000000071000000000000005a00000000000000"
             "0500000000000000");
 }
 
 TEST(BpGolden, FooterBytes) {
-  EXPECT_EQ(kFtrMagic, 0x46545237u);  // "FTR7"
+  EXPECT_EQ(kFtrMagic, 0x46545238u);  // "FTR8"
   EXPECT_EQ(hex(encode_footer({{7, 0, 113, 0xCAFEF00D}}, 113)),
-            "3558444901000000070000000000000000000000000000007100000000000000"
-            "0df0feca00000000710000000000000028000000000000005a55b8cf37525446");
+            "3658444901000000070000000000000000000000000000007100000000000000"
+            "0df0feca0000000071000000000000002800000000000000d61c14ac38525446");
 }
 
 TEST(BpFormat, DetectsCorruption) {
@@ -276,8 +278,6 @@ TEST(BpConfig, EveryParameterRoundTripsThroughAdios2Toml) {
   config.coalesce_writes = true;
   config.drain_timeout_ms = 150;
   config.max_drain_retries = 5;
-  config.stream_max_steps = 9;
-  config.stream_policy = "disconnect";
   config.aggregation = "two_level";
   config.topology = "dardel";
   config.numa_per_node = 4;
@@ -643,7 +643,7 @@ TEST(BpWriter, UsageErrors) {
 }
 
 TEST(BpWriter, RankAboveThreeIsUsageErrorOnEveryEngine) {
-  for (const char* engine_name : {"bp4", "stream"}) {
+  for (const char* engine_name : {"bp4", "bp5"}) {
     SCOPED_TRACE(engine_name);
     fsim::SharedFs fs(4);
     auto engine = make_engine(engine_name, fs, std::string("r4.") + engine_name,
@@ -657,6 +657,107 @@ TEST(BpWriter, RankAboveThreeIsUsageErrorOnEveryEngine) {
                                     {1, 1, 1, 1}, one),
                  UsageError);
     engine->put<float>(0, "x", {1, 1, 1}, {0, 0, 0}, {1, 1, 1}, one);
+    engine->end_step();
+    engine->close();
+  }
+}
+
+// -------------------------------------------------------------- engines ---
+
+/// One step of a 2-rank float variable, put through any Engine.
+void put_step(Engine& engine, std::uint64_t step, float base) {
+  engine.begin_step(step);
+  const Dims shape{16};
+  for (int r = 0; r < 2; ++r) {
+    auto local = iota_floats(8, base + float(r) * 8.f);
+    engine.put<float>(r, "density", shape, {std::uint64_t(r) * 8}, {8},
+                      local);
+  }
+  engine.add_attribute("unitSI", AttrValue(1.0));
+  engine.end_step();
+}
+
+TEST(EngineRegistry, UnknownNameThrowsListingRegistered) {
+  fsim::SharedFs fs(4);
+  try {
+    make_engine("hdf5", fs, "x.hdf5", EngineConfig{}, 2);
+    FAIL() << "make_engine accepted an unregistered name";
+  } catch (const UsageError& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("hdf5"), std::string::npos) << message;
+    EXPECT_NE(message.find("bp4"), std::string::npos) << message;
+    EXPECT_NE(message.find("bp5"), std::string::npos) << message;
+  }
+}
+
+// The concrete Writer::open / Reader::open entry points (the replacement
+// for the removed deprecated raw constructors) produce a container
+// byte-identical to the factory path for both file engines.
+TEST(EngineCompat, NamedCtorsByteIdenticalToFactory) {
+  for (const char* name : {"bp4", "bp5"}) {
+    fsim::SharedFs fs(8);
+    EngineConfig config;
+    config.num_aggregators = 2;
+    config.ranks_per_node = 4;
+    config.engine = std::string(name) == "bp4" ? EngineType::bp4
+                                               : EngineType::bp5;
+
+    const std::string raw_path = std::string("raw.") + name;
+    {
+      Writer writer = Writer::open(fs, raw_path, config, 2);
+      writer.begin_step(0);
+      const Dims shape{16};
+      for (int r = 0; r < 2; ++r) {
+        auto local = iota_floats(8, float(r) * 8.f);
+        writer.put<float>(r, "density", shape, {std::uint64_t(r) * 8}, {8},
+                          local);
+      }
+      writer.add_attribute("unitSI", AttrValue(1.0));
+      writer.end_step();
+      writer.close();
+    }
+    const std::string fac_path = std::string("fac.") + name;
+    {
+      auto engine = make_engine(name, fs, fac_path, config, 2);
+      put_step(*engine, 0, 0.f);
+      engine->close();
+    }
+
+    const auto raw_files = fs.store().list_recursive(raw_path);
+    const auto fac_files = fs.store().list_recursive(fac_path);
+    ASSERT_EQ(raw_files.size(), fac_files.size()) << name;
+    fsim::FsClient io(fs, 0);
+    for (const auto* file : raw_files) {
+      const std::string rel = file->path.substr(raw_path.size());
+      const auto a = io.read_all(file->path);
+      const auto b = io.read_all(fac_path + rel);
+      EXPECT_EQ(a, b) << "file " << rel << " differs for " << name;
+    }
+
+    // Reader::open parses both containers to the same decoded data.
+    Reader direct = Reader::open(fs, 0, raw_path);
+    Reader via_factory = Reader::open(fs, 0, fac_path);
+    EXPECT_EQ(direct.read_as<float>(0, "density"),
+              via_factory.read_as<float>(0, "density"));
+  }
+}
+
+// A chunk whose offset + count wraps past UINT64_MAX would land outside the
+// global array; every engine refuses it at put().
+TEST(EngineCompat, OverflowingPlacementIsUsageError) {
+  for (const char* name : {"bp4", "bp5"}) {
+    fsim::SharedFs fs(4);
+    auto engine =
+        make_engine(name, fs, std::string("wrap.") + name, small_config(), 2);
+    engine->begin_step(0);
+    const auto local = iota_floats(2);
+    EXPECT_THROW(engine->put<float>(0, "x", {4}, {UINT64_MAX}, {2}, local),
+                 UsageError)
+        << name;
+    EXPECT_THROW(engine->put_synthetic(0, "y", Datatype::float32, {4},
+                                       {UINT64_MAX}, {2}),
+                 UsageError)
+        << name;
     engine->end_step();
     engine->close();
   }
@@ -888,12 +989,34 @@ TEST(BpHardening, UnknownFormatVersionIsTypedFormatError) {
     EXPECT_THROW(decode_step(bytes), FormatError) << std::hex << magic;
   }
 
-  for (const std::uint32_t magic : {0x49445834u, 0x49445836u}) {  // IDX4/6
+  // Retired IDX4/IDX5 and a future IDX7.
+  for (const std::uint32_t magic : {0x49445834u, 0x49445835u, 0x49445837u}) {
     BinWriter idx;
     idx.u32(magic);
     idx.u32(0);
     EXPECT_THROW(decode_index(idx.take()), FormatError) << std::hex << magic;
   }
+
+  // A footer behind the retired FTR7 trailer magic is no footer, so the
+  // open falls back to md.idx; an FTR8 footer whose CRC-valid body is a
+  // retired IDX5 index is a FormatError.
+  std::vector<std::uint8_t> md0 = encode_footer({{3, 0, 64, 0x5}}, 0);
+  BinWriter ftr7;
+  ftr7.u32(0x46545237u);
+  std::copy(ftr7.buffer().begin(), ftr7.buffer().end(), md0.end() - 4);
+  EXPECT_EQ(decode_footer(md0), std::nullopt);
+
+  BinWriter idx5;
+  idx5.u32(0x49445835u);
+  idx5.u32(0);
+  const std::vector<std::uint8_t> body = idx5.take();
+  BinWriter footer;
+  footer.bytes(body);
+  footer.u64(0);
+  footer.u64(body.size());
+  footer.u32(crc32c(body));
+  footer.u32(kFtrMagic);
+  EXPECT_THROW((void)decode_footer(footer.take()), FormatError);
 }
 
 TEST(BpHardening, ChunkOutsideItsShapeFailsOpen) {
@@ -927,8 +1050,8 @@ TEST(BpHardening, ChunkOutsideItsShapeFailsOpen) {
 TEST(BpHardening, ShapeNoReaderCanBackIsFormatErrorOnRead) {
   // A CRC-valid block whose rank-1 shape declares 2^62 one-byte elements:
   // the byte size fits uint64, so open accepts the block, but no process
-  // can allocate the whole array.  A full read through either engine is a
-  // FormatError, never std::bad_alloc.
+  // can allocate the whole array.  A full read is a FormatError, never
+  // std::bad_alloc.
   StepRecord record;
   record.step = 0;
   VarRecord var{"x", Datatype::uint8, {std::uint64_t(1) << 62}, "", {}};
@@ -944,11 +1067,6 @@ TEST(BpHardening, ShapeNoReaderCanBackIsFormatErrorOnRead) {
   io.write_file("h.bp4/data.0", std::vector<std::uint8_t>(32, 0));
   Reader reader = Reader::open(fs, 0, "h.bp4");
   EXPECT_THROW((void)reader.read(0, "x"), FormatError);
-
-  StreamStep step;
-  step.record = record;
-  step.payload = {{std::vector<std::uint8_t>(32, 0)}};
-  EXPECT_THROW((void)decode_stream_variable(step, "x"), FormatError);
 }
 
 TEST(BpHardening, RecordCountsBeyondTheBlockAreFormatError) {
@@ -1191,6 +1309,53 @@ TEST(BpIntegrity, IndexCrossChecksStepMetadata) {
   auto& idx = fs.store().file("x.bp4/md.idx");
   idx.data[kIdxHeaderBytes + 24] ^= 0x01;  // md_crc of entry 0
   EXPECT_THROW(Reader::open(fs, 0, "x.bp4"), FormatError);
+}
+
+// Each md.idx and footer entry carries its own block's trailing CRC32C, so
+// an entry names one step block, not merely an intact one: entries swapped
+// between two intact blocks fail the open through either index.
+TEST(BpIntegrity, IndexEntryCarriesItsOwnBlockCrc) {
+  fsim::SharedFs fs(4);
+  {
+    Writer writer = Writer::open(fs, "two.bp4", small_config(1), 1);
+    for (std::uint64_t step = 0; step < 2; ++step) {
+      writer.begin_step(step);
+      auto v = iota_floats(8, float(step));
+      writer.put<float>(0, "x", {8}, {0}, {8}, v);
+      writer.end_step();
+    }
+    writer.close();
+  }
+  fsim::FsClient io(fs, 0);
+  std::vector<IndexEntry> index = decode_index(io.read_all("two.bp4/md.idx"));
+  const std::vector<std::uint8_t> md0 = io.read_all("two.bp4/md.0");
+  ASSERT_EQ(index.size(), 2u);
+  EXPECT_NE(index[0].md_crc, index[1].md_crc);
+  for (const IndexEntry& entry : index) {
+    const auto block = std::span(md0).subspan(entry.md_offset, entry.md_length);
+    EXPECT_EQ(entry.md_crc, BinReader(block.last(4)).u32()) << entry.step;
+  }
+  const auto footer_index = decode_footer(md0);
+  ASSERT_TRUE(footer_index.has_value());
+  ASSERT_EQ(footer_index->size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i)
+    EXPECT_EQ((*footer_index)[i].md_crc, index[i].md_crc);
+
+  std::swap(index[0].md_crc, index[1].md_crc);
+  // Through the footer: rewrite it over the swapped entries.
+  const std::uint64_t footer_at = index[1].md_offset + index[1].md_length;
+  auto& md = fs.store().file("two.bp4/md.0");
+  const std::vector<std::uint8_t> footer = encode_footer(index, footer_at);
+  ASSERT_EQ(footer_at + footer.size(), md.data.size());
+  std::copy(footer.begin(), footer.end(),
+            md.data.begin() + std::ptrdiff_t(footer_at));
+  EXPECT_THROW(Reader::open(fs, 0, "two.bp4"), FormatError);
+  // Through md.idx: zap the footer trailer so the open takes md.idx.
+  md.data[md.data.size() - 1] ^= 0xFF;
+  auto& idx = fs.store().file("two.bp4/md.idx");
+  const std::vector<std::uint8_t> swapped = encode_index(index);
+  std::copy(swapped.begin(), swapped.end(), idx.data.begin());
+  EXPECT_THROW(Reader::open(fs, 0, "two.bp4"), FormatError);
 }
 
 TEST(BpChunkView, ValidatesGeometryAtConstruction) {
@@ -1624,10 +1789,10 @@ TEST(BpGolden, WriterStepsWithInterleavedPuts) {
             "0/0 close none 0+0 x1\n");
 
   fsim::FsClient io(fs, 0);
-  EXPECT_EQ(hex(io.read_all("golden.bp4/md.idx")), 
-            "3558444902000000000000000000000000000000000000003408000000000000"
-            "c74b674800000000010000000000000034080000000000004607000000000000"
-            "c74b674800000000");
+  EXPECT_EQ(hex(io.read_all("golden.bp4/md.idx")),
+            "3658444902000000000000000000000000000000000000003408000000000000"
+            "afbdf04700000000010000000000000034080000000000004607000000000000"
+            "4ddbfeb000000000");
   std::string files;
   for (const char* name :
        {"data.0", "data.1", "md.0", "md.idx", "profiling.json"})
@@ -1635,8 +1800,8 @@ TEST(BpGolden, WriterStepsWithInterleavedPuts) {
   EXPECT_EQ(files,
             "data.0:600:22e35533\n"
             "data.1:484:554e0960\n"
-            "md.0:4058:5d9f9c28\n"
-            "md.idx:72:7e8cd936\n"
+            "md.0:4058:40968260\n"
+            "md.idx:72:280ff6c0\n"
             "profiling.json:333:74b01c61\n");
 
   // The metadata a reader sees: variables in rank-major first-seen order,

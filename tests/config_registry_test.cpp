@@ -79,10 +79,6 @@ bool mutate_for_key(const std::string& key, Bit1IoConfig& config) {
   } else if (key == "size") {
     config.use_striping = true;
     config.striping.stripe_size = 16ull << 20;
-  } else if (key == "stream_max_steps") {
-    config.stream_max_steps = 9;
-  } else if (key == "stream_policy") {
-    config.stream_policy = "drop_oldest";
   } else if (key == "aggregation") {
     config.aggregation = "two_level";
     config.topology = "dardel";  // two_level needs a hierarchical topology
@@ -215,6 +211,9 @@ TEST(ConfigRegistry, UnknownKeysAreRejectedByName) {
   const std::pair<const char*, const char*> cases[] = {
       {"[io]\nagregators = 400\n", "'agregators' under [io]"},
       {"[io]\n[io.striping]\ncont = 8\n", "'cont' under [io.striping]"},
+      // The retired stream engine's knobs.
+      {"[io]\nstream_max_steps = 4\n", "'stream_max_steps' under [io]"},
+      {"[io]\nstream_policy = \"block\"\n", "'stream_policy' under [io]"},
   };
   for (const auto& [toml, hint] : cases) {
     try {
@@ -249,36 +248,8 @@ void expect_rejected(const Bit1IoConfig& config, const std::string& hint) {
 TEST(ConfigValidation, UnknownEngineListsTheRegisteredNames) {
   Bit1IoConfig config;
   config.engine = "hdf5";
-  // The message lists bp::registered_engines() so the fix is in the error.
-  expect_rejected(config, "\"stream\"");
-}
-
-TEST(ConfigValidation, StreamRejectsFileOnlyKnobs) {
-  Bit1IoConfig stream;
-  stream.engine = "stream";
-  stream.validate();  // the engine itself is fine
-
-  Bit1IoConfig ckpt = stream;
-  ckpt.checkpoint_interval = 10;
-  expect_rejected(ckpt, "cannot take checkpoints");
-
-  Bit1IoConfig striped = stream;
-  striped.use_striping = true;
-  expect_rejected(striped, "nothing to stripe");
-
-  Bit1IoConfig async = stream;
-  async.async_write = true;
-  expect_rejected(async, "async_write");
-}
-
-TEST(ConfigValidation, StreamKnobsAreRangeChecked) {
-  Bit1IoConfig config;
-  config.stream_max_steps = 0;
-  expect_rejected(config, "stream_max_steps");
-
-  Bit1IoConfig policy;
-  policy.stream_policy = "banana";
-  expect_rejected(policy, "stream_policy");
+  // The message lists bp::kEngineNames so the fix is in the error.
+  expect_rejected(config, "\"bp4\", \"bp5\"");
 }
 
 TEST(ConfigValidation, CompressThreadsBoundedByBufferPoolDepth) {
@@ -301,31 +272,4 @@ TEST(ConfigValidation, UnknownTopologyListsThePresets) {
   Bit1IoConfig config;
   config.topology = "summit";
   expect_rejected(config, "\"dardel\"");
-}
-
-TEST(ConfigValidation, StreamTwoLevelNeedsMultiNodeTopology) {
-  Bit1IoConfig config;
-  config.engine = "stream";
-  config.aggregation = "two_level";
-  // topology = "flat" puts every rank on one node: nothing to gather
-  // across.  The error lists the valid aggregation modes.
-  expect_rejected(config, "\"flat\", \"two_level\"");
-  config.topology = "dardel";
-  config.validate();
-}
-
-TEST(ConfigValidation, ValidStreamConfigRoundTrips) {
-  Bit1IoConfig config;
-  config.engine = "stream";
-  config.stream_max_steps = 8;
-  config.stream_policy = "disconnect";
-  config.codec = "blosc";
-  config.validate();
-  const Bit1IoConfig parsed = Bit1IoConfig::from_toml(config.to_toml());
-  EXPECT_EQ(parsed, config);
-  // The adios2 rendering carries the window knobs to the bp layer.
-  const std::string adios2 = config.adios2_toml();
-  EXPECT_NE(adios2.find("StreamMaxSteps = 8"), std::string::npos) << adios2;
-  EXPECT_NE(adios2.find("StreamPolicy = \"disconnect\""), std::string::npos)
-      << adios2;
 }

@@ -248,7 +248,8 @@ TEST(DrainWatchdog, WedgedLaneIsCancelledAndRetried) {
   fs.set_fault_plan(
       FaultPlan(3, {{FaultKind::stall, "data.", 1, 0.0, 1, -1, 0}}));
 
-  auto writer = bp::make_engine(fs, "w.bp4", watchdog_engine(50, 2), 2);
+  auto writer =
+      bp::make_engine("bp4", fs, "w.bp4", watchdog_engine(50, 2), 2);
   const auto data = iota_floats(16);
   writer->begin_step(0);
   writer->put<float>(0, "x", {32}, {0}, {16}, data);
@@ -275,7 +276,8 @@ TEST(DrainWatchdog, PermanentlyWedgedStepIsAbandonedAndCloseCannotHang) {
   fs.set_fault_plan(
       FaultPlan(3, {{FaultKind::stall, "data.", 0, 1.0, 0, -1, 0}}));
 
-  auto writer = bp::make_engine(fs, "w.bp4", watchdog_engine(50, 1), 1);
+  auto writer =
+      bp::make_engine("bp4", fs, "w.bp4", watchdog_engine(50, 1), 1);
   const auto data = iota_floats(16);
   writer->begin_step(0);
   writer->put<float>(0, "x", {16}, {0}, {16}, data);

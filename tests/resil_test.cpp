@@ -206,7 +206,7 @@ bool detection_round(FaultKind kind, const std::string& target,
   {
     bp::EngineConfig config;
     config.num_aggregators = 1;
-    auto writer = bp::make_engine(fs, "out/c.bp4", config, 1);
+    auto writer = bp::make_engine("bp4", fs, "out/c.bp4", config, 1);
     writer->begin_step(0);
     std::vector<float> v(32);
     std::iota(v.begin(), v.end(), 0.f);

@@ -168,7 +168,7 @@ TEST(TopoConfig, WriterRejectsUnknownAggregation) {
   bp::EngineConfig config;
   config.aggregation = "tree";
   try {
-    bp::make_engine(fs, "x.bp4", config, 2);
+    bp::make_engine("bp4", fs, "x.bp4", config, 2);
     FAIL() << "unknown aggregation accepted";
   } catch (const UsageError& e) {
     EXPECT_NE(std::string(e.what()).find("two_level"), std::string::npos)
@@ -193,7 +193,7 @@ bp::EngineConfig topo_config(const std::string& aggregation,
 /// return the fs for inspection.
 void write_series(fsim::SharedFs& fs, const bp::EngineConfig& config,
                   int nranks, const std::string& path = "out/series.bp4") {
-  auto engine = bp::make_engine(fs, path, config, nranks);
+  auto engine = bp::make_engine("bp4", fs, path, config, nranks);
   for (std::uint64_t step = 0; step < 2; ++step) {
     engine->begin_step(step);
     for (int r = 0; r < nranks; ++r) {
@@ -345,17 +345,11 @@ TEST(TopoDarshan, AggregationTags) {
 // --------------------------------------------------------------- factory ---
 
 TEST(TopoFactory, RegistryCoversEveryBuiltinEngineName) {
-  // With the deprecated raw-ctor shims gone, the factory registry is the
-  // only construction seam — so prove directly that every built-in engine
-  // name resolves: registered, listed, and constructible by make_engine.
-  const auto names = bp::registered_engines();
-  for (bp::EngineType type :
-       {bp::EngineType::bp4, bp::EngineType::bp5, bp::EngineType::stream}) {
-    const std::string name{bp::engine_name(type)};
-    EXPECT_TRUE(bp::engine_registered(name)) << name;
-    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end());
+  // The factory is the only construction seam, so prove directly that every
+  // engine name resolves: constructible by make_engine under its own name.
+  for (const char* name : bp::kEngineNames) {
     fsim::SharedFs fs(4);
-    auto engine = bp::make_engine(name, fs, "reg." + name, {}, 1);
+    auto engine = bp::make_engine(name, fs, std::string("reg.") + name, {}, 1);
     ASSERT_NE(engine, nullptr) << name;
     EXPECT_EQ(engine->engine_name(), name);
     engine->close();
