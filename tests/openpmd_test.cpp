@@ -2,11 +2,13 @@
 // backends, constants, attributes, TOML configuration, SPMD writing.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <numeric>
 
 #include "bp/engine.hpp"
 #include "openpmd/series.hpp"
 #include "smpi/comm.hpp"
+#include "util/crc32c.hpp"
 #include "util/error.hpp"
 
 namespace bitio::pmd {
@@ -104,6 +106,51 @@ INSTANTIATE_TEST_SUITE_P(Backends, OpenPmdBackends,
                          [](const auto& info) {
                            return std::string(info.param);
                          });
+
+/// "name:size:crc32c" of one container file.
+std::string golden_file(SharedFs& fs, const std::string& path,
+                        const char* name) {
+  fsim::FsClient io(fs, 0);
+  const auto bytes = io.read_all(path + "/" + name);
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%s:%zu:%08x", name, bytes.size(),
+                crc32c(bytes));
+  return buf;
+}
+
+TEST(OpenPmdGolden, SeriesIterationBytes) {
+  // The Series -> engine path end to end: the order of puts and attributes
+  // that Iteration::close emits is part of the container bytes.
+  SharedFs fs(4);
+  {
+    Series series(fs, "golden.bp4", Access::create, /*nranks=*/2);
+    auto& it = series.write_iteration(7);
+    it.set_time(1.5);
+    it.set_dt(0.25);
+    auto& rho = it.mesh("density").component();
+    rho.reset_dataset(Datatype::float64, {8});
+    rho.set_unit_si(1e-3);
+    const auto lo = ramp(4, 0.0), hi = ramp(4, 4.0);
+    rho.store_chunk<double>(0, lo, {0}, {4});
+    rho.store_chunk<double>(1, hi, {4}, {4});
+    auto& e = it.particles("e");
+    auto& x = e["position"]["x"];
+    x.reset_dataset(Datatype::float64, {5});
+    const auto px0 = ramp(2, 10.0), px1 = ramp(3, 12.0);
+    x.store_chunk<double>(1, px1, {2}, {3});
+    x.store_chunk<double>(0, px0, {0}, {2});
+    e["positionOffset"]["x"].make_constant(0.5, {5});
+    it.close();
+    series.close();
+  }
+  std::string files;
+  for (const char* name : {"data.0", "md.0", "md.idx"})
+    files += golden_file(fs, "golden.bp4", name) + "\n";
+  EXPECT_EQ(files,
+            "data.0:104:1edf2be4\n"
+            "md.0:791:41631a00\n"
+            "md.idx:40:771dd462\n");
+}
 
 TEST(OpenPmd, StoredExtentAboveRankThreeIsFormatError) {
   // A constant record's extent lives in a "1,2,3"-style attribute; one
