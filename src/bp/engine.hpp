@@ -14,7 +14,7 @@
 // (BP5's AsyncWrite background drain is EngineConfig::async_write, on
 // either.)
 //
-// Call sites (the openPMD backend, the scale workload, the benches) select
+// Call sites (pmd::Series, the scale workload, the benches) select
 // an engine purely via Bit1IoConfig::engine, which validate() checks
 // against kEngineNames.  A container is read back through bp::Reader::open
 // (src/bp/reader.hpp), closed or, after Writer::publish_index, mid-run.

@@ -191,8 +191,8 @@ void Bit1OpenPmdAdaptor::restore(fsim::SharedFs& fs,
 void Bit1OpenPmdAdaptor::synchronize() {
   util::MutexLock lock(mutex_);
   if (closed_) return;
-  if (diag_series_) diag_series_->flush(pmd::FlushMode::sync);
-  if (ckpt_series_) ckpt_series_->flush(pmd::FlushMode::sync);
+  if (diag_series_) diag_series_->flush();
+  if (ckpt_series_) ckpt_series_->flush();
 }
 
 void Bit1OpenPmdAdaptor::close() {

@@ -1,6 +1,6 @@
 #include "openpmd/series.hpp"
 
-#include <algorithm>
+#include <charconv>
 #include <cstring>
 
 #include "util/error.hpp"
@@ -33,16 +33,50 @@ std::string join_extent(const Extent& extent) {
   return out;
 }
 
+// Inverse of join_extent: "" is rank 0, otherwise comma-separated decimal
+// digits, each fitting in 64 bits.
 Extent parse_extent(const std::string& text) {
   Extent extent;
+  if (text.empty()) return extent;
   for (const auto& part : split_on(text, ',')) {
-    if (part.empty()) continue;
     if (extent.size() == bp::kMaxRank)
       throw FormatError("openPMD: extent '" + text +
                         "' has rank above kMaxRank (3)");
-    extent.push_back(std::stoull(part));
+    std::uint64_t dim = 0;
+    const char* end = part.data() + part.size();
+    // from_chars takes no sign for an unsigned type and reports overflow.
+    const auto [stop, ec] = std::from_chars(part.data(), end, dim);
+    if (part.empty() || ec != std::errc{} || stop != end)
+      throw FormatError("openPMD: extent '" + text +
+                        "' is not a list of 64-bit decimal integers");
+    extent.push_back(dim);
   }
   return extent;
+}
+
+// The attribute `name` of a step, which must hold a T when present.
+template <typename T>
+std::optional<T> typed_attribute(const bp::Reader& reader, std::uint64_t step,
+                                 const std::string& name) {
+  const auto value = reader.attribute(step, name);
+  if (!value) return std::nullopt;
+  const T* typed = std::get_if<T>(&*value);
+  if (!typed)
+    throw FormatError("openPMD: attribute '" + name +
+                      "' has the wrong type");
+  return *typed;
+}
+
+// The engine a path's extension selects.
+std::string engine_for(const std::string& path) {
+  const auto dot = path.rfind('.');
+  if (dot == std::string::npos)
+    throw UsageError("openPMD: path '" + path +
+                     "' has no extension to select an engine");
+  const std::string ext = path.substr(dot + 1);
+  if (ext == "bp" || ext == "bp4") return "bp4";
+  if (ext == "bp5") return "bp5";
+  throw UsageError("openPMD: no engine for extension '." + ext + "'");
 }
 
 }  // namespace
@@ -68,7 +102,7 @@ void RecordComponent::store_chunk(int rank, const ChunkView& chunk) {
   // Empty chunks are legal and skipped ("if the local vector is not empty,
   // it is stored to disk").
   if (bp::element_count(chunk.count()) == 0) return;
-  series_->backend_->put_chunk(rank, var_path_, extent_, chunk);
+  series_->engine_->put(rank, var_path_, extent_, chunk);
 }
 
 void RecordComponent::make_constant(double value, Extent extent) {
@@ -125,7 +159,7 @@ std::vector<std::uint8_t> RecordComponent::load_bytes(
   if (expected != dtype_)
     throw UsageError("openPMD: datatype mismatch loading '" + var_path_ +
                      "'");
-  return series_->backend_->read_var(iteration_, var_path_);
+  return series_->reader().read(iteration_, var_path_);
 }
 
 // ------------------------------------------------------------------ Record ---
@@ -247,20 +281,20 @@ void Iteration::close() {
     closed_ = true;
     return;
   }
-  // Emit iteration and component attributes, then end the backend step.
-  SeriesBackend& backend = *series_->backend_;
-  backend.put_attribute("time", AttrValue(time_));
-  backend.put_attribute("dt", AttrValue(dt_));
+  // Emit iteration and component attributes, then end the engine step.
+  bp::Engine& engine = *series_->engine_;
+  engine.add_attribute("time", AttrValue(time_));
+  engine.add_attribute("dt", AttrValue(dt_));
 
   std::string constants;
   auto emit_component = [&](const RecordComponent& comp) {
-    backend.put_attribute(comp.var_path_ + "/unitSI",
-                          AttrValue(comp.unit_si_));
+    engine.add_attribute(comp.var_path_ + "/unitSI",
+                         AttrValue(comp.unit_si_));
     if (comp.constant_) {
-      backend.put_attribute(comp.var_path_ + "/value",
-                            AttrValue(comp.constant_value_));
-      backend.put_attribute(comp.var_path_ + "/shape",
-                            AttrValue(join_extent(comp.extent_)));
+      engine.add_attribute(comp.var_path_ + "/value",
+                           AttrValue(comp.constant_value_));
+      engine.add_attribute(comp.var_path_ + "/shape",
+                           AttrValue(join_extent(comp.extent_)));
       if (!constants.empty()) constants += ';';
       constants += comp.var_path_;
     }
@@ -283,9 +317,9 @@ void Iteration::close() {
     }
   }
   if (!constants.empty())
-    backend.put_attribute("__constants", AttrValue(constants));
+    engine.add_attribute("__constants", AttrValue(constants));
 
-  backend.end_iteration();
+  engine.end_step();
   closed_ = true;
   if (series_->open_iteration_ == this) series_->open_iteration_ = nullptr;
 }
@@ -294,18 +328,24 @@ void Iteration::close() {
 
 Series::Series(fsim::SharedFs& fs, const std::string& path, Access access,
                int nranks, const std::string& config_toml)
-    : fs_(fs), path_(path), access_(access), nranks_(nranks) {
+    : path_(path),
+      access_(access),
+      nranks_(nranks),
+      engine_name_(engine_for(path)) {
   if (nranks <= 0) throw UsageError("openPMD: nranks must be positive");
-  if (access == Access::create) {
-    Json adios2;  // null
-    if (!config_toml.empty()) {
-      const Json config = parse_toml(config_toml);
-      if (config.contains("adios2")) adios2 = config.at("adios2");
-    }
-    backend_ = make_write_backend(fs_, path_, nranks_, adios2);
-  } else {
-    backend_ = make_read_backend(fs_, path_);
+  if (access == Access::read_only) {
+    reader_.emplace(bp::Reader::open(fs, 0, path_));
+    return;
   }
+  bp::EngineConfig config;
+  if (!config_toml.empty()) {
+    const Json toml = parse_toml(config_toml);
+    if (toml.contains("adios2"))
+      config = bp::EngineConfig::from_json(toml.at("adios2"));
+  }
+  // The extension, not [adios2.engine] type, names the engine.
+  engine_ = bp::make_engine(engine_name_, fs, path_, std::move(config),
+                            nranks_);
 }
 
 Series::~Series() {
@@ -323,6 +363,16 @@ void Series::require_write() const {
   if (closed_) throw UsageError("openPMD: series is closed");
 }
 
+const bp::Reader& Series::reader() const {
+  if (!reader_) throw UsageError("openPMD: series is write-only");
+  return *reader_;
+}
+
+bp::Reader& Series::reader() {
+  if (!reader_) throw UsageError("openPMD: series is write-only");
+  return *reader_;
+}
+
 Iteration& Series::write_iteration(std::uint64_t index) {
   require_write();
   if (open_iteration_ != nullptr)
@@ -334,7 +384,7 @@ Iteration& Series::write_iteration(std::uint64_t index) {
   iteration->series_ = this;
   iteration->index_ = index;
   iteration->writable_ = true;
-  backend_->begin_iteration(index);
+  engine_->begin_step(index);
   auto [it, fresh] = iterations_.insert_or_assign(index, std::move(iteration));
   (void)fresh;
   open_iteration_ = it->second.get();
@@ -357,14 +407,13 @@ Iteration& Series::read_iteration(std::uint64_t index) {
 }
 
 std::vector<std::uint64_t> Series::iterations() const {
-  return backend_->iterations();
+  return reader().steps();
 }
 
 void Series::load_iteration_structure(Iteration& iteration) {
   const std::uint64_t index = iteration.index_;
-  const auto available = backend_->iterations();
-  if (std::find(available.begin(), available.end(), index) ==
-      available.end())
+  const bp::Reader& reader = this->reader();
+  if (!reader.has_step(index))
     throw UsageError("openPMD: no iteration " + std::to_string(index));
 
   auto attach_component = [&](const std::string& var_path, Datatype dtype,
@@ -411,44 +460,46 @@ void Series::load_iteration_structure(Iteration& iteration) {
     comp->extent_ = std::move(extent);
     comp->constant_ = constant;
     comp->constant_value_ = value;
-    if (auto unit = backend_->attribute(index, var_path + "/unitSI"))
-      comp->unit_si_ = std::get<double>(*unit);
+    if (auto unit =
+            typed_attribute<double>(reader, index, var_path + "/unitSI"))
+      comp->unit_si_ = *unit;
     record->components_[component_name] = std::move(comp);
   };
 
-  for (const auto& var : backend_->variables(index))
-    attach_component(var.name, var.dtype, var.extent, false, 0.0);
+  for (const auto& var : reader.step(index).variables)
+    attach_component(var.name, var.dtype, var.shape, false, 0.0);
 
-  if (auto constants = backend_->attribute(index, "__constants")) {
-    for (const auto& var_path :
-         split_on(std::get<std::string>(*constants), ';')) {
+  if (auto constants =
+          typed_attribute<std::string>(reader, index, "__constants")) {
+    for (const auto& var_path : split_on(*constants, ';')) {
       if (var_path.empty()) continue;
-      const auto value = backend_->attribute(index, var_path + "/value");
-      const auto shape = backend_->attribute(index, var_path + "/shape");
+      const auto value =
+          typed_attribute<double>(reader, index, var_path + "/value");
+      const auto shape =
+          typed_attribute<std::string>(reader, index, var_path + "/shape");
       if (!value || !shape)
         throw FormatError("openPMD: incomplete constant record '" + var_path +
                           "'");
-      attach_component(var_path, Datatype::float64,
-                       parse_extent(std::get<std::string>(*shape)), true,
-                       std::get<double>(*value));
+      attach_component(var_path, Datatype::float64, parse_extent(*shape),
+                       true, *value);
     }
   }
 
-  if (auto time = backend_->attribute(index, "time"))
-    iteration.time_ = std::get<double>(*time);
-  if (auto dt = backend_->attribute(index, "dt"))
-    iteration.dt_ = std::get<double>(*dt);
+  if (auto time = typed_attribute<double>(reader, index, "time"))
+    iteration.time_ = *time;
+  if (auto dt = typed_attribute<double>(reader, index, "dt"))
+    iteration.dt_ = *dt;
 }
 
-void Series::flush(FlushMode mode) {
+void Series::flush() {
   require_write();
-  backend_->flush(mode);
+  engine_->flush();
 }
 
 void Series::close() {
   if (closed_) return;
   if (open_iteration_ != nullptr) open_iteration_->close();
-  backend_->close();
+  if (engine_) engine_->close();
   closed_ = true;
 }
 

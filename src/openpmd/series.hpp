@@ -17,21 +17,32 @@
 // species store 1D per-particle arrays.  Updates over time are iterations;
 // the collection of iterations is the series (Section II-B of the paper).
 //
-// Group-based iteration encoding with steps: with a BP backend all
-// iterations live in one container, one step per iteration; iteration 0 may
-// be rewritten repeatedly (the checkpoint slot) and readers see its latest
-// contents.  Series-level configuration is passed as TOML text ("TOML-based
-// dynamic configuration"), whose [adios2] table configures the engine.
+// Group-based iteration encoding with steps: all iterations live in one
+// miniBP container, one step per iteration; iteration 0 may be rewritten
+// repeatedly (the checkpoint slot) and readers see its latest contents.
+// The file extension picks the engine (.bp/.bp4 -> bp4, .bp5 -> bp5, as
+// openPMD-api maps extensions onto ADIOS2 engines): a create series writes
+// through a bp::Engine, a read series reads through a bp::Reader.
+// Series-level configuration is passed as TOML text ("TOML-based dynamic
+// configuration"), whose [adios2] table configures the engine.
 
 #include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
-#include "openpmd/backend.hpp"
+#include "bp/engine.hpp"
+#include "bp/reader.hpp"
 #include "util/toml.hpp"
 
 namespace bitio::pmd {
+
+using bp::AttrValue;
+using bp::ChunkView;
+using bp::Datatype;
+using Extent = bp::Dims;
+using Offset = bp::Dims;
 
 enum class Access { create, read_only };
 
@@ -48,7 +59,7 @@ public:
   /// Declare the global dataset (collective, before any store_chunk).
   void reset_dataset(Datatype dtype, Extent extent);
 
-  /// Deferred chunk store for one rank.  Data is buffered by the backend;
+  /// Deferred chunk store for one rank.  Data is buffered by the engine;
   /// the referenced span must stay valid only for this call (we copy), but
   /// like openPMD the contents must be final — there is no re-store.
   template <typename T>
@@ -154,7 +165,7 @@ public:
   std::uint64_t index() const { return index_; }
   bool closed() const { return closed_; }
 
-  /// Flush all stored chunks and attributes to the backend and end the
+  /// Flush all stored chunks and attributes to the engine and end the
   /// step.  After close() the iteration must not be written again ("once an
   /// iteration is closed, reopening it is not required" — checkpoints
   /// instead open iteration 0 anew via write_iteration(0)).
@@ -185,7 +196,8 @@ public:
   Series& operator=(const Series&) = delete;
 
   const std::string& path() const { return path_; }
-  std::string backend_name() const { return backend_->name(); }
+  /// The engine the extension selected: "bp4" or "bp5".
+  const std::string& backend_name() const { return engine_name_; }
   Access access() const { return access_; }
   int nranks() const { return nranks_; }
 
@@ -199,11 +211,10 @@ public:
   /// Iteration indices present (read mode).
   std::vector<std::uint64_t> iterations() const;
 
-  /// Flush the staged engine (write mode).  FlushMode::sync joins every
-  /// outstanding async drain, making the container consistent for
-  /// read-after-write; FlushMode::async returns immediately with drains
-  /// still in flight.  A no-op for engines without an async path.
-  void flush(FlushMode mode = FlushMode::sync);
+  /// Join every outstanding async drain of the engine (write mode), making
+  /// the container consistent for read-after-write.  A no-op when the
+  /// engine writes synchronously.
+  void flush();
 
   /// Close the series; closes a dangling open iteration first and joins
   /// outstanding drains.
@@ -214,13 +225,16 @@ private:
   friend class Iteration;
 
   void require_write() const;
+  const bp::Reader& reader() const;
+  bp::Reader& reader();
   void load_iteration_structure(Iteration& iteration);
 
-  fsim::SharedFs& fs_;
   std::string path_;
   Access access_;
   int nranks_;
-  std::unique_ptr<SeriesBackend> backend_;
+  std::string engine_name_;
+  std::unique_ptr<bp::Engine> engine_;  // create mode
+  std::optional<bp::Reader> reader_;    // read mode
   std::map<std::uint64_t, std::unique_ptr<Iteration>> iterations_;
   Iteration* open_iteration_ = nullptr;
   bool closed_ = false;

@@ -2,8 +2,8 @@
 // Minimal JSON document model with parser and serializer.
 //
 // Used for three things in this repository: the miniBP engine's
-// profiling.json output (Fig 8), the miniPMD JSON backend, and
-// machine-readable benchmark reports.  It supports the full JSON grammar
+// profiling.json output (Fig 8), the document parse_toml builds (the
+// [adios2] engine config), and machine-readable benchmark reports.  It supports the full JSON grammar
 // except for \u escapes beyond the BMP surrogate pairs (which never occur in
 // our own output).
 

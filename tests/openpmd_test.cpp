@@ -1,8 +1,10 @@
-// Tests for the miniPMD layer: series/iteration/record hierarchy, both
-// backends, constants, attributes, TOML configuration, SPMD writing.
+// Tests for the miniPMD layer: series/iteration/record hierarchy on the
+// bp4 and bp5 engines, constants, attributes, TOML configuration, SPMD
+// writing.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <numeric>
 
 #include "bp/engine.hpp"
@@ -25,8 +27,7 @@ std::vector<double> ramp(std::size_t n, double start = 0.0) {
 class OpenPmdBackends : public ::testing::TestWithParam<const char*> {
 protected:
   std::string series_path() const {
-    const std::string ext = GetParam();
-    return ext == "json" ? "out/data_%T.json" : "out/data." + ext;
+    return "out/data." + std::string(GetParam());
   }
 };
 
@@ -102,7 +103,7 @@ TEST_P(OpenPmdBackends, MultipleIterations) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, OpenPmdBackends,
-                         ::testing::Values("bp4", "bp5", "json"),
+                         ::testing::Values("bp4", "bp5"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });
@@ -153,27 +154,53 @@ TEST(OpenPmdGolden, SeriesIterationBytes) {
 }
 
 TEST(OpenPmd, StoredExtentAboveRankThreeIsFormatError) {
-  // A constant record's extent lives in a "1,2,3"-style attribute; one
-  // past bp::kMaxRank is corrupt metadata, rejected when the iteration is
+  // Each row rewrites one attribute of a well-formed constant record; only
+  // the first two rows are well-formed.  Malformed metadata -- a wrong
+  // attribute type, an extent past bp::kMaxRank or one that is not a list
+  // of 64-bit decimal integers -- is a FormatError when the iteration is
   // opened.
-  for (const char* extent : {"1,2,3", "1,2,3,4"}) {
-    SCOPED_TRACE(extent);
+  const std::string path = "particles/e/positionOffset/x";
+  struct Row {
+    std::string key;
+    AttrValue value;
+    bool valid;
+  };
+  const Row rows[] = {
+      {path + "/shape", AttrValue(std::string("1,2,3")), true},
+      {"time", AttrValue(2.0), true},
+      {path + "/shape", AttrValue(std::string("1,2,3,4")), false},
+      {path + "/shape", AttrValue(std::string("1,x")), false},
+      {path + "/shape", AttrValue(std::string("99999999999999999999")), false},
+      {path + "/shape", AttrValue(std::string("-1")), false},
+      {path + "/value", AttrValue(std::string("0.25")), false},
+      {path + "/unitSI", AttrValue(std::uint64_t(1)), false},
+      {"__constants", AttrValue(1.0), false},
+      {"time", AttrValue(std::string("2.0")), false},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.key + " row " + std::to_string(&row - rows));
+    std::map<std::string, AttrValue> attributes = {
+        {"time", AttrValue(2.0)},
+        {"__constants", AttrValue(path + ";")},
+        {path + "/value", AttrValue(0.25)},
+        {path + "/shape", AttrValue(std::string("1,2,3"))},
+        {path + "/unitSI", AttrValue(1.0)},
+    };
+    attributes[row.key] = row.value;
     SharedFs fs(4);
-    const std::string path = "particles/e/positionOffset/x";
     {
       auto engine = bp::make_engine("bp4", fs, "c.bp4", bp::EngineConfig{}, 1);
       engine->begin_step(0);
-      engine->add_attribute("__constants", AttrValue(path + ";"));
-      engine->add_attribute(path + "/value", AttrValue(0.25));
-      engine->add_attribute(path + "/shape", AttrValue(std::string(extent)));
+      for (const auto& [key, value] : attributes)
+        engine->add_attribute(key, value);
       engine->end_step();
       engine->close();
     }
     Series series(fs, "c.bp4", Access::read_only);
-    if (std::string(extent) == "1,2,3") {
-      EXPECT_EQ(series.read_iteration(0)
-                    .particles("e")["positionOffset"]["x"]
-                    .extent(),
+    if (row.valid) {
+      auto& it = series.read_iteration(0);
+      EXPECT_DOUBLE_EQ(it.time(), 2.0);
+      EXPECT_EQ(it.particles("e")["positionOffset"]["x"].extent(),
                 (Extent{1, 2, 3}));
     } else {
       EXPECT_THROW(series.read_iteration(0), FormatError);
@@ -186,7 +213,7 @@ TEST(OpenPmd, BackendSelectionByExtension) {
   EXPECT_EQ(Series(fs, "a.bp4", Access::create).backend_name(), "bp4");
   EXPECT_EQ(Series(fs, "b.bp", Access::create).backend_name(), "bp4");
   EXPECT_EQ(Series(fs, "c.bp5", Access::create).backend_name(), "bp5");
-  EXPECT_EQ(Series(fs, "d_%T.json", Access::create).backend_name(), "json");
+  EXPECT_THROW(Series(fs, "d_%T.json", Access::create), UsageError);
   EXPECT_THROW(Series(fs, "e.h5", Access::create), UsageError);
   EXPECT_THROW(Series(fs, "noext", Access::create), UsageError);
 }
@@ -289,12 +316,15 @@ TEST(OpenPmd, UsageErrors) {
   it.close();
   // write to closed iteration
   EXPECT_THROW(it.mesh("other"), UsageError);
+  // read-only calls on a write series
+  EXPECT_THROW(series.iterations(), UsageError);
   series.close();
   EXPECT_THROW(series.write_iteration(2), UsageError);
 
-  // Read-mode misuse.
+  // Read-mode misuse: write-only calls on a read series.
   Series reader(fs, "err.bp4", Access::read_only);
   EXPECT_THROW(reader.write_iteration(0), UsageError);
+  EXPECT_THROW(reader.flush(), UsageError);
   EXPECT_THROW(reader.read_iteration(99), UsageError);
   auto& rit = reader.read_iteration(0);
   EXPECT_THROW(rit.mesh("ghost"), UsageError);
@@ -348,11 +378,10 @@ BufferChunkSize = 1
       m.store_chunk<double>(0, lo, {0}, {8});
       m.store_chunk<double>(1, hi, {8}, {8});
       it.close();  // async: submitted to the drain, returns immediately
-      series.flush(FlushMode::async);  // kick only, no join
     }
-    // sync flush joins every outstanding drain: the data bytes are on
-    // storage while the series is still open.
-    series.flush(FlushMode::sync);
+    // flush joins every outstanding drain: the data bytes are on storage
+    // while the series is still open.
+    series.flush();
     EXPECT_GT(fs.store().file("async.bp5/data.0").size, 0u);
     EXPECT_GT(fs.store().file("async.bp5/md.0").size, 0u);
     series.close();
@@ -378,7 +407,7 @@ TEST(OpenPmd, FlushIsWriteModeOnly) {
     auto v = ramp(2);
     m.store_chunk<double>(0, v, {0}, {2});
     it.close();
-    series.flush();  // defaults to sync; no-op for the synchronous engine
+    series.flush();  // a no-op for the synchronous engine
     series.close();
   }
   Series reader(fs, "f.bp4", Access::read_only);
