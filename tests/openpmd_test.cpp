@@ -155,7 +155,7 @@ TEST(OpenPmdGolden, SeriesIterationBytes) {
 
 TEST(OpenPmd, StoredExtentAboveRankThreeIsFormatError) {
   // Each row rewrites one attribute of a well-formed constant record; only
-  // the first two rows are well-formed.  Malformed metadata -- a wrong
+  // the first row keeps it well-formed.  Malformed metadata -- a wrong
   // attribute type, an extent past bp::kMaxRank or one that is not a list
   // of 64-bit decimal integers -- is a FormatError when the iteration is
   // opened.
@@ -167,7 +167,6 @@ TEST(OpenPmd, StoredExtentAboveRankThreeIsFormatError) {
   };
   const Row rows[] = {
       {path + "/shape", AttrValue(std::string("1,2,3")), true},
-      {"time", AttrValue(2.0), true},
       {path + "/shape", AttrValue(std::string("1,2,3,4")), false},
       {path + "/shape", AttrValue(std::string("1,x")), false},
       {path + "/shape", AttrValue(std::string("99999999999999999999")), false},
