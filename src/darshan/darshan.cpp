@@ -292,8 +292,11 @@ std::string DarshanLog::text_report() const {
 DarshanLog capture(const fsim::SharedFs& fs, const fsim::ReplayReport& replay,
                    JobInfo job) {
   const auto& trace = fs.trace();
-  if (!replay.op_durations.empty() &&
-      replay.op_durations.size() != trace.size())
+  if (replay.op_durations.empty() && !trace.empty())
+    throw UsageError(
+        "darshan::capture: the replay was run without per-op durations "
+        "(OpDurations::skip)");
+  if (replay.op_durations.size() != trace.size())
     throw UsageError("darshan::capture: replay does not match trace");
 
   DarshanLog log;
@@ -340,8 +343,7 @@ DarshanLog capture(const fsim::SharedFs& fs, const fsim::ReplayReport& replay,
           op.op_count > 0 ? op.op_count : 1;
     if (op.kind == OpKind::cpu) continue;  // modelled CPU, not I/O
     FileRecord& r = record_for(std::int32_t(op.client), op.file);
-    const double dt =
-        i < replay.op_durations.size() ? replay.op_durations[i] : 0.0;
+    const double dt = replay.op_durations[i];
     // Call/byte counters accumulate regardless of lane (Darshan counts the
     // I/O wherever it happens); *time* on drain lanes is overlapped, so it
     // lands in drain_time_s instead of the critical-path time counters.

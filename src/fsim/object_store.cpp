@@ -233,6 +233,7 @@ void ObjectStore::unlink(const std::string& path) {
     throw IoError("unlink: no such file '" + path + "'");
   // The FileNode stays alive (only the namespace entry goes away) so that
   // trace replay can still resolve layouts of files written before unlink.
+  files_[it->second]->linked = false;
   dir->files.erase(it);
   path_index_.erase(canonical_path(path));
 }
@@ -250,8 +251,13 @@ void ObjectStore::rename(const std::string& from, const std::string& to) {
   if (dst_dir.dirs.find(dst_name) != dst_dir.dirs.end())
     throw IoError("rename: '" + to + "' is a directory");
   src_dir->files.erase(src);
-  // Replaces any existing entry, like POSIX.
-  dst_dir.files.insert_or_assign(std::string(dst_name), id);
+  // Replaces any existing entry, like POSIX, which unlinks the old file.
+  const auto [dst, fresh] =
+      dst_dir.files.try_emplace(std::string(dst_name), id);
+  if (!fresh) {
+    files_[dst->second]->linked = false;
+    dst->second = id;
+  }
   path_index_.erase(canonical_path(from));
   path_index_.insert_or_assign(canonical_path(to), id);
   files_[id]->path = to;

@@ -36,6 +36,9 @@ struct FileNode {
   std::uint64_t size = 0;           // authoritative size
   StripeLayout layout;
   std::uint64_t create_order = 0;   // global creation sequence number
+  // False once unlinked, or replaced by a rename onto its path: the node
+  // stays (the replay still resolves its layout) but has no name.
+  bool linked = true;
 };
 
 struct DirNode {

@@ -1,5 +1,7 @@
 #include "fsim/posix_fs.hpp"
 
+#include <cmath>
+
 #include "util/error.hpp"
 #include "util/table.hpp"
 
@@ -184,13 +186,27 @@ int FsClient::open(const std::string& path, OpenMode mode) {
       node = &fs_->store_.file(path);
       break;
   }
+  return open_node(*node, mode, meta);
+}
+
+int FsClient::reopen(FileId file, OpenMode mode) {
+  if (mode == OpenMode::create || mode == OpenMode::create_or_truncate)
+    throw UsageError("reopen: a create mode needs a path");
+  std::lock_guard<std::mutex> lock(fs_->mutex_);
+  const FileNode& node = fs_->store_.file_by_id(file);
+  if (!node.linked)
+    throw IoError("reopen: '" + node.path + "' is no longer linked");
+  return open_node(node, mode, OpKind::open);
+}
+
+int FsClient::open_node(const FileNode& node, OpenMode mode, OpKind meta) {
   SharedFs::Descriptor desc;
-  desc.file = node->id;
+  desc.file = node.id;
   desc.client = client_;
-  desc.position = mode == OpenMode::append ? node->size : 0;
+  desc.position = mode == OpenMode::append ? node.size : 0;
   desc.writable = mode != OpenMode::read;
   desc.open = true;
-  fs_->append_op({.client = client_, .file = node->id, .lane = lane_,
+  fs_->append_op({.client = client_, .file = node.id, .lane = lane_,
                   .kind = meta});
   if (fs_->closed_fds_.empty()) {
     fs_->fds_.push_back(desc);
@@ -374,6 +390,11 @@ std::uint64_t FsClient::fd_size(int fd) {
   return fs_->store_.file_by_id(desc.file).size;
 }
 
+FileId FsClient::fd_file(int fd) {
+  std::lock_guard<std::mutex> lock(fs_->mutex_);
+  return checked_fd(fs_->fds_, fd, client_).file;
+}
+
 void FsClient::seek(int fd, std::uint64_t position) {
   std::lock_guard<std::mutex> lock(fs_->mutex_);
   auto& desc = checked_fd(fs_->fds_, fd, client_);
@@ -437,6 +458,11 @@ void FsClient::transfer(int fd, ClientId peer, std::uint64_t bytes,
 }
 
 void FsClient::charge_cpu(double seconds, TraceTag tag) {
+  // A negative duration would complete the op before it starts, breaking
+  // the replay's time order.
+  if (!(seconds >= 0.0) || !std::isfinite(seconds))
+    throw UsageError("charge_cpu: seconds must be finite and >= 0, got " +
+                     std::to_string(seconds));
   std::lock_guard<std::mutex> lock(fs_->mutex_);
   fs_->append_op({.client = client_, .lane = lane_, .kind = OpKind::cpu,
                   .tag = tag, .cpu_seconds = seconds});

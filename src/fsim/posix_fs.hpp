@@ -29,7 +29,8 @@
 
 namespace bitio::fsim {
 
-/// Open mode for FsClient::open.
+/// Open mode for FsClient::open (FsClient::reopen takes write, append and
+/// read).
 enum class OpenMode {
   create,      // create new file (error if it exists)
   write,       // open existing for write (position 0)
@@ -51,6 +52,9 @@ public:
     return trace_;
   }
   void clear_trace() { trace_.clear(); }
+  /// Room for `ops` trace records, for a caller that knows its op count:
+  /// the trace then never grows by doubling and copying.
+  void reserve_trace(std::size_t ops) { trace_.reserve(ops); }
 
   /// Disable trace recording (layout-census runs that skip timing replay).
   void set_tracing(bool enabled) { tracing_ = enabled; }
@@ -154,6 +158,11 @@ public:
 
   // -- descriptor I/O ---------------------------------------------------------
   [[nodiscard]] int open(const std::string& path, OpenMode mode);
+  /// open() of a file already known by id (write, append or read; a create
+  /// mode is a UsageError): no path lookup, and the same descriptor and
+  /// OpKind::open trace record as opening it by path.  IoError if the file
+  /// is no longer linked (unlinked, or renamed over).
+  [[nodiscard]] int reopen(FileId file, OpenMode mode);
   void write(int fd, std::span<const std::uint8_t> data);
   void pwrite(int fd, std::uint64_t offset, std::span<const std::uint8_t> data);
 
@@ -174,6 +183,8 @@ public:
   /// Current size of the file open as `fd` (fstat's st_size).  Records no
   /// op: the size rides on the descriptor the open already paid for.
   [[nodiscard]] std::uint64_t fd_size(int fd);
+  /// The file open as `fd`.  Records no op.
+  [[nodiscard]] FileId fd_file(int fd);
   void seek(int fd, std::uint64_t position);
   void fsync(int fd);
   void close(int fd);
@@ -201,7 +212,8 @@ public:
   /// I/O and modelled CPU: `seconds` must come from a cost model (codec
   /// speed, CRC or memcopy bandwidth, retry backoff), never from the host
   /// clock, and the op is not an event channel — counts of checkpoint and
-  /// recovery events live in resil::ResilienceStats.
+  /// recovery events live in resil::ResilienceStats.  Negative, NaN or
+  /// infinite `seconds` are a UsageError.
   void charge_cpu(double seconds, TraceTag tag);
 
   /// Record a harness-level fault (e.g. rank_crash) as a zero-cost tagged
@@ -209,6 +221,9 @@ public:
   void note_fault(FaultKind kind);
 
 private:
+  /// The descriptor, trace record and fd slot of every open (mutex held).
+  int open_node(const FileNode& node, OpenMode mode, OpKind meta);
+
   SharedFs* fs_;
   ClientId client_;
   std::uint32_t lane_ = 0;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <map>
-#include <queue>
 #include <utility>
 
 #include "fsim/des.hpp"
@@ -33,7 +33,8 @@ struct FileLayout {
 };
 
 /// One FIFO program of the replay: the ops of one (client, lane), in trace
-/// order, are `order[begin, end)`.
+/// order, are `order[begin, end)`; the replay advances `begin` past each op
+/// it pops.
 struct Sequence {
   ClientId client = 0;
   std::uint32_t lane = 0;
@@ -63,7 +64,8 @@ double ReplayReport::mean_drain_time() const {
 
 ReplayReport replay_trace(const SystemProfile& profile,
                           const ObjectStore& store,
-                          const std::vector<TraceOp>& trace, int nclients) {
+                          const std::vector<TraceOp>& trace, int nclients,
+                          OpDurations durations) {
   if (nclients <= 0) throw UsageError("replay_trace: nclients must be > 0");
 
   // Group op indices into FIFO sequences keyed by (client, lane),
@@ -127,23 +129,12 @@ ReplayReport replay_trace(const SystemProfile& profile,
 
   ReplayReport report;
   report.clients.assign(std::size_t(nclients), ClientTimes{});
-  report.op_durations.assign(trace.size(), 0.0);
+  const bool record_durations = durations == OpDurations::record;
+  if (record_durations) report.op_durations.assign(trace.size(), 0.0);
 
-  // Min-heap of (ready time, sequence, position in `order`).  Ties pop in
-  // the order std::priority_queue leaves them, and the noise stream is
-  // drawn in pop order, so the comparator stays time-only.
-  struct Pending {
-    double time;
-    std::uint32_t sequence;
-    std::uint32_t position;
-    bool operator>(const Pending& other) const { return time > other.time; }
-  };
-  std::vector<Pending> heap_storage;
-  heap_storage.reserve(sequences.size());
-  std::priority_queue<Pending, std::vector<Pending>, std::greater<>> heap(
-      std::greater<>{}, std::move(heap_storage));
-  for (std::uint32_t s = 0; s < sequences.size(); ++s)
-    heap.push({0.0, s, sequences[s].begin});
+  // Sequences pop in strict (time, sequence) order, and the noise stream
+  // is drawn in pop order, so that order is part of the model.
+  EventQueue queue(std::uint32_t(sequences.size()));
 
   std::vector<FileLayout> files(store.file_count());
   std::vector<int> file_osts;
@@ -173,11 +164,10 @@ ReplayReport replay_trace(const SystemProfile& profile,
   std::array<double, kTraceTagCount> cpu_by_tag{};
   std::array<bool, kTraceTagCount> cpu_tag_seen{};
 
-  while (!heap.empty()) {
-    const Pending pending = heap.top();
-    heap.pop();
-    const Sequence& seq = sequences[pending.sequence];
-    const std::uint32_t trace_index = order[pending.position];
+  while (!queue.empty()) {
+    const EventQueue::Event event = queue.pop();
+    Sequence& seq = sequences[event.sequence];
+    const std::uint32_t trace_index = order[seq.begin++];
     const TraceOp& op = trace[trace_index];
     ClientTimes& times = report.clients[std::size_t(seq.client)];
     // Drain lanes accumulate into `drain` only; the critical-path buckets
@@ -189,7 +179,7 @@ ReplayReport replay_trace(const SystemProfile& profile,
       else
         times.*member += dt;
     };
-    const double t0 = pending.time;
+    const double t0 = event.time;
     double done = t0;
 
     // Dispatch on the op's service class (exhaustive over ServiceClass —
@@ -206,6 +196,8 @@ ReplayReport replay_trace(const SystemProfile& profile,
       break;
     }
     case ServiceClass::cpu: {
+      if (!(op.cpu_seconds >= 0.0) || !std::isfinite(op.cpu_seconds))
+        throw UsageError("replay_trace: cpu seconds must be finite and >= 0");
       done = t0 + op.cpu_seconds;
       charge(&ClientTimes::cpu, op.cpu_seconds);
       cpu_by_tag[std::size_t(op.tag)] += op.cpu_seconds;
@@ -352,11 +344,11 @@ ReplayReport replay_trace(const SystemProfile& profile,
     }
     }
 
-    report.op_durations[trace_index] = done - t0;
+    if (record_durations) report.op_durations[trace_index] = done - t0;
     times.end = std::max(times.end, done);
     report.makespan = std::max(report.makespan, done);
-    const std::uint32_t next = pending.position + 1;
-    if (next < seq.end) heap.push({done, pending.sequence, next});
+    // The queue rejects a done earlier than t0 as a UsageError.
+    if (seq.begin < seq.end) queue.push(done, event.sequence);
   }
   for (std::size_t t = 0; t < kTraceTagCount; ++t)
     if (cpu_tag_seen[t])

@@ -16,6 +16,11 @@
 //     time; this is what keeps original-I/O throughput at ~0.1-0.4 GiB/s.
 //   * Node links: one FIFO per node, shared by its ranks_per_node clients.
 //   * CPU ops (compression, memcopy) advance only the issuing client.
+//   * Order: each (client, lane) is a FIFO program, and the replay takes
+//     the next op from the program ready earliest, ties by the program's
+//     first appearance in the trace.  The order is strict, so any correct
+//     queue replays the same ops in the same order and draws the same
+//     noise.
 //
 // Absolute constants are calibrated per system (system_profiles.cpp) to the
 // paper's anchor numbers; the *shapes* (who wins, where the crossovers are)
@@ -148,7 +153,8 @@ struct ReplayReport {
   /// key for every tag a cpu op in the trace carried, zero-second ones too.
   std::map<std::string, double> cpu_by_tag;
   /// Simulated duration of each trace op, indexed like the input trace
-  /// (used by the darshan module to attribute time per file).
+  /// (used by the darshan module to attribute time per file).  Empty when
+  /// the replay ran with OpDurations::skip.
   std::vector<double> op_durations;
   /// Resource utilization: total service seconds per OST, and the MDS.
   std::vector<double> ost_busy_seconds;
@@ -165,12 +171,24 @@ struct ReplayReport {
   double mean_drain_time() const;
 };
 
+/// Whether replay_trace fills ReplayReport::op_durations (8 B per op).
+/// Only per-file attribution (darshan::capture) reads it.
+enum class OpDurations { record, skip };
+
 /// Replay `trace` against the queueing model.  `store` supplies file
 /// layouts (stripe -> OST mapping); `nclients` sizes the client table (ids
 /// in the trace must be < nclients).
+///
+/// The ops of each (client, lane) run in trace order as one FIFO program;
+/// every program starts at t = 0, and the next op across programs is the
+/// one ready earliest, ties going to the program that first appeared
+/// earliest in the trace (fsim::EventQueue).  The noise stream is drawn in
+/// that order.  A cpu op of negative, NaN or infinite seconds is a
+/// UsageError.
 ReplayReport replay_trace(const SystemProfile& profile,
                           const ObjectStore& store,
-                          const std::vector<TraceOp>& trace, int nclients);
+                          const std::vector<TraceOp>& trace, int nclients,
+                          OpDurations durations = OpDurations::record);
 
 /// Per-block dispatch/stitch cost of the block-parallel compression
 /// pipeline (thread wake-up, block table patch, frame stitch) charged by

@@ -196,6 +196,9 @@ struct TraceOp {
   // is the *persisted* prefix; for eio/enospc the write threw and `bytes`
   // is 0.  Faulted ops are never coalesced.
   FaultKind fault = FaultKind::none;
+  // Spelled out so that a TraceOp has no padding: every byte of a trace is
+  // determined, and two traces compare equal with memcmp.
+  std::uint8_t pad = 0;
   std::uint64_t offset = 0;      // starting byte offset (write/read)
   std::uint64_t bytes = 0;       // total bytes (write/read/xfer)
   double cpu_seconds = 0.0;      // only for OpKind::cpu
@@ -203,5 +206,7 @@ struct TraceOp {
 
 static_assert(std::is_trivially_copyable_v<TraceOp> && sizeof(TraceOp) <= 48,
               "TraceOp stays a trivially copyable record of at most 48 bytes");
+static_assert(sizeof(TraceOp) == 5 * 4 + 4 * 1 + 3 * 8,
+              "TraceOp has no padding bytes");
 
 }  // namespace bitio::fsim

@@ -136,7 +136,8 @@ IorResult run_write(const fsim::SystemProfile& profile,
   }
 
   const auto report =
-      fsim::replay_trace(profile, fs.store(), fs.trace(), config.ntasks);
+      fsim::replay_trace(profile, fs.store(), fs.trace(), config.ntasks,
+                         fsim::OpDurations::skip);
   IorResult result;
   result.makespan_s = report.makespan;
   result.bytes_written = report.bytes_written;

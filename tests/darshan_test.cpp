@@ -286,6 +286,11 @@ TEST(Darshan, RejectsMismatchedReplay) {
   fsim::ReplayReport bogus;
   bogus.op_durations.assign(3, 0.0);  // wrong length
   EXPECT_THROW(capture(fs, bogus, {}), UsageError);
+  // A replay run with OpDurations::skip has no per-file time to attribute.
+  const auto lean = replay_trace(tiny_profile(), fs.store(), fs.trace(), 2,
+                                 fsim::OpDurations::skip);
+  ASSERT_TRUE(lean.op_durations.empty());
+  EXPECT_THROW(capture(fs, lean, {}), UsageError);
 }
 
 TEST(Darshan, DrainLaneTimeAttributedOffCriticalPath) {

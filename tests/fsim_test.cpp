@@ -4,14 +4,22 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <numeric>
+#include <queue>
 #include <thread>
+#include <utility>
 
 #include "fsim/des.hpp"
 #include "fsim/posix_fs.hpp"
 #include "fsim/storage_model.hpp"
 #include "fsim/system_profiles.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace bitio::fsim {
@@ -23,6 +31,9 @@ std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t seed = 1) {
     out[i] = std::uint8_t(seed + i * 131 % 251);
   return out;
 }
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // ----------------------------------------------------------- ObjectStore ---
 
@@ -107,7 +118,19 @@ TEST(ObjectStore, UnlinkKeepsNodeForReplay) {
   store.unlink("r/x");
   EXPECT_FALSE(store.file_exists("r/x"));
   EXPECT_NO_THROW(store.file_by_id(id));  // layout still resolvable
+  EXPECT_FALSE(store.file_by_id(id).linked);
   EXPECT_TRUE(store.list_recursive("r").empty());
+}
+
+TEST(ObjectStore, RenameOverUnlinksTheReplacedNode) {
+  ObjectStore store(2);
+  const FileId target = store.create_file("r/target").id;
+  const FileId tmp = store.create_file("r/tmp").id;
+  store.rename("r/tmp", "r/target");
+  EXPECT_FALSE(store.file_by_id(target).linked);
+  EXPECT_TRUE(store.file_by_id(tmp).linked);
+  store.rename("r/target", "r/fresh");  // no old file at the new name
+  EXPECT_TRUE(store.file_by_id(tmp).linked);
 }
 
 TEST(ObjectStore, NoDataRetentionMode) {
@@ -255,6 +278,84 @@ TEST(PosixFs, CpuChargeAppearsInTrace) {
   EXPECT_EQ(fs.trace()[0].tag, TraceTag::compress);
 }
 
+TEST(PosixFs, CpuChargeRejectsNegativeAndNonFiniteSeconds) {
+  SharedFs fs(4);
+  FsClient client(fs, 0);
+  for (const double bad : {-1e-9, kNan, kInf, -kInf})
+    EXPECT_THROW(client.charge_cpu(bad, TraceTag::compress), UsageError)
+        << bad;
+  EXPECT_TRUE(fs.trace().empty());
+  client.charge_cpu(0.0, TraceTag::compress);
+  EXPECT_EQ(fs.trace().size(), 1u);
+}
+
+/// A 64-rank, 3-dump trace of the original-I/O shape: dump 0 creates two
+/// .dat files per rank, later dumps append to them by path or by id.
+std::vector<TraceOp> original_io_trace(bool reopen_by_id) {
+  constexpr int kRanks = 64;
+  constexpr int kDumps = 3;
+  SharedFs fs(8, /*store_data=*/false);
+  std::vector<FileId> files(2 * kRanks, kNoFile);
+  for (int dump = 0; dump < kDumps; ++dump) {
+    for (int r = 0; r < kRanks; ++r) {
+      FsClient client(fs, ClientId(r));
+      for (int k = 0; k < 2; ++k) {
+        FileId& file = files[std::size_t(2 * r + k)];
+        const std::string path = "run/slow" + std::to_string(k) + "_" +
+                                 std::to_string(r) + ".dat";
+        int fd = -1;
+        if (dump == 0) {
+          fd = client.open(path, OpenMode::create);
+          file = client.fd_file(fd);
+        } else if (reopen_by_id) {
+          fd = client.reopen(file, OpenMode::append);
+        } else {
+          fd = client.open(path, OpenMode::append);
+        }
+        client.write_simulated(fd, 3000 + std::uint64_t(r), 2);
+        client.close(fd);
+      }
+    }
+  }
+  return fs.trace();
+}
+
+TEST(PosixFs, ReopenByIdRecordsTheSameTraceAsOpenByPath) {
+  const std::vector<TraceOp> by_path = original_io_trace(false);
+  const std::vector<TraceOp> by_id = original_io_trace(true);
+  ASSERT_EQ(by_path.size(), 3u * 3u * 2u * 64u);
+  ASSERT_EQ(by_id.size(), by_path.size());
+  EXPECT_EQ(std::memcmp(by_path.data(), by_id.data(),
+                        by_path.size() * sizeof(TraceOp)),
+            0);
+}
+
+TEST(PosixFs, ReopenNeedsALinkedFileAndANonCreateMode) {
+  SharedFs fs(4);
+  FsClient client(fs, 0);
+  client.write_file("d/a", pattern(10));
+  client.write_file("d/b", pattern(10));
+  client.write_file("d/c", pattern(10));
+  const FileId a = fs.store().file("d/a").id;
+  const FileId b = fs.store().file("d/b").id;
+  const FileId c = fs.store().file("d/c").id;
+
+  const int fd = client.reopen(a, OpenMode::append);
+  EXPECT_EQ(client.fd_size(fd), 10u);
+  client.close(fd);
+  EXPECT_THROW((void)client.reopen(a, OpenMode::create), UsageError);
+  EXPECT_THROW((void)client.reopen(a, OpenMode::create_or_truncate),
+               UsageError);
+
+  client.unlink("d/a");
+  EXPECT_THROW((void)client.reopen(a, OpenMode::read), IoError);
+  client.rename("d/c", "d/b");  // renamed over: b's node is unlinked
+  EXPECT_THROW((void)client.reopen(b, OpenMode::write), IoError);
+  const int moved = client.reopen(c, OpenMode::read);
+  client.close(moved);
+  EXPECT_THROW((void)client.reopen(kNoFile, OpenMode::read), IoError);
+}
+
 // ------------------------------------------------------------------- DES ---
 
 TEST(Des, FifoSingleSlotQueues) {
@@ -284,6 +385,85 @@ TEST(Des, NoiseIsBoundedAndDeterministic) {
   }
   NoiseStream off(0.0, 42);
   EXPECT_DOUBLE_EQ(off.next(), 1.0);
+}
+
+TEST(Des, EventQueuePopsInPriorityQueueOrder) {
+  // The reference: std::priority_queue under the strict (time, sequence)
+  // order.  Steps are zero (a tie with the pop just made), a multiple of
+  // 1/1024 (exact ties across sequences) or arbitrary; some sequences go
+  // idle and are woken later, which inserts them among ties out of order.
+  constexpr std::uint32_t kSequences = 1500;
+  constexpr std::size_t kPushes = 150'000;
+  using Entry = std::pair<double, std::uint32_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> reference;
+  EventQueue queue(kSequences);
+  for (std::uint32_t s = 0; s < kSequences; ++s) reference.push({0.0, s});
+
+  Rng rng(0xE7E27, 1);
+  const auto step = [&] {
+    const std::uint64_t pick = rng.below(10);
+    if (pick < 4) return 0.0;
+    if (pick < 8) return double(rng.below(8) + 1) / 1024.0;
+    return rng.uniform(0.0, 1e-2);
+  };
+  std::size_t pushes = 0;
+  const auto push = [&](double time, std::uint32_t sequence) {
+    queue.push(time, sequence);
+    reference.push({time, sequence});
+    ++pushes;
+  };
+  std::vector<std::uint32_t> idle;
+  std::size_t pops = 0;
+  std::size_t ties = 0;
+  double last = 0.0;
+  while (!reference.empty()) {
+    ASSERT_FALSE(queue.empty());
+    const auto [time, sequence] = reference.top();
+    reference.pop();
+    const EventQueue::Event event = queue.pop();
+    ASSERT_EQ(event.sequence, sequence) << "pop " << pops;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(event.time),
+              std::bit_cast<std::uint64_t>(time))
+        << "pop " << pops;
+    ties += pops > 0 && time == last;
+    last = time;
+    ++pops;
+    if (pushes >= kPushes) continue;
+    if (rng.below(8) == 0)
+      idle.push_back(sequence);
+    else
+      push(time + step(), sequence);
+    if (!idle.empty() && rng.below(8) == 0) {
+      const std::size_t i = std::size_t(rng.below(idle.size()));
+      push(time + step(), idle[i]);
+      idle[i] = idle.back();
+      idle.pop_back();
+    }
+  }
+  EXPECT_TRUE(queue.empty());
+  EXPECT_GE(pushes, kPushes);
+  EXPECT_GE(double(ties), 0.3 * double(pops)) << ties << " of " << pops;
+}
+
+TEST(Des, EventQueueRejectsAPushIntoThePast) {
+  EventQueue queue(2);
+  EXPECT_EQ(queue.pop().sequence, 0u);
+  queue.push(1.0, 0);
+  EXPECT_EQ(queue.pop().sequence, 1u);
+  queue.push(2.0, 1);
+  const EventQueue::Event event = queue.pop();
+  EXPECT_EQ(event.sequence, 0u);
+  EXPECT_EQ(event.time, 1.0);
+  EXPECT_THROW(queue.push(0.5, 0), UsageError);   // before the last pop
+  EXPECT_THROW(queue.push(kNan, 0), UsageError);
+  EXPECT_THROW(queue.push(kInf, 0), UsageError);
+  EXPECT_THROW(queue.push(1.5, 1), UsageError);   // already pending
+  EXPECT_THROW(queue.push(1.5, 2), UsageError);   // no such sequence
+  queue.push(1.0, 0);                             // a tie is fine
+  EXPECT_EQ(queue.pop().sequence, 0u);
+  EXPECT_EQ(queue.pop().time, 2.0);
+  EXPECT_TRUE(queue.empty());
+  EXPECT_THROW((void)queue.pop(), UsageError);
 }
 
 // ------------------------------------------------------------- Replay -----
@@ -418,6 +598,46 @@ TEST(Replay, CpuOpsChargeOnlyTheClient) {
   EXPECT_DOUBLE_EQ(report.cpu_by_tag.at("compress"), 1.0);
   EXPECT_DOUBLE_EQ(report.cpu_by_tag.at("memcopy"), 0.5);
   EXPECT_DOUBLE_EQ(report.makespan, 1.0);
+}
+
+TEST(Replay, RejectsNegativeOrNanCpuSeconds) {
+  SharedFs fs(1);
+  for (const double bad : {-1e-3, kNan}) {
+    const std::vector<TraceOp> trace = {
+        {.client = 0, .kind = OpKind::cpu, .tag = TraceTag::compute,
+         .cpu_seconds = 1e-3},
+        {.client = 0, .kind = OpKind::cpu, .tag = TraceTag::compute,
+         .cpu_seconds = bad},
+        {.client = 0, .kind = OpKind::cpu, .tag = TraceTag::compute,
+         .cpu_seconds = 1e-3}};
+    EXPECT_THROW(replay_trace(flat_profile(), fs.store(), trace, 1),
+                 UsageError)
+        << bad;
+  }
+}
+
+TEST(Replay, SkippedDurationsLeaveTheRestOfTheReportAlone) {
+  SharedFs fs(1);
+  for (int c = 0; c < 3; ++c) {
+    FsClient client(fs, ClientId(c));
+    const int fd = client.open("f" + std::to_string(c), OpenMode::create);
+    client.write_simulated(fd, 4096, 2);
+    client.close(fd);
+  }
+  const ReplayReport full =
+      replay_trace(flat_profile(), fs.store(), fs.trace(), 3);
+  const ReplayReport lean = replay_trace(flat_profile(), fs.store(),
+                                         fs.trace(), 3, OpDurations::skip);
+  EXPECT_EQ(full.op_durations.size(), fs.trace().size());
+  EXPECT_TRUE(lean.op_durations.empty());
+  EXPECT_EQ(lean.makespan, full.makespan);
+  EXPECT_EQ(lean.mds_busy_seconds, full.mds_busy_seconds);
+  for (int c = 0; c < 3; ++c) {
+    EXPECT_EQ(lean.clients[std::size_t(c)].meta,
+              full.clients[std::size_t(c)].meta);
+    EXPECT_EQ(lean.clients[std::size_t(c)].end,
+              full.clients[std::size_t(c)].end);
+  }
 }
 
 TEST(Replay, ValidatesInput) {

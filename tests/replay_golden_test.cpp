@@ -2,7 +2,9 @@
 // fsim::replay_trace, replayed under a noisy profile with a multi-slot MDS.
 // The whole ReplayReport is pinned bit-exactly (every double as its IEEE
 // bit pattern), so a change to how the replay stores or walks the trace
-// cannot move a simulated second unnoticed.
+// cannot move a simulated second unnoticed.  The values follow the strict
+// (time, sequence) pop order: a std::priority_queue with that comparator
+// in place of fsim::EventQueue prints the same report.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -187,42 +189,42 @@ std::string dump(const ReplayReport& r) {
   return out;
 }
 
-constexpr const char* kGolden = R"(makespan 3f82aaa43f18ce8a
+constexpr const char* kGolden = R"(makespan 3f8298c82e84385a
 bytes w/r/x 2536932 1310720 671744
-mds_busy 3f509636baded377
-client 0 3f3119b2f4b29f95 3f678a621c2e436f 0000000000000000 3f6bda5119ce0760 0000000000000000 3f7ac3f4ca494f61 4 2 0 0
-client 1 3f751a1a5f031d84 3f4a5a7d211cd895 0000000000000000 0000000000000000 0000000000000000 3f78656a0326b896 2 4 0 0
-client 2 3f09cb6ff7ca1830 0000000000000000 3f4cd7a71b625c15 3f46f0068db8bac7 0000000000000000 3f5ab232544bdc30 2 0 1 0
-client 3 3f2895365c6f4392 3eeb57b23359ce00 0000000000000000 3f40624dd2f1a9fc 0000000000000000 3f46f4fa32dae219 2 0 0 0
-client 4 3f19fcad1ec3b646 3f59cdd1a283bf03 0000000000000000 0000000000000000 0000000000000000 3f5b6d9c746ffa67 2 3 0 0
-client 5 3f6938802652c64f 3f3a36e2eb1c432d 3f331c242e476306 0000000000000000 3f6f65b16a5563e1 3f6f65b16a5563e1 4 2 2 4
-client 6 3f76eb8f32fe61fa 3f6cd37296667634 0000000000000000 0000000000000000 0000000000000000 3f82aaa43f18ce8a 4 21 0 0
-client 7 3f54187fa6677a19 3f2a36e2eb1c432d 0000000000000000 0000000000000000 0000000000000000 3f575f5c03cb027f 5 1 0 0
+mds_busy 3f509b22b8eb89e7
+client 0 3f318579c8a51ae6 3f66ad1384037920 0000000000000000 3f6bda5119ce0760 0000000000000000 3f7a5c09eb7311ee 4 2 0 0
+client 1 3f74ce0288722520 3f4a5a7d211cd895 0000000000000000 0000000000000000 0000000000000000 3f7819522c95c032 2 4 0 0
+client 2 3f0871aa849bf851 0000000000000000 3f4cd7a71b625c15 3f46f0068db8bac7 0000000000000000 3f5aa76428b26b30 2 0 1 0
+client 3 3f20f898ad7c4e07 3ee8d431ba5c27f0 0000000000000000 3f40624dd2f1a9fc 0000000000000000 3f4503c4c53a2e1d 2 0 0 0
+client 4 3f26e7e164c0ac3c 3f58f23fd93351cb 0000000000000000 0000000000000000 0000000000000000 3f5bcf3c05cb6753 2 3 0 0
+client 5 3f6358b713cbf4b3 3f3a36e2eb1c432d 3f14535a5648f320 0000000000000000 3f6e96b510e2ecb3 3f6e96b510e2ecb3 4 2 2 4
+client 6 3f7708b9cd08e570 3f6c51ad1fff168a 0000000000000000 0000000000000000 0000000000000000 3f8298c82e84385a 4 21 0 0
+client 7 3f5a9a02f9a65bdd 3f2a36e2eb1c432d 0000000000000000 0000000000000000 0000000000000000 3f5de0df5709e443 5 1 0 0
 cpu backoff 3f40624dd2f1a9fc
 cpu compress 3f67c1bda5119ce0
 cpu crc32c 3f33a92a30553261
 cpu decompress 3f46f0068db8bac7
 cpu fault 0000000000000000
 cpu memcopy 3f5205bc01a36e2f
-ops 3f12437553d43f9a 3f22178ade45fe1d 3f678a621c2e436f 3ef81ba27a209d00
-ops 3effb5608f886d00 3f232fd9adb4145c 3f723c70707240ca 3f60624dd2f1a9fc
-ops 3f55c70ec37a7838 3ed1cd1b004ab400 3efa20a96f180280 3f4cd7a71b625c15
-ops 3ef97636807c2de0 3f2350ebec4d0689 3f331c242e476306 3ef775f6eac5ea30
-ops 3f25555169313476 3eeb57b23359ce00 3f40624dd2f1a9fc 3ef9ff2799f078e0
-ops 3f14c2ed743ecaa6 3f2526c182955121 3f5205bc01a36e30 3f33a92a30553260
-ops 3f46f0068db8bac8 3f4bca611c16f9cb 3f3300ab9ccc2884 3f320e77f3ca3760
-ops 3ef4e6feaa13ae80 3ef943cda8266e00 0000000000000000 3f20738f87d69460
-ops 3f64a24baceda136 3efb92abf6647180 3efabc48e1d1b400 3f7a33d742c892fc
-ops 3ef65ff3db4eb400 3f10acc9a361d66c 3f26698d96d2ccfc 3f51ff9c4525dedc
-ops 3f4d7dbf487fcb90 3f5ad37a79da31d6 3efb0eafa41dea00 3f6a589871a46b1c
-ops 3efeb18c2e3c5480 3f1065fbc61d0854 3f5489efdb62d312 3efff24c2a1a6fc0
-ops 3efdc03db864bf00 3efc2c1a495d8500 3ef9e476d5bb0640
+ops 3f12437553d43f9a 3f221c5b4fa77dce 3f66ad1384037920 3effb5608f886d00
+ops 3efeb18c2e3c5480 3f124a10342a6826 3f7240af267e3f67 3f60624dd2f1a9fb
+ops 3f55c70ec37a783c 3ed1cd1b004ab400 3ef76d1e88bbc2c2 3f4cd7a71b625c15
+ops 3ef97636807c2de0 3f05e08855d8bad3 3f14535a5648f320 3f0fe5224f4ee408
+ops 3f1b7167747c7dd6 3ee8d431ba5c27f0 3f40624dd2f1a9fc 3ef9ff2799f078e0
+ops 3f232fd9adb4145c 3f1e440245fe22d0 3f5205bc01a36e30 3f33a92a30553260
+ops 3f46f0068db8bac6 3f4a82e430a893f9 3f3300ab9ccc2884 3f34318ad5306e04
+ops 3efdc03db864bf00 3ef943cda8266e00 0000000000000000 3f2418e2c9270336
+ops 3f6420863686418c 3efb92abf6647180 3efabc48e1d1b400 3f7a33d742c892fb
+ops 3ef65ff3db4eb400 3f0ced6b04473ebc 3f2096101eb4b114 3f511c134144b3fc
+ops 3f4d7dbf487fcb94 3f5ad37a79da31d6 3efb0eafa41dea00 3f65248fd5958069
+ops 3ef81ba27a209d00 3f299e07dea44fa2 3f592b33f42a9404 3efc2c1a495d8500
+ops 3ef58309f9855900 3ef9e476d5bb0640 3ef4e6feaa13ae80
 osts 6
-ost 3f505e7824723701 3f57d3241c642347
-ost 3f71ce06928c9056 3f72016e7627114a
-ost 3f5a1782004b33e7 3f62a7ae2c60f187
-ost 3f44d69cbc874c53 3f4722eb37458aa5
-ost 3f4428b568b44bfc 3f7328bc27e322f7
+ost 3f50a780e52dd0aa 3f58115eb1864bf1
+ost 3f71623954e8936b 3f7192edad9cb820
+ost 3f5c22fd87626f08 3f61d8b1d2ee7a59
+ost 3f4676db733cc785 3f48ad8d96c823da
+ost 3f423b2ba5efb3d7 3f72dca451522a92
 ost 0000000000000000 0000000000000000
 )";
 
