@@ -65,6 +65,8 @@ TEST(ObjectStore, DuplicateCreateAndMissingLookupFail) {
   ObjectStore store(2);
   store.create_file("a/f");
   EXPECT_THROW(store.create_file("a/f"), IoError);
+  EXPECT_THROW(store.create_file("/a//f"), IoError);  // same file, respelled
+  EXPECT_THROW(store.create_file("a/f/g"), IoError);  // a file is no directory
   EXPECT_THROW(store.file("a/missing"), IoError);
   EXPECT_THROW(store.file_by_id(99), IoError);
 }
@@ -104,11 +106,25 @@ TEST(ObjectStore, ListRecursiveInCreationOrder) {
   store.create_file("r/b");
   store.create_file("r/sub/a");
   store.create_file("r/c");
+  store.create_file("rr/x");   // a sibling sharing the prefix "r"
+  store.create_file("r.bak");  // a file sharing it
   auto files = store.list_recursive("r");
   ASSERT_EQ(files.size(), 3u);
   EXPECT_EQ(files[0]->path, "r/b");
   EXPECT_EQ(files[1]->path, "r/sub/a");
   EXPECT_EQ(files[2]->path, "r/c");
+  EXPECT_EQ(store.list_recursive("/r/"), files);
+
+  // A file renamed in from another directory lists at its creation
+  // position, not at the position of the rename.
+  store.create_file("s/moved");
+  store.create_file("r/d");
+  store.rename("s/moved", "r/moved");
+  files = store.list_recursive("r");
+  ASSERT_EQ(files.size(), 5u);
+  EXPECT_EQ(files[3]->path, "r/moved");
+  EXPECT_EQ(files[4]->path, "r/d");
+  EXPECT_EQ(store.list_recursive("/r/"), files);
 }
 
 TEST(ObjectStore, UnlinkKeepsNodeForReplay) {
