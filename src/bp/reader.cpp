@@ -33,15 +33,22 @@ Reader::Reader(fsim::SharedFs& fs, fsim::ClientId client, std::string path)
     if (record.step != entry.step)
       throw FormatError(
           "bp::Reader: step id mismatch between the index and md.0");
-    steps_[record.step] = std::move(record);  // later entries win
+    steps_[record.step].record = std::move(record);  // later entries win
+  }
+  for (auto& [id, step] : steps_) {
+    (void)id;
+    for (const VarRecord& var : step.record.variables)
+      step.variables.try_emplace(var.name, &var);
+    for (const auto& [name, value] : step.record.attributes)
+      step.attributes.try_emplace(name, &value);
   }
 }
 
 std::vector<std::uint64_t> Reader::steps() const {
   std::vector<std::uint64_t> out;
   out.reserve(steps_.size());
-  for (const auto& [id, record] : steps_) {
-    (void)record;
+  for (const auto& [id, step] : steps_) {
+    (void)step;
     out.push_back(id);
   }
   return out;
@@ -55,7 +62,7 @@ const StepRecord& Reader::step(std::uint64_t step) const {
   auto it = steps_.find(step);
   if (it == steps_.end())
     throw UsageError("bp::Reader: no step " + std::to_string(step));
-  return it->second;
+  return it->second.record;
 }
 
 std::vector<std::string> Reader::variables(std::uint64_t step) const {
@@ -64,8 +71,10 @@ std::vector<std::string> Reader::variables(std::uint64_t step) const {
 
 const VarRecord* Reader::find_variable(std::uint64_t step,
                                        const std::string& name) const {
-  auto it = steps_.find(step);
-  return it == steps_.end() ? nullptr : it->second.find_variable(name);
+  const auto it = steps_.find(step);
+  if (it == steps_.end()) return nullptr;
+  const auto var = it->second.variables.find(name);
+  return var == it->second.variables.end() ? nullptr : var->second;
 }
 
 const ChunkRecord* Reader::find_chunk(std::uint64_t step,
@@ -180,8 +189,8 @@ std::vector<std::uint8_t> Reader::read(std::uint64_t step,
 std::vector<Reader::ChunkVerdict> Reader::verify() {
   std::vector<ChunkVerdict> verdicts;
   fsim::FsClient io(fs_, client_);
-  for (const auto& [id, record] : steps_) {
-    for (const auto& var : record.variables) {
+  for (const auto& [id, step] : steps_) {
+    for (const auto& var : step.record.variables) {
       for (const auto& chunk : var.chunks) {
         ChunkVerdict verdict;
         verdict.step = id;
@@ -219,9 +228,11 @@ bool Reader::all_ok(const std::vector<ChunkVerdict>& verdicts) {
 
 std::optional<AttrValue> Reader::attribute(std::uint64_t step,
                                            const std::string& name) const {
-  auto it = steps_.find(step);
+  const auto it = steps_.find(step);
   if (it == steps_.end()) return std::nullopt;
-  return it->second.attribute(name);
+  const auto attr = it->second.attributes.find(name);
+  if (attr == it->second.attributes.end()) return std::nullopt;
+  return *attr->second;
 }
 
 }  // namespace bitio::bp

@@ -18,10 +18,14 @@
 // publish_index) or one whose footer is torn or corrupt takes its entries
 // from md.idx instead.  Either way the same CRC-checked decode of the md.0
 // step blocks follows; used_footer_index() reports which index served.
+// Each step's variables and attributes are then indexed by name once, so
+// a lookup is one hash probe, not a scan of the step's record.
 
 #include <cstring>
 #include <map>
 #include <optional>
+#include <string_view>
+#include <unordered_map>
 
 #include "bp/types.hpp"
 #include "fsim/posix_fs.hpp"
@@ -37,6 +41,10 @@ public:
                                    std::string path) {
     return Reader(fs, client, std::move(path));
   }
+  // The name indexes point into the records: a move keeps them valid (the
+  // map's nodes move with it), a copy would not.
+  Reader(Reader&&) = default;
+  Reader(const Reader&) = delete;
 
   /// Distinct step ids, ascending.
   [[nodiscard]] std::vector<std::uint64_t> steps() const;
@@ -148,10 +156,18 @@ private:
       fsim::FsClient& io, const VarRecord& var, const ChunkRecord& chunk,
       double decode_bps);
 
+  /// A step's latest record and its name indexes.  The keys view names
+  /// inside `record`; the first of a repeated name wins, as in a scan.
+  struct Step {
+    StepRecord record;
+    std::unordered_map<std::string_view, const VarRecord*> variables;
+    std::unordered_map<std::string_view, const AttrValue*> attributes;
+  };
+
   fsim::SharedFs& fs_;
   fsim::ClientId client_;
   std::string path_;
-  std::map<std::uint64_t, StepRecord> steps_;  // latest record per id
+  std::map<std::uint64_t, Step> steps_;  // latest record per id
   bool footer_used_ = false;
 };
 

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <numeric>
-#include <optional>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -226,8 +225,8 @@ struct VarRecord {
 /// Attribute value: ADIOS2 supports more, we need these three.
 using AttrValue = std::variant<std::string, double, std::uint64_t>;
 
-/// Everything recorded for one step in md.0.  The name lookups below are
-/// the only ones: the reader goes through them.
+/// Everything recorded for one step in md.0.  bp::Reader indexes the
+/// names once per step; find_variable here is a scan, for a lone record.
 struct StepRecord {
   std::uint64_t step = 0;
   std::vector<VarRecord> variables;
@@ -246,13 +245,6 @@ struct StepRecord {
     out.reserve(variables.size());
     for (const auto& var : variables) out.push_back(var.name);
     return out;
-  }
-
-  /// The attribute named `name`; nullopt if absent.
-  std::optional<AttrValue> attribute(const std::string& name) const {
-    for (const auto& [key, value] : attributes)
-      if (key == name) return value;
-    return std::nullopt;
   }
 };
 

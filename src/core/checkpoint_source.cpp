@@ -16,7 +16,7 @@ CheckpointSource::CheckpointSource(fsim::SharedFs& fs, const std::string& path,
       refs_(std::move(refs)),
       epoch_path_(std::move(epoch_path)) {
   const bp::StepRecord& step = own_.step(0);
-  const auto time = step.attribute("time");
+  const auto time = own_.attribute(0, "time");
   const double* t = time ? std::get_if<double>(&*time) : nullptr;
   if (!t) throw FormatError("checkpoint: '" + path + "' has no time attribute");
   step_ = std::uint64_t(*t);
@@ -50,7 +50,7 @@ CheckpointSource::CheckpointSource(fsim::SharedFs& fs, const std::string& path,
                           " at element " + std::to_string(block.offset));
       end += block.count;
     }
-    if (!step.find_variable(name))
+    if (!own_.find_variable(0, name))
       table.extent = end;
     else if (end > table.extent)
       throw FormatError("checkpoint: blocks of '" + name +

@@ -96,7 +96,7 @@ DirNode& ObjectStore::mkdirs(std::string_view path) {
     std::string sub_path =
         node->path.empty() ? std::string(part)
                            : node->path + "/" + std::string(part);
-    if (node->files.find(part) != node->files.end())
+    if (path_index_.find(sub_path) != path_index_.end())
       throw IoError("mkdirs: '" + sub_path + "' is a file");
     auto sub = std::make_unique<DirNode>();
     sub->path = std::move(sub_path);
@@ -117,11 +117,6 @@ const DirNode* ObjectStore::find_dir(std::string_view path) const {
     node = it->second.get();
   }
   return node;
-}
-
-DirNode* ObjectStore::find_dir(std::string_view path) {
-  return const_cast<DirNode*>(
-      static_cast<const ObjectStore*>(this)->find_dir(path));
 }
 
 bool ObjectStore::dir_exists(const std::string& path) const {
@@ -170,21 +165,19 @@ FileNode& ObjectStore::create_file(
     const std::string& path, std::optional<StripeSettings> stripe_override) {
   const auto [parent, name] = split_file_path(path);
   DirNode& dir = mkdirs(parent);
-  if (dir.files.find(name) != dir.files.end())
-    throw IoError("create_file: '" + path + "' exists");
   if (dir.dirs.find(name) != dir.dirs.end())
     throw IoError("create_file: '" + path + "' is a directory");
   if (files_.size() >= std::size_t(kNoFile))
     throw IoError("create_file: the store is out of file ids");
+  if (!path_index_.try_emplace(canonical_path(path), FileId(files_.size()))
+           .second)
+    throw IoError("create_file: '" + path + "' exists");
 
   auto node = std::make_unique<FileNode>();
   node->id = FileId(files_.size());
   node->path = path;
   node->layout =
       make_layout(stripe_override ? *stripe_override : dir.default_stripe);
-  node->create_order = next_create_order_++;
-  dir.files.emplace(std::string(name), node->id);
-  path_index_.emplace(canonical_path(path), node->id);
   files_.push_back(std::move(node));
   return *files_.back();
 }
@@ -192,9 +185,10 @@ FileNode& ObjectStore::create_file(
 const FileNode* ObjectStore::find_file(const std::string& path) const {
   if (const auto it = path_index_.find(path); it != path_index_.end())
     return files_[it->second].get();
-  // A miss: no such file, or a path spelled with extra slashes.
+  // A miss: no such file, or a path spelled with extra slashes.  The
+  // index holds no empty key, so a path with no components (the root
+  // directory) finds no file.
   const std::string key = canonical_path(path);
-  if (key.empty()) throw UsageError("base_name: empty path");
   if (key == path) return nullptr;
   const auto it = path_index_.find(key);
   return it == path_index_.end() ? nullptr : files_[it->second].get();
@@ -225,69 +219,52 @@ const FileNode& ObjectStore::file_by_id(FileId id) const {
 }
 
 void ObjectStore::unlink(const std::string& path) {
-  const auto [parent, name] = split_file_path(path);
-  DirNode* dir = find_dir(parent);
-  if (!dir) throw IoError("unlink: no such file '" + path + "'");
-  auto it = dir->files.find(name);
-  if (it == dir->files.end())
+  const auto it = path_index_.find(canonical_path(path));
+  if (it == path_index_.end())
     throw IoError("unlink: no such file '" + path + "'");
   // The FileNode stays alive (only the namespace entry goes away) so that
   // trace replay can still resolve layouts of files written before unlink.
   files_[it->second]->linked = false;
-  dir->files.erase(it);
-  path_index_.erase(canonical_path(path));
+  path_index_.erase(it);
 }
 
 void ObjectStore::rename(const std::string& from, const std::string& to) {
-  const auto [src_parent, src_name] = split_file_path(from);
-  DirNode* src_dir = find_dir(src_parent);
-  if (!src_dir) throw IoError("rename: no such file '" + from + "'");
-  auto src = src_dir->files.find(src_name);
-  if (src == src_dir->files.end())
+  const auto src = path_index_.find(canonical_path(from));
+  if (src == path_index_.end())
     throw IoError("rename: no such file '" + from + "'");
   const FileId id = src->second;
   const auto [dst_parent, dst_name] = split_file_path(to);
   DirNode& dst_dir = mkdirs(dst_parent);
   if (dst_dir.dirs.find(dst_name) != dst_dir.dirs.end())
     throw IoError("rename: '" + to + "' is a directory");
-  src_dir->files.erase(src);
+  path_index_.erase(src);
   // Replaces any existing entry, like POSIX, which unlinks the old file.
-  const auto [dst, fresh] =
-      dst_dir.files.try_emplace(std::string(dst_name), id);
+  const auto [dst, fresh] = path_index_.try_emplace(canonical_path(to), id);
   if (!fresh) {
     files_[dst->second]->linked = false;
     dst->second = id;
   }
-  path_index_.erase(canonical_path(from));
-  path_index_.insert_or_assign(canonical_path(to), id);
   files_[id]->path = to;
 }
 
 namespace {
-void collect(const DirNode& dir,
-             const std::vector<std::unique_ptr<FileNode>>& files,
-             std::vector<const FileNode*>& out) {
-  for (const auto& [name, id] : dir.files) {
-    (void)name;
-    if (files[id]) out.push_back(files[id].get());
-  }
-  for (const auto& [name, sub] : dir.dirs) {
-    (void)name;
-    collect(*sub, files, out);
-  }
+/// True if `file` names something strictly below directory `dir`,
+/// comparing components in place, whatever the spelling of either.
+bool lies_under(std::string_view file, std::string_view dir) {
+  for (auto part = next_component(dir); !part.empty();
+       part = next_component(dir))
+    if (next_component(file) != part) return false;
+  return !next_component(file).empty();
 }
 }  // namespace
 
 std::vector<const FileNode*> ObjectStore::list_recursive(
     const std::string& path) const {
-  const DirNode* dir = find_dir(path);
-  if (!dir) throw IoError("list_recursive: no such directory '" + path + "'");
+  if (!find_dir(path))
+    throw IoError("list_recursive: no such directory '" + path + "'");
   std::vector<const FileNode*> out;
-  collect(*dir, files_, out);
-  std::sort(out.begin(), out.end(),
-            [](const FileNode* a, const FileNode* b) {
-              return a->create_order < b->create_order;
-            });
+  for (const auto& node : files_)
+    if (node->linked && lies_under(node->path, path)) out.push_back(node.get());
   return out;
 }
 

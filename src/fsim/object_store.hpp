@@ -1,6 +1,8 @@
 #pragma once
-// In-memory object store with Lustre-flavoured semantics: a directory tree
-// whose files carry a RAID0 stripe layout over simulated OSTs.
+// In-memory object store with Lustre-flavoured semantics: files that carry
+// a RAID0 stripe layout over simulated OSTs.  The namespace is one path
+// index of every linked file, plus a directory tree that holds only the
+// directories and the stripe defaults their new files inherit.
 //
 // This is the *correctness* half of the storage simulator: bytes written
 // through PosixFs land here and can be read back bit-exactly, and
@@ -35,18 +37,18 @@ struct FileNode {
   std::vector<std::uint8_t> data;   // absent when store_data is off
   std::uint64_t size = 0;           // authoritative size
   StripeLayout layout;
-  std::uint64_t create_order = 0;   // global creation sequence number
   // False once unlinked, or replaced by a rename onto its path: the node
   // stays (the replay still resolves its layout) but has no name.
   bool linked = true;
 };
 
+/// A directory: its stripe default and its subdirectories.  Its files live
+/// in the store's path index, not here.
 struct DirNode {
   std::string path;
   StripeSettings default_stripe;    // inherited by files created inside
   bool has_explicit_stripe = false;
   std::map<std::string, std::unique_ptr<DirNode>, std::less<>> dirs;
-  std::map<std::string, FileId, std::less<>> files;
 };
 
 /// The shared store.  Not thread-safe by itself; PosixFs serializes access.
@@ -79,7 +81,8 @@ public:
 
   /// Lookup: one probe of the path index when `path` is spelled the way
   /// the index keys it ("a/b/c"); other spellings ("/a//b/c") are
-  /// normalized on the miss.  nullptr if there is no such file.
+  /// normalized on the miss.  nullptr if there is no such file; a path
+  /// with no components ("", "/") names the root directory, never a file.
   FileNode* find_file(const std::string& path);
   const FileNode* find_file(const std::string& path) const;
   /// Lookup; throws IoError if missing.
@@ -97,7 +100,9 @@ public:
   /// Both paths must be files; throws IoError if `from` is missing.
   void rename(const std::string& from, const std::string& to);
 
-  /// All files under `path` (recursive), in creation order.
+  /// All files under `path` (recursive), in creation order: a scan of the
+  /// nodes in id order, which is creation order.  Throws IoError if there
+  /// is no such directory.
   std::vector<const FileNode*> list_recursive(const std::string& path) const;
   /// Every file in the store, in creation order.
   std::vector<const FileNode*> all_files() const;
@@ -113,18 +118,16 @@ public:
 
 private:
   const DirNode* find_dir(std::string_view path) const;
-  DirNode* find_dir(std::string_view path);
   StripeLayout make_layout(StripeSettings settings);
 
   int ost_count_;
   bool store_data_;
   DirNode root_;
   std::vector<std::unique_ptr<FileNode>> files_;  // index == FileId
-  // Every file in the namespace, keyed by its path's components joined
-  // with single '/'.  Kept in step with the tree by create_file, unlink
-  // and rename; the tree still answers directory queries and listings.
+  // The file namespace: every linked file, keyed by its path's components
+  // joined with single '/'.  create_file, unlink and rename go through it
+  // alone; the tree answers directory queries.
   std::unordered_map<std::string, FileId> path_index_;
-  std::uint64_t next_create_order_ = 0;
   std::uint64_t next_object_id_ = 0x11b00000;  // cosmetic, Listing-1 style
   int next_ost_ = 0;                           // round-robin base allocation
 };

@@ -33,13 +33,16 @@ struct FileLayout {
 };
 
 /// One FIFO program of the replay: the ops of one (client, lane), in trace
-/// order, are `order[begin, end)`; the replay advances `begin` past each op
-/// it pops.
+/// order, are `order[begin, end)`.  `next` is a copy of the pending op,
+/// `trace[order[begin]]`: a pop reads it from the slot it just touched,
+/// and the push that follows copies in the op after it, so the load from
+/// the trace overlaps the next pop instead of waiting behind it.
 struct Sequence {
   ClientId client = 0;
   std::uint32_t lane = 0;
   std::uint32_t begin = 0;
   std::uint32_t end = 0;
+  TraceOp next;
 };
 
 constexpr std::uint32_t kNoSequence = ~std::uint32_t(0);
@@ -93,7 +96,7 @@ ReplayReport replay_trace(const SystemProfile& profile,
     std::uint32_t& s = find_sequence(op);
     if (s == kNoSequence) {
       s = std::uint32_t(sequences.size());
-      sequences.push_back({op.client, op.lane, 0, 0});
+      sequences.push_back({op.client, op.lane, 0, 0, {}});
     }
     ++sequences[s].end;  // a count until the layout pass below
   }
@@ -106,6 +109,7 @@ ReplayReport replay_trace(const SystemProfile& profile,
   std::vector<std::uint32_t> order(trace.size());
   for (std::uint32_t i = 0; i < trace.size(); ++i)
     order[sequences[find_sequence(trace[i])].end++] = i;
+  for (Sequence& seq : sequences) seq.next = trace[order[seq.begin]];
 
   const int nnodes =
       (nclients + profile.ranks_per_node - 1) / profile.ranks_per_node;
@@ -167,8 +171,8 @@ ReplayReport replay_trace(const SystemProfile& profile,
   while (!queue.empty()) {
     const EventQueue::Event event = queue.pop();
     Sequence& seq = sequences[event.sequence];
-    const std::uint32_t trace_index = order[seq.begin++];
-    const TraceOp& op = trace[trace_index];
+    const std::uint32_t op_at = seq.begin++;
+    const TraceOp& op = seq.next;
     ClientTimes& times = report.clients[std::size_t(seq.client)];
     // Drain lanes accumulate into `drain` only; the critical-path buckets
     // stay untouched by overlapped work.
@@ -344,11 +348,14 @@ ReplayReport replay_trace(const SystemProfile& profile,
     }
     }
 
-    if (record_durations) report.op_durations[trace_index] = done - t0;
+    if (record_durations) report.op_durations[order[op_at]] = done - t0;
     times.end = std::max(times.end, done);
     report.makespan = std::max(report.makespan, done);
     // The queue rejects a done earlier than t0 as a UsageError.
-    if (seq.begin < seq.end) queue.push(done, event.sequence);
+    if (seq.begin < seq.end) {
+      seq.next = trace[order[seq.begin]];
+      queue.push(done, event.sequence);
+    }
   }
   for (std::size_t t = 0; t < kTraceTagCount; ++t)
     if (cpu_tag_seen[t])

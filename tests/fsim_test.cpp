@@ -71,6 +71,17 @@ TEST(ObjectStore, DuplicateCreateAndMissingLookupFail) {
   EXPECT_THROW(store.file_by_id(99), IoError);
 }
 
+TEST(ObjectStore, RootPathNamesADirectoryNotAFile) {
+  SharedFs fs(2);
+  fs.store().create_file("a/f");
+  FsClient client(fs, 0);
+  for (const std::string path : {"", "/"}) {
+    EXPECT_FALSE(fs.store().file_exists(path)) << path;
+    EXPECT_TRUE(fs.store().dir_exists(path)) << path;
+    EXPECT_TRUE(client.exists(path)) << path;
+  }
+}
+
 TEST(ObjectStore, StripeInheritanceFromDirectory) {
   ObjectStore store(16);
   store.set_dir_stripe("out", {8, 16 * MiB});

@@ -3,7 +3,10 @@
 // writing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <numeric>
 
@@ -272,6 +275,54 @@ TEST(OpenPmd, CheckpointSlotRewriteLatestWins) {
   Series series(fs, "ckpt.bp4", Access::read_only);
   EXPECT_EQ(series.read_iteration(0).mesh("state").component().load<double>(),
             ramp(4, 200.0));
+}
+
+TEST(OpenPmd, OpeningAnIterationIsLinearInItsComponents) {
+  // Each component's unitSI (and a constant's value and shape) is an
+  // attribute lookup; the reader indexes a step's attributes by name, so
+  // opening 4x the components takes about 4x the time.  A linear scan per
+  // lookup makes it 16x.  The gate is on the ratio, never on wall time;
+  // the best of three opens damps scheduler noise.
+  const auto open_seconds = [](int components) {
+    SharedFs fs(4);
+    {
+      Series series(fs, "many.bp4", Access::create, 1);
+      auto& it = series.write_iteration(0);
+      const std::vector<double> one{1.0};
+      for (int i = 0; i < components; ++i) {
+        auto& c = it.mesh("m" + std::to_string(i)).component();
+        if (i % 4 == 3) {
+          c.make_constant(double(i), {1});
+          continue;
+        }
+        c.reset_dataset(Datatype::float64, {1});
+        c.set_unit_si(2.0);
+        c.store_chunk<double>(0, one, {0}, {1});
+      }
+      it.close();
+      series.close();
+    }
+    double best = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      Series series(fs, "many.bp4", Access::read_only);
+      auto& it = series.read_iteration(0);
+      const std::chrono::duration<double> took =
+          std::chrono::steady_clock::now() - start;
+      best = std::min(best, took.count());
+      EXPECT_EQ(it.mesh_names().size(), std::size_t(components));
+      EXPECT_DOUBLE_EQ(it.mesh("m0").component().unit_si(), 2.0);
+      EXPECT_DOUBLE_EQ(it.mesh("m3").component().constant_value(), 3.0);
+    }
+    return best;
+  };
+  const double small = open_seconds(4000);
+  const double large = open_seconds(16000);
+  RecordProperty("open_4000_s", std::to_string(small));
+  RecordProperty("open_16000_s", std::to_string(large));
+  EXPECT_LT(large / small, 6.0)
+      << "4,000 components open in " << small << " s, 16,000 in " << large
+      << " s";
 }
 
 TEST(OpenPmd, EmptyChunksAreSkipped) {
