@@ -36,9 +36,13 @@
 #                          to resilience.json); then the ckpt_sweep
 #                          benchmark, whose in-band gates require every
 #                          delta sweep to dedup, every restore to be
-#                          bit-exact and every faulted cell to fall back
-#                          (the committed report is scripts/bench_report.sh
-#                          -> BENCH_ckpt.json)
+#                          bit-exact and every faulted cell to fall back;
+#                          its --json report (bytes, counts and flags
+#                          only, all deterministic, all_gates_passed
+#                          among them) must equal the
+#                          committed BENCH_ckpt.json byte for byte, so a
+#                          change in dedup or stored bytes fails here
+#                          (scripts/bench_report.sh rewrites it)
 #   6. iopath suite        batched queue-pair differential tests (byte
 #                          identity vs the per-op writer, CZP1 + two-level
 #                          composition, Darshan batch counters; ctest -L
@@ -111,7 +115,7 @@ cmake --build --preset default -j "$(nproc 2>/dev/null || echo 4)" \
 step "incremental-checkpoint sweep gate (ckpt_sweep)"
 cmake --build --preset default -j "$(nproc 2>/dev/null || echo 4)" \
   --target ckpt_sweep
-"$repo_root/build/bench/ckpt_sweep" >/dev/null
+"$repo_root/build/bench/ckpt_sweep" --json | cmp - "$repo_root/BENCH_ckpt.json"
 
 step "batched I/O path suite (ctest -L iopath)"
 ctest --preset iopath

@@ -33,7 +33,7 @@
 namespace bitio::core {
 
 /// One dedup unit of a checkpoint: the chunk a specific writer rank stores
-/// for one bp variable of the schema.  `hash` is FNV-1a 64 over the raw
+/// for one bp variable of the schema.  `hash` is XXH64 over the raw
 /// payload bytes (util::hash64), the content identity the
 /// incremental-checkpoint layer compares across epochs.
 struct CheckpointBlock {
@@ -42,7 +42,7 @@ struct CheckpointBlock {
   std::uint64_t offset = 0;  // element offset in the global array
   std::uint64_t count = 0;   // element count
   std::uint64_t bytes = 0;   // raw payload bytes (count * 8: all vars are 64-bit)
-  std::uint64_t hash = 0;    // FNV-1a 64 of the raw payload bytes
+  std::uint64_t hash = 0;    // XXH64 of the raw payload bytes
 };
 
 /// A block of this checkpoint whose bytes live in an earlier epoch's

@@ -1,8 +1,10 @@
 #include "resil/checkpoint_manager.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <set>
 
 #include "bp/reader.hpp"
@@ -23,12 +25,26 @@ std::string hash_hex(std::uint64_t hash) {
   return buf;
 }
 
+/// The exact inverse of hash_hex: "0x" and sixteen hex digits, nothing
+/// else (no sign, no space, no shorter or longer spelling).
 std::uint64_t hash_from_hex(const std::string& text) {
-  try {
-    return std::stoull(text, nullptr, 16);
-  } catch (const std::exception&) {
-    throw FormatError("MANIFEST: bad block hash '" + text + "'");
+  std::uint64_t hash = 0;
+  if (text.size() == 18 && text.compare(0, 2, "0x") == 0) {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data() + 2, end, hash, 16);
+    if (ec == std::errc() && ptr == end) return hash;
   }
+  throw FormatError("MANIFEST: bad block hash '" + text + "'");
+}
+
+/// A rank or rank count: an integer that fits an int, not one truncated
+/// into it.
+int int_from_json(const Json& value, const char* field) {
+  const std::int64_t n = value.as_int();
+  if (n < std::numeric_limits<int>::min() ||
+      n > std::numeric_limits<int>::max())
+    throw FormatError(std::string("MANIFEST: ") + field + " out of range");
+  return int(n);
 }
 
 /// Parse the epoch number out of ".../epoch_<k>/MANIFEST"; nullopt for
@@ -107,7 +123,7 @@ EpochManifest EpochManifest::from_json(const Json& doc) {
   m.epoch = doc.at("epoch").as_uint();
   m.step = doc.at("step").as_uint();
   m.engine = doc.at("engine").as_string();
-  m.nranks = int(doc.at("nranks").as_int());
+  m.nranks = int_from_json(doc.at("nranks"), "nranks");
   m.kind = doc.at("kind").as_string();
   if (m.kind != "full" && m.kind != "delta")
     throw FormatError("MANIFEST: unknown epoch kind '" + m.kind + "'");
@@ -118,7 +134,7 @@ EpochManifest EpochManifest::from_json(const Json& doc) {
     for (const Json& entry : doc.at("refs").as_array()) {
       BlockRef ref;
       ref.var = entry.at("var").as_string();
-      ref.rank = int(entry.at("rank").as_int());
+      ref.rank = int_from_json(entry.at("rank"), "rank");
       ref.offset = entry.at("offset").as_uint();
       ref.count = entry.at("count").as_uint();
       ref.bytes = entry.at("bytes").as_uint();

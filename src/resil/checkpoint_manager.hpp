@@ -68,7 +68,10 @@ using core::BlockRef;
 /// read.  Bump it whenever to_json gains, drops, or reshapes a field — the
 /// golden-bytes test (CkptManifest.GoldenDeltaManifestBytes) pins the
 /// serialized text next to this constant, so the two change together.
-inline constexpr int kManifestVersion = 2;
+/// Also bump it when a field's meaning changes: version 3 records XXH64
+/// block hashes where version 2 recorded FNV-1a ones, so an old MANIFEST is
+/// a FormatError at parse, not a hash mismatch found at restore.
+inline constexpr int kManifestVersion = 3;
 
 /// Parsed MANIFEST of a committed epoch.
 struct EpochManifest {

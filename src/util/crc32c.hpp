@@ -6,9 +6,11 @@
 // failure mode the paper reports beyond 20k ranks).
 //
 // Two kernels, bit-identical: the SSE4.2 `crc32` instruction (selected at
-// runtime via cpuid, so the binary still runs on machines without it) and a
-// portable slice-by-one table loop, kept as the fallback and as the
-// hardware kernel's differential oracle.
+// runtime via cpuid, so the binary still runs on machines without it),
+// run as three independent chains over adjacent 8 KiB and then 256 B blocks
+// that are joined by shifting a CRC over zero bytes; and a portable
+// slice-by-one table loop, kept as the fallback and as the hardware
+// kernel's differential oracle.
 
 #include <cstdint>
 #include <span>

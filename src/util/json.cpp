@@ -230,13 +230,20 @@ double Json::as_number() const {
   return std::get<double>(value_);
 }
 
+// A number converts only when it is a whole value inside the target's
+// range: a cast would truncate 1.5 to 1 and is undefined past the range.
+// 2^63 and 2^64 are exact doubles, so the upper bounds are exclusive.
 std::int64_t Json::as_int() const {
-  return static_cast<std::int64_t>(as_number());
+  const double d = as_number();
+  if (!(d >= -0x1p63 && d < 0x1p63) || std::trunc(d) != d)
+    type_error("integer");
+  return static_cast<std::int64_t>(d);
 }
 
 std::uint64_t Json::as_uint() const {
-  double d = as_number();
-  if (d < 0) type_error("unsigned number");
+  const double d = as_number();
+  if (!(d >= 0 && d < 0x1p64) || std::trunc(d) != d)
+    type_error("unsigned number");
   return static_cast<std::uint64_t>(d);
 }
 

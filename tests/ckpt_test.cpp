@@ -8,6 +8,7 @@
 // modelled cost.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -384,7 +385,7 @@ TEST(CkptManifest, GoldenDeltaManifestBytes) {
   // (to_json().dump(2)), compared byte for byte: a schema change shows up
   // as a changed golden next to the version constant, which must change
   // with it.
-  EXPECT_EQ(kManifestVersion, 2);
+  EXPECT_EQ(kManifestVersion, 3);
   EpochManifest manifest;
   manifest.epoch = 3;
   manifest.step = 40;
@@ -400,7 +401,7 @@ TEST(CkptManifest, GoldenDeltaManifestBytes) {
   "engine": "bp4",
   "epoch": 3,
   "kind": "delta",
-  "manifest_version": 2,
+  "manifest_version": 3,
   "nranks": 2,
   "refs": [
     {
@@ -423,7 +424,7 @@ TEST(CkptManifest, OnlyTheCurrentVersionParses) {
   const std::string fields =
       R"("epoch": 1, "step": 4, "engine": "bp4", "nranks": 1)";
   EXPECT_NO_THROW(EpochManifest::from_json(Json::parse(
-      "{" + fields + R"(, "manifest_version": 2, "kind": "full"})")));
+      "{" + fields + R"(, "manifest_version": 3, "kind": "full"})")));
   EXPECT_THROW(EpochManifest::from_json(
                    Json::parse("{" + fields + R"(, "kind": "full"})")),
                FormatError);
@@ -431,9 +432,60 @@ TEST(CkptManifest, OnlyTheCurrentVersionParses) {
       EpochManifest::from_json(Json::parse(
           "{" + fields + R"(, "manifest_version": 1, "kind": "full"})")),
       FormatError);
+  EXPECT_THROW(
+      EpochManifest::from_json(Json::parse(
+          "{" + fields + R"(, "manifest_version": 2, "kind": "full"})")),
+      FormatError);
   EXPECT_THROW(EpochManifest::from_json(
-                   Json::parse("{" + fields + R"(, "manifest_version": 2})")),
+                   Json::parse("{" + fields + R"(, "manifest_version": 3})")),
                FormatError);
+}
+
+TEST(CkptManifest, NumbersAndHashesParseExactly) {
+  // A MANIFEST field is read only when it spells its value exactly: a hash
+  // is "0x" and sixteen hex digits, a count or rank a whole number inside
+  // its field's range.  Each row swaps one field of a valid delta manifest.
+  EpochManifest manifest;
+  manifest.epoch = 3;
+  manifest.step = 40;
+  manifest.nranks = 2;
+  manifest.kind = "delta";
+  manifest.base_epochs = {1};
+  manifest.refs.push_back({"ions/x", 1, 64, 64, 512, 0x0123456789ABCDEF, 1});
+  const Json valid = manifest.to_json();
+  ASSERT_EQ(EpochManifest::from_json(valid).refs.at(0).hash,
+            0x0123456789ABCDEFull);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    const char* field;
+    Json value;
+  } rows[] = {
+      {"hash", Json("0x12zz")},
+      {"hash", Json("-1")},
+      {"hash", Json(" 0x1")},
+      {"hash", Json("0x")},
+      {"hash", Json("123")},
+      {"hash", Json(" 0x0123456789abcdef")},
+      {"hash", Json("0x0123456789abcdef0")},
+      {"hash", Json("0x-123456789abcdef")},
+      {"count", Json(1.5)},
+      {"count", Json(1e30)},
+      {"count", Json(18446744073709551616.0)},  // 2^64
+      {"count", Json(-1)},
+      {"count", Json(inf)},
+      {"count", Json(std::numeric_limits<double>::quiet_NaN())},
+      {"rank", Json(9.3e18)},  // past INT64_MAX, read through as_int
+      {"rank", Json(4294967297.0)},  // 2^32 + 1: an int64 but not an int
+      {"rank", Json(-inf)},
+      {"rank", Json(0.5)},
+  };
+  for (const auto& row : rows) {
+    Json doc = valid;
+    doc["refs"][std::size_t{0}][row.field] = row.value;
+    EXPECT_THROW(EpochManifest::from_json(doc), Error)
+        << row.field << " = " << row.value.dump();
+  }
 }
 
 TEST(CkptRobust, PruneKeepsBaseEpochsOfRetainedDeltas) {

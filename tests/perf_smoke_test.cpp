@@ -4,7 +4,10 @@
 // float-particle workload the optimized pipeline must round-trip exactly
 // and beat the frozen seed kernel even at 2 threads.  The full
 // threads x block-size report lives in BENCH_codecs.json
-// (scripts/bench_report.sh).
+// (scripts/bench_report.sh).  The two integrity kernels of the checkpoint
+// path are gated the same way against byte- and chain-serial references
+// kept here: the XXH64 content hash against FNV-1a, and the three-stream
+// CRC32C against one crc32 chain.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -13,7 +16,14 @@
 #include "compress/codec.hpp"
 #include "compress/parallel.hpp"
 #include "compress/reference.hpp"
+#include "util/crc32c.hpp"
+#include "util/hash64.hpp"
 #include "util/rng.hpp"
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define BITIO_PERF_SSE42 1
+#include <immintrin.h>
+#endif
 
 namespace bitio {
 namespace {
@@ -64,6 +74,71 @@ TEST(PerfSmoke, PipelineBeatsSeedKernelAtTwoThreads) {
   const double speedup = seed_s / pipe_s;
   EXPECT_GT(speedup, 1.0) << "seed " << seed_s << " s vs pipeline " << pipe_s
                           << " s on " << kBytes << " bytes";
+}
+
+/// Byte-serial FNV-1a 64: one dependent multiply per byte.
+std::uint64_t fnv1a64(std::span<const std::uint8_t> data) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::uint8_t b : data) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(PerfSmoke, Hash64BeatsByteSerialFnv) {
+  constexpr std::size_t kBytes = 8 << 20;
+  const cz::Bytes data = particle_floats(kBytes, 7);
+  const std::span<const std::uint8_t> input(data.data(), data.size());
+
+  std::uint64_t fnv = 0;
+  std::uint64_t xxh = 0;
+  const double fnv_s = best_of(5, [&] { fnv = fnv1a64(input); });
+  const double xxh_s = best_of(5, [&] { xxh = util::hash64(input); });
+  EXPECT_NE(fnv, xxh);  // uses both results, so neither loop is elided
+
+  EXPECT_GE(fnv_s / xxh_s, 3.0) << "FNV-1a " << fnv_s << " s vs hash64 "
+                                << xxh_s << " s on " << kBytes << " bytes";
+}
+
+#ifdef BITIO_PERF_SSE42
+/// One dependent crc32 chain, 8 bytes per instruction, then a bytewise tail.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_one_chain(
+    std::span<const std::uint8_t> data) {
+  std::uint64_t crc = 0xFFFFFFFFu;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p, 8);
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = std::uint32_t(crc);
+  for (; n > 0; ++p, --n) crc32 = _mm_crc32_u8(crc32, *p);
+  return crc32 ^ 0xFFFFFFFFu;
+}
+#endif
+
+TEST(PerfSmoke, Crc32cBeatsOneChainKernel) {
+#ifdef BITIO_PERF_SSE42
+  if (!__builtin_cpu_supports("sse4.2"))
+    GTEST_SKIP() << "no SSE4.2: crc32c runs the table kernel";
+  constexpr std::size_t kBytes = 8 << 20;
+  const cz::Bytes data = particle_floats(kBytes, 9);
+  const std::span<const std::uint8_t> input(data.data(), data.size());
+
+  std::uint32_t chain = 0;
+  std::uint32_t streams = 0;
+  const double chain_s = best_of(5, [&] { chain = crc32c_one_chain(input); });
+  const double streams_s = best_of(5, [&] { streams = crc32c(input); });
+  ASSERT_EQ(streams, chain);
+
+  EXPECT_GE(chain_s / streams_s, 1.5)
+      << "one chain " << chain_s << " s vs crc32c " << streams_s << " s on "
+      << kBytes << " bytes";
+#else
+  GTEST_SKIP() << "the SSE4.2 kernel is x86-64 only";
+#endif
 }
 
 }  // namespace

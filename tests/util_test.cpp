@@ -1,9 +1,13 @@
-// Unit tests for the util module: units, rng, crc32c, stats, json, toml,
-// table.
+// Unit tests for the util module: units, rng, crc32c, hash64, stats, json,
+// toml, table.
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <string_view>
 
 #include "util/crc32c.hpp"
 #include "util/error.hpp"
+#include "util/hash64.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -99,14 +103,16 @@ TEST(Crc32c, MatchesTheCastagnoliCheckValue) {
 
 TEST(Crc32c, DispatchedKernelMatchesTableOracle) {
   // Every alignment, length class (empty, sub-word, word multiples, ragged
-  // tails) and seed, plus chaining: checksumming in two pieces equals one
-  // pass.
-  std::vector<std::uint8_t> buffer(4096 + 8);
+  // tails, either side of the three-stream 3 x 256 B and 3 x 8 KiB blocks,
+  // and several long blocks with a ragged tail) and seed, plus chaining:
+  // checksumming in two pieces equals one pass.
+  std::vector<std::uint8_t> buffer((1u << 20) + 3 + 8);
   Rng rng(0xC5C, 3);
   for (auto& byte : buffer) byte = std::uint8_t(rng());
   for (std::size_t offset = 0; offset < 8; ++offset)
     for (const std::size_t len :
-         {0u, 1u, 7u, 8u, 9u, 15u, 16u, 63u, 64u, 65u, 1000u, 4096u})
+         {0u, 1u, 7u, 8u, 9u, 15u, 16u, 63u, 64u, 65u, 1000u, 4096u, 767u,
+          768u, 769u, 24575u, 24576u, 24577u, 25357u, (1u << 20) + 3u})
       for (const std::uint32_t seed : {0u, 0xDEADBEEFu}) {
         const auto data = std::span(buffer).subspan(offset, len);
         ASSERT_EQ(crc32c(data, seed), crc32c_table(data, seed))
@@ -115,6 +121,59 @@ TEST(Crc32c, DispatchedKernelMatchesTableOracle) {
         EXPECT_EQ(crc32c(data.subspan(cut), crc32c(data.first(cut), seed)),
                   crc32c(data, seed));
       }
+}
+
+// --------------------------------------------------------------- hash64 ---
+
+std::span<const std::uint8_t> bytes_of(std::string_view text) {
+  return {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()};
+}
+
+TEST(Hash64, MatchesXxh64KnownAnswers) {
+  // Published XXH64 values at seed 0.
+  EXPECT_EQ(util::hash64(bytes_of("")), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(util::hash64(bytes_of("a")), 0xD24EC4F1A98C6E5Bull);
+  EXPECT_EQ(util::hash64(bytes_of("abc")), 0x44BC2CF5AD770999ull);
+  EXPECT_EQ(util::hash64(bytes_of("Nobody inspects the spammish repetition")),
+            0xFBCEA83C8A378BF1ull);
+}
+
+TEST(Hash64, DoesNotDependOnAlignment) {
+  // Every length through two stripes (each tail shape: 8-, 4- and 1-byte
+  // steps) hashes the same at every offset of an 8-byte word.
+  std::vector<std::uint8_t> source(64);
+  Rng rng(0x4A5, 1);
+  for (auto& byte : source) byte = std::uint8_t(rng());
+  std::vector<std::uint8_t> shifted(64 + 8);
+  for (std::size_t len = 0; len <= 64; ++len) {
+    const std::uint64_t aligned =
+        util::hash64(std::span<const std::uint8_t>(source).first(len));
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      std::memcpy(shifted.data() + offset, source.data(), len);
+      const auto view =
+          std::span<const std::uint8_t>(shifted).subspan(offset, len);
+      EXPECT_EQ(util::hash64(view), aligned)
+          << "len " << len << " offset " << offset;
+    }
+  }
+}
+
+TEST(Hash64, TwoSignFlipsChangeTheHash) {
+  // Flipping bit 63 (a double's sign) in two different words must change
+  // the hash: a shortcut that folds words by xor and multiply would cancel
+  // the two flips.  Pairs in one stripe, across stripes and in the tail.
+  std::vector<double> words(64 + 3);
+  Rng rng(0x5165, 2);
+  for (auto& w : words) w = rng.normal();
+  const std::uint64_t base = util::hash64_of<double>(words);
+  for (const auto& [i, j] : {std::pair{0, 1}, {0, 2}, {1, 3}, {0, 4},
+                             {5, 37}, {63, 64}, {64, 66}, {2, 65}}) {
+    std::vector<double> flipped = words;
+    flipped[std::size_t(i)] = -flipped[std::size_t(i)];
+    flipped[std::size_t(j)] = -flipped[std::size_t(j)];
+    EXPECT_NE(util::hash64_of<double>(flipped), base)
+        << "words " << i << " and " << j;
+  }
 }
 
 // ---------------------------------------------------------------- stats ---
