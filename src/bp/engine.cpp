@@ -68,7 +68,6 @@ void EngineConfig::validate() const {
         {"buffer_chunk_mb", std::int64_t(buffer_chunk_mb), 1},
         {"io_batch_depth", io_batch_depth, 0},
         {"max_inflight_steps", max_inflight_steps, 1},
-        {"drain_timeout_ms", drain_timeout_ms, 0},
         {"max_drain_retries", max_drain_retries, 0},
         {"numa_per_node", numa_per_node, 0},
         {"nics_per_node", nics_per_node, 0}})

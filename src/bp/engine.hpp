@@ -86,12 +86,8 @@ struct EngineConfig {
   /// Backpressure bound on outstanding drain jobs: begin_step() of step
   /// N + max_inflight_steps blocks until step N's drain has landed.
   int max_inflight_steps = 2;
-  /// Drain-lane watchdog (async only): if an in-flight drain job stops
-  /// heartbeating for this long (wall-clock), the wedged simulated I/O is
-  /// cancelled (SharedFs::cancel_stalls) and the job retried from a rolled-
-  /// back state.  0 disables the watchdog.
-  int drain_timeout_ms = 0;
-  /// Bounded retries of a cancelled/failed drain job before the step is
+  /// Bounded retries of a failed drain job (async only; an injected stall
+  /// fails its write at once with TimeoutError) before the step is
   /// abandoned with a TimeoutError.  The queue is then poisoned (later jobs
   /// are skipped) so end_step()/close() can never hang on a wedged lane.
   int max_drain_retries = 2;
@@ -136,10 +132,10 @@ struct EngineConfig {
 std::unique_ptr<cz::Codec> make_operator(const EngineConfig& config,
                                          cz::BufferPool& pool);
 
-/// Drain-watchdog counters (all zero when the watchdog is disabled).
+/// Async drain counters (all zero on the synchronous path).
 /// Namespace-scoped so the abstract Engine can report them.
-struct WatchdogStats {
-  std::uint64_t timeouts = 0;         // stalled-lane cancellations issued
+struct DrainStats {
+  std::uint64_t timeouts = 0;         // attempts failed with TimeoutError
   std::uint64_t retries = 0;          // drain attempts retried
   std::uint64_t steps_abandoned = 0;  // jobs given up after max retries
 };
@@ -184,7 +180,7 @@ class Engine {
   virtual int peak_inflight() const = 0;
   virtual cz::BufferPool::Stats pool_stats() const = 0;
   virtual void reset_pool_stats() = 0;
-  virtual WatchdogStats watchdog_stats() const = 0;
+  virtual DrainStats drain_stats() const = 0;
 };
 
 // --- adios2 parameters ------------------------------------------------------
@@ -222,7 +218,6 @@ inline constexpr EngineParameter kEngineParameters[] = {
     {"BufferChunkSize", &EngineConfig::buffer_chunk_mb},
     {"IoBatchDepth", &EngineConfig::io_batch_depth},
     {"CoalesceWrites", &EngineConfig::coalesce_writes},
-    {"DrainTimeoutMs", &EngineConfig::drain_timeout_ms},
     {"MaxDrainRetries", &EngineConfig::max_drain_retries},
     {"Aggregation", &EngineConfig::aggregation},
     {"Topology", &EngineConfig::topology},

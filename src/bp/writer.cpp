@@ -1,7 +1,6 @@
 #include "bp/writer.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -34,14 +33,17 @@ constexpr double kZeroCopyFactor = 4.0;
 constexpr std::size_t kAggInitialReserve = 64 * 1024;
 
 /// Submit everything pushed into `sq` and surface any failed completion as
-/// the IoError a per-op pwrite would have thrown, so the drain retry and
-/// watchdog machinery behave identically on both paths.  Torn writes are
-/// reported short in their cqe but not failed — matching posix pwrite's
-/// silent-torn semantics, which keeps batched and per-op containers in
-/// byte agreement under the same fault plan.
+/// the error a per-op pwrite would have thrown (TimeoutError for a stall,
+/// IoError otherwise), so the drain retries behave identically on both
+/// paths.  Torn writes are reported short in their cqe but not failed —
+/// matching posix pwrite's silent-torn semantics, which keeps batched and
+/// per-op containers in byte agreement under the same fault plan.
 void submit_checked(fsim::SubmissionQueue& sq) {
-  for (const fsim::Cqe& cqe : sq.submit())
-    if (!cqe.ok) throw IoError(cqe.error);
+  for (const fsim::Cqe& cqe : sq.submit()) {
+    if (cqe.ok) continue;
+    if (cqe.fault == fsim::FaultKind::stall) throw TimeoutError(cqe.error);
+    throw IoError(cqe.error);
+  }
 }
 
 /// Push onto the ring, draining it first when full (extra doorbells beyond
@@ -107,11 +109,8 @@ Writer::Writer(fsim::SharedFs& fs, std::string path, EngineConfig config,
   put_index_header(header, 0);
   root.pwrite(idx_fd_, 0, header.buffer());
 
-  if (config_.async_write) {
+  if (config_.async_write)
     drain_thread_ = std::thread([this] { drain_loop(); });
-    if (config_.drain_timeout_ms > 0)
-      watchdog_thread_ = std::thread([this] { watchdog_loop(); });
-  }
 }
 
 Writer::~Writer() {
@@ -129,7 +128,6 @@ Writer::~Writer() {
     }
   }
   stop_drain_thread();
-  stop_watchdog_thread();
 }
 
 int Writer::leader_of(int aggregator) const {
@@ -295,7 +293,6 @@ void Writer::end_step() {
 void Writer::drain_step(const StepJob& job) {
   const bool async = config_.async_write;
   const bool synthetic_step = job.kind == 2;
-  touch_heartbeat();
 
   // The chunk table is walked rank-major — by rank, then put order —
   // through a stable counting sort by rank: rank_order lists the table's
@@ -389,7 +386,6 @@ void Writer::drain_step(const StepJob& job) {
         rank == 0 ? 0 : rank_end[std::size_t(rank) - 1];
     const std::uint32_t end = rank_end[std::size_t(rank)];
     if (begin == end) continue;
-    touch_heartbeat();
     const int a = aggregator_of(rank);
     fsim::FsClient client(fs_, fsim::ClientId(rank));
     double rank_compress_s = 0.0;  // coalesced per-rank CPU charge
@@ -545,7 +541,6 @@ void Writer::drain_step(const StepJob& job) {
         client.charge_cpu(lane_crc[std::size_t(a)], fsim::TraceTag::crc32c);
     }
     if (bytes == 0) continue;
-    touch_heartbeat();
     if (batched) {
       // Queue-pair path: the same bytes at the same offsets, issued as one
       // sqe per marshalled chunk extent through one ring per aggregator
@@ -558,7 +553,6 @@ void Writer::drain_step(const StepJob& job) {
                                config_.coalesce_writes);
       std::uint64_t pos = 0;
       for (const std::uint64_t n : agg_extents[std::size_t(a)]) {
-        touch_heartbeat();
         fsim::Sqe sqe;
         sqe.fd = data_fds_[std::size_t(a)];
         sqe.offset = data_offsets_[std::size_t(a)] + pos;
@@ -581,7 +575,6 @@ void Writer::drain_step(const StepJob& job) {
     } else if (async) {
       for (std::uint64_t pos = 0; pos < bytes; pos += slice) {
         const std::uint64_t n = std::min<std::uint64_t>(slice, bytes - pos);
-        touch_heartbeat();
         client.pwrite(
             data_fds_[std::size_t(a)], data_offsets_[std::size_t(a)] + pos,
             std::span<const std::uint8_t>(*agg[std::size_t(a)]).subspan(
@@ -603,7 +596,6 @@ void Writer::drain_step(const StepJob& job) {
   for (std::size_t v = 0; v < nvars; ++v)
     if (record_at[v] != records_end[v])
       throw Error("bp: a variable's chunk records missed their MD07 slots");
-  touch_heartbeat();
   fsim::FsClient root(fs_, 0, async ? kMetaLane : 0);
   const IndexEntry entry{job.step, md_offset_, md_block.size(),
                          seal_step(md_block)};
@@ -666,7 +658,8 @@ void Writer::restore_drain_state(const DrainSnapshot& snap) {
 }
 
 void Writer::drain_job_with_retries(const StepJob& job) {
-  // Bounded retry of a failed or watchdog-cancelled attempt.  Each attempt
+  // Bounded retry of a failed attempt (an injected stall fails its write at
+  // once, so a wedged lane is one more failed attempt).  Each attempt
   // starts from a rolled-back snapshot, so a partially landed attempt is
   // overwritten in place (same pwrite offsets) and the container stays
   // consistent.  Past the bound the step is abandoned with a typed error;
@@ -674,34 +667,30 @@ void Writer::drain_job_with_retries(const StepJob& job) {
   const int attempts = 1 + std::max(0, config_.max_drain_retries);
   for (int attempt = 0; attempt < attempts; ++attempt) {
     const DrainSnapshot snap = snapshot_drain_state();
-    drain_active_.store(true, std::memory_order_release);
-    touch_heartbeat();
+    std::string cause;
     try {
       drain_step(job);
-      drain_active_.store(false, std::memory_order_release);
       return;
+    } catch (const TimeoutError& e) {
+      timeouts_.fetch_add(1, std::memory_order_relaxed);
+      cause = e.what();
+    } catch (const std::exception& e) {
+      cause = e.what();
     } catch (...) {
-      drain_active_.store(false, std::memory_order_release);
-      restore_drain_state(snap);
-      if (attempt + 1 < attempts) {
-        drain_retries_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      steps_abandoned_.fetch_add(1, std::memory_order_relaxed);
-      std::string cause = "unknown error";
-      try {
-        throw;
-      } catch (const std::exception& e) {
-        cause = e.what();
-      } catch (...) {
-      }
-      util::MutexLock lock(drain_mutex_);
-      if (!drain_error_)
-        drain_error_ = std::make_exception_ptr(TimeoutError(
-            "bp::Writer: drain of step " + std::to_string(job.step) +
-            " abandoned after " + std::to_string(attempts) +
-            " attempts: " + cause));
+      cause = "unknown error";
     }
+    restore_drain_state(snap);
+    if (attempt + 1 < attempts) {
+      drain_retries_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    steps_abandoned_.fetch_add(1, std::memory_order_relaxed);
+    util::MutexLock lock(drain_mutex_);
+    if (!drain_error_)
+      drain_error_ = std::make_exception_ptr(TimeoutError(
+          "bp::Writer: drain of step " + std::to_string(job.step) +
+          " abandoned after " + std::to_string(attempts) +
+          " attempts: " + cause));
   }
 }
 
@@ -729,49 +718,9 @@ void Writer::drain_loop() {
   }
 }
 
-void Writer::watchdog_loop() {
-  const auto timeout = std::chrono::milliseconds(config_.drain_timeout_ms);
-  const auto poll = std::max(timeout / 8, std::chrono::milliseconds(1));
-  std::uint64_t last_beat = heartbeat_.load(std::memory_order_relaxed);
-  auto last_progress = std::chrono::steady_clock::now();
-  util::MutexLock lock(watchdog_mutex_);
-  for (;;) {
-    // A spurious wake just re-runs the (cheap) heartbeat check early.
-    watchdog_cv_.wait_for(lock, poll);
-    if (watchdog_stop_) return;
-    const auto now = std::chrono::steady_clock::now();
-    const std::uint64_t beat = heartbeat_.load(std::memory_order_relaxed);
-    if (beat != last_beat || !drain_active_.load(std::memory_order_acquire)) {
-      last_beat = beat;
-      last_progress = now;
-      continue;
-    }
-    if (now - last_progress >= timeout) {
-      // The active job has not heartbeated within drain_timeout: a lane is
-      // wedged.  Cancel the stalled simulated I/O; the drain worker's
-      // attempt fails with TimeoutError and is retried or abandoned.  The
-      // cancelled-op count is uninteresting here — the timeout counter
-      // below is the observable.
-      (void)fs_.cancel_stalls();
-      watchdog_timeouts_.fetch_add(1, std::memory_order_relaxed);
-      last_progress = now;  // fresh window for the retry
-    }
-  }
-}
-
-void Writer::stop_watchdog_thread() {
-  if (!watchdog_thread_.joinable()) return;
-  {
-    util::MutexLock lock(watchdog_mutex_);
-    watchdog_stop_ = true;
-  }
-  watchdog_cv_.notify_all();
-  watchdog_thread_.join();
-}
-
-WatchdogStats Writer::watchdog_stats() const {
-  WatchdogStats stats;
-  stats.timeouts = watchdog_timeouts_.load(std::memory_order_relaxed);
+DrainStats Writer::drain_stats() const {
+  DrainStats stats;
+  stats.timeouts = timeouts_.load(std::memory_order_relaxed);
   stats.retries = drain_retries_.load(std::memory_order_relaxed);
   stats.steps_abandoned = steps_abandoned_.load(std::memory_order_relaxed);
   return stats;
@@ -824,11 +773,8 @@ void Writer::close() {
     closed_ = true;
   }
   // Join outstanding drains before touching the files; the worker owns the
-  // offset tables and profiling accumulators until it goes quiet.  The
-  // watchdog must outlive the drain join — it is what unwedges a stalled
-  // lane so the join can complete.
+  // offset tables and profiling accumulators until it goes quiet.
   stop_drain_thread();
-  stop_watchdog_thread();
 
   util::MutexLock lock(mutex_);
   fsim::FsClient root(fs_, 0);
@@ -883,11 +829,13 @@ void Writer::close() {
       profile["transport_0"]["zero_copy_chunks"] = zero_copy_chunks_total_;
       profile["transport_0"]["stage_copies"] = stage_copies_total_;
     }
-    if (config_.drain_timeout_ms > 0) {
-      const WatchdogStats wd = watchdog_stats();
-      profile["transport_0"]["drain_timeouts"] = wd.timeouts;
-      profile["transport_0"]["drain_retries"] = wd.retries;
-      profile["transport_0"]["steps_abandoned"] = wd.steps_abandoned;
+    if (const DrainStats drain = drain_stats();
+        drain.timeouts + drain.retries + drain.steps_abandoned > 0) {
+      // Gated so a run without a failed drain attempt keeps the legacy
+      // profile byte-for-byte.
+      profile["transport_0"]["drain_timeouts"] = drain.timeouts;
+      profile["transport_0"]["drain_retries"] = drain.retries;
+      profile["transport_0"]["steps_abandoned"] = drain.steps_abandoned;
     }
     const std::string text = profile.dump(2);
     root.write_file(path_ + "/profiling.json",

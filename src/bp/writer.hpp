@@ -177,8 +177,8 @@ public:
   /// rate can be measured after a warmup step.
   void reset_pool_stats() override { buffer_pool_.reset_stats(); }
 
-  /// Drain-watchdog counters (all zero when the watchdog is disabled).
-  WatchdogStats watchdog_stats() const override;
+  /// Failed drain attempts, retries and abandoned steps (async only).
+  DrainStats drain_stats() const override;
 
 private:
   /// One variable of the open step: what every put of it must agree on,
@@ -269,11 +269,6 @@ private:
   void restore_drain_state(const DrainSnapshot& snap);
   void drain_loop() EXCLUDES(drain_mutex_);
   void stop_drain_thread() EXCLUDES(drain_mutex_);
-  void watchdog_loop() EXCLUDES(watchdog_mutex_);
-  void stop_watchdog_thread() EXCLUDES(watchdog_mutex_);
-  void touch_heartbeat() {
-    heartbeat_.fetch_add(1, std::memory_order_relaxed);
-  }
 
   fsim::SharedFs& fs_;
   std::string path_;
@@ -363,16 +358,8 @@ private:
   bool drain_stop_ GUARDED_BY(drain_mutex_) = false;
   std::exception_ptr drain_error_ GUARDED_BY(drain_mutex_);
 
-  // Drain-lane watchdog.  The worker bumps heartbeat_ at every unit of
-  // progress; the watchdog thread cancels the fs's stalled writes when an
-  // active job's heartbeat freezes for longer than drain_timeout_ms.
-  std::thread watchdog_thread_;
-  util::Mutex watchdog_mutex_;
-  util::CondVar watchdog_cv_;
-  bool watchdog_stop_ GUARDED_BY(watchdog_mutex_) = false;
-  std::atomic<std::uint64_t> heartbeat_{0};
-  std::atomic<bool> drain_active_{false};
-  std::atomic<std::uint64_t> watchdog_timeouts_{0};
+  // DrainStats, bumped by the drain worker and read from any thread.
+  std::atomic<std::uint64_t> timeouts_{0};
   std::atomic<std::uint64_t> drain_retries_{0};
   std::atomic<std::uint64_t> steps_abandoned_{0};
 };

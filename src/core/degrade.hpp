@@ -12,7 +12,8 @@
 //           wedge, so it is the level of last resort
 //
 // A flush that throws IoError (the backend failed: ENOSPC pressure, EIO)
-// or TimeoutError (the drain watchdog abandoned a wedged step) is absorbed:
+// or TimeoutError (a write hit a stalled OST, or the async drain abandoned
+// a step after its retries) is absorbed:
 // that output event's data is lost but the run keeps going.  After
 // `degrade_threshold` consecutive failures the ladder closes the sink
 // (best-effort) and rebuilds one level lower in a fresh subdirectory; after

@@ -78,13 +78,12 @@ struct Bit1IoConfig {
   fsim::FaultPlan fault_plan;    // empty = no injection
 
   // Online-recovery knobs (see README "Online recovery"):
-  //   drain_timeout_ms    bp drain-lane watchdog; 0 disables it
-  //   max_drain_retries   watchdog retries before abandoning a step
+  //   max_drain_retries   async drain retries of a failed step (an
+  //                       injected stall fails at once) before abandoning it
   //   degrade_threshold   consecutive flush failures before the degradation
   //                       ladder steps the sink down (async -> sync -> serial)
   //   degrade_cooldown    consecutive clean flushes before stepping back up
   //   recovery            rank-failure policy, one of kRecoveryPolicies
-  int drain_timeout_ms = 0;
   int max_drain_retries = 2;
   int degrade_threshold = 3;
   int degrade_cooldown = 8;
@@ -183,8 +182,6 @@ inline constexpr IoConfigKey kBit1IoConfigKeys[] = {
     {"checkpoint_interval", &Bit1IoConfig::checkpoint_interval},
     {"checkpoint_retain", &Bit1IoConfig::checkpoint_retain},
     {"checkpoint_full_interval", &Bit1IoConfig::checkpoint_full_interval},
-    {"drain_timeout_ms", &Bit1IoConfig::drain_timeout_ms,
-     &bp::EngineConfig::drain_timeout_ms},
     {"max_drain_retries", &Bit1IoConfig::max_drain_retries,
      &bp::EngineConfig::max_drain_retries},
     {"degrade_threshold", &Bit1IoConfig::degrade_threshold},

@@ -303,13 +303,12 @@ DarshanLog capture(const fsim::SharedFs& fs, const fsim::ReplayReport& replay,
   job.runtime_s = replay.makespan;
   log.job = std::move(job);
 
-  // Sqes of the queue-pair batch currently open per (client, lane): a
-  // doorbell-tagged batch_write record flushes the previous batch into the
-  // job's ops-per-batch histogram and starts the next one.  Keyed per
-  // client+lane because a stalled sqe releases the fs lock, so records of
-  // different clients' batches may interleave in the trace.
-  std::map<std::pair<fsim::ClientId, std::uint32_t>, std::uint64_t>
-      open_batches;
+  // Sqes of the queue-pair batch currently open: a doorbell-tagged
+  // batch_write record flushes the previous batch into the job's
+  // ops-per-batch histogram and starts the next one.  submit() holds the
+  // fs lock from its first record to its last, so one batch's records are
+  // contiguous in the trace.
+  std::uint64_t open_batch = 0;
   const auto bucket_of = [](std::uint64_t sqes) -> std::size_t {
     if (sqes <= 1) return 0;
     if (sqes <= 4) return 1;
@@ -409,15 +408,13 @@ DarshanLog capture(const fsim::SharedFs& fs, const fsim::ReplayReport& replay,
             std::max(r.max_byte_written, op.offset + op.bytes);
         r.max_write_size = std::max(r.max_write_size, op.bytes);
         if (op.op_count >= 2) r.coalesced_bytes += op.bytes;
-        const auto key = std::make_pair(op.client, op.lane);
         if (op.tag == fsim::TraceTag::doorbell) {
           r.batches_submitted += 1;
-          if (const auto it = open_batches.find(key);
-              it != open_batches.end() && it->second > 0)
-            log.job.ops_per_batch[bucket_of(it->second)] += 1;
-          open_batches[key] = 0;
+          if (open_batch > 0)
+            log.job.ops_per_batch[bucket_of(open_batch)] += 1;
+          open_batch = 0;
         }
-        open_batches[key] += op.op_count;
+        open_batch += op.op_count;
         write_time += dt;
         break;
       }
@@ -425,10 +422,7 @@ DarshanLog capture(const fsim::SharedFs& fs, const fsim::ReplayReport& replay,
         break;
     }
   }
-  for (const auto& [key, sqes] : open_batches) {
-    (void)key;
-    if (sqes > 0) log.job.ops_per_batch[bucket_of(sqes)] += 1;
-  }
+  if (open_batch > 0) log.job.ops_per_batch[bucket_of(open_batch)] += 1;
   return log;
 }
 

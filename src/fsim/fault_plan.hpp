@@ -16,9 +16,9 @@
 //               (transient failures the resilience layer retries through)
 //   rank_crash  not applied at the write layer: the harness asks
 //               should_crash(rank, step) at step boundaries
-//   stall       the call wedges (releasing the fs lock) until
-//               SharedFs::cancel_stalls() aborts it with TimeoutError —
-//               the wedged-OST scenario bp's drain watchdog detects
+//   stall       the call throws TimeoutError before persisting anything:
+//               an unresponsive OST, failed on the simulated clock rather
+//               than waited out on the host's (bp's drain retries it)
 //
 // Every injection is recorded as a TraceOp with TraceOp::fault set, so
 // Darshan capture and timing replay can attribute faults per (rank, file).

@@ -58,31 +58,6 @@ FaultKind SharedFs::next_write_fault(const FileNode& node, ClientId client,
   return fault ? *fault : FaultKind::none;
 }
 
-void SharedFs::stall_write(std::unique_lock<std::mutex>& lock,
-                           const char* call, std::string path) {
-  ++stalled_ops_;
-  const std::uint64_t epoch = stall_epoch_;
-  // Release the fs lock while wedged: every other client keeps running, only
-  // this write hangs — exactly like one OST going unresponsive.
-  stall_cv_.wait(lock, [&] { return stall_epoch_ != epoch; });
-  --stalled_ops_;
-  throw TimeoutError(std::string(call) + ": injected stall on '" + path +
-                     "' cancelled by watchdog");
-}
-
-int SharedFs::cancel_stalls() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const int released = stalled_ops_;
-  ++stall_epoch_;
-  stall_cv_.notify_all();
-  return released;
-}
-
-int SharedFs::stalled_op_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return stalled_ops_;
-}
-
 std::uint64_t SharedFs::traced_bytes_written() const {
   std::uint64_t sum = 0;
   for (const auto& op : trace_)
@@ -232,32 +207,41 @@ SharedFs::Descriptor& checked_fd(std::vector<SharedFs::Descriptor>& fds,
 }  // namespace
 
 namespace {
-/// Transient-failure tail shared by the data-write entry points: the caller
-/// has already traced the failed attempt; surface it as an IoError.
+/// Whether `fault` fails the write before anything is persisted.
+bool fails_write(FaultKind fault) {
+  return fault == FaultKind::eio || fault == FaultKind::enospc ||
+         fault == FaultKind::stall;
+}
+
+/// "<call>: injected <fault> on '<path>'", the message of a failed write.
+std::string injected_message(const char* call, FaultKind fault,
+                             const std::string& path) {
+  return std::string(call) + ": injected " + fault_name(fault) + " on '" +
+         path + "'";
+}
+
+/// Failure tail shared by the data-write entry points: the caller has
+/// already traced the failed attempt.  A stall (an unresponsive OST) is a
+/// TimeoutError, eio/enospc an IoError.
 [[noreturn]] void throw_injected(const char* call, FaultKind fault,
                                  const std::string& path) {
-  throw IoError(std::string(call) + ": injected " + fault_name(fault) +
-                " on '" + path + "'");
+  if (fault == FaultKind::stall)
+    throw TimeoutError(injected_message(call, fault, path));
+  throw IoError(injected_message(call, fault, path));
 }
 }  // namespace
 
 void FsClient::write(int fd, std::span<const std::uint8_t> data) {
-  std::unique_lock<std::mutex> lock(fs_->mutex_);
+  std::lock_guard<std::mutex> lock(fs_->mutex_);
   auto& desc = checked_fd(fs_->fds_, fd, client_);
   if (!desc.writable) throw IoError("write: descriptor is read-only");
   FileNode& node = fs_->store_.file_by_id(desc.file);
   const FaultKind fault = fs_->next_write_fault(node, client_, data.size());
-  if (fault == FaultKind::eio || fault == FaultKind::enospc) {
+  if (fails_write(fault)) {
     fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
                     .kind = OpKind::write, .fault = fault,
                     .offset = desc.position});
     throw_injected("write", fault, node.path);
-  }
-  if (fault == FaultKind::stall) {
-    fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
-                    .kind = OpKind::write, .fault = fault,
-                    .offset = desc.position});
-    fs_->stall_write(lock, "write", node.path);
   }
   std::uint64_t persist = data.size();
   if (fault == FaultKind::torn_write)
@@ -280,20 +264,15 @@ void FsClient::write(int fd, std::span<const std::uint8_t> data) {
 
 void FsClient::pwrite(int fd, std::uint64_t offset,
                       std::span<const std::uint8_t> data) {
-  std::unique_lock<std::mutex> lock(fs_->mutex_);
+  std::lock_guard<std::mutex> lock(fs_->mutex_);
   auto& desc = checked_fd(fs_->fds_, fd, client_);
   if (!desc.writable) throw IoError("pwrite: descriptor is read-only");
   FileNode& node = fs_->store_.file_by_id(desc.file);
   const FaultKind fault = fs_->next_write_fault(node, client_, data.size());
-  if (fault == FaultKind::eio || fault == FaultKind::enospc) {
+  if (fails_write(fault)) {
     fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
                     .kind = OpKind::write, .fault = fault, .offset = offset});
     throw_injected("pwrite", fault, node.path);
-  }
-  if (fault == FaultKind::stall) {
-    fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
-                    .kind = OpKind::write, .fault = fault, .offset = offset});
-    fs_->stall_write(lock, "pwrite", node.path);
   }
   std::uint64_t persist = data.size();
   if (fault == FaultKind::torn_write)
@@ -314,23 +293,17 @@ void FsClient::pwrite(int fd, std::uint64_t offset,
 void FsClient::write_simulated(int fd, std::uint64_t bytes,
                                std::uint32_t op_count) {
   if (op_count == 0) throw UsageError("write_simulated: op_count must be > 0");
-  std::unique_lock<std::mutex> lock(fs_->mutex_);
+  std::lock_guard<std::mutex> lock(fs_->mutex_);
   auto& desc = checked_fd(fs_->fds_, fd, client_);
   if (!desc.writable)
     throw IoError("write_simulated: descriptor is read-only");
   FileNode& node = fs_->store_.file_by_id(desc.file);
   const FaultKind fault = fs_->next_write_fault(node, client_, bytes);
-  if (fault == FaultKind::eio || fault == FaultKind::enospc) {
+  if (fails_write(fault)) {
     fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
                     .kind = OpKind::write, .fault = fault,
                     .offset = desc.position});
     throw_injected("write_simulated", fault, node.path);
-  }
-  if (fault == FaultKind::stall) {
-    fs_->append_op({.client = client_, .file = desc.file, .lane = lane_,
-                    .kind = OpKind::write, .fault = fault,
-                    .offset = desc.position});
-    fs_->stall_write(lock, "write_simulated", node.path);
   }
   std::uint64_t persist = bytes;
   if (fault == FaultKind::torn_write)
@@ -502,7 +475,7 @@ std::vector<Cqe> SubmissionQueue::submit() {
   SharedFs& fs = io_.shared();
   const ClientId client = io_.client();
   const std::uint32_t lane = io_.lane();
-  std::unique_lock<std::mutex> lock(fs.mutex_);
+  std::lock_guard<std::mutex> lock(fs.mutex_);
 
   // Validate every descriptor before touching any sqe: a bad fd is a
   // programming error and must not leave a half-processed batch behind.
@@ -549,39 +522,20 @@ std::vector<Cqe> SubmissionQueue::submit() {
     Cqe cqe;
     cqe.user_data = sqe.user_data;
     cqe.bytes_requested = sqe.bytes();
-    // Re-resolve descriptor and node each iteration: a stall on an earlier
-    // sqe released the fs lock, so cached references may have moved.
     auto& desc = checked_fd(fs.fds_, sqe.fd, client);
     FileNode& node = fs.store_.file_by_id(desc.file);
     const FaultKind fault =
         fs.next_write_fault(node, client, cqe.bytes_requested);
     cqe.fault = fault;
-    if (fault == FaultKind::eio || fault == FaultKind::enospc) {
+    if (fails_write(fault)) {
       flush_run();
       trace_op({.client = client, .file = desc.file, .lane = lane,
                 .kind = OpKind::batch_write, .fault = fault,
                 .offset = sqe.offset});
       cqe.ok = false;
-      cqe.error = "submit: injected " + std::string(fault_name(fault)) +
-                  " on '" + node.path + "'";
+      cqe.error = injected_message("submit", fault, node.path);
       cqes.push_back(std::move(cqe));
       continue;
-    }
-    if (fault == FaultKind::stall) {
-      flush_run();
-      trace_op({.client = client, .file = desc.file, .lane = lane,
-                .kind = OpKind::batch_write, .fault = fault,
-                .offset = sqe.offset});
-      try {
-        fs.stall_write(lock, "submit", node.path);
-      } catch (const TimeoutError& err) {
-        // The watchdog cancelled the wedged sqe; every completion so far
-        // stays valid and the rest of the batch proceeds.
-        cqe.ok = false;
-        cqe.error = err.what();
-        cqes.push_back(std::move(cqe));
-        continue;
-      }
     }
     std::uint64_t persist = cqe.bytes_requested;
     if (fault == FaultKind::torn_write)

@@ -12,7 +12,6 @@
 // TraceOp (op_count counts the calls) so that stdio-style record-at-a-time
 // output from 25600 ranks stays tractable to replay.
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -76,14 +75,6 @@ public:
   /// rank_crash rules: should `rank` die at `step`?  False without a plan.
   [[nodiscard]] bool should_crash(int rank, std::uint64_t step) const;
 
-  /// Abort every write currently wedged in an injected stall fault; each
-  /// one wakes and throws TimeoutError.  This is the watchdog's cancel
-  /// primitive (bp::Writer's drain watchdog calls it when a lane stops
-  /// heartbeating).  Returns how many stalled ops were released.
-  [[nodiscard]] int cancel_stalls();
-  /// Writes currently blocked in an injected stall.
-  [[nodiscard]] int stalled_op_count() const;
-
   /// Descriptor-table entry (public so the implementation's helpers can
   /// name the type; not part of the user-facing API).
   struct Descriptor {
@@ -102,11 +93,6 @@ private:
   [[nodiscard]] FaultKind next_write_fault(const FileNode& node,
                                            ClientId client,
                                            std::uint64_t bytes);
-  /// Block the calling write in an injected stall (releases `lock` while
-  /// wedged so other clients keep running) until cancel_stalls(), then
-  /// throw TimeoutError.  Never returns.
-  [[noreturn]] void stall_write(std::unique_lock<std::mutex>& lock,
-                                const char* call, std::string path);
 
   mutable std::mutex mutex_;
   ObjectStore store_;
@@ -117,11 +103,6 @@ private:
   std::priority_queue<int, std::vector<int>, std::greater<>> closed_fds_;
   bool tracing_ = true;
   std::optional<FaultPlan> fault_plan_;
-  // Stall-fault gate: wedged writes wait here; cancel_stalls() bumps the
-  // epoch to release them.
-  std::condition_variable stall_cv_;
-  std::uint64_t stall_epoch_ = 0;
-  int stalled_ops_ = 0;
 };
 
 /// Per-rank POSIX-like handle.  Cheap; copyable.  All methods are
@@ -256,8 +237,8 @@ struct Sqe {
   }
 };
 
-/// One completion-queue entry.  `ok` is false only for transient failures
-/// (eio/enospc) and cancelled stalls; a torn write reports ok with a short
+/// One completion-queue entry.  `ok` is false only for injected failures
+/// (eio/enospc/stall); a torn write reports ok with a short
 /// `bytes_persisted` (io_uring-style: the result carries the byte count, so
 /// short writes are caller-visible even though the posix write() path hides
 /// them).  `fault` records any injection for attribution either way.
@@ -280,10 +261,10 @@ struct Cqe {
 /// replay charges batch setup once per doorbell and a tiny per-sqe cost —
 /// never the per-record synchronous round trip of the posix write path.
 ///
-/// Faults inject per-sqe: eio/enospc fail only the affected sqe's Cqe,
-/// a stall wedges submit() until SharedFs::cancel_stalls() (the watchdog
-/// primitive) converts it into a failed Cqe, and earlier completions of the
-/// same batch stay valid throughout.  submit() is [[nodiscard]]: the
+/// Faults inject per-sqe: eio/enospc/stall fail only the affected sqe's
+/// Cqe, and the rest of the batch proceeds.  submit() holds the fs lock
+/// from its first trace record to its last, so one batch's records are
+/// contiguous in the trace.  submit() is [[nodiscard]]: the
 /// completions are its return value, so a caller cannot drop the per-sqe
 /// fault results without an explicit `(void)`.
 class SubmissionQueue {

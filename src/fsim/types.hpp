@@ -112,7 +112,7 @@ enum class FaultKind : std::uint8_t {
   eio,          // transient I/O error: the call throws, nothing persisted
   enospc,       // transient out-of-space: the call throws, nothing persisted
   rank_crash,   // the rank dies at a configured step (harness-level)
-  stall,        // the write wedges until SharedFs::cancel_stalls() aborts it
+  stall,        // unresponsive OST: the call throws TimeoutError, no bytes
 };
 
 inline const char* fault_name(FaultKind kind) {
@@ -193,8 +193,8 @@ struct TraceOp {
   OpKind kind = OpKind::open;
   TraceTag tag = TraceTag::none;
   // Fault injected into this operation, if any.  For torn writes `bytes`
-  // is the *persisted* prefix; for eio/enospc the write threw and `bytes`
-  // is 0.  Faulted ops are never coalesced.
+  // is the *persisted* prefix; for eio/enospc/stall the write threw and
+  // `bytes` is 0.  Faulted ops are never coalesced.
   FaultKind fault = FaultKind::none;
   // Spelled out so that a TraceOp has no padding: every byte of a trace is
   // determined, and two traces compare equal with memcmp.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <cstdio>
 #include <limits>
 #include <set>
@@ -479,20 +478,13 @@ void CheckpointManager::restore_via_chain(std::uint64_t epoch,
   if (!manifest)
     throw UsageError("CheckpointManager: epoch " + std::to_string(epoch) +
                      " is not committed");
-  const auto t0 = std::chrono::steady_clock::now();
   core::CheckpointSource source = open_epoch(*manifest);
   if (repartition)
     core::restore_repartitioned(source, sim);
   else
     core::restore_from_source(source, sim);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  {
-    util::MutexLock lock(stage_mutex_);
-    stats_.blocks_restored += source.blocks_read();
-    stats_.t_restore_s += elapsed;
-  }
+  util::MutexLock lock(stage_mutex_);
+  stats_.blocks_restored += source.blocks_read();
 }
 
 RestartReport CheckpointManager::restore(picmc::Simulation& sim) {
@@ -607,11 +599,9 @@ Json CheckpointManager::stats_json() const {
   o["epochs_pruned"] = Json(stats_.epochs_pruned);
   o["recoveries"] = Json(stats_.recoveries);
   o["degradations"] = Json(stats_.degradations);
-  o["t_recovery_s"] = Json(stats_.t_recovery_s);
   o["delta_epochs"] = Json(stats_.delta_epochs);
   o["dedup_bytes_saved"] = Json(stats_.dedup_bytes_saved);
   o["blocks_restored"] = Json(stats_.blocks_restored);
-  o["t_restore_s"] = Json(stats_.t_restore_s);
   o["faults_injected_total"] = Json(fs_.injected_fault_count());
   o["retained_epochs"] = Json(std::uint64_t(committed_epochs().size()));
   return Json(std::move(o));

@@ -91,8 +91,9 @@ struct EpochManifest {
 /// Counters the resilience layer accumulates across commits/restores (the
 /// numbers resilience.json and the resilience_sweep bench report).  This is
 /// the one home of every checkpoint and recovery count: the fsim trace and
-/// the Darshan log carry none of them.  The t_*_s fields are host wall
-/// seconds, never simulated ones.
+/// the Darshan log carry none of them.  t_recovery_s is host wall seconds,
+/// never simulated ones, and stays out of resilience.json, so the file is a
+/// function of the run's seed.
 struct ResilienceStats {
   std::uint64_t epochs_written = 0;    // committed epochs
   std::uint64_t write_retries = 0;     // commit attempts retried (any cause)
@@ -108,7 +109,6 @@ struct ResilienceStats {
   std::uint64_t delta_epochs = 0;       // committed epochs of kind "delta"
   std::uint64_t dedup_bytes_saved = 0;  // bytes referenced instead of written
   std::uint64_t blocks_restored = 0;    // blocks fetched by chain restores
-  double t_restore_s = 0.0;             // wall seconds inside chain restores
 };
 
 /// Outcome of restore(): which epoch recovered the run, and what was
@@ -172,8 +172,8 @@ public:
   /// Restore `sim` (any communicator size — re-partitions when it differs
   /// from the writer's, see core::restore_repartitioned) from a specific
   /// committed epoch, resolving delta chains block by block.  Safe to call
-  /// from every surviving rank concurrently: its only shared writes are the
-  /// two stats updates, taken under stage_mutex_.
+  /// from every surviving rank concurrently: its only shared write is the
+  /// blocks_restored update, taken under stage_mutex_.
   void restore_epoch(std::uint64_t epoch, picmc::Simulation& sim)
       EXCLUDES(stage_mutex_);
 

@@ -23,8 +23,9 @@
 // instead of killing it.  At the end of the run the final generation's
 // CheckpointManager adopts the run totals — shrink recoveries, the ladder
 // step-downs of every generation, and the host wall time spent recovering
-// — and writes them to resilience.json.  None of them is charged to the
-// fsim trace: simulated seconds come only from modelled I/O and CPU.
+// — and writes the counts to resilience.json (the host time stays in
+// ResilienceStats::t_recovery_s).  None of them is charged to the fsim
+// trace: simulated seconds come only from modelled I/O and CPU.
 //
 // The policy knob is Bit1IoConfig::recovery: "shrink" enables the sequence
 // above, "abort" keeps the pre-PR behaviour (a rank failure ends the run
@@ -65,7 +66,7 @@ struct ResilientRunReport {
 /// Run `cfg.sim` on `cfg.nranks` simulated ranks with online failure
 /// recovery.  Installs cfg.io.fault_plan into `fs` when non-empty.  The
 /// run survives rank crashes (shrinking), transient and wedged I/O (the
-/// drain watchdog + degradation ladder), and corrupt checkpoints (epoch
+/// drain retries + degradation ladder), and corrupt checkpoints (epoch
 /// fallback); it throws only when recovery itself is exhausted or the
 /// policy is "abort".
 ResilientRunReport run_resilient_spmd(fsim::SharedFs& fs,

@@ -79,22 +79,10 @@ bool World::recv_ready_locked(const std::pair<int, int>& key) const {
   return is_failed(key.first) || is_revoked();
 }
 
-std::vector<std::byte> World::recv(
-    int from, int to, std::optional<std::chrono::milliseconds> deadline) {
+std::vector<std::byte> World::recv(int from, int to) {
   util::MutexLock lock(mail_mutex_);
   const auto key = std::make_pair(from, to);
-  bool timed_out = false;
-  if (deadline) {
-    const auto until = std::chrono::steady_clock::now() + *deadline;
-    while (!recv_ready_locked(key)) {
-      if (mail_cv_.wait_until(lock, until) == std::cv_status::timeout) {
-        timed_out = !recv_ready_locked(key);
-        break;
-      }
-    }
-  } else {
-    while (!recv_ready_locked(key)) mail_cv_.wait(lock);
-  }
+  while (!recv_ready_locked(key)) mail_cv_.wait(lock);
   // A message the peer sent before dying is still deliverable.
   auto it = mail_.find(key);
   if (it != mail_.end() && !it->second.empty()) {
@@ -105,9 +93,6 @@ std::vector<std::byte> World::recv(
   if (is_failed(from))
     throw RankFailedError(strfmt("smpi: recv from failed rank %d", from));
   if (is_revoked()) throw RankFailedError("smpi: communicator revoked");
-  if (timed_out)
-    throw TimeoutError(
-        strfmt("smpi: recv from rank %d exceeded its deadline", from));
   throw RankFailedError("smpi: recv woke without a message");  // unreachable
 }
 
@@ -249,13 +234,6 @@ std::vector<std::byte> Comm::recv(int source) {
   if (source < 0 || source >= size())
     throw UsageError("smpi: recv from bad rank");
   return world_->recv(source, rank_);
-}
-
-std::vector<std::byte> Comm::recv(int source,
-                                  std::chrono::milliseconds deadline) {
-  if (source < 0 || source >= size())
-    throw UsageError("smpi: recv from bad rank");
-  return world_->recv(source, rank_, deadline);
 }
 
 void run_spmd(int nranks, const std::function<void(Comm&)>& body) {

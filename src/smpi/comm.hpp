@@ -26,7 +26,6 @@
 // RecoveryContext describing what happened.
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -96,12 +95,9 @@ public:
 
   void send(int from, int to, std::vector<std::byte> payload);
   /// Blocking receive.  Wakes with RankFailedError if `from` is (or
-  /// becomes) failed with no queued message, and with TimeoutError when a
-  /// deadline is given and expires first — never an unbounded hang against
-  /// a dead peer.
-  std::vector<std::byte> recv(
-      int from, int to,
-      std::optional<std::chrono::milliseconds> deadline = std::nullopt);
+  /// becomes) failed with no queued message — never an unbounded hang
+  /// against a dead peer.
+  std::vector<std::byte> recv(int from, int to);
 
   // --- ULFM-style failure handling ---------------------------------------
 
@@ -294,12 +290,9 @@ public:
 
   /// Blocking point-to-point.  Message order between a fixed (src,dst) pair
   /// is preserved.  Raises RankFailedError instead of hanging when the peer
-  /// is marked failed; the deadline overload raises TimeoutError if the
-  /// message does not arrive in time (used by the recovery path so a
-  /// confused survivor can never wedge the run).
+  /// is marked failed.
   void send(int dest, std::span<const std::byte> payload);
   std::vector<std::byte> recv(int source);
-  std::vector<std::byte> recv(int source, std::chrono::milliseconds deadline);
 
   // --- ULFM-style recovery ------------------------------------------------
 

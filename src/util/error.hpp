@@ -35,8 +35,9 @@ public:
   explicit IoError(const std::string& what) : Error(what) {}
 };
 
-/// An operation exceeded its deadline: a watchdog-cancelled stalled write,
-/// a drain step abandoned after bounded retries, a recv() past its deadline.
+/// An operation that cannot complete in time: a write that hit an injected
+/// stall (an unresponsive OST), or a drain step abandoned after bounded
+/// retries.
 class TimeoutError : public Error {
 public:
   explicit TimeoutError(const std::string& what) : Error(what) {}

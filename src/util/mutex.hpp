@@ -23,7 +23,6 @@
 // unannotated function, so guarded reads inside one would be flagged even
 // though the lock is held.
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -76,19 +75,6 @@ class CondVar {
   CondVar& operator=(const CondVar&) = delete;
 
   void wait(MutexLock& lock) { cv_.wait(lock.lock_); }
-
-  template <typename Rep, typename Period>
-  std::cv_status wait_for(MutexLock& lock,
-                          const std::chrono::duration<Rep, Period>& dur) {
-    return cv_.wait_for(lock.lock_, dur);
-  }
-
-  template <typename Clock, typename Duration>
-  std::cv_status wait_until(
-      MutexLock& lock,
-      const std::chrono::time_point<Clock, Duration>& deadline) {
-    return cv_.wait_until(lock.lock_, deadline);
-  }
 
   void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }

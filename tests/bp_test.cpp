@@ -276,7 +276,6 @@ TEST(BpConfig, EveryParameterRoundTripsThroughAdios2Toml) {
   config.buffer_chunk_mb = 4;
   config.io_batch_depth = 32;
   config.coalesce_writes = true;
-  config.drain_timeout_ms = 150;
   config.max_drain_retries = 5;
   config.aggregation = "two_level";
   config.topology = "dardel";

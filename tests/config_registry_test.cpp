@@ -61,8 +61,6 @@ bool mutate_for_key(const std::string& key, Bit1IoConfig& config) {
     config.checkpoint_retain = 4;
   } else if (key == "checkpoint_full_interval") {
     config.checkpoint_full_interval = 3;
-  } else if (key == "drain_timeout_ms") {
-    config.drain_timeout_ms = 150;
   } else if (key == "max_drain_retries") {
     config.max_drain_retries = 5;
   } else if (key == "degrade_threshold") {

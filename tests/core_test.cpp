@@ -161,8 +161,7 @@ TEST(IoConfig, TomlRoundTripIsLossless) {
            {fsim::FaultKind::rank_crash, "", 0, 0.0, 1, 3, 70}});
   EXPECT_EQ(Bit1IoConfig::from_toml(config.to_toml()), config);
 
-  // ... and the online-recovery keys (watchdog, ladder, policy).
-  config.drain_timeout_ms = 250;
+  // ... and the online-recovery keys (drain retries, ladder, policy).
   config.max_drain_retries = 4;
   config.degrade_threshold = 2;
   config.degrade_cooldown = 16;
@@ -210,22 +209,17 @@ rules = [ { kind = "torn_write", path = "md.0", nth = 2 } ]
 TEST(IoConfig, RecoveryKeysParseAndValidate) {
   const auto config = Bit1IoConfig::from_toml(R"(
 [io]
-drain_timeout_ms = 100
 max_drain_retries = 3
 degrade_threshold = 2
 degrade_cooldown = 4
 recovery = "shrink"
 )");
-  EXPECT_EQ(config.drain_timeout_ms, 100);
   EXPECT_EQ(config.max_drain_retries, 3);
   EXPECT_EQ(config.degrade_threshold, 2);
   EXPECT_EQ(config.degrade_cooldown, 4);
   EXPECT_EQ(config.recovery, "shrink");
 
   Bit1IoConfig bad;
-  bad.drain_timeout_ms = -1;
-  EXPECT_THROW(bad.validate(), UsageError);
-  bad = Bit1IoConfig{};
   bad.max_drain_retries = -1;
   EXPECT_THROW(bad.validate(), UsageError);
   bad = Bit1IoConfig{};
@@ -238,24 +232,20 @@ recovery = "shrink"
   bad.recovery = "retry";  // only "abort" and "shrink" are policies
   EXPECT_THROW(bad.validate(), UsageError);
 
-  // The watchdog keys reach the engine parameters.
+  // The retry bound reaches the engine parameters.
   Bit1IoConfig async;
   async.async_write = true;
-  async.drain_timeout_ms = 100;
   async.max_drain_retries = 3;
   const Json parsed = parse_toml(async.adios2_toml());
   const Json& params = parsed.at("adios2").at("engine").at("parameters");
-  EXPECT_EQ(params.at("DrainTimeoutMs").as_int(), 100);
   EXPECT_EQ(params.at("MaxDrainRetries").as_int(), 3);
   const auto engine = bp::EngineConfig::from_json(parsed.at("adios2"));
-  EXPECT_EQ(engine.drain_timeout_ms, 100);
   EXPECT_EQ(engine.max_drain_retries, 3);
 
-  // A sync config carries the timeout too, but the engine it parses into
-  // stays synchronous, and the writer starts a watchdog only with
-  // async_write.
+  // A sync config carries the bound too, but the engine it parses into
+  // stays synchronous, and only the async drain retries.
   Bit1IoConfig sync;
-  sync.drain_timeout_ms = 100;
+  sync.max_drain_retries = 3;
   const auto sync_engine = bp::EngineConfig::from_json(
       parse_toml(sync.adios2_toml()).at("adios2"));
   EXPECT_FALSE(sync_engine.async_write);

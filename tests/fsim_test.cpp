@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -11,7 +10,6 @@
 #include <limits>
 #include <numeric>
 #include <queue>
-#include <thread>
 #include <utility>
 
 #include "fsim/des.hpp"
@@ -692,46 +690,44 @@ TEST(Profiles, VegaIsNoisyDardelIsNot) {
 
 // ----------------------------------------------------------- stall faults ---
 
-TEST(StallFaults, CancelStallsReleasesWedgedWritesWithTimeoutError) {
-  // An injected stall wedges the write (releasing the fs lock so other
-  // clients keep running) until cancel_stalls() aborts it with a typed
-  // error — the primitive the bp drain watchdog is built on.
+TEST(StallFaults, StallFailsTheWriteAtOnceWithTimeoutError) {
+  // An injected stall is an unresponsive OST, failed on the simulated
+  // clock: write, pwrite and write_simulated each throw TimeoutError at
+  // once, persist nothing, and trace one zero-byte op tagged with the
+  // fault.  No host thread waits on it.
   SharedFs fs(8);
-  fs.set_fault_plan(FaultPlan(1, {{FaultKind::stall, "f", 1, 0.0, 1, -1, 0}}));
-
-  std::atomic<bool> timed_out{false};
-  std::thread victim([&] {
-    FsClient io(fs, 0);
-    const int fd = io.open("f", OpenMode::create);
-    try {
-      io.write(fd, pattern(1024));
-    } catch (const TimeoutError&) {
-      timed_out = true;
-    }
-    io.close(fd);
-  });
-
-  // Wait for the write to wedge, then prove an unrelated client still makes
-  // progress while it hangs.
-  while (fs.stalled_op_count() == 0) std::this_thread::yield();
-  FsClient other(fs, 1);
-  const int fd = other.open("g", OpenMode::create);
-  other.write(fd, pattern(64));
-  other.close(fd);
-  EXPECT_EQ(fs.stalled_op_count(), 1);
-
-  EXPECT_EQ(fs.cancel_stalls(), 1);
-  victim.join();
-  EXPECT_TRUE(timed_out.load());
-  EXPECT_EQ(fs.stalled_op_count(), 0);
-  // Nothing further to release.
-  EXPECT_EQ(fs.cancel_stalls(), 0);
-
-  // The stall fired within its times bound: a fresh write goes through.
+  fs.set_fault_plan(FaultPlan(1, {{FaultKind::stall, "a", 1, 0.0, 1, -1, 0},
+                                  {FaultKind::stall, "b", 1, 0.0, 1, -1, 0},
+                                  {FaultKind::stall, "c", 1, 0.0, 1, -1, 0}}));
   FsClient io(fs, 0);
-  const int fd2 = io.open("f2", OpenMode::create);
-  EXPECT_NO_THROW(io.write(fd2, pattern(1024)));
-  io.close(fd2);
+  const int a = io.open("a", OpenMode::create);
+  const int b = io.open("b", OpenMode::create);
+  const int c = io.open("c", OpenMode::create);
+  EXPECT_THROW(io.write(a, pattern(1024)), TimeoutError);
+  EXPECT_THROW(io.pwrite(b, 64, pattern(1024)), TimeoutError);
+  EXPECT_THROW(io.write_simulated(c, 1024, 2), TimeoutError);
+  for (const char* path : {"a", "b", "c"})
+    EXPECT_EQ(fs.store().file(path).size, 0u) << path;
+  EXPECT_EQ(fs.injected_fault_count(), 3u);
+
+  std::vector<TraceOp> stalls;
+  for (const TraceOp& op : fs.trace())
+    if (op.fault == FaultKind::stall) stalls.push_back(op);
+  ASSERT_EQ(stalls.size(), 3u);
+  for (const TraceOp& op : stalls) {
+    EXPECT_EQ(op.kind, OpKind::write);
+    EXPECT_EQ(op.bytes, 0u);
+  }
+  EXPECT_EQ(stalls[1].offset, 64u);
+
+  // Each rule fired within its times bound: the retried writes go through.
+  EXPECT_NO_THROW(io.write(a, pattern(1024)));
+  EXPECT_NO_THROW(io.pwrite(b, 64, pattern(1024)));
+  EXPECT_NO_THROW(io.write_simulated(c, 1024, 2));
+  EXPECT_EQ(fs.store().file("a").size, 1024u);
+  EXPECT_EQ(fs.store().file("b").size, 64u + 1024u);
+  EXPECT_EQ(fs.store().file("c").size, 1024u);
+  for (const int fd : {a, b, c}) io.close(fd);
 }
 
 // ------------------------------------------------------------- queue pair ---
@@ -924,62 +920,54 @@ TEST(QueuePair, TornWriteMidBatchReportsShortCompletion) {
   io.close(fd);
 }
 
-TEST(QueuePair, StallMidBatchIsCancellableAndBatchContinues) {
-  // A stall wedges submit() exactly like a wedged posix write; the prior
-  // sqes' completions stay valid, cancel_stalls() converts the wedged sqe
-  // into a failed Cqe, and the rest of the batch proceeds — so a drain
-  // watchdog built on cancel_stalls() never wedges on the batched path.
+TEST(QueuePair, StallMidBatchFailsItsSqeAndBatchContinues) {
+  // A stall fails its sqe's Cqe at once, like eio: earlier completions stay
+  // valid and the rest of the batch proceeds, all inside one submit().
   SharedFs fs(8);
   fs.set_fault_plan(FaultPlan(3, {{FaultKind::stall, "q", 2, 0.0, 1, -1, 0}}));
-
-  std::vector<Cqe> cqes;
-  std::thread victim([&] {
-    FsClient io(fs, 0);
-    const int fd = io.open("q", OpenMode::create);
-    SubmissionQueue sq(io, 4);
-    const auto data = pattern(192, 2);
-    for (int i = 0; i < 3; ++i) {
-      Sqe sqe;
-      sqe.fd = fd;
-      sqe.offset = std::uint64_t(i) * 64;
-      sqe.iov.push_back(std::span<const std::uint8_t>(data).subspan(
-          std::size_t(i) * 64, 64));
-      sq.push(std::move(sqe));
-    }
-    cqes = sq.submit();  // blocks on sqe 2 until cancel_stalls()
-    io.close(fd);
-  });
-
-  // Wait for the batch to wedge mid-flight, prove an unrelated client
-  // still makes progress, then cancel.
-  while (fs.stalled_op_count() == 0) std::this_thread::yield();
-  FsClient other(fs, 1);
-  const int fd = other.open("g", OpenMode::create);
-  other.write(fd, pattern(64));
-  other.close(fd);
-  EXPECT_EQ(fs.cancel_stalls(), 1);
-  victim.join();
-
+  FsClient io(fs, 0);
+  const int fd = io.open("q", OpenMode::create);
+  SubmissionQueue sq(io, 4);
+  const auto data = pattern(192, 2);
+  for (int i = 0; i < 3; ++i) {
+    Sqe sqe;
+    sqe.fd = fd;
+    sqe.offset = std::uint64_t(i) * 64;
+    sqe.iov.push_back(
+        std::span<const std::uint8_t>(data).subspan(std::size_t(i) * 64, 64));
+    sq.push(std::move(sqe));
+  }
+  const auto cqes = sq.submit();
   ASSERT_EQ(cqes.size(), 3u);
   EXPECT_TRUE(cqes[0].ok);
   EXPECT_FALSE(cqes[1].ok);
   EXPECT_EQ(cqes[1].fault, FaultKind::stall);
-  EXPECT_TRUE(cqes[2].ok);  // the batch continued after the cancel
-  EXPECT_EQ(fs.stalled_op_count(), 0);
+  EXPECT_EQ(cqes[1].bytes_persisted, 0u);
+  EXPECT_NE(cqes[1].error.find("stall"), std::string::npos);
+  EXPECT_TRUE(cqes[2].ok);  // the batch continued past the stall
 
-  // The queue pair stays usable after the cancelled stall.
-  FsClient io(fs, 0);
-  const int fd2 = io.open("q2", OpenMode::create);
-  SubmissionQueue sq(io, 2);
+  // One batch, one run of records: the doorbell, the zero-byte stall
+  // record, then the last sqe.
+  const auto ops = batch_ops(fs);
+  ASSERT_EQ(ops.size(), 3u);
+  EXPECT_EQ(ops[0].tag, TraceTag::doorbell);
+  EXPECT_EQ(ops[1].fault, FaultKind::stall);
+  EXPECT_EQ(ops[1].bytes, 0u);
+  EXPECT_EQ(ops[2].fault, FaultKind::none);
+
+  // The queue pair stays usable after the stall.
   Sqe sqe;
-  sqe.fd = fd2;
-  const auto tail = pattern(64, 4);
-  sqe.iov.push_back(std::span<const std::uint8_t>(tail));
+  sqe.fd = fd;
+  sqe.offset = 64;
+  sqe.iov.push_back(std::span<const std::uint8_t>(data).subspan(64, 64));
   sq.push(std::move(sqe));
-  const auto tail_cqes = sq.submit();
-  ASSERT_EQ(tail_cqes.size(), 1u);
-  EXPECT_TRUE(tail_cqes[0].ok);
-  io.close(fd2);
+  const auto retry = sq.submit();
+  ASSERT_EQ(retry.size(), 1u);
+  EXPECT_TRUE(retry[0].ok);
+  std::vector<std::uint8_t> back(192);
+  EXPECT_EQ(io.pread(fd, 0, back), 192u);
+  EXPECT_EQ(back, data);
+  io.close(fd);
 }
 
 TEST(QueuePair, SimulatedSqesGrowTheFileLikeWriteSimulated) {

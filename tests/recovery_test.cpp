@@ -1,13 +1,11 @@
 // Tests for the online failure-recovery stack: the full detect -> agree ->
 // shrink -> restore -> resume sequence (resil::run_resilient_spmd), the
-// shrink-aware checkpoint re-partitioning, the bp drain-lane watchdog
-// (wedged lanes are detected, retried, or abandoned with a typed error so
-// close() can never hang), and the graceful I/O degradation ladder
-// (core::DegradingSink) under ENOSPC pressure.
+// shrink-aware checkpoint re-partitioning, stalled drain lanes (a stall
+// fails its write at once; the async drain retries it or abandons the step
+// with a typed error, so close() can never hang), and the graceful I/O
+// degradation ladder (core::DegradingSink) under ENOSPC and stall faults.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <future>
 #include <numeric>
 
 #include "bp/engine.hpp"
@@ -109,12 +107,13 @@ TEST(OnlineRecovery, EightRankCrashShrinksRestoresAndCompletes) {
   bp::Reader diag = bp::Reader::open(fs, 0, "run/gen_1/dat_file.bp4");
   EXPECT_TRUE(bp::Reader::all_ok(diag.verify()));
 
-  // resilience.json carries the recovery counters.
+  // resilience.json carries the recovery counters, but not the host wall
+  // time, which stays in ResilienceStats (checked above).
   const auto bytes = FsClient(fs, 0).read_all("run/resil/resilience.json");
   const Json stats = Json::parse(
       std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
   EXPECT_EQ(stats.at("recoveries").as_uint(), 1u);
-  EXPECT_GT(stats.at("t_recovery_s").as_number(), 0.0);
+  EXPECT_FALSE(stats.contains("t_recovery_s"));
 }
 
 TEST(OnlineRecovery, CrashingRunIsDeterministicUnderFixedSeed) {
@@ -224,14 +223,16 @@ TEST(OnlineRecovery, RestoreRepartitionedPreservesThePopulation) {
   EXPECT_EQ(new_sims[1]->ionization_events(), 0u);
 }
 
-// ------------------------------------------------- drain-lane watchdog ---
+// ------------------------------------------------------- stalled lanes ---
+// An injected stall fails its write at once on the simulated clock, so no
+// host thread ever waits on it: each case below returns without a timer.
 
-bp::EngineConfig watchdog_engine(int timeout_ms, int retries) {
+bp::EngineConfig stall_engine(bool async, int io_batch_depth) {
   bp::EngineConfig config;
   config.num_aggregators = 1;
-  config.async_write = true;
-  config.drain_timeout_ms = timeout_ms;
-  config.max_drain_retries = retries;
+  config.async_write = async;
+  config.io_batch_depth = io_batch_depth;
+  config.profiling = true;
   return config;
 }
 
@@ -241,55 +242,79 @@ std::vector<float> iota_floats(std::size_t n) {
   return v;
 }
 
-TEST(DrainWatchdog, WedgedLaneIsCancelledAndRetried) {
-  // One injected stall wedges the first subfile append; the watchdog
-  // cancels it within drain_timeout and the retry lands the step intact.
-  SharedFs fs(8);
-  fs.set_fault_plan(
-      FaultPlan(3, {{FaultKind::stall, "data.", 1, 0.0, 1, -1, 0}}));
-
-  auto writer =
-      bp::make_engine("bp4", fs, "w.bp4", watchdog_engine(50, 2), 2);
-  const auto data = iota_floats(16);
-  writer->begin_step(0);
-  writer->put<float>(0, "x", {32}, {0}, {16}, data);
-  writer->put<float>(1, "x", {32}, {16}, {16}, data);
-  writer->end_step();
-  writer->close();  // must neither hang nor throw
-
-  const auto stats = writer->watchdog_stats();
-  EXPECT_GE(stats.timeouts, 1u);
-  EXPECT_GE(stats.retries, 1u);
-  EXPECT_EQ(stats.steps_abandoned, 0u);
-  EXPECT_EQ(fs.stalled_op_count(), 0);
-
-  bp::Reader reader = bp::Reader::open(fs, 0, "w.bp4");
-  EXPECT_EQ(reader.read_as<float>(0, "x").size(), 32u);
-  EXPECT_TRUE(bp::Reader::all_ok(reader.verify()));
+TEST(StallFaults, SyncWriterStallFailsEndStep) {
+  // Without the async drain nothing retries: the stalled subfile append
+  // fails end_step with TimeoutError, on the posix and the batched path.
+  for (const int depth : {0, 4}) {
+    SharedFs fs(8);
+    fs.set_fault_plan(
+        FaultPlan(3, {{FaultKind::stall, "data.", 1, 0.0, 1, -1, 0}}));
+    auto writer = bp::make_engine("bp4", fs, "w.bp4",
+                                  stall_engine(/*async=*/false, depth), 1);
+    const auto data = iota_floats(16);
+    writer->begin_step(0);
+    writer->put<float>(0, "x", {16}, {0}, {16}, data);
+    EXPECT_THROW(writer->end_step(), TimeoutError) << "depth " << depth;
+    EXPECT_EQ(fs.injected_fault_count(), 1u);
+    EXPECT_EQ(writer->drain_stats().timeouts, 0u);  // no drain lane to retry
+  }
 }
 
-TEST(DrainWatchdog, PermanentlyWedgedStepIsAbandonedAndCloseCannotHang) {
-  // An unlimited stall rule re-wedges every retry: past the retry bound the
-  // step must be abandoned with a typed error.  close() runs under a hard
-  // outer deadline to prove it cannot hang on the wedged lane.
+TEST(StallFaults, AsyncOneShotStallIsRetriedAndTheStepLandsIntact) {
+  // Default knobs: the stalled attempt fails with TimeoutError, is rolled
+  // back and retried, and the step lands intact.
+  for (const int depth : {0, 4}) {
+    SharedFs fs(8);
+    fs.set_fault_plan(
+        FaultPlan(3, {{FaultKind::stall, "data.", 1, 0.0, 1, -1, 0}}));
+    auto writer = bp::make_engine("bp4", fs, "w.bp4",
+                                  stall_engine(/*async=*/true, depth), 2);
+    const auto data = iota_floats(16);
+    writer->begin_step(0);
+    writer->put<float>(0, "x", {32}, {0}, {16}, data);
+    writer->put<float>(1, "x", {32}, {16}, {16}, data);
+    writer->end_step();
+    EXPECT_NO_THROW(writer->close()) << "depth " << depth;
+
+    const auto stats = writer->drain_stats();
+    EXPECT_EQ(stats.timeouts, 1u);
+    EXPECT_EQ(stats.retries, 1u);
+    EXPECT_EQ(stats.steps_abandoned, 0u);
+    const auto bytes = FsClient(fs, 0).read_all("w.bp4/profiling.json");
+    const Json transport =
+        Json::parse(std::string(reinterpret_cast<const char*>(bytes.data()),
+                                bytes.size()))
+            .at("transport_0");
+    EXPECT_EQ(transport.at("drain_timeouts").as_uint(), 1u);
+    EXPECT_EQ(transport.at("drain_retries").as_uint(), 1u);
+    EXPECT_EQ(transport.at("steps_abandoned").as_uint(), 0u);
+
+    bp::Reader reader = bp::Reader::open(fs, 0, "w.bp4");
+    EXPECT_EQ(reader.read_as<float>(0, "x").size(), 32u);
+    EXPECT_TRUE(bp::Reader::all_ok(reader.verify()));
+  }
+}
+
+TEST(StallFaults, UnlimitedStallMakesCloseThrowAfterTheRetryBound) {
+  // An unlimited stall rule fails every attempt: after max_drain_retries
+  // retries the step is abandoned and close() throws TimeoutError.
   SharedFs fs(8);
   fs.set_fault_plan(
       FaultPlan(3, {{FaultKind::stall, "data.", 0, 1.0, 0, -1, 0}}));
-
-  auto writer =
-      bp::make_engine("bp4", fs, "w.bp4", watchdog_engine(50, 1), 1);
+  auto config = stall_engine(/*async=*/true, 0);
+  config.max_drain_retries = 3;
+  auto writer = bp::make_engine("bp4", fs, "w.bp4", config, 1);
   const auto data = iota_floats(16);
   writer->begin_step(0);
   writer->put<float>(0, "x", {16}, {0}, {16}, data);
   writer->end_step();
+  EXPECT_THROW(writer->close(), TimeoutError);
 
-  auto closing = std::async(std::launch::async, [&] { writer->close(); });
-  ASSERT_EQ(closing.wait_for(std::chrono::seconds(60)),
-            std::future_status::ready)
-      << "close() hung on a wedged drain lane";
-  EXPECT_THROW(closing.get(), TimeoutError);
-  EXPECT_EQ(writer->watchdog_stats().steps_abandoned, 1u);
-  EXPECT_EQ(fs.stalled_op_count(), 0);
+  const auto stats = writer->drain_stats();
+  EXPECT_EQ(stats.timeouts, 4u);  // the first attempt and three retries
+  EXPECT_EQ(stats.retries, 3u);
+  EXPECT_EQ(stats.steps_abandoned, 1u);
+  EXPECT_EQ(fs.injected_fault_count(), 4u);
 }
 
 // ------------------------------------------------- degradation ladder ---
@@ -301,10 +326,7 @@ core::Bit1IoConfig ladder_config(bool async, int threshold, int cooldown) {
   io.num_aggregators = 1;
   io.degrade_threshold = threshold;
   io.degrade_cooldown = cooldown;
-  if (async) {
-    io.drain_timeout_ms = 50;
-    io.max_drain_retries = 1;
-  }
+  if (async) io.max_drain_retries = 1;
   return io;
 }
 
@@ -344,6 +366,36 @@ TEST(DegradationLadder, EnospcPressureStepsDownToSerialAndRunCompletes) {
   EXPECT_EQ(sink->current_dir(), "run/ladder_2_serial");
   EXPECT_TRUE(fs.store().file_exists("run/ladder_2_serial/slow_0.dat"));
   EXPECT_GT(fs.store().file("run/ladder_2_serial/slow_0.dat").size, 0u);
+}
+
+TEST(DegradationLadder, SyncStallIsAbsorbedAndStepsDownToSerial) {
+  // Every append to a bp data subfile stalls.  At the sync level each flush
+  // fails with TimeoutError at once; the ladder absorbs it and steps down
+  // to the serial stdio path, whose files never match the rule.
+  SharedFs fs(8);
+  fs.set_fault_plan(
+      FaultPlan(5, {{FaultKind::stall, "data.", 0, 1.0, 0, -1, 0}}));
+
+  auto sink = core::make_degrading_sink(
+      fs, "run", ladder_config(/*async=*/false, /*threshold=*/1,
+                               /*cooldown=*/100),
+      1);
+  EXPECT_EQ(sink->level(), core::IoServiceLevel::sync);
+
+  Simulation sim(recovery_case(/*last_step=*/2));
+  sim.initialize();
+  sim.run();
+  for (std::uint64_t step = 1; step <= 3; ++step) {
+    sink->stage_diagnostics(0, sim, picmc::Diagnostics::sample_now(sim));
+    sink->flush_diagnostics(step, double(step));
+  }
+  EXPECT_NO_THROW(sink->close());
+
+  EXPECT_EQ(sink->level(), core::IoServiceLevel::serial);
+  const auto stats = sink->stats();
+  EXPECT_EQ(stats.degradations, 1);  // sync -> serial
+  EXPECT_GE(stats.failures_absorbed, 1);
+  EXPECT_GT(fs.store().file("run/ladder_1_serial/slow_0.dat").size, 0u);
 }
 
 TEST(DegradationLadder, StepsBackUpAfterCooldown) {
@@ -403,8 +455,9 @@ TEST(OnlineRecovery, RecoveryIsCountedInResilienceStatsNotTheTrace) {
       std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size()));
   EXPECT_EQ(stats.at("recoveries").as_uint(), report.stats.recoveries);
   EXPECT_EQ(stats.at("degradations").as_uint(), report.stats.degradations);
-  EXPECT_DOUBLE_EQ(stats.at("t_recovery_s").as_number(),
-                   report.stats.t_recovery_s);
+  // The host wall time is counted in the stats only: the file stays a
+  // function of the seed.
+  EXPECT_FALSE(stats.contains("t_recovery_s"));
 
   // Neither the recovery nor the restore it ran charges host wall time to
   // the simulated clock: every cpu op in the trace is modelled cost.
